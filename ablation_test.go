@@ -4,9 +4,7 @@
 //     vs. shipping the full instance relation;
 //   - opaque per-tuple mediation vs. framework-aware batch dispatch as the
 //     input relation grows (the crossover is at exactly one tuple);
-//   - the hash join vs. a naive nested-loop join;
-//   - asynchronous instance evaluation (worker pool) vs. synchronous, when
-//     the component services are remote.
+//   - the hash join vs. a naive nested-loop join.
 package eca_test
 
 import (
@@ -16,12 +14,10 @@ import (
 
 	"repro/internal/bindings"
 	"repro/internal/domain/travel"
-	"repro/internal/engine"
 	"repro/internal/grh"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
 	"repro/internal/services"
-	"repro/internal/system"
 	"repro/internal/xmltree"
 )
 
@@ -164,58 +160,6 @@ func BenchmarkAblationJoinAlgorithm(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				naiveJoin(r, s)
 			}
-		})
-	}
-}
-
-// BenchmarkAblationAsyncWorkers: end-to-end firings over HTTP services,
-// synchronous vs. worker-pool engines. Events are injected concurrently so
-// the pool can overlap HTTP round trips.
-func BenchmarkAblationAsyncWorkers(b *testing.B) {
-	for _, workers := range []int{0, 8} {
-		name := "sync"
-		if workers > 0 {
-			name = fmt.Sprintf("workers=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			sc, cleanup, err := travel.NewScenario(system.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cleanup()
-			srv := httptest.NewServer(sc.Mux(xmltree.MustParse(travel.ClassesXML), travel.Namespaces()))
-			defer srv.Close()
-			if err := sc.Distribute(srv.URL); err != nil {
-				b.Fatal(err)
-			}
-			eng := sc.Engine
-			if workers > 0 {
-				eng = engine.New(sc.GRH, engine.WithWorkers(workers))
-				deliver := &services.Deliverer{Local: eng.OnDetection}
-				matcher := services.NewEventMatcher(sc.Stream, deliver)
-				defer matcher.Close()
-				if err := sc.GRH.Register(grh.Descriptor{
-					Language:       services.MatcherNS,
-					Kinds:          []ruleml.ComponentKind{ruleml.EventComponent},
-					FrameworkAware: true,
-					Local:          matcher,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				rule, err := ruleml.ParseString(travel.RuleXML(sc.StoreURL, sc.XQueryURL))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rule.ID = "car-rental-async"
-				if err := eng.Register(rule); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.Book("John Doe", "Munich", "Paris")
-			}
-			eng.Wait()
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/e2etest"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -35,14 +35,7 @@ func TestClusterKillAndTakeover(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	ecad := filepath.Join(dir, "ecad")
-	ecactl := filepath.Join(dir, "ecactl")
-	for bin, pkg := range map[string]string{ecad: "./cmd/ecad", ecactl: "./cmd/ecactl"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	_, ecactl := e2etest.Binaries(t)
 
 	dataParent := os.Getenv("ECA_E2E_CLUSTER_DATADIR")
 	if dataParent == "" {
@@ -56,66 +49,19 @@ func TestClusterKillAndTakeover(t *testing.T) {
 	bases := make(map[string]string, len(ids))
 	var peerList []string
 	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = ln.Addr().String()
-		ln.Close()
+		addrs[id] = e2etest.FreeAddr(t)
 		bases[id] = "http://" + addrs[id]
 		peerList = append(peerList, id+"="+bases[id])
 	}
 	peers := strings.Join(peerList, ",")
 
-	daemons := map[string]*exec.Cmd{}
-	startNode := func(id string) {
-		t.Helper()
-		daemon := exec.Command(ecad,
-			"-addr", addrs[id], "-node-id", id, "-peers", peers,
+	daemons := map[string]*e2etest.Daemon{}
+	for _, id := range ids {
+		daemons[id] = e2etest.Start(t, addrs[id], "-node-id", id, "-peers", peers,
 			"-data-dir", filepath.Join(dataParent, id), "-fsync", "always",
 			"-probe-interval", "200ms", "-peer-down-after", "2",
 			"-log-format", "json")
-		daemon.Stdout = os.Stderr
-		daemon.Stderr = os.Stderr
-		if err := daemon.Start(); err != nil {
-			t.Fatal(err)
-		}
-		daemons[id] = daemon
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(bases[id] + "/engine/stats")
-			if err == nil {
-				resp.Body.Close()
-				return
-			}
-			if time.Now().After(deadline) {
-				daemon.Process.Kill()
-				daemon.Wait()
-				t.Fatalf("%s did not come up", id)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
 	}
-	for _, id := range ids {
-		startNode(id)
-	}
-	defer func() {
-		for _, d := range daemons {
-			d.Process.Kill()
-			d.Wait()
-		}
-	}()
-	get := func(base, path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
-	}
-
 	// Pick two rule ids per node using the same hash ring the daemons use,
 	// so the shard layout is known: n2 (the victim) is guaranteed to own
 	// rules, and so are the survivors.
@@ -153,7 +99,7 @@ func TestClusterKillAndTakeover(t *testing.T) {
 	}
 	// Every rule must live on exactly the node the ring assigns.
 	for _, id := range ruleIDs {
-		_, body := get(bases[ruleOwner[id]], "/engine/rules?format=ids")
+		_, body := daemons[ruleOwner[id]].Get("/engine/rules?format=ids")
 		if !strings.Contains(body, id) {
 			t.Fatalf("rule %s not on its owner %s: %q", id, ruleOwner[id], body)
 		}
@@ -176,7 +122,7 @@ func TestClusterKillAndTakeover(t *testing.T) {
 		t.Helper()
 		total := map[string]int{}
 		for _, nd := range nodes {
-			_, body := get(bases[nd], "/engine/rules")
+			_, body := daemons[nd].Get("/engine/rules")
 			var listing struct {
 				Rules []engine.RuleInfo `json:"rules"`
 			}
@@ -200,22 +146,16 @@ func TestClusterKillAndTakeover(t *testing.T) {
 
 	// Before the kill: fire every event via n1 until each rule has fired
 	// once (vocabulary gossip needs a probe round to converge).
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+	e2etest.Eventually(t, "every rule to fire before the kill", func() bool {
 		fireAll("n1")
 		time.Sleep(200 * time.Millisecond)
-		if allFired(firings(ids...)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rules never all fired pre-kill: %v", firings(ids...))
-		}
-	}
+		return allFired(firings(ids...))
+	})
 
 	// With all three nodes up, the federated metrics view on any node
 	// must be lint-clean and carry every node's samples under its node
 	// label (the admitted-events counter exists on all of them by now).
-	status, fed := get(bases["n1"], "/cluster/metrics")
+	status, fed := daemons["n1"].Get("/cluster/metrics")
 	if status != 200 {
 		t.Fatalf("/cluster/metrics status = %d: %s", status, fed)
 	}
@@ -237,74 +177,48 @@ func TestClusterKillAndTakeover(t *testing.T) {
 
 	// Wait for n2's partition to be mirrored on its follower n3 before
 	// killing it, or there is nothing to take over.
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		_, body := get(bases["n3"], "/cluster/status")
+	e2etest.Eventually(t, "n2's journal to reach its follower n3", func() bool {
+		_, body := daemons["n3"].Get("/cluster/status")
 		var st cluster.Status
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatalf("cluster status: %v\n%s", err, body)
 		}
-		replicated := false
 		for _, p := range st.Peers {
 			if p.ID == "n2" && p.Replica != nil && p.Replica.Rules >= 2 {
-				replicated = true
+				return true
 			}
 		}
-		if replicated {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("n2's journal never reached its follower: %s", body)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return false
+	})
 
 	// SIGKILL the rule-owning victim: no shutdown hooks run.
-	if err := daemons["n2"].Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	daemons["n2"].Wait()
-	delete(daemons, "n2")
+	daemons["n2"].Kill()
 
 	// The follower must notice the death (2 failed probes at 200ms) and
 	// take the partition over.
-	deadline = time.Now().Add(20 * time.Second)
-	for {
-		_, metrics := get(bases["n3"], "/metrics")
-		if strings.Contains(metrics, "cluster_takeovers_total 1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("n3 never took n2's partition over")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	e2etest.Eventually(t, "n3 to take n2's partition over", func() bool {
+		_, metrics := daemons["n3"].Get("/metrics")
+		return strings.Contains(metrics, "cluster_takeovers_total 1")
+	})
 
 	// Re-fire everything through a survivor: every rule — including the
 	// two the dead node owned — must fire on the surviving nodes.
-	deadline = time.Now().Add(20 * time.Second)
 	pre := firings("n1", "n3")
-	for {
+	e2etest.Eventually(t, "every rule to fire on the survivors after the takeover", func() bool {
 		fireAll("n1")
 		time.Sleep(200 * time.Millisecond)
 		post := firings("n1", "n3")
-		progressed := true
 		for _, id := range ruleIDs {
 			if post[id] <= pre[id] {
-				progressed = false
+				return false
 			}
 		}
-		if progressed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rules did not all fire after takeover: pre %v post %v", pre, firings("n1", "n3"))
-		}
-	}
+		return true
+	})
 
 	// The health document of a survivor reports the cluster view: the dead
 	// peer down, the takeover counted.
-	_, health := get(bases["n3"], "/healthz")
+	_, health := daemons["n3"].Get("/healthz")
 	var h struct {
 		Cluster *cluster.Status `json:"cluster"`
 	}

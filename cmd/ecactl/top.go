@@ -14,9 +14,10 @@ import (
 // /cluster/metrics view: each refresh scrapes the endpoint, diffs the
 // counters and the event_e2e_seconds histogram against the previous
 // scrape, and prints one row per node — events/sec admitted, the p95
-// admit→action latency over the interval, and the two queue-depth
-// gauges (admission slots held, engine worker queue). iterations == 0
-// refreshes until the process is interrupted.
+// admit→action latency over the interval, and the two queue depths
+// (admission slots held, detection tasks queued across the node's
+// detector partitions). iterations == 0 refreshes until the process is
+// interrupted.
 func clusterTop(out io.Writer, base string, every time.Duration, iterations int) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	prev, err := scrapeCluster(client, base)
@@ -72,7 +73,7 @@ func renderTop(out io.Writer, prev, cur *obs.Exposition, dt time.Duration) {
 			p95 = time.Duration(d.Quantile(0.95) * float64(time.Second)).Round(10 * time.Microsecond).String()
 		}
 		pending, _ := cur.Value("events_pending", sel)
-		queued, _ := cur.Value("engine_queue_depth", sel)
+		queued := cur.Sum("snoop_partition_queue_depth", sel)
 		fmt.Fprintf(tw, "%s\t%.1f\t%s\t%d\t%.0f\t%.0f\n", node, rate, p95, d.Count, pending, queued)
 	}
 	tw.Flush()

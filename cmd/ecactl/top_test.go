@@ -29,7 +29,10 @@ func fakeFederation(t *testing.T) *httptest.Server {
 			h := reg.Histogram("event_e2e_seconds", "E2E latency.", []float64{0.1, 0.5, 1})
 			h.Observe(0.05)
 			reg.Gauge("events_pending", "Slots held.").Set(3)
-			reg.Gauge("engine_queue_depth", "Queued instances.").Set(2)
+			// QUEUE is the sum over the node's partitions.
+			depth := reg.GaugeVec("snoop_partition_queue_depth", "Queued detection tasks.", "partition")
+			depth.With("0").Set(1.5)
+			depth.With("1").Set(0.5)
 			if node == "n1" {
 				c.Add(extra.admitted)
 				for _, v := range extra.e2eObs {

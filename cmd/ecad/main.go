@@ -14,7 +14,7 @@
 //	     [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every N] \
 //	     [-node-id ID -peers id=url,id=url,...] [-replicate-to ID|none] \
 //	     [-probe-interval 1s] [-peer-down-after N] [-max-pending-events N] \
-//	     [-detect-partitions W] [-partition-queue N] \
+//	     [-detect-partitions W] \
 //	     [-default-tenant ID] [-tenant-quotas tenant:key=value,...]...
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the HTTP listener
@@ -116,7 +116,6 @@ type options struct {
 	peerDownAfter   int
 	maxPending      int
 	detectParts     int
-	partitionQueue  int
 	defaultTenant   string
 	tenantQuotas    []string
 	rules           []string
@@ -173,8 +172,7 @@ func main() {
 	flag.DurationVar(&o.probeInterval, "probe-interval", cluster.DefaultProbeInterval, "cluster health-probe cadence")
 	flag.IntVar(&o.peerDownAfter, "peer-down-after", cluster.DefaultDownAfter, "consecutive failed probes before a peer is declared down")
 	flag.IntVar(&o.maxPending, "max-pending-events", 0, "max concurrent POST /events requests before shedding with 429 (0 = unlimited)")
-	flag.IntVar(&o.detectParts, "detect-partitions", 0, "shard SNOOP/matcher detection across this many pinned partition workers (0 = inline, fully synchronous)")
-	flag.IntVar(&o.partitionQueue, "partition-queue", 0, "per-partition detection queue capacity (0 = default; full queues back-pressure event admission)")
+	flag.IntVar(&o.detectParts, "detect-partitions", 0, "shard SNOOP/matcher detection across this many pinned partition workers (0 = inline, fully synchronous; full partition queues back-pressure event admission)")
 	flag.StringVar(&o.defaultTenant, "default-tenant", "", "tenant id that tenant-less requests resolve to (default \"public\")")
 	var rules, docs, quotas repeated
 	flag.Var(&rules, "rule", "rule file to register at startup (repeatable)")
@@ -252,7 +250,6 @@ func run(o options) error {
 	}
 	cfg.MaxPendingEvents = o.maxPending
 	cfg.DetectorPartitions = o.detectParts
-	cfg.PartitionQueue = o.partitionQueue
 	if o.peers != "" || o.nodeID != "" {
 		if o.nodeID == "" || o.peers == "" {
 			return fmt.Errorf("clustering needs both -node-id and -peers")
@@ -353,7 +350,7 @@ func run(o options) error {
 		logger.Info("partitioned dispatch on", "shard_tuples", o.shardTuples, "max_shards", o.maxShards)
 	}
 	if o.detectParts > 0 {
-		logger.Info("partitioned detection on", "partitions", o.detectParts, "queue", o.partitionQueue)
+		logger.Info("partitioned detection on", "partitions", o.detectParts)
 	}
 
 	if o.distribute {

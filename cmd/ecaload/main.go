@@ -386,9 +386,9 @@ func scrapeMetrics(client *http.Client, base string) (*obs.Exposition, error, er
 }
 
 // awaitSettle polls /metrics until the e2e completion count stops
-// growing and the admission/worker queues are empty (or the budget runs
-// out), so the final scrape covers instances still in flight when the
-// load stopped.
+// growing and the admission and detector-partition queues are empty (or
+// the budget runs out), so the final scrape covers instances still in
+// flight when the load stopped.
 func awaitSettle(client *http.Client, base string, before *obs.Exposition, budget time.Duration) (*obs.Exposition, error, error) {
 	deadline := time.Now().Add(budget)
 	var lastCount int64 = -1
@@ -399,9 +399,8 @@ func awaitSettle(client *http.Client, base string, before *obs.Exposition, budge
 		}
 		count := exp.HistogramDist("event_e2e_seconds", nil).Count
 		pending, _ := exp.Value("events_pending", nil)
-		// engine_queue_depth carries a tenant label (one child gauge per
-		// rule space), so the drained signal is the sum over all tenants.
-		queued := exp.Sum("engine_queue_depth", nil)
+		// One gauge per detector partition: drained means they sum to zero.
+		queued := exp.Sum("snoop_partition_queue_depth", nil)
 		if (count == lastCount && pending == 0 && queued == 0) || time.Now().After(deadline) {
 			return exp, lintErr, nil
 		}

@@ -2,15 +2,17 @@ package eca_test
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/e2etest"
 )
+
+// TestMain removes the binaries the *_e2e tests share once the package is done.
+func TestMain(m *testing.M) { os.Exit(e2etest.Main(m)) }
 
 // TestBinariesEndToEnd builds the real ecad and ecactl binaries, starts the
 // daemon with the car-rental scenario, drives it with the client, and
@@ -20,48 +22,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	ecad := filepath.Join(dir, "ecad")
-	ecactl := filepath.Join(dir, "ecactl")
-	for bin, pkg := range map[string]string{ecad: "./cmd/ecad", ecactl: "./cmd/ecactl"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	// Pick a free port.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	daemon := exec.Command(ecad, "-addr", addr, "-travel")
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
-
-	base := "http://" + addr
-	// Wait for readiness.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/engine/stats")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ecad did not come up")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	_, ecactl := e2etest.Binaries(t)
+	base := e2etest.Start(t, e2etest.FreeAddr(t), "-travel").Base
 
 	run := func(args ...string) string {
 		t.Helper()
@@ -72,6 +34,10 @@ func TestBinariesEndToEnd(t *testing.T) {
 		return string(out)
 	}
 
+	// ecad serves before its start-up rules are in.
+	e2etest.Eventually(t, "the car-rental rule to be registered", func() bool {
+		return strings.Contains(run("rules"), "car-rental")
+	})
 	run("book", "John Doe", "Munich", "Paris")
 	stats := run("stats")
 	for _, want := range []string{"rules 1", "instances_created 1", "instances_completed 1", "notifications 1"} {

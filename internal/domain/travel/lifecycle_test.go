@@ -42,9 +42,9 @@ func TestLifecycleStageSumsReconcileWithE2E(t *testing.T) {
 		}
 	}
 
-	// Instances run synchronously on the handler goroutine here, but a
-	// worker-pool engine would ack asynchronously — poll until every
-	// completion is in the exposition rather than assuming.
+	// Instances run synchronously on the handler goroutine here, but
+	// with detector partition workers they would ack asynchronously — poll
+	// until every completion is in the exposition rather than assuming.
 	scrape := func() *obs.Exposition {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/metrics")

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +67,7 @@ func simpleRule(t *testing.T, id string) *ruleml.Rule {
 // never half-run.
 func TestCloseDrainsUnderLoad(t *testing.T) {
 	g, executed := slowActionGRH(t, 200*time.Microsecond)
-	e := engine.New(g, engine.WithWorkers(4))
+	e := engine.New(g)
 	if err := e.Register(simpleRule(t, "drain")); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestCloseDrainsUnderLoad(t *testing.T) {
 				e.OnDetection(&protocol.Answer{
 					RuleID: "drain",
 					Rows: []protocol.AnswerRow{
-						{Tuple: bindings.MustTuple("X", bindings.Num(float64(w*1000 + i)))},
+						{Tuple: bindings.MustTuple("X", bindings.Num(float64(w*1000+i)))},
 					},
 				})
 			}
@@ -116,44 +115,11 @@ func TestCloseDrainsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCloseStopsWorkerGoroutines: the worker pool's goroutines must exit
-// on Close instead of leaking forever (the jobs channel used to never be
-// closed).
-func TestCloseStopsWorkerGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	g, _ := slowActionGRH(t, 0)
-	e := engine.New(g, engine.WithWorkers(8))
-	if err := e.Register(simpleRule(t, "leak")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		e.OnDetection(&protocol.Answer{
-			RuleID: "leak",
-			Rows:   []protocol.AnswerRow{{Tuple: bindings.MustTuple("X", bindings.Num(float64(i)))}},
-		})
-	}
-	e.Close()
-
-	// The 8 workers must be gone; poll briefly to let the scheduler
-	// retire them.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after Close — worker pool leaked", before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestCloseIdempotentAndConcurrent: double and concurrent Close calls
 // must all return only after the drain finished.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	g, _ := slowActionGRH(t, 100*time.Microsecond)
-	e := engine.New(g, engine.WithWorkers(2))
+	e := engine.New(g)
 	if err := e.Register(simpleRule(t, "twice")); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +145,8 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	e.Close() // and once more, synchronously
 }
 
-// TestCloseSynchronousEngine: Close on a workerless engine still gates
-// OnDetection and returns immediately.
+// TestCloseSynchronousEngine: Close gates OnDetection and, with nothing in
+// flight, returns immediately.
 func TestCloseSynchronousEngine(t *testing.T) {
 	g, executed := slowActionGRH(t, 0)
 	e := engine.New(g)

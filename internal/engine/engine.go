@@ -89,19 +89,7 @@ type Engine struct {
 	stats  Stats
 	closed bool
 
-	// Worker pool for asynchronous instance evaluation (WithWorkers).
-	jobs      chan instanceJob
-	inFlight  sync.WaitGroup
-	workers   sync.WaitGroup
-	closeOnce sync.Once
-}
-
-type instanceJob struct {
-	rs  *RuleState
-	rel *bindings.Relation
-	tr  *obs.Instance
-	lc  lifecycle
-	enq time.Time // when the job entered the queue, for the wait histogram
+	inFlight sync.WaitGroup // instances admitted and not yet finished; Close drains it
 }
 
 // lifecycle carries the admission-side timestamps of the event behind a
@@ -129,18 +117,16 @@ type metrics struct {
 	actionRuns  *obs.Counter      // engine_action_runs_total
 	instanceSec *obs.Histogram    // engine_instance_seconds
 	stepSec     *obs.HistogramVec // engine_step_seconds{kind}
-	queueDepth  *obs.Gauge        // engine_queue_depth{tenant}, bound to this engine's tenant
-	queueWait   *obs.Histogram    // engine_queue_wait_seconds
 	lifecycle   *obs.HistogramVec // event_lifecycle_seconds{stage,tenant}
 	e2e         *obs.HistogramVec // event_e2e_seconds{rule,tenant}
 }
 
 // newMetrics registers the engine instruments. Counters are shared across
-// per-tenant engines (increments are additive), but the gauges would
-// clobber one another — each Set would overwrite the other tenants'
-// values — so engine_rules and engine_queue_depth carry a tenant label and
-// each engine binds its own child. The tenant label holds the wire form:
-// empty for the default tenant, keeping single-tenant scrapes unchanged.
+// per-tenant engines (increments are additive), but a shared gauge would
+// be clobbered — each Set would overwrite the other tenants' values — so
+// engine_rules carries a tenant label and each engine binds its own child.
+// The tenant label holds the wire form: empty for the default tenant,
+// keeping single-tenant scrapes unchanged.
 func newMetrics(h *obs.Hub, tenant string) metrics {
 	r := h.Metrics()
 	return metrics{
@@ -150,9 +136,7 @@ func newMetrics(h *obs.Hub, tenant string) metrics {
 		actionRuns:  r.Counter("engine_action_runs_total", "Action component dispatches."),
 		instanceSec: r.Histogram("engine_instance_seconds", "End-to-end rule-instance evaluation latency (detection to last action).", nil),
 		stepSec:     r.HistogramVec("engine_step_seconds", "Per-component evaluation latency by component kind.", nil, "kind"),
-		queueDepth:  r.GaugeVec("engine_queue_depth", "Rule instances waiting in the worker-pool queue, by tenant (empty label = default tenant).", "tenant").With(tenant),
-		queueWait:   r.Histogram("engine_queue_wait_seconds", "Time rule instances spend queued before a worker picks them up.", nil),
-		lifecycle:   r.HistogramVec("event_lifecycle_seconds", "Admitted-event latency by lifecycle stage: admit (admission to stream publish), detect (publish to engine receipt), dispatch (receipt through the query/test steps, queue wait included), action (action dispatch to ack). Completed instances only; the stages are contiguous, so their sums reconcile with event_e2e_seconds.", nil, "stage", "tenant"),
+		lifecycle:   r.HistogramVec("event_lifecycle_seconds", "Admitted-event latency by lifecycle stage: admit (admission to stream publish), detect (publish to engine receipt), dispatch (receipt through the query/test steps), action (action dispatch to ack). Completed instances only; the stages are contiguous, so their sums reconcile with event_e2e_seconds.", nil, "stage", "tenant"),
 		e2e:         r.HistogramVec("event_e2e_seconds", "End-to-end admitted-event latency (admission to action ack) by rule. Completed instances only.", nil, "rule", "tenant"),
 	}
 }
@@ -220,32 +204,6 @@ func WithObs(h *obs.Hub) Option { return func(e *Engine) { e.hub = h } }
 // restarted engine can recover its rule set (see internal/store).
 func WithJournal(j Journal) Option { return func(e *Engine) { e.journal = j } }
 
-// WithWorkers evaluates rule instances asynchronously on n worker
-// goroutines instead of on the detection-delivering goroutine. Useful when
-// component services are remote: instances then overlap their HTTP round
-// trips. Call Wait to drain in-flight instances, Close to drain and stop
-// the workers for good.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n <= 0 {
-			return
-		}
-		e.jobs = make(chan instanceJob, 4*n)
-		e.workers.Add(n)
-		for i := 0; i < n; i++ {
-			go func() {
-				defer e.workers.Done()
-				for j := range e.jobs {
-					e.met.queueDepth.Set(float64(len(e.jobs)))
-					e.met.queueWait.Observe(obs.Since(j.enq))
-					e.runInstance(j.rs, j.rel, j.tr, j.lc)
-					e.inFlight.Done()
-				}
-			}()
-		}
-	}
-}
-
 // New builds an engine over a Generic Request Handler.
 func New(g *grh.GRH, opts ...Option) *Engine {
 	e := &Engine{grh: g, rules: map[string]*RuleState{}}
@@ -260,32 +218,15 @@ func New(g *grh.GRH, opts ...Option) *Engine {
 // Wait blocks until every instance accepted so far has finished evaluating.
 func (e *Engine) Wait() { e.inFlight.Wait() }
 
-// QueueDepth returns the number of rule instances waiting in the
-// worker-pool queue (always 0 for synchronous engines). The health
-// endpoint reports it alongside admission pressure.
-func (e *Engine) QueueDepth() int {
-	if e == nil || e.jobs == nil {
-		return 0
-	}
-	return len(e.jobs)
-}
-
 // Close shuts the engine down gracefully: detections arriving after
-// Close are dropped, every in-flight rule instance (synchronous or on
-// the worker pool) drains to completion, and the worker goroutines exit
-// so nothing leaks. Safe to call multiple times and concurrently with
+// Close are dropped and every in-flight rule instance drains to
+// completion. Safe to call multiple times and concurrently with
 // OnDetection; concurrent callers all block until the drain finishes.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
-	e.closeOnce.Do(func() {
-		e.inFlight.Wait()
-		if e.jobs != nil {
-			close(e.jobs)
-			e.workers.Wait()
-		}
-	})
+	e.inFlight.Wait()
 }
 
 // admitInstance reserves one in-flight instance slot unless the engine
@@ -522,13 +463,7 @@ func (e *Engine) OnDetection(a *protocol.Answer) {
 			// one detected tuple into an admitted rule instance; the
 			// detection itself happened in the event service.
 			e.met.stepSec.With(string(ruleml.EventComponent)).Observe(obs.Since(evStart))
-			rel := bindings.NewRelation(tuple)
-			if e.jobs != nil {
-				e.jobs <- instanceJob{rs, rel, tr, lc, time.Now()}
-				e.met.queueDepth.Set(float64(len(e.jobs)))
-				continue
-			}
-			e.runInstance(rs, rel, tr, lc)
+			e.runInstance(rs, bindings.NewRelation(tuple), tr, lc)
 			e.inFlight.Done()
 		}
 	}
@@ -628,8 +563,8 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 // stage) to its trace, making the trace id the exemplar that explains
 // the histogram's tail. The four stages are contiguous — admit
 // (admission→publish), detect (publish→engine receipt), dispatch
-// (receipt→last step, worker-queue wait included) and action
-// (steps→ack) — so their sums reconcile with event_e2e_seconds.
+// (receipt→last step) and action (steps→ack) — so their sums reconcile
+// with event_e2e_seconds.
 // Negative spans can only arise from wall-clock skew on cross-node
 // detections and are clamped to zero.
 func (e *Engine) observeLifecycle(ruleID string, tr *obs.Instance, lc lifecycle, stepsDone, ack time.Time) {

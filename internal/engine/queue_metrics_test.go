@@ -36,45 +36,9 @@ func newNoopGRH(t *testing.T) *grh.GRH {
 	return g
 }
 
-// TestWorkerQueueMetrics: the worker pool reports queue depth and
-// queue-wait observations, and detections feed the event-stage latency
-// histogram.
-func TestWorkerQueueMetrics(t *testing.T) {
-	hub := obs.NewHub()
-	e := engine.New(newNoopGRH(t), engine.WithObs(hub), engine.WithWorkers(2))
-	rule := ruleml.MustParse(`<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="http://t/" id="q">
-	  <eca:event><t:e x="$X"/></eca:event>
-	  <eca:action><t:a x="$X"/></eca:action>
-	</eca:rule>`)
-	if err := e.Register(rule); err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		e.OnDetection(&protocol.Answer{RuleID: "q", Rows: []protocol.AnswerRow{
-			{Tuple: bindings.MustTuple("X", bindings.Num(float64(i)))},
-		}})
-	}
-	e.Wait()
-
-	wait := hub.Metrics().Histogram("engine_queue_wait_seconds", "", nil)
-	if got := wait.Count(); got != n {
-		t.Errorf("engine_queue_wait_seconds count = %d, want %d", got, n)
-	}
-	ev := hub.Metrics().HistogramVec("engine_step_seconds", "", nil, "kind").With("event")
-	if got := ev.Count(); got != n {
-		t.Errorf("engine_step_seconds{kind=event} count = %d, want %d", got, n)
-	}
-	// The depth gauge exists and has drained back to a small value.
-	depth := hub.Metrics().Gauge("engine_queue_depth", "")
-	if d := depth.Value(); d < 0 || d > 8 {
-		t.Errorf("engine_queue_depth after drain = %v", d)
-	}
-	e.Close()
-}
-
 // TestEngineStructuredLogging: WithLog emits instance-scoped records
-// whose trace_id matches the recorded trace.
+// whose trace_id matches the recorded trace, and the detection feeds the
+// event-stage latency histogram.
 func TestEngineStructuredLogging(t *testing.T) {
 	hub := obs.NewHub()
 	var buf bytes.Buffer
@@ -92,6 +56,10 @@ func TestEngineStructuredLogging(t *testing.T) {
 	}})
 	e.Wait()
 
+	ev := hub.Metrics().HistogramVec("engine_step_seconds", "", nil, "kind").With("event")
+	if got := ev.Count(); got != 1 {
+		t.Errorf("engine_step_seconds{kind=event} count = %d, want 1", got)
+	}
 	traces := hub.Traces().Snapshot()
 	if len(traces) != 1 {
 		t.Fatalf("traces = %d", len(traces))

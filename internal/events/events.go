@@ -6,11 +6,8 @@
 package events
 
 import (
-	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -73,12 +70,15 @@ func (e Event) String() string {
 // Dispatch contract: the first publisher to find the stream idle becomes
 // the dispatcher and drains the delivery queue in Seq order on its own
 // goroutine; concurrent publishers enqueue and block until their event has
-// been delivered, so Publish still returns only after delivery. A publish
-// issued from inside a subscriber (a reentrant publish, e.g. act:raise on
-// a synchronous engine) cannot wait for itself — it is enqueued and
-// delivered by the running dispatcher after the current event's dispatch
-// completes, preserving order. Back-pressure is therefore the publisher's:
-// a slow subscriber extends the time every Publish call blocks.
+// been delivered, so Publish still returns only after delivery.
+// Back-pressure is therefore the publisher's: a slow subscriber extends the
+// time every Publish call blocks.
+//
+// Inside a subscriber use PublishDetached: the running dispatcher delivers
+// the event after the current one, preserving order. Publish or
+// PublishBatch there is a programming error — the call would wait for a
+// delivery that cannot start until its own subscriber returns, and
+// deadlocks.
 type Stream struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals delivered advancing; lazily bound to mu
@@ -86,10 +86,9 @@ type Stream struct {
 	subs []subscriber // live subscribers, ascending id = subscription order
 	next int
 
-	queue         []pendingDelivery // sequenced, undelivered events (Seq order)
-	dispatching   bool              // a dispatcher goroutine is draining queue
-	dispatcherGID uint64            // goroutine id of the active dispatcher
-	delivered     uint64            // highest Seq fully delivered to all subscribers
+	queue       []pendingDelivery // sequenced, undelivered events (Seq order)
+	dispatching bool              // a dispatcher goroutine is draining queue
+	delivered   uint64            // highest Seq fully delivered to all subscribers
 }
 
 type subscriber struct {
@@ -110,7 +109,7 @@ func NewStream() *Stream {
 }
 
 // Subscribe registers a handler for every future event and returns a
-// cancel function.
+// cancel function, which may be called more than once and concurrently.
 func (s *Stream) Subscribe(f func(Event)) (cancel func()) {
 	s.mu.Lock()
 	id := s.next
@@ -141,9 +140,9 @@ func (s *Stream) handlersLocked() []func(Event) {
 
 // Publish stamps the event with the next sequence number and delivers it to
 // all subscribers through the ordered dispatch stage. It returns the
-// stamped event once the event has been delivered — except for reentrant
-// publishes (from inside a subscriber), which return as soon as the event
-// is sequenced; the running dispatcher delivers it next, in order.
+// stamped event once the event has been delivered. It must not be called
+// from inside a subscriber (it would wait on its own caller and deadlock);
+// use PublishDetached there.
 func (s *Stream) Publish(ev Event) Event {
 	evs := [1]Event{ev}
 	s.publish(evs[:], true)
@@ -163,9 +162,9 @@ func (s *Stream) PublishBatch(evs []Event) []Event {
 // never waits for it: when the stream is idle the caller dispatches (and
 // the event is delivered before PublishDetached returns, matching Publish);
 // when a dispatch is already running — on this goroutine or another — the
-// event is left for that dispatcher. Use it where blocking on delivery
-// could deadlock, e.g. raising an event from an action executed on an
-// engine worker while the worker queue is full.
+// event is left for that dispatcher. It is the only publish allowed inside
+// a subscriber, e.g. act:raise from an action that runs on the goroutine
+// delivering the detection.
 func (s *Stream) PublishDetached(ev Event) Event {
 	evs := [1]Event{ev}
 	s.publish(evs[:], false)
@@ -173,8 +172,8 @@ func (s *Stream) PublishDetached(ev Event) Event {
 }
 
 // publish sequences evs, enqueues them on the ordered dispatch queue, and
-// either drains the queue (becoming the dispatcher) or, when wait is set
-// and it is safe to do so, blocks until the last of evs is delivered.
+// either drains the queue (becoming the dispatcher) or, when wait is set,
+// blocks until the last of evs is delivered.
 func (s *Stream) publish(evs []Event, wait bool) {
 	if len(evs) == 0 {
 		return
@@ -193,23 +192,16 @@ func (s *Stream) publish(evs []Event, wait bool) {
 	last := evs[len(evs)-1].Seq
 	if s.dispatching {
 		// Someone is draining the queue and will deliver our events in
-		// order. A reentrant publish (same goroutine: we are inside one of
-		// the dispatcher's subscriber callbacks) must not wait for itself.
-		if !wait || s.dispatcherGID == gid() {
-			s.mu.Unlock()
-			return
-		}
-		for s.delivered < last {
+		// order.
+		for wait && s.delivered < last {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
 		return
 	}
 	s.dispatching = true
-	s.dispatcherGID = gid()
 	s.drainLocked()
 	s.dispatching = false
-	s.dispatcherGID = 0
 	s.mu.Unlock()
 }
 
@@ -233,22 +225,6 @@ func (s *Stream) drainLocked() {
 		s.delivered = d.ev.Seq
 		s.cond.Broadcast()
 	}
-}
-
-// gid returns the current goroutine's id, used to detect reentrant
-// publishes (a subscriber publishing from inside its callback). Parsing
-// runtime.Stack is the only portable way to identity a goroutine; the
-// cost is only paid when a dispatch is already in flight.
-func gid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// "goroutine 123 [...": cut the prefix, parse up to the space.
-	fields := bytes.Fields(buf[:n])
-	if len(fields) < 2 {
-		return 0
-	}
-	id, _ := strconv.ParseUint(string(fields[1]), 10, 64)
-	return id
 }
 
 // --- atomic event patterns -------------------------------------------------------

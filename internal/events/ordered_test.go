@@ -71,7 +71,7 @@ func TestStreamOrderedUnderConcurrentPublishers(t *testing.T) {
 
 // TestPublishReturnsAfterDelivery: the synchronous contract — once Publish
 // returns, every subscriber has seen the event — must hold for concurrent
-// (non-reentrant) publishers too, since POST /events acknowledges the
+// publishers too, since POST /events acknowledges the
 // journal right after Publish returns.
 func TestPublishReturnsAfterDelivery(t *testing.T) {
 	s := NewStream()
@@ -137,10 +137,10 @@ func TestPublishBatchSequencesAtomically(t *testing.T) {
 }
 
 // TestReentrantPublishIsDeferredInOrder: a subscriber publishing from
-// inside its callback (act:raise on a synchronous engine) must not
-// deadlock; the raised event is delivered after the current event's
-// dispatch completes — so every subscriber still sees both events in Seq
-// order — and before the outer Publish returns.
+// inside its callback (act:raise) uses PublishDetached; the raised event is
+// delivered after the current event's dispatch completes — so every
+// subscriber still sees both events in Seq order — and before the outer
+// Publish returns.
 func TestReentrantPublishIsDeferredInOrder(t *testing.T) {
 	s := NewStream()
 	var order []string
@@ -149,7 +149,7 @@ func TestReentrantPublishIsDeferredInOrder(t *testing.T) {
 		tag, _ := ev.Payload.Attr("", "tag")
 		order = append(order, "h1:"+tag)
 		if tag == "outer" {
-			raised = s.Publish(numbered("raised"))
+			raised = s.PublishDetached(numbered("raised"))
 		}
 	})
 	s.Subscribe(func(ev Event) {
@@ -192,6 +192,7 @@ func TestSubscribeChurnKeepsOrder(t *testing.T) {
 	cancel2 := s.Subscribe(func(Event) { order = append(order, 2) })
 	s.Subscribe(func(Event) { order = append(order, 3) })
 	cancel2()
+	cancel2() // a second cancel is a no-op
 	s.Subscribe(func(Event) { order = append(order, 4) })
 	s.Publish(numbered("x"))
 	want := []int{1, 3, 4}

@@ -226,11 +226,16 @@ func (g *GRH) SetTrace(t TraceFunc) {
 	g.mu.Unlock()
 }
 
-func (g *GRH) emitTrace(direction, peer string, payload *xmltree.Node) {
+// tracer returns the installed traffic observer; nil means nobody looks,
+// so callers that build a payload only to trace it check first.
+func (g *GRH) tracer() TraceFunc {
 	g.mu.RLock()
-	t := g.trace
-	g.mu.RUnlock()
-	if t != nil {
+	defer g.mu.RUnlock()
+	return g.trace
+}
+
+func (g *GRH) emitTrace(direction, peer string, payload *xmltree.Node) {
+	if t := g.tracer(); t != nil {
 		t(direction, peer, payload)
 	}
 }
@@ -406,7 +411,10 @@ func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.
 	if d.Local != nil {
 		mode = "local"
 		g.met.services.With(string(kind)).Inc()
-		g.emitTrace("→", d.name(), protocol.EncodeRequest(req))
+		trace := g.tracer()
+		if trace != nil {
+			trace("→", d.name(), protocol.EncodeRequest(req))
+		}
 		a, err := d.Local.Handle(req)
 		if err != nil {
 			g.met.errors.With("service").Inc()
@@ -415,7 +423,9 @@ func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.
 				obs.FieldComponent, c.Comp.ID, "service", d.name(), "error", err.Error())
 			return nil, fmt.Errorf("grh: %s: %w", d.name(), err)
 		}
-		g.emitTrace("←", d.name(), protocol.EncodeAnswers(a))
+		if trace != nil {
+			trace("←", d.name(), protocol.EncodeAnswers(a))
+		}
 		return a, nil
 	}
 	return g.httpDispatch(d, req, c.Trace.ID())

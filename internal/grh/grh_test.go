@@ -293,13 +293,23 @@ func TestTraceHook(t *testing.T) {
 		return &protocol.Answer{}, nil
 	})
 	g.Register(Descriptor{Language: "http://l/", Name: "echo", FrameworkAware: true, Local: echo})
-	g.Dispatch(protocol.Query, Component{
+	c := Component{
 		Rule:     "r",
 		Comp:     ruleml.Component{Kind: ruleml.QueryComponent, Language: "http://l/", Expression: xmltree.NewElement("http://l/", "q")},
 		Bindings: bindings.NewRelation(),
-	})
+	}
+	g.Dispatch(protocol.Query, c)
 	if len(lines) != 2 || lines[0] != "→ echo" || lines[1] != "← echo" {
 		t.Errorf("trace = %v", lines)
+	}
+	// The eca:request / log:answers trees exist only for the tracer: an
+	// in-process dispatch without one must not build them.
+	dispatch := func() { g.Dispatch(protocol.Query, c) }
+	g.SetTrace(func(string, string, *xmltree.Node) {})
+	traced := testing.AllocsPerRun(100, dispatch)
+	g.SetTrace(nil)
+	if untraced := testing.AllocsPerRun(100, dispatch); untraced >= traced {
+		t.Errorf("allocations per local dispatch: %v without a tracer, %v with a no-op one — payloads are encoded for nobody", untraced, traced)
 	}
 }
 

@@ -74,11 +74,10 @@ func (a *ActionExecutor) execute(expr *xmltree.Node, tenant string, t bindings.T
 		if a.stream == nil {
 			return fmt.Errorf("act:raise: no event stream attached")
 		}
-		// Detached: raising is ordered but never waits for delivery. On a
-		// synchronous engine the raise is reentrant (we are inside a
-		// stream dispatch) and must not wait for itself; on a worker-pool
-		// engine a blocking publish could deadlock against a full worker
-		// queue whose workers are themselves waiting to publish.
+		// Detached: raising is ordered but never waits for delivery. With
+		// inline detection we are inside a stream dispatch, where Publish
+		// would wait for itself; on a detector partition worker it could
+		// wait for a dispatcher that is blocked on this worker's full queue.
 		// The raised event stays in the raising rule's tenant, so a rule
 		// can trigger rules of its own tenant but never another's.
 		ev := events.New(Instantiate(kids[0], t))

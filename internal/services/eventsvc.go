@@ -19,17 +19,27 @@ type DetectorOption func(*detectorOpts)
 
 type detectorOpts struct {
 	pool       *DetectorPool
-	tenant     string
+	tenant     string // accepted event tenant when tenantOnly
 	tenantOnly bool
 }
 
+// newDetectorOpts applies opts over the default: a zero-worker pool of the
+// service's own (no goroutine, nothing to close).
+func newDetectorOpts(opts []DetectorOption) detectorOpts {
+	o := detectorOpts{pool: NewDetectorPool(0, nil)}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // WithDetectorPool shards the service's detectors across the pool's
-// partition workers: each registration is pinned to one worker by rule
-// key, independent detectors evaluate in parallel, and a slow delivery
-// endpoint stalls only its own partition. Without a pool the service
-// evaluates inline on the stream's dispatch goroutine — the synchronous
-// historical behaviour. The pool may be shared by several services; its
-// lifetime is the caller's (close it after unsubscribing the services).
+// partitions: each registration is pinned to one partition by rule key,
+// and with workers independent detectors evaluate in parallel and a slow
+// delivery endpoint stalls only its own partition. Without the option the
+// service gets a zero-worker pool of its own and evaluates inline on the
+// stream's dispatch goroutine. The pool may be shared by several services;
+// its lifetime is the caller's (close it after unsubscribing the services).
 func WithDetectorPool(p *DetectorPool) DetectorOption {
 	return func(o *detectorOpts) { o.pool = p }
 }
@@ -50,69 +60,46 @@ func WithTenantFilter(tenant string) DetectorOption {
 // registered here; every matching event on the stream produces a detection
 // message delivered through the Deliverer.
 //
-// With a DetectorPool the registered patterns are sharded across the
-// pool's workers (one events.Matcher per partition, patterns pinned by
-// rule key), so matching and delivery parallelize across partitions while
-// each pattern still sees the stream in order.
+// The registered patterns are sharded across the DetectorPool's partitions
+// (one events.Matcher per partition, patterns pinned by rule key), so
+// matching and delivery parallelize across partition workers while each
+// pattern still sees the stream in order.
 type EventMatcher struct {
-	matchers   []*events.Matcher // one per partition; [0] only when inline
-	pool       *DetectorPool     // nil = inline evaluation on the stream goroutine
-	deliver    *Deliverer
-	tenant     string // accepted event tenant when tenantOnly
-	tenantOnly bool
-	mu         sync.Mutex
-	cancel     func()
+	detectorOpts
+	matchers []*events.Matcher // one per pool partition
+	deliver  *Deliverer
+	cancel   func()
 }
 
 // NewEventMatcher creates the service and subscribes it to the stream.
 func NewEventMatcher(stream *events.Stream, deliver *Deliverer, opts ...DetectorOption) *EventMatcher {
-	var o detectorOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	m := &EventMatcher{deliver: deliver, pool: o.pool, tenant: o.tenant, tenantOnly: o.tenantOnly}
-	n := 1
-	if m.pool != nil {
-		n = m.pool.Workers()
-	}
-	for i := 0; i < n; i++ {
+	m := &EventMatcher{detectorOpts: newDetectorOpts(opts), deliver: deliver}
+	for i := 0; i < m.pool.Workers(); i++ {
 		m.matchers = append(m.matchers, events.NewMatcher())
 	}
 	m.cancel = stream.Subscribe(m.onEvent)
 	return m
 }
 
-// onEvent routes one stream event into the matcher shards: inline when no
-// pool is configured, otherwise one ordered task per partition that holds
-// at least one pattern. The stream's ordered dispatch calls onEvent in Seq
-// order and partitionWorker queues preserve enqueue order, so every
-// pattern observes a totally ordered feed.
+// onEvent routes one stream event into the matcher shards: one ordered
+// task per partition that holds at least one pattern. The stream's ordered
+// dispatch calls onEvent in Seq order and partitions preserve enqueue
+// order, so every pattern observes a totally ordered feed.
 func (m *EventMatcher) onEvent(ev events.Event) {
 	if m.tenantOnly && ev.Tenant != m.tenant {
 		return
 	}
-	if m.pool == nil {
-		m.matchers[0].OnEvent(ev)
-		return
-	}
-	for i, shard := range m.matchers {
+	m.pool.fanOut(func(part int) func() {
+		shard := m.matchers[part]
 		if shard.Len() == 0 {
-			continue
+			return nil
 		}
-		shard := shard
-		m.pool.Enqueue(i, func() { shard.OnEvent(ev) })
-	}
+		return func() { shard.OnEvent(ev) }
+	})
 }
 
 // Close unsubscribes the service from its stream.
-func (m *EventMatcher) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cancel != nil {
-		m.cancel()
-		m.cancel = nil
-	}
-}
+func (m *EventMatcher) Close() { m.cancel() }
 
 // Registrations returns the number of live registrations.
 func (m *EventMatcher) Registrations() int {
@@ -125,9 +112,6 @@ func (m *EventMatcher) Registrations() int {
 
 // shardFor pins a registration key to its matcher shard.
 func (m *EventMatcher) shardFor(key string) *events.Matcher {
-	if m.pool == nil {
-		return m.matchers[0]
-	}
 	return m.matchers[m.pool.Pick(key)]
 }
 
@@ -174,24 +158,14 @@ func (m *EventMatcher) Handle(req *protocol.Request) (*protocol.Answer, error) {
 // pend buffers the occurrences emitted during a Feed/Advance call so
 // delivery happens after the detector step, outside every lock — the
 // service-wide mutex is never held across deliver.Deliver's (potentially
-// slow, synchronous, HTTP) call. pend is only touched by whoever is
-// legitimately feeding the detector: the feedMu holder inline, the pinned
-// partition worker when pooled.
+// slow, synchronous, HTTP) call. pend is only touched by the task feeding
+// the detector, on the partition it is pinned to.
 type snoopEntry struct {
 	key     string
 	det     *snoop.Detector
 	worker  int
 	replyTo string
 	pend    []*protocol.Answer
-}
-
-// pendingDeliveries swaps out and returns the answers buffered by the last
-// Feed/Advance. Must be called under the same serialization that fed the
-// detector.
-func (e *snoopEntry) pendingDeliveries() []*protocol.Answer {
-	out := e.pend
-	e.pend = nil
-	return out
 }
 
 // SnoopService is the composite event detection service: event components
@@ -201,39 +175,28 @@ func (e *snoopEntry) pendingDeliveries() []*protocol.Answer {
 //
 // Concurrency contract: a snoop.Detector is not safe for concurrent use
 // and is order-sensitive, so every detector is fed from exactly one
-// serialization domain — the stream's ordered dispatch goroutine (inline
-// mode, serialized with Advance by feedMu) or the partition worker it is
-// pinned to for life (pool mode, where Advance ticks are routed through
-// the same worker queues). The service-wide mutex guards only the
-// registry; it is never held across Feed or delivery.
+// serialization domain — the DetectorPool partition it is pinned to for
+// life; event feeds and Advance ticks both reach it as that partition's
+// tasks. The service-wide mutex guards only the registry; it is never held
+// across Feed or delivery.
 type SnoopService struct {
-	deliver    *Deliverer
-	pool       *DetectorPool // nil = inline evaluation on the stream goroutine
-	tenant     string        // accepted event tenant when tenantOnly
-	tenantOnly bool
+	detectorOpts
+	deliver *Deliverer
 
-	mu       sync.Mutex // registry only: dets, byWorker, hub, cancel
+	cancel func()
+
+	mu       sync.Mutex // registry only: dets, byWorker, hub
 	dets     map[string]*snoopEntry
 	byWorker [][]*snoopEntry // copy-on-write partition → entries index
 	hub      *obs.Hub
-	cancel   func()
 
-	feedMu  sync.Mutex // inline mode: serializes Feed/Advance across goroutines
 	lastSeq atomic.Uint64
 }
 
 // NewSnoopService creates the service and subscribes it to the stream.
 func NewSnoopService(stream *events.Stream, deliver *Deliverer, opts ...DetectorOption) *SnoopService {
-	var o detectorOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	s := &SnoopService{deliver: deliver, pool: o.pool, tenant: o.tenant, tenantOnly: o.tenantOnly, dets: map[string]*snoopEntry{}}
-	n := 1
-	if s.pool != nil {
-		n = s.pool.Workers()
-	}
-	s.byWorker = make([][]*snoopEntry, n)
+	s := &SnoopService{detectorOpts: newDetectorOpts(opts), deliver: deliver, dets: map[string]*snoopEntry{}}
+	s.byWorker = make([][]*snoopEntry, s.pool.Workers())
 	s.cancel = stream.Subscribe(s.onEvent)
 	return s
 }
@@ -247,22 +210,7 @@ func (s *SnoopService) SetObs(h *obs.Hub) {
 }
 
 // Close unsubscribes the service from its stream.
-func (s *SnoopService) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-}
-
-// partition returns the current entry list of one partition (copy-on-write
-// snapshot, safe to iterate without the registry lock).
-func (s *SnoopService) partition(w int) []*snoopEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byWorker[w]
-}
+func (s *SnoopService) Close() { s.cancel() }
 
 // rebuildLocked recomputes the copy-on-write partition index. Caller holds
 // s.mu.
@@ -274,19 +222,31 @@ func (s *SnoopService) rebuildLocked() {
 	s.byWorker = byWorker
 }
 
-// feedEntries runs one detector step (a Feed or an Advance) over the
-// entries and then delivers every occurrence it emitted. The caller
-// guarantees it owns the entries' serialization domain; no lock is held
-// across step or Deliver.
-func (s *SnoopService) feedEntries(entries []*snoopEntry, step func(*snoop.Detector)) {
-	for _, e := range entries {
-		step(e.det)
-		for _, a := range e.pendingDeliveries() {
-			// Delivery failures are the subscriber's problem; detection
-			// goes on for the remaining rules.
-			_ = s.deliver.Deliver(a, e.replyTo)
+// step runs one detector step (a Feed or an Advance) on every partition
+// that holds detectors, as that partition's task, and delivers every
+// occurrence the step emitted. No lock of the service is held across step
+// or Deliver.
+func (s *SnoopService) step(step func(*snoop.Detector)) {
+	s.pool.fanOut(func(part int) func() {
+		s.mu.Lock()
+		entries := s.byWorker[part] // copy-on-write: safe to iterate unlocked
+		s.mu.Unlock()
+		if len(entries) == 0 {
+			return nil
 		}
-	}
+		return func() {
+			for _, e := range entries {
+				step(e.det)
+				pend := e.pend
+				e.pend = nil
+				for _, a := range pend {
+					// Delivery failures are the subscriber's problem;
+					// detection goes on for the remaining rules.
+					_ = s.deliver.Deliver(a, e.replyTo)
+				}
+			}
+		}
+	})
 }
 
 func (s *SnoopService) onEvent(ev events.Event) {
@@ -294,46 +254,16 @@ func (s *SnoopService) onEvent(ev events.Event) {
 		return
 	}
 	s.lastSeq.Store(ev.Seq)
-	if s.pool == nil {
-		entries := s.partition(0)
-		s.feedMu.Lock()
-		defer s.feedMu.Unlock()
-		s.feedEntries(entries, func(d *snoop.Detector) { d.Feed(ev) })
-		return
-	}
-	for w := 0; w < s.pool.Workers(); w++ {
-		entries := s.partition(w)
-		if len(entries) == 0 {
-			continue
-		}
-		s.pool.Enqueue(w, func() {
-			s.feedEntries(entries, func(d *snoop.Detector) { d.Feed(ev) })
-		})
-	}
+	s.step(func(d *snoop.Detector) { d.Feed(ev) })
 }
 
 // Advance moves every detector's clock forward, firing elapsed periodic
 // occurrences (snoop.Periodic) even while the stream is quiet. Call it from
-// a ticker, or use StartTicker. In pool mode the tick is routed through the
-// partition workers so it serializes with each detector's event feed.
+// a ticker, or use StartTicker. The tick is routed through the pool's
+// partitions so it serializes with each detector's event feed.
 func (s *SnoopService) Advance(now time.Time) {
 	seq := s.lastSeq.Load()
-	if s.pool == nil {
-		entries := s.partition(0)
-		s.feedMu.Lock()
-		defer s.feedMu.Unlock()
-		s.feedEntries(entries, func(d *snoop.Detector) { d.Advance(now, seq) })
-		return
-	}
-	for w := 0; w < s.pool.Workers(); w++ {
-		entries := s.partition(w)
-		if len(entries) == 0 {
-			continue
-		}
-		s.pool.Enqueue(w, func() {
-			s.feedEntries(entries, func(d *snoop.Detector) { d.Advance(now, seq) })
-		})
-	}
+	s.step(func(d *snoop.Detector) { d.Advance(now, seq) })
 }
 
 // StartTicker advances the detectors' clocks every interval until the
@@ -383,10 +313,7 @@ func (s *SnoopService) Handle(req *protocol.Request) (*protocol.Answer, error) {
 				return nil, err
 			}
 		}
-		entry := &snoopEntry{key: key, replyTo: req.ReplyTo}
-		if s.pool != nil {
-			entry.worker = s.pool.Pick(key)
-		}
+		entry := &snoopEntry{key: key, replyTo: req.ReplyTo, worker: s.pool.Pick(key)}
 		ruleID, component := req.RuleID, req.Component
 		det, err := snoop.NewDetector(expr, ctx, func(o snoop.Occurrence) {
 			a := &protocol.Answer{RuleID: ruleID, Component: component}

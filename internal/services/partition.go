@@ -8,90 +8,120 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultPartitionQueue is the per-worker task queue capacity when the
-// caller does not choose one. A full queue blocks the stream's ordered
-// dispatch stage — and through it the publishing POST /events handlers,
-// which keep holding admission slots until the publish completes, so
-// sustained detector overload surfaces as -max-pending-events 429s at the
-// edge rather than unbounded memory growth.
+// DefaultPartitionQueue is the task queue capacity of every partition
+// worker. A full queue blocks the stream's ordered dispatch stage — and
+// through it the publishing POST /events handlers, which keep holding
+// admission slots until the publish completes, so sustained detector
+// overload surfaces as -max-pending-events 429s at the edge rather than
+// unbounded memory growth.
 const DefaultPartitionQueue = 256
 
-// DetectorPool fans event detection out across a fixed set of partition
-// workers. Each detector (a SNOOP graph or an atomic-pattern matcher
-// shard) is pinned to one worker by FNV hash of its rule key at
-// registration time, so a detector's events are always processed by the
-// same goroutine, in the order they were enqueued — the stream's ordered
-// dispatch enqueues in Seq order, hence every detector still observes a
-// totally ordered event feed while independent detectors evaluate in
-// parallel and one rule's slow delivery endpoint cannot stall another
-// partition's detection.
+// DetectorPool is the one queueing stage between the stream's ordered
+// dispatch and the detectors. Each detector (a SNOOP graph or an
+// atomic-pattern matcher shard) is pinned to one partition by FNV hash of
+// its rule key at registration time, and a partition runs its tasks one at
+// a time in the order they were enqueued — the ordered dispatch enqueues in
+// Seq order, hence every detector observes a totally ordered event feed.
+// With workers, each partition is a goroutine behind a bounded queue:
+// independent detectors evaluate in parallel and one rule's slow delivery
+// endpoint cannot stall another partition's detection. The zero-worker pool
+// is inline detection: its single partition runs each task on the enqueuing
+// goroutine before Enqueue returns — so a publish returns only after the
+// detections it caused were delivered.
 type DetectorPool struct {
-	workers []*partitionWorker
-	wg      sync.WaitGroup
-	close   sync.Once
+	parts []*partition
+	wg    sync.WaitGroup
+	close sync.Once
 }
 
-type partitionWorker struct {
-	tasks  chan func()
+type partition struct {
+	mu     sync.Mutex   // zero-worker pool: serializes tasks run on their callers
+	tasks  chan func()  // nil in the zero-worker pool
 	events *obs.Counter // snoop_partition_events_total{partition}
 	depth  *obs.Gauge   // snoop_partition_queue_depth{partition}
 }
 
-// NewDetectorPool starts workers goroutines with bounded task queues of
-// the given capacity (DefaultPartitionQueue when <= 0). The hub's metrics
-// registry receives per-partition counters; a nil hub runs uninstrumented.
-func NewDetectorPool(workers, queue int, h *obs.Hub) *DetectorPool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queue <= 0 {
-		queue = DefaultPartitionQueue
-	}
+// NewDetectorPool starts one goroutine per partition, each behind a task
+// queue of DefaultPartitionQueue; workers <= 0 builds the zero-worker pool,
+// which starts none. The hub's metrics registry receives per-partition
+// counters; a nil hub runs uninstrumented.
+func NewDetectorPool(workers int, h *obs.Hub) *DetectorPool {
 	reg := h.Metrics()
 	eventsVec := reg.CounterVec("snoop_partition_events_total",
-		"Detection tasks enqueued to partition workers, per partition (one task per event per partition with pinned detectors).", "partition")
+		"Detection tasks handed to each partition (one task per event per partition with pinned detectors).", "partition")
 	depthVec := reg.GaugeVec("snoop_partition_queue_depth",
-		"Detection tasks waiting in each partition worker's queue.", "partition")
+		"Detection tasks waiting in each partition worker's queue (always 0 without workers).", "partition")
 	p := &DetectorPool{}
-	for i := 0; i < workers; i++ {
-		w := &partitionWorker{
-			tasks:  make(chan func(), queue),
+	for i := 0; i < max(workers, 1); i++ {
+		w := &partition{
 			events: eventsVec.With(strconv.Itoa(i)),
 			depth:  depthVec.With(strconv.Itoa(i)),
 		}
-		p.workers = append(p.workers, w)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for task := range w.tasks {
-				w.depth.Set(float64(len(w.tasks)))
-				task()
-			}
-		}()
+		p.parts = append(p.parts, w)
+		if workers > 0 {
+			w.tasks = make(chan func(), DefaultPartitionQueue)
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				for task := range w.tasks {
+					w.depth.Set(float64(len(w.tasks)))
+					task()
+				}
+			}()
+		}
 	}
 	return p
 }
 
-// Workers returns the partition count.
-func (p *DetectorPool) Workers() int { return len(p.workers) }
+// Workers returns the partition count (1 for the zero-worker pool).
+func (p *DetectorPool) Workers() int { return len(p.parts) }
 
 // Pick pins a rule key to a partition: FNV-1a of the key modulo the
-// worker count. The pin is stable for the detector's lifetime, which is
+// partition count. The pin is stable for the detector's lifetime, which is
 // what guarantees its ordered feed.
 func (p *DetectorPool) Pick(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32()) % len(p.workers)
+	// Reduced as uint32: int(Sum32()) is negative on 32-bit platforms.
+	return int(h.Sum32() % uint32(len(p.parts)))
 }
 
-// Enqueue hands a task to the given worker, blocking while its queue is
-// full (the documented back-pressure contract). Tasks enqueued by one
-// goroutine run in enqueue order on the worker's goroutine.
-func (p *DetectorPool) Enqueue(worker int, task func()) {
-	w := p.workers[worker]
+// Enqueue hands a task to the given partition. With workers it blocks
+// while the partition's queue is full (the documented back-pressure
+// contract) and the task runs later on the partition's goroutine; without,
+// the task runs here, serialized with the partition's other callers. Either
+// way tasks enqueued by one goroutine run in enqueue order.
+func (p *DetectorPool) Enqueue(part int, task func()) {
+	w := p.parts[part]
 	w.events.Inc()
+	if w.tasks == nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		task()
+		return
+	}
 	w.tasks <- task
 	w.depth.Set(float64(len(w.tasks)))
+}
+
+// fanOut enqueues, in partition order, the task that taskFor returns for
+// each partition; a nil task skips a partition that holds no detector.
+func (p *DetectorPool) fanOut(taskFor func(part int) func()) {
+	for i := range p.parts {
+		if task := taskFor(i); task != nil {
+			p.Enqueue(i, task)
+		}
+	}
+}
+
+// QueueDepth returns the number of detection tasks waiting across all
+// partition queues (always 0 for the zero-worker pool).
+func (p *DetectorPool) QueueDepth() int {
+	n := 0
+	for _, w := range p.parts {
+		n += len(w.tasks)
+	}
+	return n
 }
 
 // Close stops the workers after draining every queued task. Callers must
@@ -99,8 +129,10 @@ func (p *DetectorPool) Enqueue(worker int, task func()) {
 // stop Advance tickers); enqueueing after Close panics.
 func (p *DetectorPool) Close() {
 	p.close.Do(func() {
-		for _, w := range p.workers {
-			close(w.tasks)
+		for _, w := range p.parts {
+			if w.tasks != nil {
+				close(w.tasks)
+			}
 		}
 	})
 	p.wg.Wait()

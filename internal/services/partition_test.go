@@ -2,6 +2,8 @@ package services
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,26 +39,36 @@ func keysOnDistinctWorkers(t *testing.T, p *DetectorPool, n int) []string {
 }
 
 func TestDetectorPoolPickStable(t *testing.T) {
-	p := NewDetectorPool(4, 8, nil)
+	p := NewDetectorPool(4, nil)
 	defer p.Close()
 	if p.Workers() != 4 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
+	highBit := false
 	for _, k := range []string{"a", "b/c", "rule-17/event[1]"} {
 		if p.Pick(k) != p.Pick(k) {
 			t.Errorf("Pick(%q) unstable", k)
 		}
-		if w := p.Pick(k); w < 0 || w >= 4 {
-			t.Errorf("Pick(%q) = %d out of range", k, w)
+		// "b/c" hashes to 2288284455 >= 2^31: reduced as an int it is -1 on
+		// 32-bit platforms (GOARCH=386 go test reproduces it).
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		highBit = highBit || h.Sum32() >= 1<<31
+		if w, want := p.Pick(k), int(h.Sum32()%4); w != want {
+			t.Errorf("Pick(%q) = %d, want %d", k, w, want)
 		}
+	}
+	if !highBit {
+		t.Error("no key with a hash >= 2^31 — the 32-bit case is not covered")
 	}
 }
 
 func TestDetectorPoolEnqueueOrder(t *testing.T) {
-	p := NewDetectorPool(2, 4, nil)
+	p := NewDetectorPool(2, nil)
 	var mu sync.Mutex
 	var got []int
-	for i := 0; i < 100; i++ {
+	const n = 4 * DefaultPartitionQueue // more than the queue holds: Enqueue must block, not drop
+	for i := 0; i < n; i++ {
 		i := i
 		p.Enqueue(1, func() {
 			mu.Lock()
@@ -65,8 +77,8 @@ func TestDetectorPoolEnqueueOrder(t *testing.T) {
 		})
 	}
 	p.Close() // drains
-	if len(got) != 100 {
-		t.Fatalf("ran %d tasks, want 100", len(got))
+	if len(got) != n {
+		t.Fatalf("ran %d tasks, want %d", len(got), n)
 	}
 	for i := range got {
 		if got[i] != i {
@@ -82,7 +94,7 @@ func TestDetectorPoolEnqueueOrder(t *testing.T) {
 // detection of event N+1 completes while rule A's delivery of event N is
 // still in flight.
 func TestSnoopSlowDeliveryDoesNotBlockOtherPartitions(t *testing.T) {
-	pool := NewDetectorPool(4, 16, nil)
+	pool := NewDetectorPool(4, nil)
 	defer pool.Close()
 	ids := keysOnDistinctWorkers(t, pool, 2)
 	slowID, fastID := ids[0], ids[1]
@@ -133,40 +145,66 @@ func TestSnoopSlowDeliveryDoesNotBlockOtherPartitions(t *testing.T) {
 	close(release)
 }
 
+// detectorWorkers are the pool shapes every detection property must hold
+// for: inline (the zero-worker pool), one worker, several.
+var detectorWorkers = []int{0, 1, 4}
+
+// awaitCount polls n() until it reaches want or five seconds pass:
+// detection past a worker's queue is asynchronous.
+func awaitCount(want int, n func() int) {
+	for deadline := time.Now().Add(5 * time.Second); n() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSnoopSequenceNoMisfireUnderConcurrentPublishers is the SNOOP-level
-// regression for the out-of-order Publish family: a sequence detector
-// a;b (joined on p) fed from racing publishers must fire exactly once per
-// pair. Before the ordered dispatch stage, a pair's b could reach the
-// detector before its a, silently dropping the occurrence. Exercises both
-// the inline and the partitioned fan-out.
+// regression for the out-of-order Publish family: detectors a;b and a∧b
+// (joined on p) fed from racing publishers must fire exactly once per
+// pair, and — for every pool shape — in the order the stream sequenced the
+// terminating b events. Before the ordered dispatch stage, a pair's b could
+// reach the detector before its a, silently dropping the occurrence.
 func TestSnoopSequenceNoMisfireUnderConcurrentPublishers(t *testing.T) {
-	for _, mode := range []string{"inline", "partitioned"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, workers := range detectorWorkers {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
 			const (
 				publishers = 8
 				pairsPer   = 40
 			)
-			var opts []DetectorOption
-			if mode == "partitioned" {
-				pool := NewDetectorPool(4, 32, nil)
-				defer pool.Close()
-				opts = append(opts, WithDetectorPool(pool))
-			}
+			pool := NewDetectorPool(workers, nil)
+			defer pool.Close()
 			var mu sync.Mutex
-			var got []*protocol.Answer
+			got := map[string][]string{} // rule → $P of each detection, in delivery order
+			total := 0
 			stream := events.NewStream()
+			var streamOrder []string // p of every b, in Seq order
+			var lastSeq uint64
+			stream.Subscribe(func(ev events.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				if ev.Seq <= lastSeq {
+					t.Errorf("stream delivered Seq %d after %d", ev.Seq, lastSeq)
+				}
+				lastSeq = ev.Seq
+				if ev.Payload.Name.Local == "b" {
+					streamOrder = append(streamOrder, ev.Payload.AttrValue("", "p"))
+				}
+			})
 			s := NewSnoopService(stream, &Deliverer{Local: func(a *protocol.Answer) {
 				mu.Lock()
-				got = append(got, a)
+				got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["P"].AsString())
+				total++
 				mu.Unlock()
-			}}, opts...)
+			}}, WithDetectorPool(pool))
 			defer s.Close()
-			expr := xmltree.MustParse(`<snoop:seq xmlns:snoop="` + snoop.NS + `" context="chronicle">
-				<snoop:event><a p="$P"/></snoop:event>
-				<snoop:event><b p="$P"/></snoop:event>
-			</snoop:seq>`).Root()
-			if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: "seq", Component: "e", Expression: expr}); err != nil {
-				t.Fatal(err)
+			rules := []string{"seq", "and"} // pinned to partitions 0 and 2 of 4
+			for _, op := range rules {
+				expr := xmltree.MustParse(`<snoop:` + op + ` xmlns:snoop="` + snoop.NS + `" context="chronicle">
+					<snoop:event><a p="$P"/></snoop:event>
+					<snoop:event><b p="$P"/></snoop:event>
+				</snoop:` + op + `>`).Root()
+				if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: op, Component: "e", Expression: expr}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var wg sync.WaitGroup
 			for p := 0; p < publishers; p++ {
@@ -185,93 +223,86 @@ func TestSnoopSequenceNoMisfireUnderConcurrentPublishers(t *testing.T) {
 				}(p)
 			}
 			wg.Wait()
-			// Partitioned detection is asynchronous past the queue; wait for
-			// the full count.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
+			awaitCount(2*publishers*pairsPer, func() int {
 				mu.Lock()
-				n := len(got)
-				mu.Unlock()
-				if n >= publishers*pairsPer || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
+				defer mu.Unlock()
+				return total
+			})
 			mu.Lock()
 			defer mu.Unlock()
-			if len(got) != publishers*pairsPer {
-				t.Fatalf("sequence fired %d times, want %d (misfire under concurrency)", len(got), publishers*pairsPer)
+			if len(streamOrder) != publishers*pairsPer {
+				t.Fatalf("stream delivered %d b events, want %d", len(streamOrder), publishers*pairsPer)
 			}
-			seen := map[string]bool{}
-			for _, a := range got {
-				p := a.Rows[0].Tuple["P"].AsString()
-				if seen[p] {
-					t.Fatalf("pair %q detected twice", p)
+			for _, rule := range rules {
+				if !slices.Equal(got[rule], streamOrder) {
+					t.Errorf("rule %s: %d detections, not the %d terminators in stream order (misfire or reordering under concurrency)",
+						rule, len(got[rule]), len(streamOrder))
 				}
-				seen[p] = true
 			}
 		})
 	}
 }
 
 // TestEventMatcherPartitioned: the atomic matcher shards its patterns
-// across the pool and still delivers every match.
+// across the pool's partitions and, for every pool shape, delivers each
+// rule the same detection sequence.
 func TestEventMatcherPartitioned(t *testing.T) {
-	pool := NewDetectorPool(3, 16, obs.NewHub())
-	defer pool.Close()
-	var mu sync.Mutex
-	got := map[string]int{}
-	stream := events.NewStream()
-	m := NewEventMatcher(stream, &Deliverer{Local: func(a *protocol.Answer) {
-		mu.Lock()
-		got[a.RuleID]++
-		mu.Unlock()
-	}}, WithDetectorPool(pool))
-	defer m.Close()
 	const rules = 9
-	for i := 0; i < rules; i++ {
-		reg := &protocol.Request{
-			Kind: protocol.RegisterEvent, RuleID: fmt.Sprintf("r%d", i), Component: "e",
-			Expression: xmltree.MustParse(fmt.Sprintf(`<ev%d/>`, i)).Root(),
-		}
-		if _, err := m.Handle(reg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Registrations() != rules {
-		t.Fatalf("registrations = %d", m.Registrations())
-	}
-	for round := 0; round < 5; round++ {
-		for i := 0; i < rules; i++ {
-			stream.Publish(events.New(xmltree.NewElement("", fmt.Sprintf("ev%d", i))))
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		total := 0
-		for _, n := range got {
-			total += n
-		}
-		mu.Unlock()
-		if total >= rules*5 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < rules; i++ {
-		if got[fmt.Sprintf("r%d", i)] != 5 {
-			t.Fatalf("rule r%d matched %d times, want 5 (map: %v)", i, got[fmt.Sprintf("r%d", i)], got)
-		}
-	}
-	// Unregister goes to the same shard the registration was pinned to.
-	if _, err := m.Handle(&protocol.Request{Kind: protocol.UnregisterEvent, RuleID: "r0", Component: "e"}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Registrations() != rules-1 {
-		t.Fatalf("registrations after unregister = %d", m.Registrations())
+	want := []string{"0", "1", "2", "3", "4"} // the rounds, in publication order
+	for _, workers := range detectorWorkers {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			pool := NewDetectorPool(workers, obs.NewHub())
+			defer pool.Close()
+			var mu sync.Mutex
+			got := map[string][]string{} // rule → $N of each detection, in delivery order
+			total := 0
+			stream := events.NewStream()
+			m := NewEventMatcher(stream, &Deliverer{Local: func(a *protocol.Answer) {
+				mu.Lock()
+				got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["N"].AsString())
+				total++
+				mu.Unlock()
+			}}, WithDetectorPool(pool))
+			defer m.Close()
+			for i := 0; i < rules; i++ {
+				reg := &protocol.Request{
+					Kind: protocol.RegisterEvent, RuleID: fmt.Sprintf("r%d", i), Component: "e",
+					Expression: xmltree.MustParse(fmt.Sprintf(`<ev%d n="$N"/>`, i)).Root(),
+				}
+				if _, err := m.Handle(reg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m.Registrations() != rules {
+				t.Fatalf("registrations = %d", m.Registrations())
+			}
+			for _, round := range want {
+				for i := 0; i < rules; i++ {
+					ev := xmltree.NewElement("", fmt.Sprintf("ev%d", i))
+					ev.SetAttr("", "n", round)
+					stream.Publish(events.New(ev))
+				}
+			}
+			awaitCount(rules*len(want), func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return total
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			for i := 0; i < rules; i++ {
+				if id := fmt.Sprintf("r%d", i); !slices.Equal(got[id], want) {
+					t.Fatalf("rule %s detected rounds %v, want %v", id, got[id], want)
+				}
+			}
+			// Unregister goes to the same shard the registration was pinned to.
+			if _, err := m.Handle(&protocol.Request{Kind: protocol.UnregisterEvent, RuleID: "r0", Component: "e"}); err != nil {
+				t.Fatal(err)
+			}
+			if m.Registrations() != rules-1 {
+				t.Fatalf("registrations after unregister = %d", m.Registrations())
+			}
+		})
 	}
 }
 
@@ -279,7 +310,7 @@ func TestEventMatcherPartitioned(t *testing.T) {
 // serializes with the pinned detector's event feed and still fires
 // elapsed periodic occurrences.
 func TestSnoopAdvanceRoutedThroughWorkers(t *testing.T) {
-	pool := NewDetectorPool(2, 8, nil)
+	pool := NewDetectorPool(2, nil)
 	defer pool.Close()
 	fired := make(chan *protocol.Answer, 16)
 	stream := events.NewStream()
@@ -313,7 +344,7 @@ func TestSnoopAdvanceRoutedThroughWorkers(t *testing.T) {
 // TestDetectorPoolMetrics: partition counters are registered and advance.
 func TestDetectorPoolMetrics(t *testing.T) {
 	h := obs.NewHub()
-	pool := NewDetectorPool(2, 8, h)
+	pool := NewDetectorPool(2, h)
 	done := make(chan struct{})
 	pool.Enqueue(0, func() { close(done) })
 	<-done

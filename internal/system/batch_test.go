@@ -6,14 +6,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/ruleml"
 	"repro/internal/store"
+	"repro/internal/xmltree"
 )
 
 // admitOutcome is everything observable about admitting N events into a
@@ -212,5 +217,54 @@ func TestPartitionedSystemEndToEnd(t *testing.T) {
 	}
 	if got := len(sys.Notifier.Sent()); got != 16 {
 		t.Fatalf("partitioned system fired %d rules, want 16", got)
+	}
+}
+
+// TestCloseDrainsDetectorPartitions: for inline detection and for one and
+// several partition workers, every event whose publish returned before
+// Close has had its actions run when Close returns — including detections
+// still waiting in partition queues behind slow actions — and Close leaves
+// no goroutine behind.
+func TestCloseDrainsDetectorPartitions(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sys, err := NewLocal(Config{DetectorPartitions: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rules, publishers, perPub = 8, 4, 10
+			for i := 0; i < rules; i++ { // eight rule keys spread over the partitions
+				if err := sys.Engine.Register(ruleml.MustParse(simpleRuleXML(fmt.Sprintf("drain-%d", i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Notifier.OnSend(func(Notification) { time.Sleep(100 * time.Microsecond) }) // slow actions: queues build up
+			var wg sync.WaitGroup
+			for p := 0; p < publishers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					evs := make([]events.Event, perPub)
+					for i := range evs {
+						evs[i] = events.New(xmltree.MustParse(fmt.Sprintf(`<t:ping xmlns:t="%s" x="%d"/>`, tNS, i)))
+					}
+					sys.Stream.PublishBatch(evs)
+				}()
+			}
+			wg.Wait()
+			sys.Close()
+			if got, want := len(sys.Notifier.Sent()), rules*publishers*perPub; got != want {
+				t.Errorf("Close returned with %d of %d actions run", got, want)
+			}
+			if st := sys.Engine.Stats(); st.InstancesCompleted != st.InstancesCreated {
+				t.Errorf("Close returned mid-instance: %+v", st)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before NewLocal, %d after Close", before, runtime.NumGoroutine())
+				}
+			}
+		})
 	}
 }

@@ -143,15 +143,9 @@ type Config struct {
 	// DetectorPartitions shards SNOOP and atomic-matcher detection across
 	// this many partition workers, each detector pinned to one worker by
 	// rule key (see services.DetectorPool). Zero keeps detection inline on
-	// the publishing goroutine — the historical, fully synchronous
-	// behaviour that most tests and the quickstart rely on.
+	// the publishing goroutine — the fully synchronous behaviour that most
+	// tests and the quickstart rely on.
 	DetectorPartitions int
-	// PartitionQueue is the per-partition task queue capacity;
-	// services.DefaultPartitionQueue when zero. A full queue blocks the
-	// stream's ordered dispatch and, through it, the POST /events handlers
-	// holding admission slots — so sustained detector overload surfaces as
-	// -max-pending-events 429s. Only meaningful with DetectorPartitions.
-	PartitionQueue int
 	// DefaultTenant names the tenant every tenant-less request resolves
 	// to; tenant.Default ("public") when empty. The default tenant's
 	// internal wire form is the empty string, which keeps journals,
@@ -180,14 +174,13 @@ type System struct {
 	pprof      bool
 	eventSlots chan struct{}          // admission semaphore for POST /events; nil = unlimited
 	maxPending int                    // cap of eventSlots; 0 = unlimited
-	pool       *services.DetectorPool // nil = inline detection
+	pool       *services.DetectorPool // shared by every space's detectors
 
 	tenantMu   sync.Mutex
-	spaces     map[string]*Space         // per-tenant rule spaces, keyed by wire form ("" = default)
-	engineBase []engine.Option           // options every space's engine is built from
-	detBase    []services.DetectorOption // options every space's detectors are built from
-	matcherSvc grh.Service               // tenant router over the per-space matchers
-	snoopSvc   grh.Service               // tenant router over the per-space SNOOP services
+	spaces     map[string]*Space // per-tenant rule spaces, keyed by wire form ("" = default)
+	engineBase []engine.Option   // options every space's engine is built from
+	matcherSvc grh.Service       // tenant router over the per-space matchers
+	snoopSvc   grh.Service       // tenant router over the per-space SNOOP services
 
 	metAdmitted  *obs.CounterVec // events_admitted_total{tenant}
 	metShed      *obs.CounterVec // events_shed_total{tenant,reason}
@@ -247,10 +240,7 @@ func NewLocal(cfg Config) (*System, error) {
 	if cfg.Logger != nil {
 		s.engineBase = append(s.engineBase, engine.WithLogger(cfg.Logger))
 	}
-	if cfg.DetectorPartitions > 0 {
-		s.pool = services.NewDetectorPool(cfg.DetectorPartitions, cfg.PartitionQueue, cfg.Obs)
-		s.detBase = append(s.detBase, services.WithDetectorPool(s.pool))
-	}
+	s.pool = services.NewDetectorPool(cfg.DetectorPartitions, cfg.Obs)
 	// The default tenant's space is built eagerly — it is the system the
 	// single-tenant surface (System.Engine/Matcher/Snoop) exposes. Other
 	// tenants' spaces appear on first use.
@@ -782,15 +772,15 @@ func (s *System) engineStats() engine.Stats {
 // -max-pending-events limit, so traffic drains away before hard 429
 // shedding starts. Nodes without an admission limit are always ready.
 type Health struct {
-	Status             string          `json:"status"`
-	Ready              bool            `json:"ready"`
-	UptimeSeconds      float64         `json:"uptime_seconds"`
-	Rules              int             `json:"rules"`
-	Languages          int             `json:"languages"`
-	InstancesCreated   int             `json:"instances_created"`
-	InstancesCompleted int             `json:"instances_completed"`
-	InstancesDied      int             `json:"instances_died"`
-	Notifications      int             `json:"notifications"`
+	Status             string           `json:"status"`
+	Ready              bool             `json:"ready"`
+	UptimeSeconds      float64          `json:"uptime_seconds"`
+	Rules              int              `json:"rules"`
+	Languages          int              `json:"languages"`
+	InstancesCreated   int              `json:"instances_created"`
+	InstancesCompleted int              `json:"instances_completed"`
+	InstancesDied      int              `json:"instances_died"`
+	Notifications      int              `json:"notifications"`
 	Store              *store.Health    `json:"store,omitempty"`     // absent for in-memory deployments
 	Cluster            *cluster.Status  `json:"cluster,omitempty"`   // absent for single-node deployments
 	Admission          *AdmissionHealth `json:"admission,omitempty"` // absent without -max-pending-events
@@ -799,13 +789,13 @@ type Health struct {
 
 // AdmissionHealth reports event-admission pressure: how many POST
 // /events requests hold a slot right now, the configured cap, the
-// pending level at which Ready degrades, and the engine's worker-queue
-// depth (0 for synchronous engines).
+// pending level at which Ready degrades, and the detection tasks queued
+// across the detector partitions (0 with inline detection).
 type AdmissionHealth struct {
-	Pending          int `json:"pending"`
-	MaxPendingEvents int `json:"max_pending_events"`
-	ReadyThreshold   int `json:"ready_threshold"`
-	EngineQueueDepth int `json:"engine_queue_depth"`
+	Pending            int `json:"pending"`
+	MaxPendingEvents   int `json:"max_pending_events"`
+	ReadyThreshold     int `json:"ready_threshold"`
+	DetectorQueueDepth int `json:"detector_queue_depth"`
 }
 
 // readyThreshold is the pending-admissions level at which /healthz
@@ -843,15 +833,11 @@ func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.maxPending > 0 {
-		depth := 0
-		for _, sp := range spaces {
-			depth += sp.Engine.QueueDepth()
-		}
 		a := AdmissionHealth{
-			Pending:          len(s.eventSlots),
-			MaxPendingEvents: s.maxPending,
-			ReadyThreshold:   readyThreshold(s.maxPending),
-			EngineQueueDepth: depth,
+			Pending:            len(s.eventSlots),
+			MaxPendingEvents:   s.maxPending,
+			ReadyThreshold:     readyThreshold(s.maxPending),
+			DetectorQueueDepth: s.pool.QueueDepth(),
 		}
 		h.Admission = &a
 		if a.Pending >= a.ReadyThreshold {
@@ -896,9 +882,7 @@ func (s *System) Close() {
 		sp.Matcher.Close()
 		sp.Snoop.Close()
 	}
-	if s.pool != nil {
-		s.pool.Close()
-	}
+	s.pool.Close()
 	for _, sp := range spaces {
 		sp.Engine.Close()
 	}

@@ -88,8 +88,7 @@ func (s *System) newSpaceLocked(full string) (*Space, error) {
 	}
 	eng := engine.New(s.GRH, opts...)
 	deliver := &services.Deliverer{Local: eng.OnDetection, Obs: s.Obs}
-	dopts := append([]services.DetectorOption{}, s.detBase...)
-	dopts = append(dopts, services.WithTenantFilter(wire))
+	dopts := []services.DetectorOption{services.WithDetectorPool(s.pool), services.WithTenantFilter(wire)}
 	matcher := services.NewEventMatcher(s.Stream, deliver, dopts...)
 	sn := services.NewSnoopService(s.Stream, deliver, dopts...)
 	sn.SetObs(s.Obs)

@@ -2,16 +2,16 @@ package eca_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/e2etest"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -33,14 +33,7 @@ func TestMultiTenantKillAndRestart(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	ecad := filepath.Join(dir, "ecad")
-	ecactl := filepath.Join(dir, "ecactl")
-	for bin, pkg := range map[string]string{ecad: "./cmd/ecad", ecactl: "./cmd/ecactl"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	_, ecactl := e2etest.Binaries(t)
 
 	dataDir := os.Getenv("ECA_E2E_TENANT_DATADIR")
 	if dataDir == "" {
@@ -49,52 +42,19 @@ func TestMultiTenantKillAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := e2etest.FreeAddr(t)
 	base := "http://" + addr
-
-	startDaemon := func() *exec.Cmd {
+	var daemon *e2etest.Daemon // the current life
+	startDaemon := func() {
 		t.Helper()
 		// rate=0.001,burst=2 admits exactly two acme events per process
 		// lifetime as far as this test is concerned: replenishment is a
 		// token every ~17 minutes, far beyond the test horizon.
-		daemon := exec.Command(ecad, "-addr", addr, "-data-dir", dataDir,
+		daemon = e2etest.Start(t, addr, "-data-dir", dataDir,
 			"-fsync", "always", "-log-format", "json",
 			"-tenant-quotas", "acme:rate=0.001,burst=2")
-		daemon.Stdout = os.Stderr
-		daemon.Stderr = os.Stderr
-		if err := daemon.Start(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(base + "/engine/stats")
-			if err == nil {
-				resp.Body.Close()
-				return daemon
-			}
-			if time.Now().After(deadline) {
-				daemon.Process.Kill()
-				daemon.Wait()
-				t.Fatal("ecad did not come up")
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
 	}
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
-	}
+	get := func(path string) (int, string) { return daemon.Get(path) }
 	postEvent := func(tenant, xml string) (int, string) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, base+"/events", strings.NewReader(xml))
@@ -135,25 +95,21 @@ func TestMultiTenantKillAndRestart(t *testing.T) {
 	}
 	waitCompleted := func(tenant, rule string, n int) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
+		e2etest.Eventually(t, fmt.Sprintf("tenant %s to complete %d × %q", tenant, n, rule), func() bool {
 			rules := completedRules(tenant)
 			for _, r := range rules {
 				if r != rule {
 					t.Fatalf("tenant %s fired foreign rule %q (want only %q)", tenant, r, rule)
 				}
 			}
-			if len(rules) == n {
-				return
-			}
-			if len(rules) > n || time.Now().After(deadline) {
+			if len(rules) > n {
 				t.Fatalf("tenant %s completed instances = %v, want %d × %q", tenant, rules, n, rule)
 			}
-			time.Sleep(50 * time.Millisecond)
-		}
+			return len(rules) == n
+		})
 	}
 
-	daemon := startDaemon()
+	startDaemon()
 
 	// Both tenants' rules match the same t:ping event shape, so any
 	// isolation leak would fire the other tenant's rule too.
@@ -252,16 +208,8 @@ func TestMultiTenantKillAndRestart(t *testing.T) {
 	assertSample("events_shed_total", []string{`tenant="acme"`, `reason="quota"`}, "1")
 
 	// Die hard: no shutdown hooks, recovery must come from the journal.
-	if err := daemon.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	daemon.Wait()
-
-	daemon = startDaemon()
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
+	daemon.Kill()
+	startDaemon()
 
 	// Both tenants' rules must have been replayed into their own spaces.
 	for tenant, want := range map[string]string{"acme": "r-acme", "beta": "r-beta"} {

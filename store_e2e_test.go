@@ -2,16 +2,13 @@ package eca_test
 
 import (
 	"encoding/json"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/e2etest"
 	"repro/internal/store"
 	"repro/internal/xmltree"
 )
@@ -31,14 +28,7 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	ecad := filepath.Join(dir, "ecad")
-	ecactl := filepath.Join(dir, "ecactl")
-	for bin, pkg := range map[string]string{ecad: "./cmd/ecad", ecactl: "./cmd/ecactl"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	_, ecactl := e2etest.Binaries(t)
 
 	dataDir := os.Getenv("ECA_E2E_DATADIR")
 	if dataDir == "" {
@@ -51,46 +41,10 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 		}
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	base := "http://" + addr
-
-	startDaemon := func() *exec.Cmd {
+	addr := e2etest.FreeAddr(t)
+	startDaemon := func() *e2etest.Daemon {
 		t.Helper()
-		daemon := exec.Command(ecad, "-addr", addr, "-data-dir", dataDir, "-fsync", "always", "-log-format", "json")
-		daemon.Stdout = os.Stderr
-		daemon.Stderr = os.Stderr
-		if err := daemon.Start(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(base + "/engine/stats")
-			if err == nil {
-				resp.Body.Close()
-				return daemon
-			}
-			if time.Now().After(deadline) {
-				daemon.Process.Kill()
-				daemon.Wait()
-				t.Fatal("ecad did not come up")
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
+		return e2etest.Start(t, addr, "-data-dir", dataDir, "-fsync", "always", "-log-format", "json")
 	}
 
 	// First life: register a rule, confirm it is listed, then die hard.
@@ -103,16 +57,13 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 	if err := os.WriteFile(ruleFile, []byte(ruleXML), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command(ecactl, "-s", base, "register", ruleFile).CombinedOutput(); err != nil {
+	if out, err := exec.Command(ecactl, "-s", daemon.Base, "register", ruleFile).CombinedOutput(); err != nil {
 		t.Fatalf("ecactl register: %v\n%s", err, out)
 	}
-	if _, body := get("/engine/rules?format=ids"); !strings.Contains(body, "survivor") {
+	if _, body := daemon.Get("/engine/rules?format=ids"); !strings.Contains(body, "survivor") {
 		t.Fatalf("rule not listed before crash: %q", body)
 	}
-	if err := daemon.Process.Kill(); err != nil { // SIGKILL: no shutdown hooks run
-		t.Fatal(err)
-	}
-	daemon.Wait()
+	daemon.Kill() // SIGKILL: no shutdown hooks run
 
 	// While the daemon is dead, plant an orphaned event: journaled as
 	// accepted but never acked, exactly what a crash between accept and
@@ -134,27 +85,15 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 
 	// Second life: same flags, same data dir.
 	daemon = startDaemon()
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
-
-	if _, body := get("/engine/rules?format=ids"); !strings.Contains(body, "survivor") {
+	if _, body := daemon.Get("/engine/rules?format=ids"); !strings.Contains(body, "survivor") {
 		t.Fatalf("rule did not survive restart: %q", body)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, stats := get("/engine/stats")
-		if strings.Contains(stats, "instances_completed 1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("orphaned event never completed an instance: %q", stats)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	e2etest.Eventually(t, "the orphaned event to complete an instance", func() bool {
+		_, stats := daemon.Get("/engine/stats")
+		return strings.Contains(stats, "instances_completed 1")
+	})
 
-	code, metrics := get("/metrics")
+	code, metrics := daemon.Get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
@@ -163,7 +102,7 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	code, health := get("/healthz")
+	code, health := daemon.Get("/healthz")
 	if code != 200 {
 		t.Fatalf("/healthz = %d", code)
 	}

@@ -2,17 +2,12 @@ package eca_test
 
 import (
 	"encoding/json"
-	"io"
-	"net"
-	"net/http"
 	"net/url"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/e2etest"
 	"repro/internal/obs"
 )
 
@@ -27,62 +22,18 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := t.TempDir()
-	ecad := filepath.Join(dir, "ecad")
-	ecactl := filepath.Join(dir, "ecactl")
-	for bin, pkg := range map[string]string{ecad: "./cmd/ecad", ecactl: "./cmd/ecactl"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	_, ecactl := e2etest.Binaries(t)
+	daemon := e2etest.Start(t, e2etest.FreeAddr(t), "-travel", "-distribute", "-log-format", "json", "-log-level", "debug")
+	get := daemon.Get
+	// ecad serves before its start-up rules are in.
+	e2etest.Eventually(t, "the car-rental rule to be registered", func() bool {
+		_, ids := get("/engine/rules?format=ids")
+		return strings.Contains(ids, "car-rental")
+	})
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	daemon := exec.Command(ecad, "-addr", addr, "-travel", "-distribute", "-log-format", "json", "-log-level", "debug")
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
-
-	base := "http://" + addr
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/engine/stats")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ecad did not come up")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	out, err := exec.Command(ecactl, "-s", base, "book", "John Doe", "Munich", "Paris").CombinedOutput()
+	out, err := exec.Command(ecactl, "-s", daemon.Base, "book", "John Doe", "Munich", "Paris").CombinedOutput()
 	if err != nil {
 		t.Fatalf("ecactl book: %v\n%s", err, out)
-	}
-
-	get := func(path string) (int, []byte) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, body
 	}
 
 	// (a) /metrics parses cleanly under the exposition linter and carries
@@ -91,11 +42,11 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if err := obs.LintExposition(strings.NewReader(string(metrics))); err != nil {
+	if err := obs.LintExposition(strings.NewReader(metrics)); err != nil {
 		t.Fatalf("/metrics fails exposition lint: %v", err)
 	}
 	for _, want := range []string{"go_goroutines", "go_heap_inuse_bytes", "service_phase_seconds_bucket"} {
-		if !strings.Contains(string(metrics), want) {
+		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
@@ -103,8 +54,7 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	// (b) find the booking instance (it completes asynchronously after
 	// ecactl returns) and fetch its stitched trace by id.
 	var id string
-	deadline = time.Now().Add(10 * time.Second)
-	for {
+	e2etest.Eventually(t, "the booking instance to complete", func() bool {
 		code, body := get("/debug/traces?state=completed&limit=1")
 		if code != 200 {
 			t.Fatalf("/debug/traces = %d", code)
@@ -112,25 +62,21 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		var list struct {
 			Instances []obs.InstanceTrace `json:"instances"`
 		}
-		if err := json.Unmarshal(body, &list); err != nil {
+		if err := json.Unmarshal([]byte(body), &list); err != nil {
 			t.Fatalf("traces JSON: %v\n%s", err, body)
 		}
 		if len(list.Instances) == 1 {
 			id = list.Instances[0].ID
-			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no completed instance: %s", body)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return id != ""
+	})
 
 	code, body := get("/debug/traces?id=" + url.QueryEscape(id))
 	if code != 200 {
 		t.Fatalf("/debug/traces?id=%s = %d: %s", id, code, body)
 	}
 	var tr obs.InstanceTrace
-	if err := json.Unmarshal(body, &tr); err != nil {
+	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatalf("trace JSON: %v\n%s", err, body)
 	}
 	if tr.ID != id || tr.State != "completed" {

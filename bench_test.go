@@ -55,7 +55,11 @@ func TestAllSeriesRun(t *testing.T) {
 	for _, s := range bench.Series() {
 		s := s
 		t.Run(s, func(t *testing.T) {
-			t.Parallel()
+			// hotpath and cache fail on a ratio of two timed loops, so
+			// they run alone, before the parallel rest shares the CPUs.
+			if s != "hotpath" && s != "cache" {
+				t.Parallel()
+			}
 			if err := bench.RunSeries(s, io.Discard); err != nil {
 				t.Fatalf("series %s: %v", s, err)
 			}

@@ -34,6 +34,11 @@ var ErrDuplicateRule = errors.New("already registered")
 // rather than 422.
 var ErrBadExpression = errors.New("component expression does not compile")
 
+// ErrNoRule reports an Unregister of a rule id the engine does not hold.
+// It is wrapped, so test with errors.Is; any other error from Unregister
+// means the rule existed and withdrawing its event registration failed.
+var ErrNoRule = errors.New("no rule")
+
 // Journal receives durable notifications of rule life-cycle changes; the
 // store subsystem implements it to write the write-ahead journal. Both
 // methods are called outside the engine lock, after the change took
@@ -278,13 +283,29 @@ func (e *Engine) RuleState(id string) (*RuleState, bool) {
 	return rs, ok
 }
 
+// RuleInfo returns a snapshot of one registered rule's bookkeeping and
+// whether the rule exists, without visiting the other rules.
+func (e *Engine) RuleInfo(id string) (RuleInfo, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rs, ok := e.rules[id]
+	if !ok {
+		return RuleInfo{}, false
+	}
+	return e.infoLocked(id, rs), true
+}
+
+func (e *Engine) infoLocked(id string, rs *RuleState) RuleInfo {
+	return RuleInfo{ID: id, Registered: rs.Registered, Firings: rs.Firings, Died: rs.Died, Tenant: e.tenant}
+}
+
 // RuleInfos returns a snapshot of every registered rule's bookkeeping,
 // sorted by id.
 func (e *Engine) RuleInfos() []RuleInfo {
 	e.mu.Lock()
 	out := make([]RuleInfo, 0, len(e.rules))
 	for id, rs := range e.rules {
-		out = append(out, RuleInfo{ID: id, Registered: rs.Registered, Firings: rs.Firings, Died: rs.Died, Tenant: e.tenant})
+		out = append(out, e.infoLocked(id, rs))
 	}
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -377,7 +398,8 @@ func (e *Engine) Register(rule *ruleml.Rule) error {
 	return nil
 }
 
-// Unregister withdraws a rule and its event registration.
+// Unregister withdraws a rule and its event registration. An unknown id
+// yields an error wrapping ErrNoRule.
 func (e *Engine) Unregister(id string) error {
 	e.mu.Lock()
 	rs, ok := e.rules[id]
@@ -387,7 +409,7 @@ func (e *Engine) Unregister(id string) error {
 	}
 	e.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("engine: no rule %q", id)
+		return fmt.Errorf("engine: %w %q", ErrNoRule, id)
 	}
 	if e.journal != nil {
 		e.journal.RuleUnregistered(id)

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/domain/travel"
+	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
@@ -305,6 +307,12 @@ func TestUnregisterStopsDetection(t *testing.T) {
 	if len(sys.Notifier.Sent()) != 1 {
 		t.Fatal("rule should fire before unregistration")
 	}
+	if info, ok := sys.Engine.RuleInfo("u"); !ok || info.ID != "u" || info.Firings != 1 || info.Registered.IsZero() {
+		t.Errorf("RuleInfo(u) = %+v, %v", info, ok)
+	}
+	if _, ok := sys.Engine.RuleInfo("absent"); ok {
+		t.Error("RuleInfo of an unknown id should report false")
+	}
 	if err := sys.Engine.Unregister("u"); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +320,8 @@ func TestUnregisterStopsDetection(t *testing.T) {
 	if len(sys.Notifier.Sent()) != 1 {
 		t.Error("rule fired after unregistration")
 	}
-	if err := sys.Engine.Unregister("u"); err == nil {
-		t.Error("double unregister should error")
+	if err := sys.Engine.Unregister("u"); !errors.Is(err, engine.ErrNoRule) {
+		t.Errorf("double unregister = %v, want an error wrapping ErrNoRule", err)
 	}
 }
 

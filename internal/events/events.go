@@ -7,12 +7,9 @@ package events
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/bindings"
 	"repro/internal/xmltree"
 )
 
@@ -83,7 +80,11 @@ type Stream struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals delivered advancing; lazily bound to mu
 	seq  uint64
-	subs []subscriber // live subscribers, ascending id = subscription order
+	// subs holds the live subscribers, ascending id = subscription order.
+	// It is copy-on-write: Subscribe and cancel store a new slice and never
+	// write to a stored one, so queued deliveries share it as their
+	// subscriber snapshot.
+	subs []subscriber
 	next int
 
 	queue       []pendingDelivery // sequenced, undelivered events (Seq order)
@@ -97,8 +98,8 @@ type subscriber struct {
 }
 
 type pendingDelivery struct {
-	ev       Event
-	handlers []func(Event)
+	ev   Event
+	subs []subscriber // s.subs as of sequencing; shared, read-only
 }
 
 // NewStream returns an empty stream.
@@ -114,28 +115,19 @@ func (s *Stream) Subscribe(f func(Event)) (cancel func()) {
 	s.mu.Lock()
 	id := s.next
 	s.next++
-	s.subs = append(s.subs, subscriber{id: id, fn: f})
+	s.subs = append(s.subs[:len(s.subs):len(s.subs)], subscriber{id: id, fn: f})
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
 		for i, sub := range s.subs {
 			if sub.id == id {
-				s.subs = append(s.subs[:i:i], s.subs[i+1:]...)
+				rest := make([]subscriber, 0, len(s.subs)-1)
+				s.subs = append(append(rest, s.subs[:i]...), s.subs[i+1:]...)
 				break
 			}
 		}
 		s.mu.Unlock()
 	}
-}
-
-// handlersLocked snapshots the live subscriber functions in subscription
-// order. Caller holds s.mu.
-func (s *Stream) handlersLocked() []func(Event) {
-	handlers := make([]func(Event), len(s.subs))
-	for i, sub := range s.subs {
-		handlers[i] = sub.fn
-	}
-	return handlers
 }
 
 // Publish stamps the event with the next sequence number and delivers it to
@@ -180,14 +172,13 @@ func (s *Stream) publish(evs []Event, wait bool) {
 	}
 	now := time.Now()
 	s.mu.Lock()
-	handlers := s.handlersLocked()
 	for i := range evs {
 		s.seq++
 		evs[i].Seq = s.seq
 		if evs[i].Time.IsZero() {
 			evs[i].Time = now
 		}
-		s.queue = append(s.queue, pendingDelivery{ev: evs[i], handlers: handlers})
+		s.queue = append(s.queue, pendingDelivery{ev: evs[i], subs: s.subs})
 	}
 	last := evs[len(evs)-1].Seq
 	if s.dispatching {
@@ -218,245 +209,11 @@ func (s *Stream) drainLocked() {
 			s.queue = nil // release the drained backing array
 		}
 		s.mu.Unlock()
-		for _, h := range d.handlers {
-			h(d.ev)
+		for _, sub := range d.subs {
+			sub.fn(d.ev)
 		}
 		s.mu.Lock()
 		s.delivered = d.ev.Seq
 		s.cond.Broadcast()
-	}
-}
-
-// --- atomic event patterns -------------------------------------------------------
-
-// Pattern is an atomic event pattern: an XML template whose attribute
-// values and text content may be variables ($Name). Matching an event
-// yields the tuples of variable bindings; a pattern with no variables
-// yields one empty tuple on match.
-//
-// Matching rules:
-//   - the pattern element matches an event element with the same name;
-//   - every pattern attribute must be present on the event; a "$Var" value
-//     binds the variable (joining if already bound), otherwise values must
-//     be equal;
-//   - every pattern child element must match some event child (each event
-//     child used at most once per combination); extra event children are
-//     ignored;
-//   - pattern text content of the form "$Var" binds the element's text;
-//     other non-whitespace text must equal the event's text.
-type Pattern struct {
-	root *xmltree.Node
-}
-
-// NewPattern builds a pattern from a template element (the root element is
-// used if a document is given).
-func NewPattern(template *xmltree.Node) (*Pattern, error) {
-	r := template.Root()
-	if r == nil {
-		return nil, fmt.Errorf("events: pattern has no root element")
-	}
-	return &Pattern{root: r}, nil
-}
-
-// MustPattern parses a pattern from XML source, panicking on error.
-func MustPattern(src string) *Pattern {
-	p, err := NewPattern(xmltree.MustParse(src))
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Name returns the event name the pattern matches.
-func (p *Pattern) Name() xmltree.Name { return p.root.Name }
-
-// Vars returns the variable names the pattern binds, sorted.
-func (p *Pattern) Vars() []string {
-	set := map[string]bool{}
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		for _, a := range n.Attrs {
-			if v, ok := varName(a.Value); ok && !a.IsNamespaceDecl() {
-				set[v] = true
-			}
-		}
-		if v, ok := varName(ownText(n)); ok {
-			set[v] = true
-		}
-		for _, c := range n.ChildElements() {
-			walk(c)
-		}
-	}
-	walk(p.root)
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// varName reports whether s is a variable reference "$Name".
-func varName(s string) (string, bool) {
-	s = strings.TrimSpace(s)
-	if len(s) > 1 && s[0] == '$' {
-		return s[1:], true
-	}
-	return "", false
-}
-
-// ownText returns the concatenated direct text children of n.
-func ownText(n *xmltree.Node) string {
-	var b strings.Builder
-	for _, c := range n.Children {
-		if c.Kind == xmltree.TextNode {
-			b.WriteString(c.Text)
-		}
-	}
-	return b.String()
-}
-
-// Match matches the pattern against an event and returns the resulting
-// tuples of variable bindings (empty slice: no match). Multiple tuples
-// arise when repeated pattern children match different event children.
-func (p *Pattern) Match(ev Event) []bindings.Tuple {
-	if ev.Payload == nil {
-		return nil
-	}
-	return matchElement(p.root, ev.Payload, bindings.Tuple{})
-}
-
-func matchElement(pat, ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple {
-	if pat.Name != ev.Name {
-		return nil
-	}
-	cur := t.Clone()
-	for _, a := range pat.Attrs {
-		if a.IsNamespaceDecl() {
-			continue
-		}
-		got, ok := ev.Attr(a.Name.Space, a.Name.Local)
-		if !ok {
-			return nil
-		}
-		if v, isVar := varName(a.Value); isVar {
-			if !bindVar(cur, v, bindings.Str(got)) {
-				return nil
-			}
-			continue
-		}
-		if a.Value != got {
-			return nil
-		}
-	}
-	if txt := strings.TrimSpace(ownText(pat)); txt != "" {
-		evTxt := strings.TrimSpace(ownText(ev))
-		if v, isVar := varName(txt); isVar {
-			if !bindVar(cur, v, bindings.Str(evTxt)) {
-				return nil
-			}
-		} else if txt != evTxt {
-			return nil
-		}
-	}
-	patKids := pat.ChildElements()
-	if len(patKids) == 0 {
-		return []bindings.Tuple{cur}
-	}
-	evKids := ev.ChildElements()
-	return matchChildren(patKids, evKids, cur)
-}
-
-// matchChildren assigns each pattern child to a distinct event child,
-// collecting every consistent combination of bindings.
-func matchChildren(patKids, evKids []*xmltree.Node, t bindings.Tuple) []bindings.Tuple {
-	if len(patKids) == 0 {
-		return []bindings.Tuple{t}
-	}
-	var out []bindings.Tuple
-	first, rest := patKids[0], patKids[1:]
-	for i, ek := range evKids {
-		for _, t2 := range matchElement(first, ek, t) {
-			remaining := make([]*xmltree.Node, 0, len(evKids)-1)
-			remaining = append(remaining, evKids[:i]...)
-			remaining = append(remaining, evKids[i+1:]...)
-			out = append(out, matchChildren(rest, remaining, t2)...)
-		}
-	}
-	return out
-}
-
-func bindVar(t bindings.Tuple, name string, v bindings.Value) bool {
-	if old, ok := t[name]; ok {
-		return old.Equal(v)
-	}
-	t[name] = v
-	return true
-}
-
-// Matcher is the Atomic Event Matcher service core: a set of registered
-// patterns evaluated against every published event. Safe for concurrent use.
-type Matcher struct {
-	mu       sync.Mutex
-	patterns map[string]*registration
-}
-
-type registration struct {
-	pattern *Pattern
-	sink    func(Detection)
-}
-
-// Detection is delivered to a registration's sink for every event matching
-// its pattern: the identifying key, the tuples of variable bindings and the
-// matched event.
-type Detection struct {
-	Key      string
-	Bindings []bindings.Tuple
-	Event    Event
-}
-
-// NewMatcher returns an empty matcher.
-func NewMatcher() *Matcher {
-	return &Matcher{patterns: map[string]*registration{}}
-}
-
-// Register adds a pattern under a key (replacing any previous registration
-// with that key); sink is called for each matching event.
-func (m *Matcher) Register(key string, p *Pattern, sink func(Detection)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.patterns[key] = &registration{p, sink}
-}
-
-// Unregister removes a registration and reports whether it existed.
-func (m *Matcher) Unregister(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.patterns[key]
-	delete(m.patterns, key)
-	return ok
-}
-
-// Len returns the number of registrations.
-func (m *Matcher) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.patterns)
-}
-
-// OnEvent matches all registered patterns against the event, delivering a
-// Detection per matching registration. It is the handler to subscribe to a
-// Stream.
-func (m *Matcher) OnEvent(ev Event) {
-	m.mu.Lock()
-	regs := make(map[string]*registration, len(m.patterns))
-	for k, r := range m.patterns {
-		regs[k] = r
-	}
-	m.mu.Unlock()
-	for key, r := range regs {
-		if ts := r.pattern.Match(ev); len(ts) > 0 {
-			r.sink(Detection{Key: key, Bindings: ts, Event: ev})
-		}
 	}
 }

@@ -206,6 +206,45 @@ func TestSubscribeChurnKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestPublishSharesSubscriberSlice: a publish takes the stream's
+// copy-on-write subscriber slice as its snapshot instead of building one,
+// so what it allocates does not grow with the subscribers — the one
+// allocation left is the delivery queue's backing array — and a
+// subscription made or cancelled while an event is queued does not change
+// who receives that event.
+func TestPublishSharesSubscriberSlice(t *testing.T) {
+	for _, subs := range []int{1, 64} {
+		s := NewStream()
+		for i := 0; i < subs; i++ {
+			s.Subscribe(func(Event) {})
+		}
+		ev := numbered("x")
+		if got := testing.AllocsPerRun(200, func() { s.Publish(ev) }); got > 1 {
+			t.Errorf("%d subscribers: %v allocs per Publish, want at most 1", subs, got)
+		}
+	}
+
+	s := NewStream()
+	var got []string
+	var cancelB func()
+	s.Subscribe(func(ev Event) {
+		got = append(got, "a")
+		if ev.Seq == 1 {
+			// Event 2 is sequenced here, with subscribers {a, b}; the
+			// changes below must reach event 3 only.
+			s.PublishDetached(numbered("second"))
+			cancelB()
+			s.Subscribe(func(Event) { got = append(got, "c") })
+			s.PublishDetached(numbered("third"))
+		}
+	})
+	cancelB = s.Subscribe(func(Event) { got = append(got, "b") })
+	s.Publish(numbered("first"))
+	if want := "[a b a b a c]"; fmt.Sprint(got) != want {
+		t.Errorf("deliveries = %v, want %s", got, want)
+	}
+}
+
 // BenchmarkPublishAfterSubscribeChurn: the seed rebuilt the handler list by
 // scanning ids 0..next, so heavy subscribe/unsubscribe churn made every
 // later Publish O(total-ever-subscribed). The subscriber slice keeps it

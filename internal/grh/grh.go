@@ -568,6 +568,7 @@ func (g *GRH) opaqueMediateVia(kind protocol.RequestKind, c Component, endpoint 
 	if c.Bindings.Empty() {
 		return a, nil
 	}
+	trace := g.tracer()
 	for _, t := range tuples {
 		q := SubstituteVars(c.Comp.Text, t)
 		u := endpoint
@@ -576,7 +577,9 @@ func (g *GRH) opaqueMediateVia(kind protocol.RequestKind, c Component, endpoint 
 		} else {
 			u += "?query=" + url.QueryEscape(q)
 		}
-		g.emitTrace("→", endpoint, traceGet(u, q))
+		if trace != nil {
+			trace("→", endpoint, traceGet(u, q))
+		}
 		body, err := g.exchange(kind, "GET", endpoint, c.Trace.ID(), func(cl *http.Client) (*http.Response, error) {
 			hr, err := http.NewRequest(http.MethodGet, u, nil)
 			if err != nil {
@@ -594,8 +597,10 @@ func (g *GRH) opaqueMediateVia(kind protocol.RequestKind, c Component, endpoint 
 			return nil, fmt.Errorf("grh: %s: %w", endpoint, err)
 		}
 		a.Rows = append(a.Rows, rows...)
-		for _, r := range rows {
-			g.emitTrace("←", endpoint, protocol.EncodeAnswers(&protocol.Answer{Rows: []protocol.AnswerRow{r}}))
+		if trace != nil {
+			for _, r := range rows {
+				trace("←", endpoint, protocol.EncodeAnswers(&protocol.Answer{Rows: []protocol.AnswerRow{r}}))
+			}
 		}
 	}
 	return a, nil

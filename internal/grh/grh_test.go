@@ -2,6 +2,7 @@ package grh
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -311,7 +312,41 @@ func TestTraceHook(t *testing.T) {
 	if untraced := testing.AllocsPerRun(100, dispatch); untraced >= traced {
 		t.Errorf("allocations per local dispatch: %v without a tracer, %v with a no-op one — payloads are encoded for nobody", untraced, traced)
 	}
+
+	// The same holds for an opaque component: the eca:http-get tree per
+	// input tuple and the log:answers tree per result row are the tracer's
+	// alone. The service answers from a canned in-process transport, so the
+	// counts hold no server goroutine's allocations.
+	const tuples = 40
+	g.SetClient(&http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("<r>1</r>"))}, nil
+	})})
+	in := bindings.NewRelation()
+	for i := 0; i < tuples; i++ {
+		in.Add(bindings.Tuple{"X": bindings.Num(float64(i))})
+	}
+	opaque := Component{
+		Rule:     "r",
+		Comp:     ruleml.Component{Kind: ruleml.QueryComponent, Opaque: true, Language: "x", Service: "http://opaque.invalid/q", Text: "q($X)"},
+		Bindings: in,
+	}
+	lines = nil
+	g.SetTrace(func(dir, peer string, payload *xmltree.Node) { lines = append(lines, dir) })
+	if a, err := g.Dispatch(protocol.Query, opaque); err != nil || len(a.Rows) != tuples || len(lines) != 2*tuples {
+		t.Fatalf("opaque dispatch: %d rows, %d trace lines, err %v", len(a.Rows), len(lines), err)
+	}
+	dispatch = func() { g.Dispatch(protocol.Query, opaque) }
+	g.SetTrace(func(string, string, *xmltree.Node) {})
+	traced = testing.AllocsPerRun(50, dispatch)
+	g.SetTrace(nil)
+	if untraced := testing.AllocsPerRun(50, dispatch); untraced > traced-2*tuples {
+		t.Errorf("allocations per opaque dispatch of %d tuples: %v without a tracer, %v with a no-op one — payloads are encoded for nobody", tuples, untraced, traced)
+	}
 }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func TestEmptyBindingsSkipOpaqueCalls(t *testing.T) {
 	calls := 0

@@ -109,12 +109,12 @@ func TestQuickRequestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// sanitize keeps attribute values parseable (strip control chars that XML
-// 1.0 forbids entirely).
+// sanitize keeps attribute values parseable (strip the characters XML 1.0
+// forbids entirely: control chars and the non-characters U+FFFE, U+FFFF).
 func sanitize(s string) string {
 	out := make([]rune, 0, len(s))
 	for _, r := range s {
-		if r >= 0x20 && r != 0xFFFD {
+		if r >= 0x20 && r != 0xFFFD && r != 0xFFFE && r != 0xFFFF {
 			out = append(out, r)
 		}
 	}

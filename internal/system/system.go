@@ -486,11 +486,14 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			if !ok {
 				return
 			}
-			for _, info := range s.ruleInfos() {
-				if filtered && info.Tenant != wire {
+			for _, sp := range s.snapshotSpaces() {
+				if filtered && sp.wire != wire {
 					continue
 				}
-				if info.ID == id {
+				if info, ok := sp.Engine.RuleInfo(id); ok {
+					if s.Cluster != nil {
+						info.Owner = s.Cluster.ID()
+					}
 					writeJSON(w, info)
 					return
 				}
@@ -511,7 +514,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 					fmt.Fprintln(w, id)
 					return
 				}
-				if !strings.Contains(err.Error(), "no rule") {
+				if !errors.Is(err, engine.ErrNoRule) {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return
 				}

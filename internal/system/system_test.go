@@ -157,6 +157,61 @@ func TestMuxManagementEndpoints(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestDeleteRuleTellsMissingFromFailed: DELETE /engine/rules/{id} answers
+// 404 only for a rule the node does not hold. A rule that exists but whose
+// event registration cannot be withdrawn is a 500 — even when the failing
+// service's message happens to contain "no rule", which the handler used
+// to take for the engine's own not-found error.
+func TestDeleteRuleTellsMissingFromFailed(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flakyNS = "http://flaky/"
+	sys.GRH.Register(grh.Descriptor{Language: flakyNS, Name: "flaky", FrameworkAware: true,
+		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+			if req.Kind == protocol.UnregisterEvent {
+				return nil, fmt.Errorf("backend has no rule table for %s", req.RuleID)
+			}
+			return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
+		})})
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	rule := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:f="` + flakyNS + `" xmlns:t="` + tNS + `" id="stuck">
+	  <eca:event><f:tick/></eca:event>
+	  <eca:action><t:pong/></eca:action>
+	</eca:rule>`
+	resp, err := http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(rule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("register: %d", resp.StatusCode)
+	}
+	del := func(id string) (int, string) {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/engine/rules/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := del("stuck"); code != http.StatusInternalServerError || !strings.Contains(body, "no rule table") {
+		t.Errorf("DELETE of a rule whose unregistration fails = %d %q, want 500 with the service's error", code, body)
+	}
+	if code, _ := del("absent"); code != http.StatusNotFound {
+		t.Errorf("DELETE of an unknown rule = %d, want 404", code)
+	}
+	resp, _ = http.Get(srv.URL + "/engine/rules/absent")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET of an unknown rule = %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestTwoNodeDistributedDetection runs the event service and the engine on
 // two different "nodes": node A hosts the stream and the matcher, node B
 // hosts the engine. The registration travels A-ward with a ReplyTo URL, and

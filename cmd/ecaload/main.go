@@ -97,12 +97,12 @@ type Latency struct {
 
 func main() {
 	var (
-		server    = flag.String("s", defaultEndpoint(os.Getenv), "ecad base URL (default honours $ECA_ENDPOINT)")
-		rate      = flag.Float64("rate", 100, "target events/second across all producers")
-		producers = flag.Int("producers", 4, "concurrent producer goroutines")
-		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		settle    = flag.Duration("settle", 5*time.Second, "how long to wait for in-flight instances to drain after the load stops")
-		jsonPath  = flag.String("json", "", "write the run report as JSON to this file (e.g. BENCH_ingest.json)")
+		server     = flag.String("s", defaultEndpoint(os.Getenv), "ecad base URL (default honours $ECA_ENDPOINT)")
+		rate       = flag.Float64("rate", 100, "target events/second across all producers")
+		producers  = flag.Int("producers", 4, "concurrent producer goroutines")
+		duration   = flag.Duration("duration", 10*time.Second, "how long to generate load")
+		settle     = flag.Duration("settle", 5*time.Second, "how long to wait for in-flight instances to drain after the load stops")
+		jsonPath   = flag.String("json", "", "write the run report as JSON to this file (e.g. BENCH_ingest.json)")
 		person     = flag.String("person", "John Doe", "booking person attribute")
 		from       = flag.String("from", "Munich", "booking from attribute")
 		to         = flag.String("to", "Paris", "booking to attribute")

@@ -151,8 +151,8 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		Ref("http://example.org/x"),
 	}
 	for _, v := range vals {
-		if got := string(v.appendKey(nil)); got != v.Key() {
-			t.Errorf("appendKey(%v) = %q, Key = %q", v, got, v.Key())
+		if got := string(v.AppendKey(nil)); got != v.Key() {
+			t.Errorf("AppendKey(%v) = %q, Key = %q", v, got, v.Key())
 		}
 	}
 	tu := MustTuple("B", Str("b"), "A", Num(1), "C", Boolean(true))

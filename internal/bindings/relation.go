@@ -110,7 +110,7 @@ func (t Tuple) key() string {
 
 // appendKey appends the canonical dedup key of t to buf, reusing names as
 // sorting scratch, and returns both grown slices. Tuples that are Equal
-// produce identical keys (variables sorted, values via Value.appendKey).
+// produce identical keys (variables sorted, values via Value.AppendKey).
 func (t Tuple) appendKey(buf []byte, names []string) ([]byte, []string) {
 	names = names[:0]
 	for k := range t {
@@ -123,7 +123,7 @@ func (t Tuple) appendKey(buf []byte, names []string) ([]byte, []string) {
 		}
 		buf = append(buf, k...)
 		buf = append(buf, '\x00')
-		buf = t[k].appendKey(buf)
+		buf = t[k].AppendKey(buf)
 	}
 	return buf, names
 }
@@ -348,7 +348,7 @@ func appendJoinKey(buf []byte, t Tuple, vars []string) ([]byte, bool) {
 		if i > 0 {
 			buf = append(buf, '\x01')
 		}
-		buf = val.appendKey(buf)
+		buf = val.AppendKey(buf)
 	}
 	return buf, true
 }

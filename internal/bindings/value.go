@@ -130,8 +130,7 @@ func (v Value) AsNumber() (float64, bool) {
 		}
 		return 0, true
 	default:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.AsString()), 64)
-		return f, err == nil
+		return parseNumber(v.AsString())
 	}
 }
 
@@ -154,9 +153,10 @@ func (v Value) AsBool() bool {
 // numeric string, matching the convention that XML-sourced data is untyped
 // text); two XML fragments must additionally be structurally equal ignoring
 // whitespace-only text. Equal values always have equal Keys, so hash joins
-// bucketed by Key are exact.
+// bucketed by Key are exact. Equal builds no key string: it compares what
+// the two Keys would be, and allocates nothing unless a value is XML.
 func (v Value) Equal(w Value) bool {
-	if v.Key() != w.Key() {
+	if !v.keyParts().same(w.keyParts()) {
 		return false
 	}
 	if v.kind == XML && w.kind == XML {
@@ -169,60 +169,81 @@ func (v Value) Equal(w Value) bool {
 // always have the same Key. Numbers and numeric strings share keys; URIs and
 // booleans are segregated from textual values.
 func (v Value) Key() string {
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to b, reusing b's capacity, so hot-path key
+// construction (Relation.Add dedup, hash-join bucketing, SNOOP initiator
+// stores) does not allocate per value.
+func (v Value) AppendKey(b []byte) []byte {
+	p := v.keyParts()
+	b = append(b, p.tag, ':')
+	if p.tag == 'n' {
+		return appendNumber(b, p.num)
+	}
+	return append(b, p.str...)
+}
+
+// keyParts is a Key before rendering: the tag letter before the colon, then
+// either a number (tag 'n', rendered by appendNumber) or the text after the
+// colon.
+type keyParts struct {
+	tag byte // 'u' URI, 'n' number or numeric text, 'b' boolean, 's' other text
+	num float64
+	str string
+}
+
+func (v Value) keyParts() keyParts {
 	switch v.kind {
 	case URI:
-		return "u:" + v.str
+		return keyParts{tag: 'u', str: v.str}
 	case Number:
-		return "n:" + formatNumber(v.num)
+		return keyParts{tag: 'n', num: v.num}
 	case Bool:
 		if v.b {
-			return "b:true"
+			return keyParts{tag: 'b', str: "true"}
 		}
-		return "b:false"
+		return keyParts{tag: 'b', str: "false"}
 	case XML:
-		return textKey(v.node.TextContent())
+		return textKeyParts(v.node.TextContent())
 	default:
-		return textKey(v.str)
+		return textKeyParts(v.str)
 	}
 }
 
-func textKey(s string) string {
-	if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
-		return "n:" + formatNumber(f)
+func textKeyParts(s string) keyParts {
+	if f, ok := parseNumber(s); ok {
+		return keyParts{tag: 'n', num: f}
 	}
-	return "s:" + s
+	return keyParts{tag: 's', str: s}
 }
 
-// appendKey appends exactly what Key returns to b, reusing b's capacity so
-// hot-path key construction (Relation.Add dedup, hash-join bucketing) does
-// not allocate per value.
-func (v Value) appendKey(b []byte) []byte {
-	switch v.kind {
-	case URI:
-		b = append(b, "u:"...)
-		return append(b, v.str...)
-	case Number:
-		b = append(b, "n:"...)
-		return appendNumber(b, v.num)
-	case Bool:
-		if v.b {
-			return append(b, "b:true"...)
-		}
-		return append(b, "b:false"...)
-	case XML:
-		return appendTextKey(b, v.node.TextContent())
-	default:
-		return appendTextKey(b, v.str)
+// same reports whether p and q render the same Key. appendNumber renders
+// distinct floats distinctly, except that 0 and -0 both render "0" (they
+// are == as floats) and every NaN renders "NaN" (no NaN is == to any).
+func (p keyParts) same(q keyParts) bool {
+	if p.tag != q.tag {
+		return false
 	}
+	if p.tag == 'n' {
+		return p.num == q.num || (p.num != p.num && q.num != q.num)
+	}
+	return p.str == q.str
 }
 
-func appendTextKey(b []byte, s string) []byte {
-	if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
-		b = append(b, "n:"...)
-		return appendNumber(b, f)
+// parseNumber is strconv.ParseFloat(strings.TrimSpace(s), 64) reporting
+// success instead of an error. ParseFloat allocates an error and a copy of
+// s for every non-numeric string, and join keys ask about every text value;
+// so text whose first byte cannot begin a float (a digit, a sign, a point,
+// or the i/n of inf, infinity and nan) is rejected without calling it.
+func parseNumber(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" || strings.IndexByte("0123456789+-.iInN", s[0]) < 0 {
+		return 0, false
 	}
-	b = append(b, "s:"...)
-	return append(b, s...)
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 func appendNumber(b []byte, f float64) []byte {

@@ -204,7 +204,7 @@ func TestRouteEventByVocabulary(t *testing.T) {
 	n.peers["c"].vocabKnown = true // knows its vocabulary: empty
 	n.mu.Unlock()
 
-	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="` + testNS + `" x="1"/>`))
+	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="`+testNS+`" x="1"/>`))
 	if len(res.Forwarded) != 1 || res.Forwarded[0] != "b" {
 		t.Fatalf("Forwarded = %v, want [b]", res.Forwarded)
 	}
@@ -226,7 +226,7 @@ func TestRouteEventByVocabulary(t *testing.T) {
 	}
 
 	// No peer matches: the event stays local so it is never dropped.
-	res = n.RouteEvent("", xmltree.MustParse(`<t:nobody xmlns:t="` + testNS + `"/>`))
+	res = n.RouteEvent("", xmltree.MustParse(`<t:nobody xmlns:t="`+testNS+`"/>`))
 	if !res.Local || len(res.Forwarded) != 0 {
 		t.Errorf("unmatched event route = %+v, want local only", res)
 	}
@@ -241,7 +241,7 @@ func TestRouteEventConservativeBeforeFirstProbe(t *testing.T) {
 
 	// Vocabulary unknown everywhere: forward to every up peer rather than
 	// risk losing the event.
-	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="` + testNS + `"/>`))
+	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="`+testNS+`"/>`))
 	if len(res.Forwarded) != 2 {
 		t.Errorf("Forwarded = %v, want both peers", res.Forwarded)
 	}
@@ -263,7 +263,7 @@ func TestRouteEventShedAfterRetry(t *testing.T) {
 	n.peers["c"].vocabKnown = true
 	n.mu.Unlock()
 
-	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="` + testNS + `"/>`))
+	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="`+testNS+`"/>`))
 	if len(res.Shed) != 1 || res.Shed[0] != "b" {
 		t.Fatalf("Shed = %v, want [b]", res.Shed)
 	}
@@ -318,7 +318,7 @@ func TestForwardRuleLearnsVocabulary(t *testing.T) {
 
 	// The owner's new vocabulary is routable immediately, before the next
 	// probe refreshes it.
-	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="` + testNS + `"/>`))
+	res := n.RouteEvent("", xmltree.MustParse(`<t:ping xmlns:t="`+testNS+`"/>`))
 	if len(res.Forwarded) != 1 || res.Forwarded[0] != "b" {
 		t.Errorf("Forwarded = %v, want [b] via learned vocabulary", res.Forwarded)
 	}

@@ -89,12 +89,15 @@ func (m *EventMatcher) onEvent(ev events.Event) {
 	if m.tenantOnly && ev.Tenant != m.tenant {
 		return
 	}
-	m.pool.fanOut(func(part int) func() {
+	m.pool.fanOut(func(part int) Task {
 		shard := m.matchers[part]
 		if shard.Len() == 0 {
 			return nil
 		}
-		return func() { shard.OnEvent(ev) }
+		return func() func() {
+			shard.OnEvent(ev)
+			return nil
+		}
 	})
 }
 
@@ -154,18 +157,23 @@ func (m *EventMatcher) Handle(req *protocol.Request) (*protocol.Answer, error) {
 	}
 }
 
-// snoopEntry is one registered SNOOP detector plus its delivery context.
-// pend buffers the occurrences emitted during a Feed/Advance call so
-// delivery happens after the detector step, outside every lock — the
-// service-wide mutex is never held across deliver.Deliver's (potentially
-// slow, synchronous, HTTP) call. pend is only touched by the task feeding
-// the detector, on the partition it is pinned to.
+// snoopEntry is one registered SNOOP detector. pend buffers the
+// occurrences emitted during a Feed/Advance call so delivery happens after
+// the detector step, outside every lock — neither the service-wide mutex
+// nor the partition is held across deliver.Deliver's (potentially slow,
+// synchronous, HTTP) call. pend is only touched by the task feeding the
+// detector, on the partition it is pinned to.
 type snoopEntry struct {
-	key     string
-	det     *snoop.Detector
-	worker  int
+	key    string
+	det    *snoop.Detector
+	worker int
+	pend   []delivery
+}
+
+// delivery is one detection answer and where it goes.
+type delivery struct {
+	answer  *protocol.Answer
 	replyTo string
-	pend    []*protocol.Answer
 }
 
 // SnoopService is the composite event detection service: event components
@@ -224,25 +232,33 @@ func (s *SnoopService) rebuildLocked() {
 
 // step runs one detector step (a Feed or an Advance) on every partition
 // that holds detectors, as that partition's task, and delivers every
-// occurrence the step emitted. No lock of the service is held across step
-// or Deliver.
+// occurrence the step emitted in the task's follow-up, after the partition
+// is released. No lock is held across Deliver: an Advance tick's delivery
+// may raise an event that the stream dispatches on this goroutine into the
+// very partition the tick stepped.
 func (s *SnoopService) step(step func(*snoop.Detector)) {
-	s.pool.fanOut(func(part int) func() {
+	s.pool.fanOut(func(part int) Task {
 		s.mu.Lock()
 		entries := s.byWorker[part] // copy-on-write: safe to iterate unlocked
 		s.mu.Unlock()
 		if len(entries) == 0 {
 			return nil
 		}
-		return func() {
+		return func() func() {
+			var pend []delivery
 			for _, e := range entries {
 				step(e.det)
-				pend := e.pend
+				pend = append(pend, e.pend...)
 				e.pend = nil
-				for _, a := range pend {
+			}
+			if len(pend) == 0 {
+				return nil
+			}
+			return func() {
+				for _, d := range pend {
 					// Delivery failures are the subscriber's problem;
 					// detection goes on for the remaining rules.
-					_ = s.deliver.Deliver(a, e.replyTo)
+					_ = s.deliver.Deliver(d.answer, d.replyTo)
 				}
 			}
 		}
@@ -313,8 +329,8 @@ func (s *SnoopService) Handle(req *protocol.Request) (*protocol.Answer, error) {
 				return nil, err
 			}
 		}
-		entry := &snoopEntry{key: key, replyTo: req.ReplyTo, worker: s.pool.Pick(key)}
-		ruleID, component := req.RuleID, req.Component
+		entry := &snoopEntry{key: key, worker: s.pool.Pick(key)}
+		ruleID, component, replyTo := req.RuleID, req.Component, req.ReplyTo
 		det, err := snoop.NewDetector(expr, ctx, func(o snoop.Occurrence) {
 			a := &protocol.Answer{RuleID: ruleID, Component: component}
 			row := protocol.AnswerRow{Tuple: o.Bindings}
@@ -331,9 +347,9 @@ func (s *SnoopService) Handle(req *protocol.Request) (*protocol.Answer, error) {
 				}
 			}
 			a.Rows = append(a.Rows, row)
-			// Buffered, not delivered: the feeding goroutine drains pend
-			// after the detector step, outside every lock.
-			entry.pend = append(entry.pend, a)
+			// Buffered, not delivered: the feeding task hands pend to its
+			// follow-up, which delivers outside every lock.
+			entry.pend = append(entry.pend, delivery{a, replyTo})
 		})
 		if err != nil {
 			return nil, err

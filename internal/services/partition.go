@@ -36,7 +36,7 @@ type DetectorPool struct {
 
 type partition struct {
 	mu     sync.Mutex   // zero-worker pool: serializes tasks run on their callers
-	tasks  chan func()  // nil in the zero-worker pool
+	tasks  chan Task    // nil in the zero-worker pool
 	events *obs.Counter // snoop_partition_events_total{partition}
 	depth  *obs.Gauge   // snoop_partition_queue_depth{partition}
 }
@@ -59,13 +59,15 @@ func NewDetectorPool(workers int, h *obs.Hub) *DetectorPool {
 		}
 		p.parts = append(p.parts, w)
 		if workers > 0 {
-			w.tasks = make(chan func(), DefaultPartitionQueue)
+			w.tasks = make(chan Task, DefaultPartitionQueue)
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
 				for task := range w.tasks {
 					w.depth.Set(float64(len(w.tasks)))
-					task()
+					if then := task(); then != nil {
+						then()
+					}
 				}
 			}()
 		}
@@ -86,27 +88,44 @@ func (p *DetectorPool) Pick(key string) int {
 	return int(h.Sum32() % uint32(len(p.parts)))
 }
 
+// A Task is one unit of a partition's work. It runs serialized with the
+// partition's other tasks. The function it returns, if not nil, runs right
+// after it: in the zero-worker pool on the enqueuing goroutine with the
+// partition's mutex released, with workers as the worker's next step.
+// Delivery goes there, because a delivery can publish (act:raise) and so
+// enqueue on the same partition again, which must not wait for the task
+// that is delivering.
+type Task func() (then func())
+
 // Enqueue hands a task to the given partition. With workers it blocks
 // while the partition's queue is full (the documented back-pressure
 // contract) and the task runs later on the partition's goroutine; without,
-// the task runs here, serialized with the partition's other callers. Either
-// way tasks enqueued by one goroutine run in enqueue order.
-func (p *DetectorPool) Enqueue(part int, task func()) {
+// the task runs here, serialized with the partition's other callers, and its
+// follow-up runs here too once the partition is released. Either way tasks
+// enqueued by one goroutine run in enqueue order.
+func (p *DetectorPool) Enqueue(part int, task Task) {
 	w := p.parts[part]
 	w.events.Inc()
 	if w.tasks == nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		task()
+		if then := w.run(task); then != nil {
+			then()
+		}
 		return
 	}
 	w.tasks <- task
 	w.depth.Set(float64(len(w.tasks)))
 }
 
+// run runs a task of the zero-worker partition under its mutex.
+func (w *partition) run(task Task) func() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return task()
+}
+
 // fanOut enqueues, in partition order, the task that taskFor returns for
 // each partition; a nil task skips a partition that holds no detector.
-func (p *DetectorPool) fanOut(taskFor func(part int) func()) {
+func (p *DetectorPool) fanOut(taskFor func(part int) Task) {
 	for i := range p.parts {
 		if task := taskFor(i); task != nil {
 			p.Enqueue(i, task)

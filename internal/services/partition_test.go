@@ -70,10 +70,11 @@ func TestDetectorPoolEnqueueOrder(t *testing.T) {
 	const n = 4 * DefaultPartitionQueue // more than the queue holds: Enqueue must block, not drop
 	for i := 0; i < n; i++ {
 		i := i
-		p.Enqueue(1, func() {
+		p.Enqueue(1, func() func() {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
+			return nil
 		})
 	}
 	p.Close() // drains
@@ -346,7 +347,7 @@ func TestDetectorPoolMetrics(t *testing.T) {
 	h := obs.NewHub()
 	pool := NewDetectorPool(2, h)
 	done := make(chan struct{})
-	pool.Enqueue(0, func() { close(done) })
+	pool.Enqueue(0, func() func() { close(done); return nil })
 	<-done
 	pool.Close()
 	var b strings.Builder

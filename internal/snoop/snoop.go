@@ -14,11 +14,14 @@
 // The logical-variable extension: every occurrence carries a tuple of
 // variable bindings; combining operators join tuples and drop incompatible
 // combinations, so a variable occurring in several constituent patterns acts
-// as a join variable across the composite event.
+// as a join variable across the composite event. Operators index their
+// initiator state by the join variables both operands always bind, so a
+// terminator only meets the initiators that can join it.
 package snoop
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -113,8 +116,11 @@ func merge(a, b Occurrence) Occurrence {
 
 // Expr is a composite event expression.
 type Expr interface {
-	// node builds the detector node for this expression.
-	node(d *Detector) node
+	// node builds the detector node for this expression and returns it
+	// with the expression's always-bound variables, sorted: the variables
+	// every occurrence the node emits binds. Operators key their stores by
+	// the always-bound variables their operands share.
+	node(d *Detector) (node, []string)
 	// String renders the expression in algebra syntax.
 	String() string
 }
@@ -260,7 +266,7 @@ func NewDetector(e Expr, ctx ParamContext, sink func(Occurrence)) (*Detector, er
 		return nil, err
 	}
 	d := &Detector{ctx: ctx, sink: sink}
-	d.root = e.node(d)
+	d.root, _ = e.node(d)
 	d.root.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			d.fired.Inc()
@@ -318,10 +324,10 @@ type atomicNode struct {
 	emit    func([]Occurrence)
 }
 
-func (e *Atomic) node(d *Detector) node {
+func (e *Atomic) node(d *Detector) (node, []string) {
 	n := &atomicNode{pattern: e.Pattern}
 	d.leaves = append(d.leaves, n)
-	return n
+	return n, e.Pattern.Vars()
 }
 
 func (n *atomicNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -347,92 +353,186 @@ func (n *atomicNode) feed(ev events.Event) {
 
 type orNode struct{ emit func([]Occurrence) }
 
-func (e *Or) node(d *Detector) node {
+func (e *Or) node(d *Detector) (node, []string) {
 	n := &orNode{}
-	l := e.L.node(d)
-	r := e.R.node(d)
+	l, lv := e.L.node(d)
+	r, rv := e.R.node(d)
 	pass := func(occs []Occurrence) { n.emit(occs) }
 	l.setParent(pass)
 	r.setParent(pass)
-	return n
+	return n, intersect(lv, rv)
 }
 
 func (n *orNode) setParent(emit func([]Occurrence)) { n.emit = emit }
 
-// --- binary initiator/terminator pairing (Seq, And) --------------------------------
+// --- always-bound variables ----------------------------------------------------
 
-// pairStore keeps initiator occurrences under a parameter context.
-type pairStore struct {
-	ctx  ParamContext
-	occs []Occurrence
+// union and intersect combine sorted variable sets into new sorted sets.
+func union(a, b []string) []string {
+	u := append(append([]string(nil), a...), b...)
+	sort.Strings(u)
+	return slices.Compact(u)
 }
 
-func (s *pairStore) add(o Occurrence) {
-	if s.ctx == Recent {
-		s.occs = s.occs[:0]
-	}
-	s.occs = append(s.occs, o)
-}
-
-// pair combines a terminator occurrence with stored initiators according to
-// the context, returning the emitted occurrences. ok filters admissible
-// pairs (ordering for Seq, binding compatibility everywhere).
-func (s *pairStore) pair(term Occurrence, ok func(init Occurrence) bool) []Occurrence {
-	var out []Occurrence
-	switch s.ctx {
-	case Unrestricted, Recent:
-		for _, init := range s.occs {
-			if ok(init) {
-				out = append(out, merge(init, term))
-			}
-		}
-	case Chronicle:
-		for i, init := range s.occs {
-			if ok(init) {
-				out = append(out, merge(init, term))
-				s.occs = append(s.occs[:i], s.occs[i+1:]...)
-				break
-			}
-		}
-	case Continuous:
-		var rest []Occurrence
-		for _, init := range s.occs {
-			if ok(init) {
-				out = append(out, merge(init, term))
-			} else {
-				rest = append(rest, init)
-			}
-		}
-		s.occs = rest
-	case Cumulative:
-		acc := term
-		matched := false
-		var rest []Occurrence
-		for _, init := range s.occs {
-			if ok(init) && init.Bindings.Compatible(acc.Bindings) {
-				acc = merge(init, acc)
-				matched = true
-			} else {
-				rest = append(rest, init)
-			}
-		}
-		if matched {
-			out = append(out, acc)
-			s.occs = rest
+func intersect(a, b []string) []string {
+	var out []string
+	for _, v := range a {
+		if slices.Contains(b, v) {
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-type seqNode struct {
-	emit  func([]Occurrence)
-	store pairStore
+// --- pending-occurrence store ----------------------------------------------------
+
+// store keeps an operator's pending occurrences (initiators, open windows)
+// under the detector's parameter context, in buckets keyed by the values of
+// the store's key variables: variables that every stored occurrence and
+// every probing occurrence bind. Value.Equal implies equal Value.Key, so
+// every stored occurrence compatible with a probe sits in the probe's
+// bucket, and each operation walks that bucket alone, oldest first. The
+// full compatibility check still runs inside the bucket: XML values with
+// equal keys can differ. With no key variables every occurrence shares the
+// bucket "". An emptied bucket is deleted.
+type store struct {
+	ctx     ParamContext
+	vars    []string
+	buckets map[string]*bucket
+	key     []byte // scratch for the probe's key
 }
 
-func (e *Seq) node(d *Detector) node {
-	n := &seqNode{store: pairStore{ctx: d.ctx}}
-	l := e.L.node(d)
-	r := e.R.node(d)
+type bucket struct {
+	key  string
+	occs []Occurrence // insertion order
+}
+
+func newStore(ctx ParamContext, vars []string) *store {
+	return &store{ctx: ctx, vars: vars, buckets: map[string]*bucket{}}
+}
+
+// find returns the bucket t's key values select, or nil, leaving the key in
+// s.key.
+func (s *store) find(t bindings.Tuple) *bucket {
+	s.key = s.key[:0]
+	for i, v := range s.vars {
+		if i > 0 {
+			s.key = append(s.key, '\x01')
+		}
+		s.key = t[v].AppendKey(s.key)
+	}
+	return s.buckets[string(s.key)] // no-alloc probe
+}
+
+// add stores an occurrence; under Recent it replaces the one stored.
+func (s *store) add(o Occurrence) {
+	if s.ctx == Recent {
+		clear(s.buckets)
+	}
+	b := s.find(o.Bindings)
+	if b == nil {
+		b = &bucket{key: string(s.key)}
+		s.buckets[b.key] = b
+	}
+	b.occs = append(b.occs, o)
+}
+
+// lookup returns the stored occurrences in t's bucket, oldest first. The
+// slice is the store's; callers must not modify it.
+func (s *store) lookup(t bindings.Tuple) []Occurrence {
+	if b := s.find(t); b != nil {
+		return b.occs
+	}
+	return nil
+}
+
+// pair combines a terminator occurrence with stored initiators according to
+// the context, returning the emitted occurrences. ok filters admissible
+// pairs (ordering for Seq, binding compatibility everywhere).
+func (s *store) pair(term Occurrence, ok func(init Occurrence) bool) []Occurrence {
+	b := s.find(term.Bindings)
+	if b == nil {
+		return nil
+	}
+	var out []Occurrence
+	switch s.ctx {
+	case Unrestricted, Recent:
+		for _, init := range b.occs {
+			if ok(init) {
+				out = append(out, merge(init, term))
+			}
+		}
+	case Chronicle:
+		for i, init := range b.occs {
+			if ok(init) {
+				out = append(out, merge(init, term))
+				b.occs = slices.Delete(b.occs, i, i+1)
+				break
+			}
+		}
+	case Continuous:
+		b.keep(func(init Occurrence) bool {
+			if ok(init) {
+				out = append(out, merge(init, term))
+				return false
+			}
+			return true
+		})
+	case Cumulative:
+		acc, matched := term, false
+		b.keep(func(init Occurrence) bool {
+			if ok(init) && init.Bindings.Compatible(acc.Bindings) {
+				acc, matched = merge(init, acc), true
+				return false
+			}
+			return true
+		})
+		if matched {
+			out = append(out, acc)
+		}
+	}
+	s.prune(b)
+	return out
+}
+
+// drop removes every occurrence in term's bucket that ok admits.
+func (s *store) drop(term Occurrence, ok func(init Occurrence) bool) {
+	if b := s.find(term.Bindings); b != nil {
+		b.keep(func(init Occurrence) bool { return !ok(init) })
+		s.prune(b)
+	}
+}
+
+func (s *store) prune(b *bucket) {
+	if len(b.occs) == 0 {
+		delete(s.buckets, b.key)
+	}
+}
+
+// keep retains, in order, the occurrences for which f reports true; f sees
+// each occurrence once, oldest first.
+func (b *bucket) keep(f func(Occurrence) bool) {
+	kept := b.occs[:0]
+	for _, o := range b.occs {
+		if f(o) {
+			kept = append(kept, o)
+		}
+	}
+	clear(b.occs[len(kept):])
+	b.occs = kept
+}
+
+// --- binary initiator/terminator pairing (Seq, And) --------------------------------
+
+type seqNode struct {
+	emit  func([]Occurrence)
+	store *store
+}
+
+func (e *Seq) node(d *Detector) (node, []string) {
+	l, lv := e.L.node(d)
+	r, rv := e.R.node(d)
+	n := &seqNode{store: newStore(d.ctx, intersect(lv, rv))}
 	l.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.store.add(o)
@@ -449,46 +549,40 @@ func (e *Seq) node(d *Detector) node {
 			n.emit(out)
 		}
 	})
-	return n
+	return n, union(lv, rv)
 }
 
 func (n *seqNode) setParent(emit func([]Occurrence)) { n.emit = emit }
 
 type andNode struct {
 	emit func([]Occurrence)
-	l, r pairStore
+	l, r *store
 }
 
-func (e *And) node(d *Detector) node {
-	n := &andNode{l: pairStore{ctx: d.ctx}, r: pairStore{ctx: d.ctx}}
-	l := e.L.node(d)
-	r := e.R.node(d)
-	l.setParent(func(occs []Occurrence) {
-		var out []Occurrence
-		for _, o := range occs {
-			// Pair with stored right occurrences; also store as initiator.
-			out = append(out, n.r.pair(o, func(other Occurrence) bool {
-				return other.Bindings.Compatible(o.Bindings)
-			})...)
-			n.l.add(o)
+func (e *And) node(d *Detector) (node, []string) {
+	l, lv := e.L.node(d)
+	r, rv := e.R.node(d)
+	shared := intersect(lv, rv)
+	n := &andNode{l: newStore(d.ctx, shared), r: newStore(d.ctx, shared)}
+	// An occurrence of either side pairs with the other side's stored ones
+	// and is then stored as an initiator itself.
+	side := func(mine, other *store) func([]Occurrence) {
+		return func(occs []Occurrence) {
+			var out []Occurrence
+			for _, o := range occs {
+				out = append(out, other.pair(o, func(init Occurrence) bool {
+					return init.Bindings.Compatible(o.Bindings)
+				})...)
+				mine.add(o)
+			}
+			if len(out) > 0 {
+				n.emit(out)
+			}
 		}
-		if len(out) > 0 {
-			n.emit(out)
-		}
-	})
-	r.setParent(func(occs []Occurrence) {
-		var out []Occurrence
-		for _, o := range occs {
-			out = append(out, n.l.pair(o, func(other Occurrence) bool {
-				return other.Bindings.Compatible(o.Bindings)
-			})...)
-			n.r.add(o)
-		}
-		if len(out) > 0 {
-			n.emit(out)
-		}
-	})
-	return n
+	}
+	l.setParent(side(n.l, n.r))
+	r.setParent(side(n.r, n.l))
+	return n, union(lv, rv)
 }
 
 func (n *andNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -498,17 +592,25 @@ func (n *andNode) setParent(emit func([]Occurrence)) { n.emit = emit }
 type anyNode struct {
 	emit   func([]Occurrence)
 	m      int
-	stores []pairStore
+	stores []*store
 }
 
-func (e *Any) node(d *Detector) node {
-	n := &anyNode{m: e.M, stores: make([]pairStore, len(e.Children))}
-	for i := range n.stores {
-		n.stores[i].ctx = d.ctx
-	}
+func (e *Any) node(d *Detector) (node, []string) {
+	n := &anyNode{m: e.M}
+	kids := make([]node, len(e.Children))
+	var bound []string
 	for i, c := range e.Children {
+		var vars []string
+		kids[i], vars = c.node(d)
+		if i == 0 {
+			bound = vars
+		} else {
+			bound = intersect(bound, vars)
+		}
+	}
+	for i, cn := range kids {
 		idx := i
-		cn := c.node(d)
+		n.stores = append(n.stores, newStore(d.ctx, bound))
 		cn.setParent(func(occs []Occurrence) {
 			var out []Occurrence
 			for _, o := range occs {
@@ -520,7 +622,7 @@ func (e *Any) node(d *Detector) node {
 			}
 		})
 	}
-	return n
+	return n, bound
 }
 
 func (n *anyNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -538,13 +640,14 @@ func (n *anyNode) combine(idx int, o Occurrence) []Occurrence {
 		occ   Occurrence
 	}
 	var cands []cand
-	for i := range n.stores {
+	for i, s := range n.stores {
 		if i == idx {
 			continue
 		}
-		for j := len(n.stores[i].occs) - 1; j >= 0; j-- {
-			if n.stores[i].occs[j].Bindings.Compatible(o.Bindings) {
-				cands = append(cands, cand{i, n.stores[i].occs[j]})
+		occs := s.lookup(o.Bindings)
+		for j := len(occs) - 1; j >= 0; j-- {
+			if occs[j].Bindings.Compatible(o.Bindings) {
+				cands = append(cands, cand{i, occs[j]})
 				break
 			}
 		}
@@ -567,15 +670,15 @@ func (n *anyNode) combine(idx int, o Occurrence) []Occurrence {
 
 type notNode struct {
 	emit    func([]Occurrence)
-	inits   pairStore
+	inits   *store
 	guarded []Occurrence
 }
 
-func (e *Not) node(d *Detector) node {
-	n := &notNode{inits: pairStore{ctx: d.ctx}}
-	b := e.Begin.node(d)
-	g := e.Guarded.node(d)
-	t := e.End.node(d)
+func (e *Not) node(d *Detector) (node, []string) {
+	b, bv := e.Begin.node(d)
+	g, _ := e.Guarded.node(d)
+	t, tv := e.End.node(d)
+	n := &notNode{inits: newStore(d.ctx, intersect(bv, tv))}
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.inits.add(o)
@@ -604,7 +707,7 @@ func (e *Not) node(d *Detector) node {
 			n.emit(out)
 		}
 	})
-	return n
+	return n, union(bv, tv)
 }
 
 func (n *notNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -613,14 +716,15 @@ func (n *notNode) setParent(emit func([]Occurrence)) { n.emit = emit }
 
 type aperiodicNode struct {
 	emit func([]Occurrence)
-	open pairStore
+	open *store
 }
 
-func (e *Aperiodic) node(d *Detector) node {
-	n := &aperiodicNode{open: pairStore{ctx: d.ctx}}
-	b := e.Begin.node(d)
-	m := e.Mid.node(d)
-	t := e.End.node(d)
+func (e *Aperiodic) node(d *Detector) (node, []string) {
+	b, bv := e.Begin.node(d)
+	m, mv := e.Mid.node(d)
+	t, tv := e.End.node(d)
+	// Mids and terminators both probe the open windows.
+	n := &aperiodicNode{open: newStore(d.ctx, intersect(intersect(bv, mv), tv))}
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.open.add(o)
@@ -630,7 +734,7 @@ func (e *Aperiodic) node(d *Detector) node {
 		var out []Occurrence
 		for _, mid := range occs {
 			// Signal mid inside every open window; windows stay open.
-			for _, init := range n.open.occs {
+			for _, init := range n.open.lookup(mid.Bindings) {
 				if init.End < mid.Start && init.Bindings.Compatible(mid.Bindings) {
 					out = append(out, merge(init, mid))
 				}
@@ -643,23 +747,18 @@ func (e *Aperiodic) node(d *Detector) node {
 	t.setParent(func(occs []Occurrence) {
 		for _, term := range occs {
 			// Terminators close windows per context; nothing is emitted.
-			n.open.pair(term, func(init Occurrence) bool {
+			closes := func(init Occurrence) bool {
 				return init.End < term.Start && init.Bindings.Compatible(term.Bindings)
-			})
+			}
 			if n.open.ctx == Unrestricted || n.open.ctx == Recent {
-				// pair() does not consume in these contexts; drop closed
-				// windows explicitly.
-				var rest []Occurrence
-				for _, init := range n.open.occs {
-					if !(init.End < term.Start && init.Bindings.Compatible(term.Bindings)) {
-						rest = append(rest, init)
-					}
-				}
-				n.open.occs = rest
+				// pair consumes nothing in these contexts.
+				n.open.drop(term, closes)
+			} else {
+				n.open.pair(term, closes)
 			}
 		}
 	})
-	return n
+	return n, union(bv, mv)
 }
 
 func (n *aperiodicNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -677,11 +776,11 @@ type starWindow struct {
 	mids []Occurrence
 }
 
-func (e *AperiodicStar) node(d *Detector) node {
+func (e *AperiodicStar) node(d *Detector) (node, []string) {
 	n := &aperiodicStarNode{ctx: d.ctx}
-	b := e.Begin.node(d)
-	m := e.Mid.node(d)
-	t := e.End.node(d)
+	b, bv := e.Begin.node(d)
+	m, _ := e.Mid.node(d)
+	t, tv := e.End.node(d)
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			if n.ctx == Recent {
@@ -727,7 +826,7 @@ func (e *AperiodicStar) node(d *Detector) node {
 			n.emit(out)
 		}
 	})
-	return n
+	return n, union(bv, tv)
 }
 
 func (n *aperiodicStarNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -747,11 +846,11 @@ type periodicWindow struct {
 	due  time.Time
 }
 
-func (e *Periodic) node(d *Detector) node {
+func (e *Periodic) node(d *Detector) (node, []string) {
 	n := &periodicNode{interval: e.Interval}
 	d.periodics = append(d.periodics, n)
-	b := e.Begin.node(d)
-	t := e.End.node(d)
+	b, bv := e.Begin.node(d)
+	t, _ := e.End.node(d)
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.windows = append(n.windows, periodicWindow{init: o, due: o.EndTime.Add(n.interval)})
@@ -768,7 +867,7 @@ func (e *Periodic) node(d *Detector) node {
 			n.windows = rest
 		}
 	})
-	return n
+	return n, bv
 }
 
 func (n *periodicNode) setParent(emit func([]Occurrence)) { n.emit = emit }

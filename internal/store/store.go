@@ -463,8 +463,9 @@ func (s *Store) AppendEvent(doc *xmltree.Node) (uint64, error) {
 	s.eventSeq++
 	id := s.eventSeq
 	now := time.Now()
-	s.events[id] = eventEntry{ID: id, Doc: doc.String(), Accepted: now}
-	if err := s.appendLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: doc.String()}); err != nil {
+	text := doc.String()
+	s.events[id] = eventEntry{ID: id, Doc: text, Accepted: now}
+	if err := s.appendLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: text}); err != nil {
 		delete(s.events, id)
 		return 0, err
 	}
@@ -504,8 +505,9 @@ func (s *Store) AppendEventBatchTenant(tenant string, docs []*xmltree.Node) ([]u
 		}
 		s.eventSeq++
 		id := s.eventSeq
-		s.events[id] = eventEntry{ID: id, Doc: doc.String(), Accepted: now, Tenant: tenant}
-		if err := s.appendRecordLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: doc.String(), Tenant: tenant}, false); err != nil {
+		text := doc.String()
+		s.events[id] = eventEntry{ID: id, Doc: text, Accepted: now, Tenant: tenant}
+		if err := s.appendRecordLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: text, Tenant: tenant}, false); err != nil {
 			delete(s.events, id)
 			// The already-journaled prefix stays accepted; sync it so the
 			// caller's view (publish the prefix, fail the rest) matches disk.

@@ -1,9 +1,10 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark per figure
-// plus the scaling series recorded in EXPERIMENTS.md. The paper (a
+// plus a few language-level micro-benchmarks. The paper (a
 // prototype/demonstration paper) reports no absolute numbers; what must
 // reproduce is each figure's artifact and message flow — asserted by
 // TestReproduceAllFigures and the engine integration tests — while the
-// benchmarks put costs against every step of the architecture.
+// benchmarks put costs against every step of the architecture. End-to-end
+// performance is measured by the benchmark/ module (BENCHMARK.json).
 //
 // Run with: go test -bench=. -benchmem
 package eca_test
@@ -41,27 +42,6 @@ func TestReproduceAllFigures(t *testing.T) {
 		t.Run(fmt.Sprintf("fig%d", n), func(t *testing.T) {
 			if err := bench.RunFigure(n, io.Discard); err != nil {
 				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestAllSeriesRun smoke-tests every performance series end to end
-// (testing.B variants run as benchmarks below).
-func TestAllSeriesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("series are not short")
-	}
-	for _, s := range bench.Series() {
-		s := s
-		t.Run(s, func(t *testing.T) {
-			// hotpath and cache fail on a ratio of two timed loops, so
-			// they run alone, before the parallel rest shares the CPUs.
-			if s != "hotpath" && s != "cache" {
-				t.Parallel()
-			}
-			if err := bench.RunSeries(s, io.Discard); err != nil {
-				t.Fatalf("series %s: %v", s, err)
 			}
 		})
 	}
@@ -325,28 +305,7 @@ func BenchmarkFig3EndToEnd(b *testing.B) {
 	}
 }
 
-// --- scaling-series benchmarks ----------------------------------------------------
-
-// BenchmarkAtomicMatch: event matching vs. registered pattern count.
-func BenchmarkAtomicMatch(b *testing.B) {
-	for _, m := range []int{1, 10, 100, 1000} {
-		b.Run(fmt.Sprintf("patterns=%d", m), func(b *testing.B) {
-			matcher := events.NewMatcher()
-			for i := 0; i < m; i++ {
-				matcher.Register(fmt.Sprintf("k%d", i),
-					events.MustPattern(fmt.Sprintf(`<e%d x="$X"/>`, i)),
-					func(events.Detection) {})
-			}
-			payload := xmltree.NewElement("", "e0")
-			payload.SetAttr("", "x", "1")
-			ev := events.Event{Payload: payload}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matcher.OnEvent(ev)
-			}
-		})
-	}
-}
+// --- language benchmarks ---------------------------------------------------------
 
 // BenchmarkSnoopSeq: sequence detection by parameter context.
 func BenchmarkSnoopSeq(b *testing.B) {
@@ -366,29 +325,6 @@ func BenchmarkSnoopSeq(b *testing.B) {
 				el := xmltree.NewElement("", names[i%2])
 				el.SetAttr("", "k", fmt.Sprint((i/2)%8))
 				det.Feed(events.Event{Payload: el, Seq: uint64(i + 1), Time: time.Unix(int64(i), 0)})
-			}
-		})
-	}
-}
-
-// BenchmarkNaturalJoin: join cost vs. relation size (linear output).
-func BenchmarkNaturalJoin(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			mk := func(payload string) *bindings.Relation {
-				r := bindings.NewRelation()
-				for i := 0; i < n; i++ {
-					r.Add(bindings.MustTuple(
-						"K", bindings.Str(fmt.Sprintf("k%d", i%(n/2+1))),
-						payload, bindings.Str(fmt.Sprintf("v%d", i)),
-					))
-				}
-				return r
-			}
-			r, s := mk("A"), mk("B")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Join(s)
 			}
 		})
 	}

@@ -1,30 +1,20 @@
-// Command ecabench regenerates the paper's figures and produces the
-// performance series recorded in EXPERIMENTS.md:
+// Command ecabench regenerates the paper's figures:
 //
 //	ecabench -fig 8               # replay one figure's artifact / message flow
 //	ecabench -figs                # replay all figures (1–11)
-//	ecabench -series join         # run one performance series
-//	ecabench -series resilience   # dispatch against flaky/dead services: retry + breaker effect
-//	ecabench -series cache,partition -json BENCH_throughput.json
-//	                              # GRH throughput layer, stats persisted as JSON
-//	ecabench -all                 # figures + every series
 //
-// -series accepts a comma-separated list. With -json, the per-series
-// stats (GRH dispatch p50/p95, cache hit rate, coalescing and shard
-// counters) of every series run are written to the given file.
+// Performance is measured by the benchmark/ module (see BENCHMARK.json and
+// benchmark/README.md), not by this command.
 //
 // The exit status is non-zero when any figure replay fails its assertions
-// (e.g. the Fig. 11 join does not leave exactly one surviving tuple) or a
-// series errors; all figures are still attempted so one failure does not
-// hide another.
+// (e.g. the Fig. 11 join does not leave exactly one surviving tuple); all
+// figures are still attempted so one failure does not hide another.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
@@ -38,9 +28,6 @@ func main() {
 	var (
 		fig       = flag.Int("fig", 0, "reproduce one figure (1–11)")
 		figs      = flag.Bool("figs", false, "reproduce all figures")
-		series    = flag.String("series", "", "run performance series (comma-separated)")
-		all       = flag.Bool("all", false, "figures + all series")
-		jsonPath  = flag.String("json", "", "write per-series stats (dispatch p50/p95, cache hit rate) as JSON to this file")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logFormat = flag.String("log-format", "text", "structured log encoding: text or json")
 	)
@@ -53,65 +40,23 @@ func main() {
 	logger = obs.NewLogger(os.Stderr, *logFormat, level)
 
 	failed := 0
-	var stats []bench.SeriesStats
-	runSeries := func(name string) {
-		st, err := bench.RunSeriesStats(name, os.Stdout)
-		if err == nil {
-			stats = append(stats, st)
-		}
-		failed += report("series "+name, err)
-	}
 	switch {
 	case *fig != 0:
 		failed += report(fmt.Sprintf("figure %d", *fig), bench.RunFigure(*fig, os.Stdout))
 	case *figs:
-		failed += runFigs()
-	case *series != "":
-		for i, s := range strings.Split(*series, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			if i > 0 {
-				fmt.Println()
-			}
-			runSeries(s)
-		}
-	case *all:
-		failed += runFigs()
-		for _, s := range bench.Series() {
-			fmt.Println()
-			runSeries(s)
+		for _, n := range bench.Figures() {
+			fmt.Printf("\n════════ Figure %d ════════\n\n", n)
+			failed += report(fmt.Sprintf("figure %d", n), bench.RunFigure(n, os.Stdout))
 		}
 	default:
 		flag.Usage()
-		fmt.Fprintf(os.Stderr, "\nfigures: %v\nseries: %v\n", bench.Figures(), bench.Series())
+		fmt.Fprintf(os.Stderr, "\nfigures: %v\n", bench.Figures())
 		os.Exit(2)
-	}
-	if *jsonPath != "" && len(stats) > 0 {
-		out, err := json.MarshalIndent(stats, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			logger.Error("writing stats", "file", *jsonPath, "error", err.Error())
-			failed++
-		} else {
-			logger.Info("stats written", "file", *jsonPath, "series", len(stats))
-		}
 	}
 	if failed > 0 {
 		logger.Error("replays failed", "count", failed)
 		os.Exit(1)
 	}
-}
-
-func runFigs() (failed int) {
-	for _, n := range bench.Figures() {
-		fmt.Printf("\n════════ Figure %d ════════\n\n", n)
-		failed += report(fmt.Sprintf("figure %d", n), bench.RunFigure(n, os.Stdout))
-	}
-	return failed
 }
 
 // report logs a failed replay and returns 1 for it, 0 otherwise.

@@ -325,6 +325,10 @@ func run(o options) error {
 	base := "http://" + ln.Addr().String()
 	mux := sys.Mux(opaqueDoc, travel.Namespaces())
 	srv := &http.Server{Handler: mux}
+	// The daemon serves before its start-up is done (the travel rule's
+	// opaque URLs and -distribute need the live listener), so /healthz
+	// says "starting" until recovery, start-up rules and the cluster are in.
+	sys.SetStarting(true)
 
 	serveErr := make(chan error, 1)
 	go func() {
@@ -417,6 +421,7 @@ func run(o options) error {
 		logger.Info("cluster node started", "node", sys.Cluster.ID(),
 			"peers", o.peers, "replicate_to", sys.Cluster.Follower())
 	}
+	sys.SetStarting(false)
 
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting HTTP first,
 	// then let the engine finish every in-flight rule instance.

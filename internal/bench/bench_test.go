@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/compilecache"
 )
 
 // TestFigureContent pins the load-bearing content of each regenerated
@@ -87,29 +92,74 @@ func figName(n int) string {
 	return "fig" + string(rune('0'+n/10)) + string(rune('0'+n%10))
 }
 
-func TestUnknownFigureAndSeries(t *testing.T) {
+func TestUnknownFigure(t *testing.T) {
 	var b strings.Builder
 	if err := RunFigure(12, &b); err == nil {
 		t.Error("figure 12 should not exist")
 	}
-	if err := RunSeries("bogus", &b); err == nil {
-		t.Error("bogus series should fail")
+}
+
+// ephemeralPort scrubs the only nondeterminism in figure replays: the OS
+// assigns each httptest service a fresh loopback port, which leaks into the
+// traced request URLs.
+var ephemeralPort = regexp.MustCompile(`127\.0\.0\.1:\d+`)
+
+func normalizePorts(s string) string {
+	return ephemeralPort.ReplaceAllString(s, "127.0.0.1:0")
+}
+
+// TestCachedVsFreshFigureReplays is the compile-once property test: every
+// message-flow figure (Figs. 5–11) must replay byte-identically whether the
+// expressions are compiled fresh per dispatch (cache disabled) or served
+// from a warm cache. Any divergence means a cached compiled form carries
+// state between evaluations.
+func TestCachedVsFreshFigureReplays(t *testing.T) {
+	cache := compilecache.Default
+	defer func() {
+		cache.SetCapacity(compilecache.DefaultCapacity)
+		cache.Purge()
+	}()
+
+	run := func(n int) (string, error) {
+		var buf bytes.Buffer
+		err := RunFigure(n, &buf)
+		return normalizePorts(buf.String()), err
+	}
+
+	for _, n := range []int{5, 6, 7, 8, 9, 10, 11} {
+		t.Run(fmt.Sprintf("fig%d", n), func(t *testing.T) {
+			// Fresh: the cache is bypassed, every Get compiles.
+			cache.SetCapacity(0)
+			cache.Purge()
+			fresh, err := run(n)
+			if err != nil {
+				t.Fatalf("fresh replay: %v", err)
+			}
+			// Cached: warm the cache with one full replay, then compare a
+			// second replay served entirely from cached compiled forms.
+			cache.SetCapacity(compilecache.DefaultCapacity)
+			cache.Purge()
+			if _, err := run(n); err != nil {
+				t.Fatalf("warming replay: %v", err)
+			}
+			cached, err := run(n)
+			if err != nil {
+				t.Fatalf("cached replay: %v", err)
+			}
+			if cached != fresh {
+				t.Fatalf("cached replay diverges from fresh:%s", firstDiff(fresh, cached))
+			}
+		})
 	}
 }
 
-func TestSeriesOutputsTables(t *testing.T) {
-	// Only the cheap, local series — the HTTP ones run via cmd/ecabench.
-	for _, s := range []string{"xpath", "xq", "join"} {
-		var b strings.Builder
-		if err := RunSeries(s, &b); err != nil {
-			t.Fatalf("series %s: %v", s, err)
-		}
-		lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-		if len(lines) < 3 {
-			t.Errorf("series %s produced %d lines", s, len(lines))
-		}
-		if !strings.Contains(lines[0], "series "+s) {
-			t.Errorf("series %s header = %q", s, lines[0])
+// firstDiff renders the first differing line for a readable failure.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("\n  line %d:\n  fresh:  %q\n  cached: %q", i+1, al[i], bl[i])
 		}
 	}
+	return fmt.Sprintf("\n  lengths differ: fresh %d lines, cached %d lines", len(al), len(bl))
 }

@@ -1,12 +1,13 @@
-// Package bench is the experiment harness behind cmd/ecabench and the
-// repository-level benchmarks: it replays every figure of the paper
-// (architecture artifacts and the car-rental message flows of Figs. 4–11)
-// and produces the performance series recorded in EXPERIMENTS.md.
+// Package bench is the figure-replay harness behind cmd/ecabench and the
+// repository-level figure tests and benchmarks: it replays every figure of
+// the paper (architecture artifacts and the car-rental message flows of
+// Figs. 4–11). Performance is measured by the benchmark/ module, not here.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -176,10 +177,7 @@ func fig3(w io.Writer) error {
 		return err
 	}
 	defer cleanup()
-	srv, err := serveMux(sc)
-	if err != nil {
-		return err
-	}
+	srv := httptest.NewServer(sc.Mux(xmltree.MustParse(travel.ClassesXML), travel.Namespaces()))
 	defer srv.Close()
 	if err := sc.Distribute(srv.URL); err != nil {
 		return err
@@ -331,6 +329,3 @@ func printLog(w io.Writer, lines []string, substrs ...string) int {
 	}
 	return n
 }
-
-// grhComponent is re-exported for the series helpers.
-type grhComponent = grh.Component

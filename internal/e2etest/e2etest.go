@@ -69,8 +69,10 @@ type Daemon struct {
 }
 
 // Start runs ecad -addr addr args... with its output on the test's stderr
-// and returns once /healthz reports the daemon ready. A daemon that exits
-// first fails the test at once. The daemon is killed when the test ends.
+// and returns once /healthz reports the daemon ready, which ecad does only
+// after recovery, its start-up rules and its cluster are in. A daemon that
+// exits first fails the test at once. The daemon is killed when the test
+// ends.
 func Start(t testing.TB, addr string, args ...string) *Daemon {
 	t.Helper()
 	ecad, _ := Binaries(t)

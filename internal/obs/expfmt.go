@@ -15,9 +15,9 @@ import (
 // layer uses it to build /cluster/metrics — each peer's /metrics is
 // parsed, tagged with a node label and merged into one lint-clean
 // exposition (naive concatenation would duplicate TYPE comments, which
-// LintExposition rejects) — and the load tooling (ecaload, `ecactl
-// cluster top`) uses it to delta histograms and compute quantiles from
-// scrapes without a Prometheus client dependency.
+// LintExposition rejects) — and `ecactl cluster top` uses it to delta
+// histograms and compute quantiles from scrapes without a Prometheus
+// client dependency.
 
 // LabelPair is one name="value" pair on a sample, in exposition order.
 type LabelPair struct {
@@ -419,8 +419,8 @@ func (e *Exposition) LabelValues(label string) []string {
 
 // BucketDist is a histogram distribution reassembled from scraped
 // _bucket/_sum/_count samples, aggregated across every matching series.
-// It supports the two operations the load tooling needs: subtracting a
-// baseline scrape (Sub) and estimating quantiles (Quantile).
+// It supports the two operations `ecactl cluster top` needs: subtracting
+// a baseline scrape (Sub) and estimating quantiles (Quantile).
 type BucketDist struct {
 	Bounds []float64 // ascending upper bounds; +Inf last when scraped
 	Cum    []int64   // cumulative counts per bound
@@ -504,9 +504,8 @@ func (d *BucketDist) Sub(prev *BucketDist) *BucketDist {
 }
 
 // Quantile estimates the q-quantile (q clamped to [0,1]) by linear
-// interpolation within the containing bucket, mirroring
-// Histogram.Quantile: overflow observations clamp to the largest finite
-// bound, and an empty distribution yields 0.
+// interpolation within the containing bucket: overflow observations clamp
+// to the largest finite bound, and an empty distribution yields 0.
 func (d *BucketDist) Quantile(q float64) float64 {
 	if d == nil || d.Count == 0 || len(d.Bounds) == 0 {
 		return 0

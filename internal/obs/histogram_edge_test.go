@@ -1,106 +1,6 @@
 package obs
 
-import (
-	"math"
-	"testing"
-)
-
-// Edge cases for Histogram.Quantile and HistogramVec.Merged: empty
-// histograms, a single observation, observations above the top bucket,
-// and q clamping at 0/1.
-
-func TestQuantileEmptyHistogram(t *testing.T) {
-	h := NewRegistry().Histogram("h_empty", "", []float64{0.1, 1})
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %v want 0", q, got)
-		}
-	}
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Errorf("nil Quantile = %v want 0", got)
-	}
-}
-
-func TestQuantileSingleObservation(t *testing.T) {
-	h := NewRegistry().Histogram("h_single", "", []float64{0.1, 1, 10})
-	h.Observe(0.5)
-	// Every quantile of a one-point distribution lands in the (0.1, 1]
-	// bucket; interpolation stays within its bounds.
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 0.1 || got > 1 {
-			t.Errorf("Quantile(%v) = %v, want within (0.1, 1]", q, got)
-		}
-	}
-	if got := h.Quantile(1); got != 1 {
-		t.Errorf("Quantile(1) = %v want upper bound 1", got)
-	}
-}
-
-func TestQuantileAboveTopBucketClamps(t *testing.T) {
-	h := NewRegistry().Histogram("h_over", "", []float64{0.1, 1})
-	h.Observe(50)
-	h.Observe(500)
-	for _, q := range []float64{0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 1 {
-			t.Errorf("overflow Quantile(%v) = %v want clamp to top bound 1", q, got)
-		}
-	}
-}
-
-func TestQuantileClampsQ(t *testing.T) {
-	h := NewRegistry().Histogram("h_clamp", "", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 3.5} {
-		h.Observe(v)
-	}
-	if got, want := h.Quantile(-3), h.Quantile(0); got != want {
-		t.Errorf("Quantile(-3) = %v want Quantile(0) = %v", got, want)
-	}
-	if got, want := h.Quantile(42), h.Quantile(1); got != want {
-		t.Errorf("Quantile(42) = %v want Quantile(1) = %v", got, want)
-	}
-	if got := h.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) = %v want top occupied bound 4", got)
-	}
-}
-
-func TestMergedEdgeCases(t *testing.T) {
-	r := NewRegistry()
-	v := r.HistogramVec("h_merge", "", []float64{0.1, 1}, "stage")
-
-	// Merged over an empty family is an empty, detached histogram.
-	m := v.Merged()
-	if m.Count() != 0 || m.Sum() != 0 || m.Quantile(0.5) != 0 {
-		t.Fatalf("empty Merged: count=%d sum=%v", m.Count(), m.Sum())
-	}
-	m.Observe(1) // must not leak back into the family
-	if v.Merged().Count() != 0 {
-		t.Fatalf("observing into a Merged snapshot mutated the family")
-	}
-
-	v.With("a").Observe(0.05)
-	v.With("b").Observe(7) // overflow bucket
-	m = v.Merged()
-	if m.Count() != 2 {
-		t.Fatalf("Merged count = %d want 2", m.Count())
-	}
-	if math.Abs(m.Sum()-7.05) > 1e-9 {
-		t.Fatalf("Merged sum = %v want 7.05", m.Sum())
-	}
-	counts := m.BucketCounts()
-	if counts[0] != 1 || counts[len(counts)-1] != 1 {
-		t.Fatalf("Merged bucket counts = %v", counts)
-	}
-	// Overflow clamps the merged quantile to the top finite bound.
-	if got := m.Quantile(1); got != 1 {
-		t.Fatalf("Merged Quantile(1) = %v want 1", got)
-	}
-	var nilV *HistogramVec
-	if nilV.Merged() != nil {
-		t.Fatalf("nil vec Merged should be nil")
-	}
-}
+import "testing"
 
 func TestHistogramExemplar(t *testing.T) {
 	h := NewRegistry().Histogram("h_ex", "", []float64{1})

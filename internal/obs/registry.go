@@ -286,48 +286,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the observed
-// distribution from the bucket counts, interpolating linearly within the
-// containing bucket. Observations in the +Inf overflow bucket are clamped
-// to the largest finite bound. Returns 0 for an empty histogram — an
-// estimate for dashboards and bench summaries, not an exact statistic.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, b := range h.bounds {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if n == 0 {
-				return b
-			}
-			frac := (rank - cum) / n
-			return lo + (b-lo)*frac
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // BucketCounts returns the per-bucket (non-cumulative) counts, the last
 // entry being the +Inf overflow bucket.
 func (h *Histogram) BucketCounts() []int64 {
@@ -372,33 +330,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	}).(*Histogram)
 }
 
-// Merged returns a snapshot histogram aggregating the bucket counts and
-// sums of every child in the family — the distribution across all label
-// values, e.g. a latency quantile over every language/mode at once. The
-// result is detached: observing into it does not touch the registry.
-func (v *HistogramVec) Merged() *Histogram {
-	if v == nil {
-		return nil
-	}
-	m := &Histogram{bounds: v.f.buckets, counts: make([]atomic.Int64, len(v.f.buckets)+1)}
-	v.f.mu.RLock()
-	defer v.f.mu.RUnlock()
-	var sum float64
-	for _, c := range v.f.children {
-		h, ok := c.(*Histogram)
-		if !ok {
-			continue
-		}
-		for i := range h.counts {
-			m.counts[i].Add(h.counts[i].Load())
-		}
-		m.count.Add(h.count.Load())
-		sum += h.Sum()
-	}
-	m.sumBits.Store(math.Float64bits(sum))
-	return m
-}
-
 // --- exposition ---------------------------------------------------------------------
 
 // WritePrometheus renders every family in Prometheus text exposition
@@ -410,33 +341,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	for _, f := range r.sortedFamilies() {
 		f.write(w)
-	}
-}
-
-// WriteSummary renders a compact one-line-per-metric snapshot: counters
-// and gauges as name{labels} value, histograms as count/sum/mean. Used by
-// ecabench to cross-check bench figures against live counters.
-func (r *Registry) WriteSummary(w io.Writer) {
-	if r == nil {
-		return
-	}
-	for _, f := range r.sortedFamilies() {
-		for _, c := range f.sortedChildren() {
-			id := f.name + formatLabels(f.labels, labelValuesOf(c))
-			switch m := c.(type) {
-			case *Counter:
-				fmt.Fprintf(w, "%s %d\n", id, m.Value())
-			case *Gauge:
-				fmt.Fprintf(w, "%s %s\n", id, formatFloat(m.Value()))
-			case *Histogram:
-				n, sum := m.Count(), m.Sum()
-				mean := 0.0
-				if n > 0 {
-					mean = sum / float64(n)
-				}
-				fmt.Fprintf(w, "%s count=%d sum=%s mean=%s\n", id, n, formatFloat(sum), formatFloat(mean))
-			}
-		}
 	}
 }
 

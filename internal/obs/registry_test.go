@@ -209,7 +209,6 @@ func TestNilSafety(t *testing.T) {
 	_ = hist.Count()
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
-	reg.WriteSummary(&sb)
 	if sb.Len() != 0 {
 		t.Error("nil registry should write nothing")
 	}
@@ -219,62 +218,5 @@ func TestNilSafety(t *testing.T) {
 	inst.Finish("completed")
 	if tr.Snapshot() != nil || tr.Recorded() != 0 {
 		t.Error("nil recorder should record nothing")
-	}
-}
-
-func TestWriteSummary(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("svc_total", "h", "kind").With("query").Add(4)
-	h := r.Histogram("lat_seconds", "h", []float64{1})
-	h.Observe(2)
-	h.Observe(4)
-	var b strings.Builder
-	r.WriteSummary(&b)
-	out := b.String()
-	if !strings.Contains(out, `svc_total{kind="query"} 4`) {
-		t.Errorf("summary missing counter:\n%s", out)
-	}
-	if !strings.Contains(out, "lat_seconds count=2 sum=6 mean=3") {
-		t.Errorf("summary missing histogram:\n%s", out)
-	}
-}
-
-func TestHistogramVecMerged(t *testing.T) {
-	r := NewRegistry()
-	vec := r.HistogramVec("disp_seconds", "h", []float64{1, 2, 4}, "lang", "mode")
-	vec.With("a", "aware").Observe(0.5)
-	vec.With("a", "aware").Observe(1.5)
-	vec.With("b", "cache").Observe(3)
-	vec.With("b", "opaque").Observe(9) // +Inf overflow bucket
-
-	m := vec.Merged()
-	if got := m.Count(); got != 4 {
-		t.Fatalf("merged count = %d, want 4", got)
-	}
-	if got := m.Sum(); got != 14 {
-		t.Fatalf("merged sum = %v, want 14", got)
-	}
-	if got, want := m.BucketCounts(), []int64{1, 1, 1, 1}; len(got) != len(want) {
-		t.Fatalf("merged buckets = %v, want %v", got, want)
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("merged buckets = %v, want %v", got, want)
-			}
-		}
-	}
-	if q := m.Quantile(0.5); q <= 0 || q > 2 {
-		t.Errorf("merged p50 = %v, want within (0, 2]", q)
-	}
-	// Detached: observing into the merged snapshot must not touch the
-	// registry's children.
-	m.Observe(1)
-	if got := vec.With("a", "aware").Count(); got != 2 {
-		t.Errorf("registry histogram count = %d after snapshot observe, want 2", got)
-	}
-	// Nil-safety.
-	var nilVec *HistogramVec
-	if nilVec.Merged() != nil {
-		t.Error("nil vec should merge to nil")
 	}
 }

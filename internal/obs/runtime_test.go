@@ -35,31 +35,3 @@ func TestRuntimeSamplerPopulatesGauges(t *testing.T) {
 		s()
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "", []float64{0.1, 0.2, 0.4})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram p50 = %v, want 0", got)
-	}
-	// 10 observations in [0, 0.1), 10 in [0.1, 0.2).
-	for i := 0; i < 10; i++ {
-		h.Observe(0.05)
-		h.Observe(0.15)
-	}
-	if p50 := h.Quantile(0.5); p50 < 0.05 || p50 > 0.2 {
-		t.Errorf("p50 = %v, want within [0.05, 0.2]", p50)
-	}
-	if p95 := h.Quantile(0.95); p95 < 0.1 || p95 > 0.2 {
-		t.Errorf("p95 = %v, want within (0.1, 0.2]", p95)
-	}
-	// Overflow bucket clamps to the largest finite bound.
-	h.Observe(10)
-	if p100 := h.Quantile(1); p100 != 0.4 {
-		t.Errorf("p100 with overflow = %v, want 0.4", p100)
-	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Error("nil histogram quantile should be 0")
-	}
-}

@@ -89,9 +89,15 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	if n > maxFrameSize {
 		return nil, fmt.Errorf("%w: frame length %d exceeds limit", errTorn, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The payload grows as bytes arrive rather than being allocated at the
+	// claimed length, so a corrupt or hostile length field (replication
+	// batches come off the network) costs only the bytes actually present.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("%w: short payload: %v", errTorn, err)
+	}
+	if len(payload) < int(n) {
+		return nil, fmt.Errorf("%w: short payload: %d of %d bytes", errTorn, len(payload), n)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", errTorn)

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// getHealth fetches /healthz, which answers 200 whether or not the node
+// is ready, and decodes it.
+func getHealth(t *testing.T, base string) Health {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status = %d, want 200", resp.StatusCode)
+	}
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestReadyThreshold(t *testing.T) {
 	for _, tc := range []struct{ max, want int }{
 		{1, 1}, {2, 1}, {3, 2}, {10, 9}, {20, 18}, {100, 90},
@@ -31,18 +50,7 @@ func TestHealthzReadinessDegrades(t *testing.T) {
 
 	check := func(wantReady bool, wantStatus string, wantPending int) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/healthz status = %d", resp.StatusCode)
-		}
-		var h Health
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
+		h := getHealth(t, srv.URL)
 		if h.Ready != wantReady || h.Status != wantStatus {
 			t.Fatalf("ready=%v status=%q, want ready=%v status=%q", h.Ready, h.Status, wantReady, wantStatus)
 		}
@@ -78,16 +86,41 @@ func TestHealthzWithoutLimitAlwaysReady(t *testing.T) {
 	}
 	srv := httptest.NewServer(sys.Mux(nil, nil))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
+	if h := getHealth(t, srv.URL); !h.Ready || h.Status != "ok" || h.Admission != nil {
+		t.Errorf("unlimited node healthz = ready=%v status=%q admission=%+v", h.Ready, h.Status, h.Admission)
+	}
+}
+
+// TestHealthzStartingUntilStarted: a daemon marks its start-up, and until
+// it clears the mark /healthz answers 200 with ready:false and status
+// "starting" — even with admission idle — then flips to ready. The mark
+// wins over degradation, and a System fresh from NewLocal is ready.
+func TestHealthzStartingUntilStarted(t *testing.T) {
+	sys, err := NewLocal(Config{MaxPendingEvents: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+
+	check := func(wantReady bool, wantStatus string) {
+		t.Helper()
+		if h := getHealth(t, srv.URL); h.Ready != wantReady || h.Status != wantStatus {
+			t.Fatalf("ready=%v status=%q, want ready=%v status=%q", h.Ready, h.Status, wantReady, wantStatus)
+		}
 	}
-	if !h.Ready || h.Status != "ok" || h.Admission != nil {
-		t.Errorf("unlimited node healthz = ready=%v status=%q admission=%+v", h.Ready, h.Status, h.Admission)
+
+	check(true, "ok")
+	sys.SetStarting(true)
+	check(false, "starting")
+	for i := 0; i < 9; i++ { // past the degradation threshold
+		sys.eventSlots <- struct{}{}
 	}
+	check(false, "starting")
+	sys.SetStarting(false)
+	check(false, "degraded")
+	for i := 0; i < 9; i++ {
+		<-sys.eventSlots
+	}
+	check(true, "ok")
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bindings"
@@ -196,7 +197,8 @@ type System struct {
 	Datalog *services.DatalogService
 	Actions *services.ActionExecutor
 
-	started time.Time
+	started  time.Time
+	starting atomic.Bool // see SetStarting
 }
 
 // NewLocal wires every service in-process, the deployment used by the
@@ -309,6 +311,14 @@ func NewLocal(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// SetStarting marks start-up as in progress (true) or finished (false).
+// While it is in progress /healthz answers ready:false with status
+// "starting", so nothing routes traffic to a daemon that is still
+// recovering its journal, registering start-up rules or joining its
+// cluster. A System built by NewLocal is not starting: in-process
+// deployments are ready from construction.
+func (s *System) SetStarting(on bool) { s.starting.Store(on) }
+
 // StartCluster launches the cluster node's health prober and journal
 // shipper. Call it once, after Recover has replayed the local journal (the
 // shipper's opening base sync must mirror the recovered state); a no-op on
@@ -349,8 +359,9 @@ func (s *System) StartCluster() {
 //	                          /metrics merged under a node label (when clustered)
 //	GET  /engine/stats        plain-text counters
 //	GET  /healthz             liveness + readiness + rule/service counts as JSON
-//	                          (ready degrades as admission pressure nears
-//	                          -max-pending-events; incl. store/cluster sections)
+//	                          (not ready while starting or as admission
+//	                          pressure nears -max-pending-events; incl.
+//	                          store/cluster sections)
 //	GET  /metrics             Prometheus text exposition (when Obs is set)
 //	GET  /debug/traces        rule-instance span traces as JSON (when Obs is set)
 //	GET  /debug/pprof/        runtime profiling (when Config.PProf is set)
@@ -556,8 +567,8 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 //   - a single event document — the historical contract;
 //   - an <eca:events> batch envelope: every child element is one event;
 //   - with Content-Type application/x-ndjson, newline-delimited JSON
-//     strings, each holding one XML event document (the ecaload -batch
-//     wire format, which needs no XML envelope assembly on the client).
+//     strings, each holding one XML event document (a batch wire format
+//     that needs no XML envelope assembly on the client).
 func parseEventDocs(r *http.Request) ([]*xmltree.Node, error) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/x-ndjson") {
 		var docs []*xmltree.Node
@@ -770,10 +781,11 @@ func (s *System) engineStats() engine.Stats {
 }
 
 // Health is the /healthz response body. Ready is the load-balancer
-// signal: it turns false (and Status "degraded") while the node is
-// still alive but admission pressure approaches the configured
-// -max-pending-events limit, so traffic drains away before hard 429
-// shedding starts. Nodes without an admission limit are always ready.
+// signal. It is false with Status "starting" until start-up is done (see
+// SetStarting), and false with Status "degraded" while the node is alive
+// but admission pressure approaches the configured -max-pending-events
+// limit, so traffic drains away before hard 429 shedding starts. Either
+// way the HTTP status stays 200: the node is live, just not ready.
 type Health struct {
 	Status             string           `json:"status"`
 	Ready              bool             `json:"ready"`
@@ -847,6 +859,10 @@ func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
 			h.Ready = false
 			h.Status = "degraded"
 		}
+	}
+	if s.starting.Load() {
+		h.Ready = false
+		h.Status = "starting"
 	}
 	if s.Durable != nil {
 		sh := s.Durable.Health()

@@ -133,11 +133,21 @@ func bucketKey(t bindings.Tuple) string {
 
 // Service exposes the language as an event detection service implementing
 // grh.Service, exactly like the bundled SNOOP service.
+//
+// Detection order: detectors are fed, and so deliver, in registration
+// order, so a rule set and a Seq-ordered stream determine the action log.
+// Registering a key again replaces its detector and moves the key to the
+// end of that order.
 type Service struct {
 	deliver *protocolDeliverer
 	mu      sync.Mutex
-	dets    map[string]*Detector
+	dets    []keyedDetector // registration order
 	cancel  func()
+}
+
+type keyedDetector struct {
+	key string
+	det *Detector
 }
 
 // protocolDeliverer is the minimal delivery contract (mirrors
@@ -150,7 +160,7 @@ type protocolDeliverer struct {
 // NewService subscribes a window service to the stream, delivering
 // detection answers to sink.
 func NewService(stream *events.Stream, sink func(*protocol.Answer)) *Service {
-	s := &Service{deliver: &protocolDeliverer{Local: sink}, dets: map[string]*Detector{}}
+	s := &Service{deliver: &protocolDeliverer{Local: sink}}
 	s.cancel = stream.Subscribe(s.onEvent)
 	return s
 }
@@ -169,7 +179,17 @@ func (s *Service) onEvent(ev events.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, d := range s.dets {
-		d.Feed(ev)
+		d.det.Feed(ev)
+	}
+}
+
+// removeLocked drops key's detector, if any. Caller holds s.mu.
+func (s *Service) removeLocked(key string) {
+	for i, d := range s.dets {
+		if d.key == key {
+			s.dets = append(s.dets[:i], s.dets[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -193,12 +213,13 @@ func (s *Service) Handle(req *protocol.Request) (*protocol.Answer, error) {
 			s.deliver.Local(a)
 		})
 		s.mu.Lock()
-		s.dets[key] = det
+		s.removeLocked(key)
+		s.dets = append(s.dets, keyedDetector{key, det})
 		s.mu.Unlock()
 		return &protocol.Answer{RuleID: ruleID, Component: component}, nil
 	case protocol.UnregisterEvent:
 		s.mu.Lock()
-		delete(s.dets, key)
+		s.removeLocked(key)
 		s.mu.Unlock()
 		return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
 	default:

@@ -1,6 +1,7 @@
 package winlang
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -122,5 +123,47 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	if _, err := s.Handle(&protocol.Request{Kind: protocol.Query}); err == nil {
 		t.Error("query should be rejected")
+	}
+}
+
+// TestServiceDetectionOrderIsRegistrationOrder registers 16 rules that all
+// complete on the same event and checks that their answers arrive in
+// registration order, every time; re-registering a rule moves it to the
+// end. (Detectors held in a map answered in random order.)
+func TestServiceDetectionOrderIsRegistrationOrder(t *testing.T) {
+	const n = 16
+	exprNode := xmltree.MustParse(`<win:atleast xmlns:win="` + NS + `" n="1" within="10s"><f user="$U"/></win:atleast>`).Root()
+	fire := func(stream *events.Stream) {
+		p := xmltree.NewElement("", "f")
+		p.SetAttr("", "user", "alice")
+		stream.Publish(events.New(p))
+	}
+	for run := 0; run < 50; run++ {
+		stream := events.NewStream()
+		var order []string
+		s := NewService(stream, func(a *protocol.Answer) { order = append(order, a.RuleID) })
+		var want []string
+		register := func(id string) {
+			if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: id, Component: "event[1]", Expression: exprNode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("rule-%02d", (i*7)%n) // registration order ≠ id order
+			register(id)
+			want = append(want, id)
+		}
+		fire(stream)
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("run %d: answer order %v, registration order %v", run, order, want)
+		}
+		register(want[0])
+		want = append(want[1:], want[0])
+		order = nil
+		fire(stream)
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("run %d: after re-registering, answer order %v, want %v", run, order, want)
+		}
+		s.Close()
 	}
 }

@@ -25,11 +25,6 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	_, ecactl := e2etest.Binaries(t)
 	daemon := e2etest.Start(t, e2etest.FreeAddr(t), "-travel", "-distribute", "-log-format", "json", "-log-level", "debug")
 	get := daemon.Get
-	// ecad serves before its start-up rules are in.
-	e2etest.Eventually(t, "the car-rental rule to be registered", func() bool {
-		_, ids := get("/engine/rules?format=ids")
-		return strings.Contains(ids, "car-rental")
-	})
 
 	out, err := exec.Command(ecactl, "-s", daemon.Base, "book", "John Doe", "Munich", "Paris").CombinedOutput()
 	if err != nil {

@@ -1,11 +1,12 @@
 // Extension demonstrates the framework's central claim — "combining
 // arbitrary event detection, query and action languages" — by deploying a
 // component language the engine has never heard of: a sliding-window
-// counting language (internal/winlang). The recipe is exactly the paper's:
+// counting language (internal/winlang). The recipe is the paper's:
 //
 //  1. give the language a namespace URI,
-//  2. implement a service that accepts registration requests and posts
-//     log:answers detection messages,
+//  2. host it as a service that accepts registration requests and posts
+//     log:answers detection messages — the language supplies only its
+//     compile step (winlang.Language), services.DetectorHost does the rest,
 //  3. register the service in the GRH under the URI.
 //
 // No engine, GRH or rule-markup changes — a rule simply writes its event
@@ -25,6 +26,7 @@ import (
 	eca "repro"
 	"repro/internal/grh"
 	"repro/internal/ruleml"
+	"repro/internal/services"
 	"repro/internal/winlang"
 	"repro/internal/xmltree"
 )
@@ -52,9 +54,9 @@ func main() {
 		fmt.Printf("ACTION  %s\n", n.Message)
 	})
 
-	// Step 2+3: implement and register the new language's service. This is
-	// ALL it takes — the engine and GRH stay untouched.
-	winService := winlang.NewService(sys.Stream, sys.Engine.OnDetection)
+	// Step 2+3: host the new language's compile step and register the
+	// service. This is ALL it takes — the engine and GRH stay untouched.
+	winService := services.NewDetectorHost(sys.Stream, &services.Deliverer{Local: sys.Engine.OnDetection}, winlang.Language)
 	defer winService.Close()
 	if err := sys.GRH.Register(grh.Descriptor{
 		Language:       winlang.NS,

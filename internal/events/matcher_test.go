@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bindings"
 	"repro/internal/xmltree"
@@ -201,33 +202,62 @@ func TestCompiledPatternNamedCases(t *testing.T) {
 
 // --- indexed Matcher ≡ naive reference --------------------------------------------
 
+// TestIndexedMatcherEquivalentToReference runs random register / unregister
+// / event / advance operations against the indexed Matcher and the
+// try-everything reference. Some registrations listen to every event (fed
+// whether or not their pattern matches) and some have an Advance; detection
+// order, bindings and Advance order must equal the reference's.
 func TestIndexedMatcherEquivalentToReference(t *testing.T) {
 	rootNames := []string{"n0", "n1", "n2"}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		m, ref := NewMatcher(), &refMatcher{}
 		var got, want []Detection
+		var ticked []string
 		live := map[string]*xmltree.Node{} // key → template, to derive events from
-		var events, overlapping int
+		everyKeys := map[string]bool{}
+		var events, overlapping, mixed int
 		for op := 0; op < 600; op++ {
 			key := fmt.Sprintf("k%d", r.Intn(12))
-			switch x := r.Intn(10); {
+			switch x := r.Intn(11); {
 			case x < 4:
 				// A key registered again usually lands under a different
-				// root name: the replace must leave its old bucket.
+				// root name or tier: the replace must leave its old place.
 				tmpl := genTemplate(r, "", rootNames[r.Intn(len(rootNames))], r.Intn(2))
 				p, err := NewPattern(tmpl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.Register(key, p, func(d Detection) { got = append(got, d) })
-				ref.Register(key, tmpl, func(d Detection) { want = append(want, d) })
-				live[key] = tmpl
+				every, timed := r.Intn(3) == 0, r.Intn(2) == 0
+				var d Detector
+				if every {
+					d.Feed = func(ev Event) { got = append(got, Detection{Key: key, Bindings: p.Match(ev), Event: ev}) }
+				} else {
+					d.Names = []xmltree.Name{p.Name(), p.Name()} // listed twice, fed once
+					d.Feed = func(ev Event) {
+						if ts := p.Match(ev); len(ts) > 0 {
+							got = append(got, Detection{Key: key, Bindings: ts, Event: ev})
+						}
+					}
+				}
+				if timed {
+					d.Advance = func(time.Time, uint64) { ticked = append(ticked, key) }
+				}
+				m.Add(key, d)
+				ref.Register(refRegistration{key: key, template: tmpl, every: every, timed: timed,
+					sink: func(d Detection) { want = append(want, d) }})
+				live[key], everyKeys[key] = tmpl, every
 			case x < 6:
 				if a, b := m.Unregister(key), ref.Unregister(key); a != b {
 					t.Fatalf("seed %d op %d: Unregister(%s) = %v, reference %v", seed, op, key, a, b)
 				}
 				delete(live, key)
+			case x < 7:
+				ticked = ticked[:0]
+				m.Advance(time.Time{}, 0)
+				if want := ref.Advance(); fmt.Sprint(ticked) != fmt.Sprint(want) {
+					t.Fatalf("seed %d op %d: Advance reached %v, reference %v", seed, op, ticked, want)
+				}
 			default:
 				tmpl := live[key]
 				if tmpl == nil {
@@ -246,29 +276,36 @@ func TestIndexedMatcherEquivalentToReference(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("seed %d op %d: %d detections, reference %d\nevent %s", seed, op, len(got), len(want), ev.Payload)
 				}
+				tiers := map[bool]bool{}
 				for i := range want {
 					if got[i].Key != want[i].Key || !sameTuples(got[i].Bindings, want[i].Bindings) || got[i].Event.Payload != ev.Payload {
 						t.Fatalf("seed %d op %d: detection %d = %s %v, reference %s %v\nevent %s",
 							seed, op, i, got[i].Key, got[i].Bindings, want[i].Key, want[i].Bindings, ev.Payload)
 					}
+					tiers[everyKeys[want[i].Key]] = true
 				}
 				events++
 				if len(want) > 1 {
 					overlapping++
+				}
+				if len(tiers) == 2 {
+					mixed++
 				}
 			}
 			if m.Len() != ref.Len() {
 				t.Fatalf("seed %d op %d: Len() = %d, reference %d", seed, op, m.Len(), ref.Len())
 			}
 		}
-		if overlapping < events/20 {
-			t.Fatalf("seed %d: only %d of %d events had several detections; order is barely exercised", seed, overlapping, events)
+		if overlapping < events/20 || mixed < events/20 {
+			t.Fatalf("seed %d: of %d events only %d had several detections and %d had both tiers; order is barely exercised",
+				seed, events, overlapping, mixed)
 		}
 		for key := range live {
 			m.Unregister(key)
 		}
-		if m.Len() != 0 || len(m.byName) != 0 || len(m.byKey) != 0 {
-			t.Fatalf("seed %d: after unregistering everything Len() = %d, %d buckets, %d keys", seed, m.Len(), len(m.byName), len(m.byKey))
+		if m.Len() != 0 || len(m.byName) != 0 || len(m.byKey) != 0 || len(m.every) != 0 || len(m.timed) != 0 {
+			t.Fatalf("seed %d: after unregistering everything Len() = %d, %d buckets, %d keys, %d every-event, %d timed",
+				seed, m.Len(), len(m.byName), len(m.byKey), len(m.every), len(m.timed))
 		}
 	}
 }

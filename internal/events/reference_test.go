@@ -25,11 +25,14 @@ type refRegistration struct {
 	key      string
 	template *xmltree.Node
 	sink     func(Detection)
+	every    bool // the sink sees every event, matching or not
+	timed    bool // Advance reaches it
 }
 
-func (m *refMatcher) Register(key string, template *xmltree.Node, sink func(Detection)) {
-	m.Unregister(key)
-	m.regs = append(m.regs, refRegistration{key, template.Root(), sink})
+func (m *refMatcher) Register(r refRegistration) {
+	m.Unregister(r.key)
+	r.template = r.template.Root()
+	m.regs = append(m.regs, r)
 }
 
 func (m *refMatcher) Unregister(key string) bool {
@@ -47,10 +50,21 @@ func (m *refMatcher) Len() int { return len(m.regs) }
 func (m *refMatcher) OnEvent(ev Event) {
 	regs := append([]refRegistration(nil), m.regs...)
 	for _, r := range regs {
-		if ts := refMatch(r.template, ev); len(ts) > 0 {
+		if ts := refMatch(r.template, ev); len(ts) > 0 || r.every {
 			r.sink(Detection{Key: r.key, Bindings: ts, Event: ev})
 		}
 	}
+}
+
+// Advance returns the keys Advance reaches, in the order it reaches them.
+func (m *refMatcher) Advance() []string {
+	var keys []string
+	for _, r := range m.regs {
+		if r.timed {
+			keys = append(keys, r.key)
+		}
+	}
+	return keys
 }
 
 // refMatch is Pattern.Match as it was before patterns were compiled.

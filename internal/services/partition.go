@@ -17,9 +17,9 @@ import (
 const DefaultPartitionQueue = 256
 
 // DetectorPool is the one queueing stage between the stream's ordered
-// dispatch and the detectors. Each detector (a SNOOP graph or an
-// atomic-pattern matcher shard) is pinned to one partition by FNV hash of
-// its rule key at registration time, and a partition runs its tasks one at
+// dispatch and the detectors. Each detector a DetectorHost registers, in
+// whatever event language, is pinned to one partition by FNV hash of its
+// rule key at registration time, and a partition runs its tasks one at
 // a time in the order they were enqueued — the ordered dispatch enqueues in
 // Seq order, hence every detector observes a totally ordered event feed.
 // With workers, each partition is a goroutine behind a bounded queue:

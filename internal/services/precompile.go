@@ -3,7 +3,6 @@ package services
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/ruleml"
@@ -25,35 +24,6 @@ import (
 // introspect. Both are skipped — registration stays permissive exactly
 // where the paper's framework is.
 
-// Precompiler checks (and typically caches) one component's expression for
-// a custom language; it gets the expression text and the component itself.
-type Precompiler func(text string, c ruleml.Component) error
-
-var (
-	precompilersMu sync.RWMutex
-	precompilers   = map[string]Precompiler{}
-)
-
-// RegisterPrecompiler installs a registration-time expression check for a
-// language namespace, extending PrecompileComponent to custom services.
-// A nil fn removes the entry.
-func RegisterPrecompiler(languageNS string, fn Precompiler) {
-	precompilersMu.Lock()
-	defer precompilersMu.Unlock()
-	if fn == nil {
-		delete(precompilers, languageNS)
-		return
-	}
-	precompilers[languageNS] = fn
-}
-
-func lookupPrecompiler(languageNS string) (Precompiler, bool) {
-	precompilersMu.RLock()
-	defer precompilersMu.RUnlock()
-	fn, ok := precompilers[languageNS]
-	return fn, ok
-}
-
 // PrecompileRule compiles every checkable component expression of the rule
 // into the shared compile cache, returning the first failure wrapped with
 // the offending component's ID (e.g. "query[2]").
@@ -67,16 +37,13 @@ func PrecompileRule(r *ruleml.Rule) error {
 }
 
 // PrecompileComponent compiles one component's expression if its language
-// is one the engine interprets (or has a registered Precompiler for);
-// components with pinned services or unknown languages are skipped.
+// is one the engine interprets; components with pinned services or unknown
+// languages are skipped.
 func PrecompileComponent(c ruleml.Component) error {
 	if c.Service != "" {
 		return nil // opaque endpoint: text may not even be an expression
 	}
 	text := componentText(c)
-	if fn, ok := lookupPrecompiler(c.Language); ok {
-		return fn(text, c)
-	}
 	switch c.Kind {
 	case ruleml.QueryComponent:
 		switch c.Language {

@@ -247,8 +247,8 @@ func firstErr(errs ...error) error {
 // Detector evaluates one composite event expression against a stream of
 // primitive events. Feed it events in stream order; detected composite
 // occurrences are delivered synchronously to the sink. Not safe for
-// concurrent use; wrap with a mutex or feed from one goroutine (the
-// services layer does the former).
+// concurrent use: feed it from one goroutine at a time (the detection host
+// feeds it from the partition it is pinned to).
 type Detector struct {
 	root      node
 	ctx       ParamContext

@@ -191,8 +191,8 @@ type System struct {
 	// Matcher and Snoop (like Engine above) alias the default tenant's
 	// space — the historical single-tenant surface most tests and the
 	// quickstart use. Other tenants' components live in their Space.
-	Matcher *services.EventMatcher
-	Snoop   *services.SnoopService
+	Matcher *services.DetectorHost
+	Snoop   *services.DetectorHost
 	XQuery  *services.XQueryService
 	Datalog *services.DatalogService
 	Actions *services.ActionExecutor

@@ -41,8 +41,8 @@ type Space struct {
 	Tenant *tenant.Tenant
 
 	Engine  *engine.Engine
-	Matcher *services.EventMatcher
-	Snoop   *services.SnoopService
+	Matcher *services.DetectorHost
+	Snoop   *services.DetectorHost
 }
 
 // Wire returns the tenant's wire form: "" for the default tenant — the
@@ -89,10 +89,9 @@ func (s *System) newSpaceLocked(full string) (*Space, error) {
 	eng := engine.New(s.GRH, opts...)
 	deliver := &services.Deliverer{Local: eng.OnDetection, Obs: s.Obs}
 	dopts := []services.DetectorOption{services.WithDetectorPool(s.pool), services.WithTenantFilter(wire)}
-	matcher := services.NewEventMatcher(s.Stream, deliver, dopts...)
-	sn := services.NewSnoopService(s.Stream, deliver, dopts...)
-	sn.SetObs(s.Obs)
-	sp := &Space{ID: full, wire: wire, Tenant: ten, Engine: eng, Matcher: matcher, Snoop: sn}
+	sp := &Space{ID: full, wire: wire, Tenant: ten, Engine: eng,
+		Matcher: services.NewEventMatcher(s.Stream, deliver, dopts...),
+		Snoop:   services.NewSnoopService(s.Stream, deliver, dopts...)}
 	s.spaces[wire] = sp
 	return sp, nil
 }

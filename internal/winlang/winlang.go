@@ -1,8 +1,9 @@
 // Package winlang is a sliding-window counting event language — an event
 // component language that is NOT part of the paper, implemented to
 // demonstrate the framework's central claim: a new language plugs into the
-// engine by registering one more service under its namespace URI, with no
-// engine or GRH changes.
+// engine with a namespace URI and a compile step (Language) run by the one
+// detection host (services.DetectorHost) registered in the GRH under that
+// URI, with no engine or GRH changes.
 //
 // An expression
 //
@@ -19,18 +20,15 @@ package winlang
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/bindings"
 	"repro/internal/events"
-	"repro/internal/grh"
-	"repro/internal/protocol"
 	"repro/internal/xmltree"
 )
 
 // NS is the language's namespace URI; event components in this namespace
-// are dispatched to the window service.
+// are dispatched to the detection host running Language.
 const NS = "http://www.semwebtech.org/languages/2006/winlang"
 
 // Expr is a compiled window expression.
@@ -73,7 +71,8 @@ type Detection struct {
 }
 
 // Detector evaluates one window expression over a stream. Not safe for
-// concurrent use; the Service wraps it with a mutex.
+// concurrent use: feed it from one goroutine at a time (the detection host
+// feeds it from the partition it is pinned to).
 type Detector struct {
 	expr *Expr
 	sink func(Detection)
@@ -84,6 +83,17 @@ type Detector struct {
 type match struct {
 	tuple bindings.Tuple
 	event events.Event
+}
+
+// Language compiles a win:atleast expression for the detection host: the
+// detector listens to its pattern's event name.
+func Language(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
+	e, err := ParseCached(expr)
+	if err != nil {
+		return events.Detector{}, err
+	}
+	d := NewDetector(e, func(x Detection) { emit([]bindings.Tuple{x.Bindings}, x.Constituents) })
+	return events.Detector{Names: []xmltree.Name{e.Pattern.Name()}, Feed: d.Feed}, nil
 }
 
 // NewDetector builds a detector delivering to sink.
@@ -115,7 +125,8 @@ func (d *Detector) Feed(ev events.Event) {
 				det.Constituents = append(det.Constituents, m.event)
 			}
 			d.sink(det)
-			kept = kept[:0] // consume
+			delete(d.buckets, key) // consumed
+			continue
 		}
 		d.buckets[key] = kept
 	}
@@ -130,101 +141,3 @@ func bucketKey(t bindings.Tuple) string {
 	}
 	return key
 }
-
-// Service exposes the language as an event detection service implementing
-// grh.Service, exactly like the bundled SNOOP service.
-//
-// Detection order: detectors are fed, and so deliver, in registration
-// order, so a rule set and a Seq-ordered stream determine the action log.
-// Registering a key again replaces its detector and moves the key to the
-// end of that order.
-type Service struct {
-	deliver *protocolDeliverer
-	mu      sync.Mutex
-	dets    []keyedDetector // registration order
-	cancel  func()
-}
-
-type keyedDetector struct {
-	key string
-	det *Detector
-}
-
-// protocolDeliverer is the minimal delivery contract (mirrors
-// services.Deliverer without importing it, keeping this package showcase-
-// minimal: Local receives detection answers).
-type protocolDeliverer struct {
-	Local func(*protocol.Answer)
-}
-
-// NewService subscribes a window service to the stream, delivering
-// detection answers to sink.
-func NewService(stream *events.Stream, sink func(*protocol.Answer)) *Service {
-	s := &Service{deliver: &protocolDeliverer{Local: sink}}
-	s.cancel = stream.Subscribe(s.onEvent)
-	return s
-}
-
-// Close unsubscribes from the stream.
-func (s *Service) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-}
-
-func (s *Service) onEvent(ev events.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, d := range s.dets {
-		d.det.Feed(ev)
-	}
-}
-
-// removeLocked drops key's detector, if any. Caller holds s.mu.
-func (s *Service) removeLocked(key string) {
-	for i, d := range s.dets {
-		if d.key == key {
-			s.dets = append(s.dets[:i], s.dets[i+1:]...)
-			return
-		}
-	}
-}
-
-// Handle implements grh.Service.
-func (s *Service) Handle(req *protocol.Request) (*protocol.Answer, error) {
-	key := req.RuleID + "/" + req.Component
-	switch req.Kind {
-	case protocol.RegisterEvent:
-		expr, err := ParseCached(req.Expression)
-		if err != nil {
-			return nil, err
-		}
-		ruleID, component := req.RuleID, req.Component
-		det := NewDetector(expr, func(d Detection) {
-			a := &protocol.Answer{RuleID: ruleID, Component: component}
-			row := protocol.AnswerRow{Tuple: d.Bindings}
-			for _, c := range d.Constituents {
-				row.Results = append(row.Results, bindings.Fragment(c.Payload.Clone()))
-			}
-			a.Rows = append(a.Rows, row)
-			s.deliver.Local(a)
-		})
-		s.mu.Lock()
-		s.removeLocked(key)
-		s.dets = append(s.dets, keyedDetector{key, det})
-		s.mu.Unlock()
-		return &protocol.Answer{RuleID: ruleID, Component: component}, nil
-	case protocol.UnregisterEvent:
-		s.mu.Lock()
-		s.removeLocked(key)
-		s.mu.Unlock()
-		return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
-	default:
-		return nil, fmt.Errorf("winlang: unsupported request kind %q", req.Kind)
-	}
-}
-
-var _ grh.Service = (*Service)(nil)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/events"
-	"repro/internal/protocol"
 	"repro/internal/xmltree"
 )
 
@@ -97,73 +96,18 @@ func TestPerBindingBuckets(t *testing.T) {
 	}
 }
 
-func TestServiceLifecycle(t *testing.T) {
-	stream := events.NewStream()
-	var answers []*protocol.Answer
-	s := NewService(stream, func(a *protocol.Answer) { answers = append(answers, a) })
-	defer s.Close()
-	exprNode := xmltree.MustParse(threeIn10).Root()
-	if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: "r", Component: "e", Expression: exprNode}); err != nil {
-		t.Fatal(err)
+// TestConsumedWindowsLeaveNoBuckets: every distinct binding key used to
+// leave an emptied bucket behind after its window was consumed, so the
+// detector's state grew with the number of users ever seen.
+func TestConsumedWindowsLeaveNoBuckets(t *testing.T) {
+	detections := 0
+	d := NewDetector(expr(t, `<win:atleast xmlns:win="`+NS+`" n="1" within="10s"><f user="$U"/></win:atleast>`),
+		func(Detection) { detections++ })
+	const users = 10_000
+	for i := 0; i < users; i++ {
+		d.Feed(ev("f", int64(i), "user", fmt.Sprintf("u%d", i)))
 	}
-	for i := 0; i < 3; i++ {
-		p := xmltree.NewElement("", "f")
-		p.SetAttr("", "user", "alice")
-		stream.Publish(events.New(p))
-	}
-	if len(answers) != 1 {
-		t.Fatalf("answers = %d", len(answers))
-	}
-	row := answers[0].Rows[0]
-	if row.Tuple["U"].AsString() != "alice" || len(row.Results) != 3 {
-		t.Errorf("row = %+v", row)
-	}
-	if _, err := s.Handle(&protocol.Request{Kind: protocol.UnregisterEvent, RuleID: "r", Component: "e"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Handle(&protocol.Request{Kind: protocol.Query}); err == nil {
-		t.Error("query should be rejected")
-	}
-}
-
-// TestServiceDetectionOrderIsRegistrationOrder registers 16 rules that all
-// complete on the same event and checks that their answers arrive in
-// registration order, every time; re-registering a rule moves it to the
-// end. (Detectors held in a map answered in random order.)
-func TestServiceDetectionOrderIsRegistrationOrder(t *testing.T) {
-	const n = 16
-	exprNode := xmltree.MustParse(`<win:atleast xmlns:win="` + NS + `" n="1" within="10s"><f user="$U"/></win:atleast>`).Root()
-	fire := func(stream *events.Stream) {
-		p := xmltree.NewElement("", "f")
-		p.SetAttr("", "user", "alice")
-		stream.Publish(events.New(p))
-	}
-	for run := 0; run < 50; run++ {
-		stream := events.NewStream()
-		var order []string
-		s := NewService(stream, func(a *protocol.Answer) { order = append(order, a.RuleID) })
-		var want []string
-		register := func(id string) {
-			if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: id, Component: "event[1]", Expression: exprNode}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("rule-%02d", (i*7)%n) // registration order ≠ id order
-			register(id)
-			want = append(want, id)
-		}
-		fire(stream)
-		if fmt.Sprint(order) != fmt.Sprint(want) {
-			t.Fatalf("run %d: answer order %v, registration order %v", run, order, want)
-		}
-		register(want[0])
-		want = append(want[1:], want[0])
-		order = nil
-		fire(stream)
-		if fmt.Sprint(order) != fmt.Sprint(want) {
-			t.Fatalf("run %d: after re-registering, answer order %v, want %v", run, order, want)
-		}
-		s.Close()
+	if detections != users || len(d.buckets) != 0 {
+		t.Fatalf("%d detections, %d buckets left; want %d and 0", detections, len(d.buckets), users)
 	}
 }

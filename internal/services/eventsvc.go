@@ -130,21 +130,30 @@ func atomicEvents(expr *xmltree.Node, emit events.Emit) (events.Detector, error)
 	}}, nil
 }
 
-// snoopEvents compiles SNOOP expressions. The parameter context is taken
-// from the expression's context attribute (default chronicle, the common
-// choice for workflow-style rules). A detector listens to every event: its
-// periodic timers advance on any event's clock.
+// compileSnoop parses and validates a SNOOP expression and its parameter
+// context, taken from the expression's context attribute (default
+// chronicle, the common choice for workflow-style rules).
+func compileSnoop(expr *xmltree.Node) (snoop.Expr, snoop.ParamContext, error) {
+	e, err := snoop.ParseXML(expr)
+	if err != nil {
+		return nil, 0, err
+	}
+	ctx := snoop.Chronicle
+	if cs := expr.AttrValue("", "context"); cs != "" {
+		if ctx, err = snoop.ParseContext(cs); err != nil {
+			return nil, 0, err
+		}
+	}
+	return e, ctx, snoop.Validate(e)
+}
+
+// snoopEvents compiles SNOOP expressions (compileSnoop). A detector listens
+// to every event: its periodic timers advance on any event's clock.
 func snoopEvents(hub *obs.Hub) events.Language {
 	return func(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
-		e, err := snoop.ParseXML(expr)
+		e, ctx, err := compileSnoop(expr)
 		if err != nil {
 			return events.Detector{}, err
-		}
-		ctx := snoop.Chronicle
-		if cs := expr.AttrValue("", "context"); cs != "" {
-			if ctx, err = snoop.ParseContext(cs); err != nil {
-				return events.Detector{}, err
-			}
 		}
 		d, err := snoop.NewDetector(e, ctx, func(o snoop.Occurrence) {
 			emit([]bindings.Tuple{o.Bindings}, o.Constituents)

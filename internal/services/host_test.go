@@ -403,9 +403,9 @@ func conformOrderedFeed(t *testing.T, lang hostedLanguage) {
 // the events carry the names and attributes its patterns look for. Leaves,
 // because a pattern with n same-named children matches an event with as
 // many in n! ways. The events share one timestamp because a periodic
-// expression fires once per elapsed interval: a 1ns interval over a second
-// of stream time is a billion occurrences, a cost of the rule, not of the
-// compiler.
+// expression fires once per elapsed interval: even at the 1ms floor, an
+// hour of stream time is 3.6 million occurrences, a cost of the rule, not of
+// the compiler.
 func FuzzCompileEventExpression(f *testing.F) {
 	f.Add(`<travel:booking xmlns:travel="http://www.semwebtech.org/domains/2006/travel" person="$Person" to="$Dest"/>`)
 	for _, lang := range hostedLanguages {

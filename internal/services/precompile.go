@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/ruleml"
+	"repro/internal/snoop"
 	"repro/internal/winlang"
 	"repro/internal/xpath"
 	"repro/internal/xq"
@@ -69,8 +70,15 @@ func PrecompileComponent(c ruleml.Component) error {
 			return err
 		}
 	case ruleml.EventComponent:
-		if c.Language == winlang.NS && c.Expression != nil {
+		if c.Expression == nil {
+			break
+		}
+		switch c.Language {
+		case winlang.NS:
 			_, err := winlang.ParseCached(c.Expression)
+			return err
+		case snoop.NS:
+			_, _, err := compileSnoop(c.Expression)
 			return err
 		}
 	}

@@ -162,12 +162,18 @@ type AperiodicStar struct{ Begin, Mid, End Expr }
 
 // Periodic is P(Begin, Interval, End): after Begin, an occurrence is
 // signalled every Interval until End. Time advances with the timestamps of
-// fed events (and explicit Detector.Advance calls).
+// fed events (and explicit Detector.Advance calls). Validate rejects an
+// Interval below minPeriodicInterval.
 type Periodic struct {
 	Begin    Expr
 	Interval time.Duration
 	End      Expr
 }
+
+// minPeriodicInterval is the shortest Periodic interval: one event that
+// moves the clock by t emits t/Interval occurrences, so a 1ns interval
+// would emit a billion per second of stream time.
+const minPeriodicInterval = time.Millisecond
 
 func (e *Atomic) String() string { return e.Pattern.Name().String() }
 func (e *Or) String() string     { return "(" + e.L.String() + " ∨ " + e.R.String() + ")" }
@@ -224,8 +230,8 @@ func Validate(e Expr) error {
 	case *AperiodicStar:
 		return firstErr(Validate(x.Begin), Validate(x.Mid), Validate(x.End))
 	case *Periodic:
-		if x.Interval <= 0 {
-			return fmt.Errorf("snoop: periodic interval must be positive")
+		if x.Interval < minPeriodicInterval {
+			return fmt.Errorf("snoop: periodic interval %v is below the %v floor", x.Interval, minPeriodicInterval)
 		}
 		return firstErr(Validate(x.Begin), Validate(x.End))
 	default:

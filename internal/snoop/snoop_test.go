@@ -328,11 +328,18 @@ func TestValidateErrors(t *testing.T) {
 		&Any{M: 0, Children: []Expr{atomic(`<a/>`)}},
 		&Any{M: 3, Children: []Expr{atomic(`<a/>`)}},
 		&Periodic{Begin: atomic(`<a/>`), Interval: 0, End: atomic(`<b/>`)},
+		&Periodic{Begin: atomic(`<a/>`), Interval: time.Nanosecond, End: atomic(`<b/>`)},
+		&Periodic{Begin: atomic(`<a/>`), Interval: time.Millisecond - 1, End: atomic(`<b/>`)},
 		&Atomic{},
 	}
 	for _, e := range bad {
 		if err := Validate(e); err == nil {
 			t.Errorf("Validate(%T) should fail", e)
+		}
+	}
+	for _, iv := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 5 * time.Second, 10 * time.Second} {
+		if err := Validate(&Periodic{Begin: atomic(`<a/>`), Interval: iv, End: atomic(`<b/>`)}); err != nil {
+			t.Errorf("interval %v rejected: %v", iv, err)
 		}
 	}
 }

@@ -212,10 +212,10 @@ func TestPartitionedSystemEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sys.Notifier.Sent()) < 16 && time.Now().Before(deadline) {
+	for sys.Notifier.Count() < 16 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := len(sys.Notifier.Sent()); got != 16 {
+	if got := sys.Notifier.Count(); got != 16 {
 		t.Fatalf("partitioned system fired %d rules, want 16", got)
 	}
 }
@@ -254,7 +254,7 @@ func TestCloseDrainsDetectorPartitions(t *testing.T) {
 			}
 			wg.Wait()
 			sys.Close()
-			if got, want := len(sys.Notifier.Sent()), rules*publishers*perPub; got != want {
+			if got, want := sys.Notifier.Count(), rules*publishers*perPub; got != want {
 				t.Errorf("Close returned with %d of %d actions run", got, want)
 			}
 			if st := sys.Engine.Stats(); st.InstancesCompleted != st.InstancesCreated {

@@ -45,6 +45,16 @@ func TestConcurrentRulesThroughCachedForms(t *testing.T) {
 		}
 	}
 
+	// The hook collects every notification: the 320 this test sends are
+	// more than Sent keeps.
+	var mu sync.Mutex
+	var sent []Notification
+	sys.Notifier.OnSend(func(n Notification) {
+		mu.Lock()
+		sent = append(sent, n)
+		mu.Unlock()
+	})
+
 	const goroutines, perG = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -75,9 +85,8 @@ func TestConcurrentRulesThroughCachedForms(t *testing.T) {
 
 	// Each non-skip event fires both rules; skip events fire neither.
 	passing := goroutines * perG * 4 / 5
-	sent := sys.Notifier.Sent()
-	if got, want := len(sent), passing*2; got != want {
-		t.Fatalf("notifications = %d, want %d", got, want)
+	if got, want := len(sent), passing*2; got != want || sys.Notifier.Count() != want {
+		t.Fatalf("notifications = %d (count %d), want %d", got, sys.Notifier.Count(), want)
 	}
 	// No filtered binding leaked through a shared compiled form, and every
 	// notification carries the binding of its own event.

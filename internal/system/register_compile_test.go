@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
 	"repro/internal/services"
+	"repro/internal/snoop"
 )
 
 // badTestRuleXML is a rule whose test component is not valid XPath: before
@@ -83,6 +84,49 @@ func TestRegisterRejectsBadExpression(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy rule: status %d", resp.StatusCode)
+	}
+}
+
+// TestRegisterRejectsSubMillisecondPeriodic: a snoop:periodic interval
+// below 1ms would emit one occurrence per interval of stream time on the
+// next event, so POST /engine/rules rejects it as a bad expression (400);
+// the intervals the other tests use still register.
+func TestRegisterRejectsSubMillisecondPeriodic(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	for _, c := range []struct {
+		interval string
+		status   int
+	}{
+		{"1ns", http.StatusBadRequest},
+		{"999us", http.StatusBadRequest},
+		{"1ms", http.StatusOK},
+		{"5ms", http.StatusOK},
+		{"10ms", http.StatusOK},
+		{"5s", http.StatusOK},
+		{"10s", http.StatusOK},
+	} {
+		rule := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" xmlns:snoop="` + snoop.NS + `" id="p-` + c.interval + `">
+		  <eca:event><snoop:periodic interval="` + c.interval + `">
+		    <snoop:event><t:open k="$K"/></snoop:event>
+		    <snoop:event><t:close k="$K"/></snoop:event>
+		  </snoop:periodic></eca:event>
+		  <eca:action><t:tick k="$K"/></eca:action>
+		</eca:rule>`
+		resp, err := http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(rule))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("interval %s: status %d, want %d; body %q", c.interval, resp.StatusCode, c.status, body)
+		}
 	}
 }
 

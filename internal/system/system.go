@@ -41,18 +41,31 @@ type Notification struct {
 	Tuple   bindings.Tuple
 }
 
-// Notifier collects sent messages (the customer-facing side of the
-// car-rental example). Safe for concurrent use.
+// notifyWindow is how many of the most recent messages a Notifier keeps
+// for Sent. An action sends its message; the daemon does not archive it, so
+// a Notifier's memory stays constant however many actions run.
+const notifyWindow = 256
+
+// Notifier is the message sink of the domain action executor (the
+// customer-facing side of the car-rental example). It counts every message
+// exactly (Count), keeps only the most recent notifyWindow of them (Sent)
+// and hands each one to the OnSend hook. Safe for concurrent use.
 type Notifier struct {
-	mu   sync.Mutex
-	sent []Notification
-	hook func(Notification)
+	mu    sync.Mutex
+	sent  []Notification // newest last; at most 2*notifyWindow
+	count int
+	hook  func(Notification)
 }
 
 // Send records a message.
 func (n *Notifier) Send(msg *xmltree.Node, t bindings.Tuple) {
 	n.mu.Lock()
+	if len(n.sent) == 2*notifyWindow {
+		// Drop the older half in place: one copy per notifyWindow sends.
+		n.sent = n.sent[:copy(n.sent, n.sent[notifyWindow:])]
+	}
 	n.sent = append(n.sent, Notification{msg, t})
+	n.count++
 	h := n.hook
 	n.mu.Unlock()
 	if h != nil {
@@ -60,19 +73,30 @@ func (n *Notifier) Send(msg *xmltree.Node, t bindings.Tuple) {
 	}
 }
 
-// Sent returns a snapshot of all messages sent so far.
+// Sent returns a snapshot of the most recent messages, at most
+// notifyWindow of them, in send order.
 func (n *Notifier) Sent() []Notification {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]Notification, len(n.sent))
-	copy(out, n.sent)
+	recent := n.sent[max(0, len(n.sent)-notifyWindow):]
+	out := make([]Notification, len(recent))
+	copy(out, recent)
 	return out
 }
 
-// Reset clears the collected messages.
+// Count returns the number of messages sent since construction or the last
+// Reset, including those Sent no longer holds.
+func (n *Notifier) Count() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.count
+}
+
+// Reset clears the kept messages and the count.
 func (n *Notifier) Reset() {
 	n.mu.Lock()
 	n.sent = nil
+	n.count = 0
 	n.mu.Unlock()
 }
 
@@ -539,7 +563,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 	mux.HandleFunc("/engine/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := s.engineStats()
 		fmt.Fprintf(w, "rules %d\ninstances_created %d\ninstances_completed %d\ninstances_died %d\naction_runs %d\nnotifications %d\n",
-			st.RulesRegistered, st.InstancesCreated, st.InstancesCompleted, st.InstancesDied, st.ActionRuns, len(s.Notifier.Sent()))
+			st.RulesRegistered, st.InstancesCreated, st.InstancesCompleted, st.InstancesDied, st.ActionRuns, s.Notifier.Count())
 	})
 	mux.HandleFunc("/healthz", s.healthz)
 	if s.Cluster != nil {
@@ -795,7 +819,7 @@ type Health struct {
 	InstancesCreated   int              `json:"instances_created"`
 	InstancesCompleted int              `json:"instances_completed"`
 	InstancesDied      int              `json:"instances_died"`
-	Notifications      int              `json:"notifications"`
+	Notifications      int              `json:"notifications"`       // messages sent since start (Notifier.Count)
 	Store              *store.Health    `json:"store,omitempty"`     // absent for in-memory deployments
 	Cluster            *cluster.Status  `json:"cluster,omitempty"`   // absent for single-node deployments
 	Admission          *AdmissionHealth `json:"admission,omitempty"` // absent without -max-pending-events
@@ -836,7 +860,7 @@ func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
 		InstancesCreated:   st.InstancesCreated,
 		InstancesCompleted: st.InstancesCompleted,
 		InstancesDied:      st.InstancesDied,
-		Notifications:      len(s.Notifier.Sent()),
+		Notifications:      s.Notifier.Count(),
 	}
 	if len(spaces) > 1 {
 		for _, sp := range spaces {

@@ -28,18 +28,46 @@ func simpleRuleXML(id string) string {
 	</eca:rule>`
 }
 
+// TestNotifierCollectsAndHooks: below the window and after ten windows of
+// sends (plus a few, so the end does not line up with a drop of the older
+// half), the count is exact, the hook saw every message in order, Sent is
+// the last notifyWindow messages (all of them below it) in send order, and
+// Reset zeroes both the window and the count.
 func TestNotifierCollectsAndHooks(t *testing.T) {
-	n := &Notifier{}
-	var hooked []string
-	n.OnSend(func(x Notification) { hooked = append(hooked, x.Message.Name.Local) })
-	n.Send(xmltree.NewElement("", "a"), nil)
-	n.Send(xmltree.NewElement("", "b"), nil)
-	if len(n.Sent()) != 2 || len(hooked) != 2 {
-		t.Fatalf("sent=%d hooked=%d", len(n.Sent()), len(hooked))
-	}
-	n.Reset()
-	if len(n.Sent()) != 0 {
-		t.Error("reset failed")
+	for _, total := range []int{2, 10*notifyWindow + 7} {
+		n := &Notifier{}
+		hooked := 0
+		n.OnSend(func(x Notification) {
+			if got := x.Message.AttrValue("", "i"); got != fmt.Sprint(hooked) {
+				t.Fatalf("hook saw message %s, want %d", got, hooked)
+			}
+			hooked++
+		})
+		for i := 0; i < total; i++ {
+			m := xmltree.NewElement("", "m")
+			m.SetAttr("", "i", fmt.Sprint(i))
+			n.Send(m, nil)
+		}
+		if n.Count() != total || hooked != total {
+			t.Fatalf("count = %d, hooked = %d, want %d", n.Count(), hooked, total)
+		}
+		sent := n.Sent()
+		kept := min(total, notifyWindow)
+		if len(sent) != kept {
+			t.Fatalf("%d sends: Sent holds %d messages, want the last %d", total, len(sent), kept)
+		}
+		for j, x := range sent {
+			if got, want := x.Message.AttrValue("", "i"), fmt.Sprint(total-kept+j); got != want {
+				t.Fatalf("%d sends: Sent()[%d] = message %s, want %s", total, j, got, want)
+			}
+		}
+		if len(n.sent) > 2*notifyWindow {
+			t.Errorf("notifier retains %d messages, want at most %d", len(n.sent), 2*notifyWindow)
+		}
+		n.Reset()
+		if n.Count() != 0 || len(n.Sent()) != 0 {
+			t.Fatalf("after Reset: count = %d, sent = %d", n.Count(), len(n.Sent()))
+		}
 	}
 }
 
@@ -157,7 +185,45 @@ func TestMuxManagementEndpoints(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestDeleteRuleTellsMissingFromFailed: DELETE /engine/rules/{id} answers
+// TestStatsCountEveryNotification: /engine/stats and /healthz report every
+// message sent since start, not just the ones the notifier still keeps.
+func TestStatsCountEveryNotification(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Engine.Register(ruleml.MustParse(simpleRuleXML("count-rule"))); err != nil {
+		t.Fatal(err)
+	}
+	total := 2*notifyWindow + 1
+	for i := 0; i < total; i++ {
+		sys.Stream.Publish(events.New(xmltree.MustParse(fmt.Sprintf(`<t:ping xmlns:t="%s" x="%d"/>`, tNS, i))))
+	}
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/engine/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("notifications %d\n", total); !strings.Contains(string(body), want) {
+		t.Errorf("/engine/stats lacks %q:\n%s", want, body)
+	}
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Health
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil || h.Notifications != total {
+		t.Errorf("/healthz notifications = %d (%v), want %d", h.Notifications, err, total)
+	}
+}
+
+// TestDeleteRuleTellsMissingFromFailed:DELETE /engine/rules/{id} answers
 // 404 only for a rule the node does not hold. A rule that exists but whose
 // event registration cannot be withdrawn is a 500 — even when the failing
 // service's message happens to contain "no rule", which the handler used

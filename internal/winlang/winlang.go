@@ -76,8 +76,12 @@ type Detection struct {
 type Detector struct {
 	expr *Expr
 	sink func(Detection)
-	// buckets groups pending matches by binding compatibility key.
+	// buckets groups pending matches by binding compatibility key. A bucket
+	// is deleted when a detection consumes it or a sweep finds all its
+	// matches expired.
 	buckets map[string][]match
+	// swept is the event time of the last sweep over every bucket.
+	swept time.Time
 }
 
 type match struct {
@@ -101,23 +105,26 @@ func NewDetector(e *Expr, sink func(Detection)) *Detector {
 	return &Detector{expr: e, sink: sink, buckets: map[string][]match{}}
 }
 
-// Feed processes one event.
+// Feed processes one event. At most once per Within of event time it also
+// sweeps every bucket, so a key that never recurs does not keep its
+// expired matches forever. A match outlives at most one sweep, so sweeping
+// costs amortised O(1) per event.
 func (d *Detector) Feed(ev events.Event) {
-	tuples := d.expr.Pattern.Match(ev)
-	if len(tuples) == 0 {
-		return
-	}
 	cutoff := ev.Time.Add(-d.expr.Within)
-	for _, t := range tuples {
-		key := bucketKey(t)
-		// Expire out-of-window matches.
-		kept := d.buckets[key][:0]
-		for _, m := range d.buckets[key] {
-			if m.event.Time.After(cutoff) {
-				kept = append(kept, m)
+	if ev.Time.Sub(d.swept) >= d.expr.Within {
+		for key, ms := range d.buckets {
+			if kept := live(ms, cutoff); len(kept) > 0 {
+				d.buckets[key] = kept
+			} else {
+				delete(d.buckets, key)
 			}
 		}
-		kept = append(kept, match{t, ev})
+		d.swept = ev.Time
+	}
+	tuples := d.expr.Pattern.Match(ev)
+	for _, t := range tuples {
+		key := bucketKey(t)
+		kept := append(live(d.buckets[key], cutoff), match{t, ev})
 		if len(kept) >= d.expr.N {
 			det := Detection{Bindings: bindings.Tuple{}}
 			for _, m := range kept {
@@ -130,6 +137,19 @@ func (d *Detector) Feed(ev events.Event) {
 		}
 		d.buckets[key] = kept
 	}
+}
+
+// live filters ms in place down to the matches inside the window (after
+// cutoff), clearing the tail so expired events are not retained.
+func live(ms []match, cutoff time.Time) []match {
+	kept := ms[:0]
+	for _, m := range ms {
+		if m.event.Time.After(cutoff) {
+			kept = append(kept, m)
+		}
+	}
+	clear(ms[len(kept):])
+	return kept
 }
 
 // bucketKey canonicalizes a tuple's bindings so only compatible matches

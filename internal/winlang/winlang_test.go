@@ -111,3 +111,36 @@ func TestConsumedWindowsLeaveNoBuckets(t *testing.T) {
 		t.Fatalf("%d detections, %d buckets left; want %d and 0", detections, len(d.buckets), users)
 	}
 }
+
+// TestExpiredBucketsAreSwept: 10⁴ keys each seen once stay below n, so no
+// detection consumes their buckets; one event past the window must drop
+// them all, or the detector's state grows with every key ever seen.
+func TestExpiredBucketsAreSwept(t *testing.T) {
+	d := NewDetector(expr(t, threeIn10), func(x Detection) { t.Fatalf("unexpected detection %+v", x) })
+	const users = 10_000
+	for i := 0; i < users; i++ {
+		d.Feed(ev("f", 1, "user", fmt.Sprintf("u%d", i)))
+	}
+	if len(d.buckets) != users {
+		t.Fatalf("%d buckets inside the window, want %d", len(d.buckets), users)
+	}
+	d.Feed(ev("f", 12, "user", "late"))
+	if len(d.buckets) > 1 {
+		t.Fatalf("%d buckets left one event past the window, want at most 1", len(d.buckets))
+	}
+	// The sweep keeps live matches: bob's two events inside one window
+	// still count towards his third.
+	var got []Detection
+	d = NewDetector(expr(t, threeIn10), func(x Detection) { got = append(got, x) })
+	d.Feed(ev("f", 1, "user", "bob"))
+	d.Feed(ev("f", 9, "user", "bob"))
+	d.Feed(ev("f", 11, "user", "eve")) // sweeps: bob's first match expires, his second stays
+	d.Feed(ev("f", 12, "user", "bob"))
+	if len(got) != 0 {
+		t.Fatalf("expired match counted: %+v", got)
+	}
+	d.Feed(ev("f", 13, "user", "bob"))
+	if len(got) != 1 || len(got[0].Constituents) != 3 {
+		t.Fatalf("detections = %+v, want one of bob's events at 9, 12 and 13", got)
+	}
+}

@@ -593,10 +593,12 @@ func writeElement(b *strings.Builder, n *Node, parent *scope) {
 	}
 	var decls []string
 	for _, d := range extra {
+		var v strings.Builder
+		escapeAttr(&v, d.uri)
 		if d.prefix == "" {
-			decls = append(decls, fmt.Sprintf(`xmlns=%q`, d.uri))
+			decls = append(decls, `xmlns="`+v.String()+`"`)
 		} else {
-			decls = append(decls, fmt.Sprintf(`xmlns:%s=%q`, d.prefix, d.uri))
+			decls = append(decls, `xmlns:`+d.prefix+`="`+v.String()+`"`)
 		}
 	}
 	sort.Strings(decls)
@@ -627,8 +629,9 @@ func writeElement(b *strings.Builder, n *Node, parent *scope) {
 }
 
 // escapeText writes s with the markup-significant characters &, < and >
-// replaced by entity references. Whitespace (including newlines) passes
-// through literally, unlike encoding/xml's EscapeText.
+// replaced by entity references. Tabs and newlines pass through literally,
+// unlike encoding/xml's EscapeText; a carriage return is escaped
+// numerically, because a parser turns a literal one into a newline.
 func escapeText(b *strings.Builder, s string) {
 	for _, r := range s {
 		switch r {
@@ -638,6 +641,8 @@ func escapeText(b *strings.Builder, s string) {
 			b.WriteString("&lt;")
 		case '>':
 			b.WriteString("&gt;")
+		case '\r':
+			b.WriteString("&#xD;")
 		default:
 			b.WriteRune(r)
 		}

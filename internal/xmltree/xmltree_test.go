@@ -73,6 +73,7 @@ func TestRoundTrip(t *testing.T) {
 		`<a><!--note--><b/></a>`,
 		`<a x="&lt;&amp;&quot;"/>`,
 		`<root xmlns="d"><child/></root>`,
+		`<a>cr&#13;lf&#13;&#10;end</a>`, // a raw CR would come back as LF
 	}
 	for _, c := range cases {
 		doc, err := ParseString(c)
@@ -86,6 +87,24 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if !Equal(doc, doc2) {
 			t.Errorf("round trip changed tree:\n in: %s\nout: %s", c, out)
+		}
+	}
+}
+
+// TestSynthesizedDeclarationEscapesURI: a namespace URI holding markup
+// characters must be escaped in the xmlns declaration the serializer
+// writes for it (it was Go-quoted, which XML cannot read).
+func TestSynthesizedDeclarationEscapesURI(t *testing.T) {
+	for _, uri := range []string{`a&b`, `q"r`, `s<t>`, "tab\tnl\n"} {
+		e := NewElement(uri, "e")
+		e.SetAttr(uri, "at", "v")
+		s := e.String()
+		doc, err := ParseString(s)
+		if err != nil {
+			t.Fatalf("reparse %q: %v", s, err)
+		}
+		if !Equal(doc.Root(), e) {
+			t.Errorf("namespace %q: %q came back as %s", uri, s, doc.Root())
 		}
 	}
 }

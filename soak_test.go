@@ -2,6 +2,7 @@ package eca_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	eca "repro"
@@ -10,9 +11,11 @@ import (
 )
 
 // TestSoakManyRulesManyEvents pushes 5 000 events through 100 rules (half
-// matching, half not) and checks totals — a guard against accidental
-// quadratic state growth in the matcher, the engine bookkeeping or the
-// binding relations.
+// matching, half not) twice and checks totals, then guards against state
+// growth in the matcher, the engine bookkeeping, the binding relations and
+// the notifier: the live heap after the second pass must be within 1 MB of
+// the heap after the first, although the second pass runs 12 500 more
+// actions.
 func TestSoakManyRulesManyEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -37,12 +40,21 @@ func TestSoakManyRulesManyEvents(t *testing.T) {
 		}
 	}
 	const eventsN = 5000
-	for i := 0; i < eventsN; i++ {
-		name := fmt.Sprintf("e%d", i%20) // half the names match no rule
-		e := xmltree.NewElement("http://t/", name)
-		e.SetAttr("", "x", fmt.Sprint(i))
-		sys.Stream.Publish(eca.NewEvent(e))
+	publish := func() {
+		for i := 0; i < eventsN; i++ {
+			name := fmt.Sprintf("e%d", i%20) // half the names match no rule
+			e := xmltree.NewElement("http://t/", name)
+			e.SetAttr("", "x", fmt.Sprint(i))
+			sys.Stream.Publish(eca.NewEvent(e))
+		}
 	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	publish()
 	st := sys.Engine.Stats()
 	// Each matching event (name e0..e9, 2500 of them) triggers 10 rules.
 	wantInstances := 2500 * 10
@@ -55,7 +67,20 @@ func TestSoakManyRulesManyEvents(t *testing.T) {
 		t.Fatalf("completed/died = %d/%d, want %d/%d",
 			st.InstancesCompleted, st.InstancesDied, wantInstances/2, wantInstances/2)
 	}
-	if got := len(sys.Notifier.Sent()); got != wantInstances/2 {
+	if got := sys.Notifier.Count(); got != wantInstances/2 {
 		t.Fatalf("notifications = %d", got)
+	}
+
+	first := heap()
+	publish()
+	second := heap()
+	if got := sys.Notifier.Count(); got != wantInstances {
+		t.Fatalf("notifications after the second pass = %d, want %d", got, wantInstances)
+	}
+	t.Logf("live heap after the first pass %d KB, after the second %d KB", first>>10, second>>10)
+	const slack = 1 << 20
+	if second > first+slack {
+		t.Fatalf("live heap grew %d KB over a second pass of %d events (first pass left %d KB, second %d KB)",
+			(second-first)>>10, eventsN, first>>10, second>>10)
 	}
 }

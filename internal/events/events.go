@@ -28,7 +28,7 @@ type Event struct {
 	// Tenant is the namespace the event was published under. The empty
 	// string means the default tenant, so every pre-tenancy construction
 	// site (tests, recovery replay, act:raise on an unscoped executor)
-	// keeps its behaviour. Matching services filter on it: a rule only
+	// keeps its behaviour. The Matcher indexes detectors by it: a rule only
 	// ever sees events published under its own tenant.
 	Tenant string
 }
@@ -128,6 +128,13 @@ func (s *Stream) Subscribe(f func(Event)) (cancel func()) {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// Subscribers returns the number of live subscribers.
+func (s *Stream) Subscribers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
 }
 
 // Publish stamps the event with the next sequence number and delivers it to

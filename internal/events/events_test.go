@@ -153,7 +153,7 @@ func TestMatcherRegisterDetect(t *testing.T) {
 	if d.Bindings[0]["Person"].AsString() != "John Doe" {
 		t.Errorf("binding = %v", d.Bindings[0])
 	}
-	if !m.Unregister("rule-1:event") {
+	if !m.Unregister("", "rule-1:event") {
 		t.Error("unregister should succeed")
 	}
 	detected = nil

@@ -21,13 +21,13 @@ type Emit func(tuples []bindings.Tuple, constituents []Event)
 
 // Detector is one compiled event component.
 type Detector struct {
-	// Names are the event names the detector listens to; none means every
-	// event.
+	// Names are the event names the detector listens to: at least one.
 	Names []xmltree.Name
 	// Feed processes one event.
 	Feed func(Event)
-	// Advance, when not nil, moves the detector's clock without an event;
-	// seq is the stream position emitted occurrences are attributed to.
+	// Advance, when not nil, moves the detector's clock on every event of
+	// its tenant; seq is the stream position emitted occurrences are
+	// attributed to.
 	Advance func(now time.Time, seq uint64)
 }
 
@@ -35,34 +35,39 @@ type Detector struct {
 // Atomic Event Matcher service core of Section 4.2, and the registry of the
 // detection host. Safe for concurrent use.
 //
-// Registrations are indexed by the event names they listen to — a pattern
-// only ever matches an event with its root element's name — so OnEvent costs
-// one lookup plus the registrations for the event's own name, however many
-// registrations there are for other names. A registration without names
-// listens to every event (the every-event tier) and is fed every event.
+// Registrations are indexed by (tenant, event name) — a pattern only ever
+// matches an event with its root element's name, and a rule only ever sees
+// its own tenant's events — so OnEvent costs one lookup plus the
+// registrations for the event's tenant and name, however many there are
+// for others. Keys are scoped by tenant: two tenants may use the same key.
 //
-// Detection order: when several registrations receive one event they are fed
-// in registration order, the name bucket and the every-event tier merged.
+// Detection order: an event first advances its tenant's registrations that
+// have an Advance, so timer occurrences due by the event come before its
+// detections, then feeds its name bucket; both in registration order.
 // Registering a key again replaces the earlier registration and moves the
 // key to the end of that order.
 type Matcher struct {
 	mu sync.RWMutex
-	// byName holds one bucket per event name, in registration order. The
-	// elements of a bucket stored here — and of every and timed — are never
-	// written again: Add appends behind them, removal stores a copy without
-	// the removed one, and an emptied bucket's entry is deleted. OnEvent and
-	// Advance may therefore iterate a slice they read under the read lock
-	// after releasing it.
-	byName map[xmltree.Name][]registration
-	every  []registration      // the every-event tier
-	timed  []registration      // registrations with an Advance
-	byKey  map[string]Detector // key → its registration's detector
-	next   uint64              // order stamp of the latest registration
+	// byName holds one bucket per (tenant, event name), in registration
+	// order. The elements of a bucket stored here — and of timed — are
+	// never written again: Add appends behind them, removal stores a copy
+	// without the removed one, and an emptied bucket's entry is deleted.
+	// OnEvent and Advance may therefore iterate a slice read under the read
+	// lock after releasing it.
+	byName map[nameKey][]registration
+	timed  map[string][]registration // tenant → registrations with an Advance
+	byKey  map[regKey]Detector       // (tenant, key) → its registration's detector
 }
+
+type nameKey struct {
+	tenant string
+	name   xmltree.Name
+}
+
+type regKey struct{ tenant, key string }
 
 type registration struct {
 	key     string
-	order   uint64 // increases with registration time
 	feed    func(Event)
 	advance func(time.Time, uint64)
 }
@@ -79,72 +84,75 @@ type Detection struct {
 // NewMatcher returns an empty matcher.
 func NewMatcher() *Matcher {
 	return &Matcher{
-		byName: map[xmltree.Name][]registration{},
-		byKey:  map[string]Detector{},
+		byName: map[nameKey][]registration{},
+		timed:  map[string][]registration{},
+		byKey:  map[regKey]Detector{},
 	}
 }
 
-// Register adds a pattern under a key (replacing any previous registration
-// with that key); sink is called for each matching event.
+// Register adds a pattern under a default-tenant key (replacing any previous
+// registration with that key); sink is called for each matching event.
 func (m *Matcher) Register(key string, p *Pattern, sink func(Detection)) {
-	m.Add(key, Detector{Names: []xmltree.Name{p.Name()}, Feed: func(ev Event) {
+	m.Add("", key, Detector{Names: []xmltree.Name{p.Name()}, Feed: func(ev Event) {
 		if ts := p.Match(ev); len(ts) > 0 {
 			sink(Detection{Key: key, Bindings: ts, Event: ev})
 		}
 	}})
 }
 
-// Add registers a detector under a key, replacing any previous registration
-// with that key.
-func (m *Matcher) Add(key string, d Detector) {
+// Add registers a detector under a tenant's key, replacing any previous
+// registration with that key in that tenant.
+func (m *Matcher) Add(tenant, key string, d Detector) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.byKey[key]; ok {
-		m.removeLocked(key, old)
+	rk := regKey{tenant, key}
+	if old, ok := m.byKey[rk]; ok {
+		m.removeLocked(rk, old)
 	}
-	m.next++
-	r := registration{key, m.next, d.Feed, d.Advance}
-	m.byKey[key] = d
-	if len(d.Names) == 0 {
-		m.every = append(m.every, r)
-	}
+	r := registration{key, d.Feed, d.Advance}
+	m.byKey[rk] = d
 	for _, name := range d.Names {
-		if b := m.byName[name]; len(b) == 0 || b[len(b)-1].key != key { // a name listed twice
-			m.byName[name] = append(b, r)
+		nk := nameKey{tenant, name}
+		if b := m.byName[nk]; len(b) == 0 || b[len(b)-1].key != key { // a name listed twice
+			m.byName[nk] = append(b, r)
 		}
 	}
 	if d.Advance != nil {
-		m.timed = append(m.timed, r)
+		m.timed[tenant] = append(m.timed[tenant], r)
 	}
 }
 
-// Unregister removes a registration and reports whether it existed.
-func (m *Matcher) Unregister(key string) bool {
+// Unregister removes a tenant's registration and reports whether it
+// existed.
+func (m *Matcher) Unregister(tenant, key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.byKey[key]
+	rk := regKey{tenant, key}
+	d, ok := m.byKey[rk]
 	if ok {
-		m.removeLocked(key, d)
+		m.removeLocked(rk, d)
 	}
 	return ok
 }
 
-// removeLocked drops key's registration of d from every slice holding it.
+// removeLocked drops rk's registration of d from every slice holding it.
 // Caller holds m.mu.
-func (m *Matcher) removeLocked(key string, d Detector) {
-	delete(m.byKey, key)
-	if len(d.Names) == 0 {
-		m.every = without(m.every, key)
-	}
+func (m *Matcher) removeLocked(rk regKey, d Detector) {
+	delete(m.byKey, rk)
 	for _, name := range d.Names {
-		if b := without(m.byName[name], key); b != nil {
-			m.byName[name] = b
+		nk := nameKey{rk.tenant, name}
+		if b := without(m.byName[nk], rk.key); b != nil {
+			m.byName[nk] = b
 		} else {
-			delete(m.byName, name)
+			delete(m.byName, nk)
 		}
 	}
 	if d.Advance != nil {
-		m.timed = without(m.timed, key)
+		if t := without(m.timed[rk.tenant], rk.key); t != nil {
+			m.timed[rk.tenant] = t
+		} else {
+			delete(m.timed, rk.tenant)
+		}
 	}
 }
 
@@ -162,42 +170,42 @@ func without(regs []registration, key string) []registration {
 	return append(append(rest, regs[:i]...), regs[i+1:]...)
 }
 
-// Len returns the number of registrations.
+// Len returns the number of registrations, over all tenants.
 func (m *Matcher) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.byKey)
 }
 
-// OnEvent feeds the event to the registrations for its name and to the
-// every-event tier, in registration order. It is the handler to subscribe to
-// a Stream. Detectors run with no lock held, so they may register and
+// OnEvent advances the event's tenant's clocks to it, then feeds it to the
+// tenant's registrations for its name. It is the handler to subscribe to a
+// Stream. Detectors run with no lock held, so they may register and
 // unregister; a registration removed while an event is being fed may still
 // receive that event.
 func (m *Matcher) OnEvent(ev Event) {
 	m.mu.RLock()
+	timed := m.timed[ev.Tenant]
 	var bucket []registration
 	if ev.Payload != nil {
-		bucket = m.byName[ev.Payload.Name]
+		bucket = m.byName[nameKey{ev.Tenant, ev.Payload.Name}]
 	}
-	every := m.every
 	m.mu.RUnlock()
-	for len(bucket) > 0 || len(every) > 0 {
-		if len(every) == 0 || len(bucket) > 0 && bucket[0].order < every[0].order {
-			bucket[0].feed(ev)
-			bucket = bucket[1:]
-		} else {
-			every[0].feed(ev)
-			every = every[1:]
-		}
+	for _, r := range timed {
+		r.advance(ev.Time, ev.Seq)
+	}
+	for _, r := range bucket {
+		r.feed(ev)
 	}
 }
 
-// Advance moves the clock of every registration with an Advance, in
-// registration order.
+// Advance moves the clock of every registration with an Advance, tenant by
+// tenant, in registration order within a tenant.
 func (m *Matcher) Advance(now time.Time, seq uint64) {
 	m.mu.RLock()
-	timed := m.timed
+	var timed []registration
+	for _, regs := range m.timed {
+		timed = append(timed, regs...)
+	}
 	m.mu.RUnlock()
 	for _, r := range timed {
 		r.advance(now, seq)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,12 +119,26 @@ func genEventFor(r *rand.Rand, tmpl *xmltree.Node) *xmltree.Node {
 	return ev
 }
 
-func sameTuples(a, b []bindings.Tuple) bool {
-	if len(a) != len(b) {
+// distinct returns ts without repeated tuples, first occurrences in order.
+func distinct(ts []bindings.Tuple) []bindings.Tuple {
+	var out []bindings.Tuple
+	for _, t := range ts {
+		if !slices.ContainsFunc(out, t.Equal) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// sameTuples reports whether got, which must hold no tuple twice, is the
+// set of tuples in want.
+func sameTuples(got, want []bindings.Tuple) bool {
+	want = distinct(want)
+	if len(distinct(got)) != len(got) || len(got) != len(want) {
 		return false
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+	for _, t := range want {
+		if !slices.ContainsFunc(got, t.Equal) {
 			return false
 		}
 	}
@@ -154,7 +169,7 @@ func TestCompiledPatternEquivalentToReference(t *testing.T) {
 			} else {
 				ev = New(genEventFor(r, tmpl))
 			}
-			got, want := p.Match(ev), refMatch(tmpl, ev)
+			got, want := p.Match(ev), distinct(refMatch(tmpl, ev))
 			if !sameTuples(got, want) {
 				t.Fatalf("Match = %v, reference %v\npattern %s\nevent   %s", got, want, tmpl, ev.Payload)
 			}
@@ -203,63 +218,81 @@ func TestCompiledPatternNamedCases(t *testing.T) {
 // --- indexed Matcher ≡ naive reference --------------------------------------------
 
 // TestIndexedMatcherEquivalentToReference runs random register / unregister
-// / event / advance operations against the indexed Matcher and the
-// try-everything reference. Some registrations listen to every event (fed
-// whether or not their pattern matches) and some have an Advance; detection
-// order, bindings and Advance order must equal the reference's.
+// / event / advance operations, in two tenants that share keys, against the
+// indexed Matcher and the try-everything reference. Some registrations have
+// an Advance. The log of ticks and detections — order, keys, tenants and
+// bindings — must equal the reference's: an event ticks its own tenant's
+// timed registrations, then detects for its own tenant's patterns.
 func TestIndexedMatcherEquivalentToReference(t *testing.T) {
 	rootNames := []string{"n0", "n1", "n2"}
+	tenants := []string{"", "t1"}
+	type entry struct {
+		tick        bool
+		tenant, key string
+		bindings    []bindings.Tuple
+	}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		m, ref := NewMatcher(), &refMatcher{}
-		var got, want []Detection
-		var ticked []string
-		live := map[string]*xmltree.Node{} // key → template, to derive events from
-		everyKeys := map[string]bool{}
-		var events, overlapping, mixed int
+		var got, want []entry
+		type regKey struct{ tenant, key string }
+		live := map[regKey]*xmltree.Node{} // registration → template, to derive events from
+		var events, overlapping, ticked, shared int
 		for op := 0; op < 600; op++ {
-			key := fmt.Sprintf("k%d", r.Intn(12))
+			rk := regKey{tenants[r.Intn(len(tenants))], fmt.Sprintf("k%d", r.Intn(12))}
+			tenant, key := rk.tenant, rk.key
 			switch x := r.Intn(11); {
 			case x < 4:
 				// A key registered again usually lands under a different
-				// root name or tier: the replace must leave its old place.
+				// root name: the replace must leave its old place.
 				tmpl := genTemplate(r, "", rootNames[r.Intn(len(rootNames))], r.Intn(2))
 				p, err := NewPattern(tmpl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				every, timed := r.Intn(3) == 0, r.Intn(2) == 0
-				var d Detector
-				if every {
-					d.Feed = func(ev Event) { got = append(got, Detection{Key: key, Bindings: p.Match(ev), Event: ev}) }
-				} else {
-					d.Names = []xmltree.Name{p.Name(), p.Name()} // listed twice, fed once
-					d.Feed = func(ev Event) {
+				d := Detector{
+					Names: []xmltree.Name{p.Name(), p.Name()}, // listed twice, fed once
+					Feed: func(ev Event) {
 						if ts := p.Match(ev); len(ts) > 0 {
-							got = append(got, Detection{Key: key, Bindings: ts, Event: ev})
+							got = append(got, entry{false, tenant, key, ts})
 						}
+					},
+				}
+				reg := refRegistration{tenant: tenant, key: key, template: tmpl,
+					sink: func(d Detection) { want = append(want, entry{false, tenant, key, d.Bindings}) }}
+				if r.Intn(2) == 0 {
+					d.Advance = func(time.Time, uint64) { got = append(got, entry{tick: true, tenant: tenant, key: key}) }
+					reg.tick = func() { want = append(want, entry{tick: true, tenant: tenant, key: key}) }
+				}
+				m.Add(tenant, key, d)
+				ref.Register(reg)
+				live[rk] = tmpl
+			case x < 6:
+				if a, b := m.Unregister(tenant, key), ref.Unregister(tenant, key); a != b {
+					t.Fatalf("seed %d op %d: Unregister(%q, %s) = %v, reference %v", seed, op, tenant, key, a, b)
+				}
+				delete(live, rk)
+			case x < 7:
+				// Across tenants Advance's order is unspecified: compare
+				// each tenant's ticks.
+				got, want = got[:0], want[:0]
+				m.Advance(time.Time{}, 0)
+				ref.Advance()
+				for _, tn := range tenants {
+					of := func(es []entry) (keys []string) {
+						for _, e := range es {
+							if e.tenant == tn {
+								keys = append(keys, e.key)
+							}
+						}
+						return keys
+					}
+					if !slices.Equal(of(got), of(want)) {
+						t.Fatalf("seed %d op %d: Advance reached %v in tenant %q, reference %v", seed, op, of(got), tn, of(want))
 					}
 				}
-				if timed {
-					d.Advance = func(time.Time, uint64) { ticked = append(ticked, key) }
-				}
-				m.Add(key, d)
-				ref.Register(refRegistration{key: key, template: tmpl, every: every, timed: timed,
-					sink: func(d Detection) { want = append(want, d) }})
-				live[key], everyKeys[key] = tmpl, every
-			case x < 6:
-				if a, b := m.Unregister(key), ref.Unregister(key); a != b {
-					t.Fatalf("seed %d op %d: Unregister(%s) = %v, reference %v", seed, op, key, a, b)
-				}
-				delete(live, key)
-			case x < 7:
-				ticked = ticked[:0]
-				m.Advance(time.Time{}, 0)
-				if want := ref.Advance(); fmt.Sprint(ticked) != fmt.Sprint(want) {
-					t.Fatalf("seed %d op %d: Advance reached %v, reference %v", seed, op, ticked, want)
-				}
 			default:
-				tmpl := live[key]
+				tmpl := live[rk]
 				if tmpl == nil {
 					tmpl = genTemplate(r, "", rootNames[r.Intn(len(rootNames))], 1)
 				}
@@ -270,42 +303,53 @@ func TestIndexedMatcherEquivalentToReference(t *testing.T) {
 					}
 				}
 				ev := New(payload)
+				ev.Tenant = tenant
 				got, want = got[:0], want[:0]
 				m.OnEvent(ev)
 				ref.OnEvent(ev)
 				if len(got) != len(want) {
-					t.Fatalf("seed %d op %d: %d detections, reference %d\nevent %s", seed, op, len(got), len(want), ev.Payload)
+					t.Fatalf("seed %d op %d: %d ticks and detections, reference %d\nevent %s", seed, op, len(got), len(want), ev.Payload)
 				}
-				tiers := map[bool]bool{}
+				detections, ticks := 0, 0
 				for i := range want {
-					if got[i].Key != want[i].Key || !sameTuples(got[i].Bindings, want[i].Bindings) || got[i].Event.Payload != ev.Payload {
-						t.Fatalf("seed %d op %d: detection %d = %s %v, reference %s %v\nevent %s",
-							seed, op, i, got[i].Key, got[i].Bindings, want[i].Key, want[i].Bindings, ev.Payload)
+					g, w := got[i], want[i]
+					if g.tick != w.tick || g.tenant != w.tenant || g.key != w.key || !sameTuples(g.bindings, w.bindings) {
+						t.Fatalf("seed %d op %d: entry %d = %+v, reference %+v\nevent %s", seed, op, i, g, w, ev.Payload)
 					}
-					tiers[everyKeys[want[i].Key]] = true
+					if w.tenant != tenant {
+						t.Fatalf("seed %d op %d: an event of tenant %q reached tenant %q", seed, op, tenant, w.tenant)
+					}
+					if w.tick {
+						ticks++
+					} else {
+						detections++
+					}
 				}
 				events++
-				if len(want) > 1 {
+				if detections > 1 {
 					overlapping++
 				}
-				if len(tiers) == 2 {
-					mixed++
+				if detections > 0 && ticks > 0 {
+					ticked++
+				}
+				if detections > 0 && live[regKey{tenants[1-slices.Index(tenants, tenant)], key}] != nil {
+					shared++
 				}
 			}
 			if m.Len() != ref.Len() {
 				t.Fatalf("seed %d op %d: Len() = %d, reference %d", seed, op, m.Len(), ref.Len())
 			}
 		}
-		if overlapping < events/20 || mixed < events/20 {
-			t.Fatalf("seed %d: of %d events only %d had several detections and %d had both tiers; order is barely exercised",
-				seed, events, overlapping, mixed)
+		if overlapping < events/20 || ticked < events/20 || shared < events/20 {
+			t.Fatalf("seed %d: of %d events only %d had several detections, %d ticks and detections, %d a key live in both tenants; the contract is barely exercised",
+				seed, events, overlapping, ticked, shared)
 		}
-		for key := range live {
-			m.Unregister(key)
+		for rk := range live {
+			m.Unregister(rk.tenant, rk.key)
 		}
-		if m.Len() != 0 || len(m.byName) != 0 || len(m.byKey) != 0 || len(m.every) != 0 || len(m.timed) != 0 {
-			t.Fatalf("seed %d: after unregistering everything Len() = %d, %d buckets, %d keys, %d every-event, %d timed",
-				seed, m.Len(), len(m.byName), len(m.byKey), len(m.every), len(m.timed))
+		if m.Len() != 0 || len(m.byName) != 0 || len(m.byKey) != 0 || len(m.timed) != 0 {
+			t.Fatalf("seed %d: after unregistering everything Len() = %d, %d buckets, %d keys, %d timed tenants",
+				seed, m.Len(), len(m.byName), len(m.byKey), len(m.timed))
 		}
 	}
 }
@@ -359,20 +403,20 @@ func TestMatcherDropsEmptiedBucket(t *testing.T) {
 	if len(m.byName) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(m.byName))
 	}
-	m.Unregister("a1")
-	if len(m.byName) != 2 || len(m.byName[xmltree.Name{Local: "a"}]) != 1 {
-		t.Fatalf("after removing one of two: %d buckets, bucket a = %d", len(m.byName), len(m.byName[xmltree.Name{Local: "a"}]))
+	m.Unregister("", "a1")
+	if len(m.byName) != 2 || len(m.byName[nameKey{name: xmltree.Name{Local: "a"}}]) != 1 {
+		t.Fatalf("after removing one of two: %d buckets, bucket a = %d", len(m.byName), len(m.byName[nameKey{name: xmltree.Name{Local: "a"}}]))
 	}
-	m.Unregister("a2")
-	if _, ok := m.byName[xmltree.Name{Local: "a"}]; ok || len(m.byName) != 1 {
+	m.Unregister("", "a2")
+	if _, ok := m.byName[nameKey{name: xmltree.Name{Local: "a"}}]; ok || len(m.byName) != 1 {
 		t.Fatalf("the last pattern of a name left its bucket behind: %d buckets", len(m.byName))
 	}
 	// Replacing a key under another root name empties its old bucket too.
 	m.Register("b1", MustPattern(`<c/>`), sink)
-	if _, ok := m.byName[xmltree.Name{Local: "b"}]; ok || len(m.byName) != 1 || m.Len() != 1 {
+	if _, ok := m.byName[nameKey{name: xmltree.Name{Local: "b"}}]; ok || len(m.byName) != 1 || m.Len() != 1 {
 		t.Fatalf("replace under a different name: buckets %d, Len %d", len(m.byName), m.Len())
 	}
-	if m.Unregister("a1") {
+	if m.Unregister("", "a1") {
 		t.Error("unregistering twice should report false")
 	}
 }
@@ -399,7 +443,7 @@ func TestMatcherConcurrentRegisterUnregisterOnEvent(t *testing.T) {
 				key := fmt.Sprintf("w%d-%d", w, i%5)
 				m.Register(key, pats[i%len(pats)], func(Detection) { churned.Add(1) })
 				if i%2 == 1 {
-					m.Unregister(key)
+					m.Unregister("", key)
 				}
 				m.Len()
 			}

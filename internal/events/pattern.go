@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,7 +43,8 @@ type elemPattern struct {
 	binds   []attrBind     // attributes whose value binds a variable
 	text    string         // trimmed own text the event must equal; "" = no test
 	textVar string         // variable bound to the event's trimmed own text; "" = none
-	kids    []*elemPattern
+	kids    []*elemPattern // children whose subtree binds a variable
+	ground  []*elemPattern // children that bind none: only their fit is checked
 }
 
 type attrBind struct {
@@ -88,9 +90,11 @@ func compileElem(n *xmltree.Node, vars map[string]bool) *elemPattern {
 			e.text = txt
 		}
 	}
-	for _, c := range n.Children {
-		if c.Kind == xmltree.ElementNode {
-			e.kids = append(e.kids, compileElem(c, vars))
+	for _, c := range n.ChildElements() {
+		if k := compileElem(c, vars); len(k.binds) == 0 && k.textVar == "" && len(k.kids) == 0 {
+			e.ground = append(e.ground, k)
+		} else {
+			e.kids = append(e.kids, k)
 		}
 	}
 	return e
@@ -146,10 +150,10 @@ func ownText(n *xmltree.Node) string {
 	return b.String()
 }
 
-// Match matches the pattern against an event and returns the resulting
-// tuples of variable bindings (empty slice: no match). Multiple tuples
-// arise when repeated pattern children match different event children.
-// The tuples share no storage with each other or with later matches.
+// Match matches the pattern against an event and returns the set of
+// tuples of variable bindings (empty: no match). Several tuples arise when
+// repeated pattern children match different event children. The tuples
+// share no storage with each other or with later matches.
 func (p *Pattern) Match(ev Event) []bindings.Tuple {
 	if ev.Payload == nil {
 		return nil
@@ -157,8 +161,8 @@ func (p *Pattern) Match(ev Event) []bindings.Tuple {
 	return p.root.match(ev.Payload, nil)
 }
 
-// match returns every extension of t under which ev fits e. t itself is
-// never modified.
+// match returns the distinct extensions of t under which ev fits e. t
+// itself is never modified.
 func (e *elemPattern) match(ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple {
 	if e.name != ev.Name {
 		return nil
@@ -186,18 +190,21 @@ func (e *elemPattern) match(ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple
 	if e.textVar != "" && !bindVar(cur, e.textVar, bindings.Str(evText)) {
 		return nil
 	}
-	if len(e.kids) == 0 {
+	if len(e.kids) == 0 && len(e.ground) == 0 {
 		return []bindings.Tuple{cur}
 	}
-	return matchKids(e.kids, ev.Children, make([]bool, len(ev.Children)), cur, nil)
+	return matchKids(e.kids, e.ground, ev.Children, make([]bool, len(ev.Children)), cur, nil)
 }
 
 // matchKids assigns each pattern child in kids to a distinct, still unused
-// element of evKids, appending every consistent combination of bindings to
-// out: combinations are enumerated pattern child by pattern child, event
-// children in document order.
-func matchKids(kids []*elemPattern, evKids []*xmltree.Node, used []bool, t bindings.Tuple, out []bindings.Tuple) []bindings.Tuple {
+// element of evKids, pattern child by pattern child, event children in
+// document order, and adds each consistent combination of bindings under
+// which the ground children fit the elements left to the set out.
+func matchKids(kids, ground []*elemPattern, evKids []*xmltree.Node, used []bool, t bindings.Tuple, out []bindings.Tuple) []bindings.Tuple {
 	if len(kids) == 0 {
+		if slices.ContainsFunc(out, t.Equal) || len(ground) > 0 && !fitAll(ground, evKids, used) {
+			return out
+		}
 		return append(out, t)
 	}
 	for i, ek := range evKids {
@@ -206,11 +213,39 @@ func matchKids(kids []*elemPattern, evKids []*xmltree.Node, used []bool, t bindi
 		}
 		for _, t2 := range kids[0].match(ek, t) {
 			used[i] = true
-			out = matchKids(kids[1:], evKids, used, t2, out)
+			out = matchKids(kids[1:], ground, evKids, used, t2, out)
 			used[i] = false
 		}
 	}
 	return out
+}
+
+// fitAll reports whether every pattern in ground fits its own unused
+// element of evKids: a bipartite matching grown along augmenting paths, so
+// n repeated children cost a polynomial, not their n! assignments.
+func fitAll(ground []*elemPattern, evKids []*xmltree.Node, used []bool) bool {
+	holder := make([]int, len(evKids)) // evKids index → 1 + the pattern holding it; 0 = free
+	var seen []bool
+	var augment func(g int) bool
+	augment = func(g int) bool {
+		for j, ek := range evKids {
+			if seen[j] || used[j] || ek.Kind != xmltree.ElementNode || len(ground[g].match(ek, nil)) == 0 {
+				continue
+			}
+			seen[j] = true
+			if holder[j] == 0 || augment(holder[j]-1) {
+				holder[j] = g + 1
+				return true
+			}
+		}
+		return false
+	}
+	for g := range ground {
+		if seen = make([]bool, len(evKids)); !augment(g) {
+			return false
+		}
+	}
+	return true
 }
 
 func bindVar(t bindings.Tuple, name string, v bindings.Value) bool {

@@ -15,29 +15,28 @@ import (
 // interpreter re-reads the template on every match.
 
 // refMatcher is the try-everything matcher: one list in registration order
-// (a key registered again moves to the end), every template interpreted
-// against every event.
+// (a key registered again in its tenant moves to the end), every template
+// interpreted against every event of its tenant.
 type refMatcher struct {
 	regs []refRegistration
 }
 
 type refRegistration struct {
-	key      string
-	template *xmltree.Node
-	sink     func(Detection)
-	every    bool // the sink sees every event, matching or not
-	timed    bool // Advance reaches it
+	tenant, key string
+	template    *xmltree.Node
+	sink        func(Detection)
+	tick        func() // the registration's Advance; nil = none
 }
 
 func (m *refMatcher) Register(r refRegistration) {
-	m.Unregister(r.key)
+	m.Unregister(r.tenant, r.key)
 	r.template = r.template.Root()
 	m.regs = append(m.regs, r)
 }
 
-func (m *refMatcher) Unregister(key string) bool {
+func (m *refMatcher) Unregister(tenant, key string) bool {
 	for i, r := range m.regs {
-		if r.key == key {
+		if r.tenant == tenant && r.key == key {
 			m.regs = append(m.regs[:i:i], m.regs[i+1:]...)
 			return true
 		}
@@ -47,27 +46,37 @@ func (m *refMatcher) Unregister(key string) bool {
 
 func (m *refMatcher) Len() int { return len(m.regs) }
 
+// OnEvent first ticks every timed registration of the event's tenant, then
+// tries every registration of that tenant, each pass in registration order.
 func (m *refMatcher) OnEvent(ev Event) {
 	regs := append([]refRegistration(nil), m.regs...)
 	for _, r := range regs {
-		if ts := refMatch(r.template, ev); len(ts) > 0 || r.every {
+		if r.tenant == ev.Tenant && r.tick != nil {
+			r.tick()
+		}
+	}
+	for _, r := range regs {
+		if r.tenant != ev.Tenant {
+			continue
+		}
+		if ts := refMatch(r.template, ev); len(ts) > 0 {
 			r.sink(Detection{Key: r.key, Bindings: ts, Event: ev})
 		}
 	}
 }
 
-// Advance returns the keys Advance reaches, in the order it reaches them.
-func (m *refMatcher) Advance() []string {
-	var keys []string
+// Advance ticks every timed registration, in registration order.
+func (m *refMatcher) Advance() {
 	for _, r := range m.regs {
-		if r.timed {
-			keys = append(keys, r.key)
+		if r.tick != nil {
+			r.tick()
 		}
 	}
-	return keys
 }
 
-// refMatch is Pattern.Match as it was before patterns were compiled.
+// refMatch is Pattern.Match as it was before patterns were compiled: every
+// assignment of event children to pattern children yields its tuple, so
+// the same tuple can come back many times. Compare it as a set.
 func refMatch(template *xmltree.Node, ev Event) []bindings.Tuple {
 	if ev.Payload == nil {
 		return nil

@@ -15,7 +15,7 @@ import (
 // network bytes in the GRH's HTTP dispatch, POST /engine/detect and the
 // Fig. 10 opaque path, with arbitrary documents. Decoding must not panic,
 // and an accepted answer must survive the wire: EncodeAnswers, serialize,
-// parse and decode again give the same rule, component and rows.
+// parse and decode again give the same rule, component, tenant and rows.
 func FuzzDecodeAnswers(f *testing.F) {
 	// The log:answers messages of the Figs. 5–11 replay: the Fig. 8 answer
 	// with its two functional results, the Fig. 9 per-tuple answers and
@@ -49,8 +49,9 @@ func FuzzDecodeAnswers(f *testing.F) {
 		{Phase: "encode", Duration: 5100 * time.Nanosecond, TuplesOut: 2},
 	}
 	f.Add([]byte(protocol.EncodeAnswers(fig8).String()))
-	// Every value type, a detection's lifecycle stamps, an empty answer.
-	f.Add([]byte(`<log:answers xmlns:log="` + protocol.LogNS + `" rule="r" component="event" admitted="2006-03-26T10:00:00.5Z" published="2006-03-26T10:00:01Z">
+	// Every value type, a detection's tenant and lifecycle stamps, an
+	// empty answer.
+	f.Add([]byte(`<log:answers xmlns:log="` + protocol.LogNS + `" rule="r" component="event" tenant="acme" admitted="2006-03-26T10:00:00.5Z" published="2006-03-26T10:00:01Z">
 	  <log:answer>
 	    <log:variable name="S" type="string">John Doe</log:variable>
 	    <log:variable name="N" type="number">2.5</log:variable>
@@ -86,8 +87,9 @@ func FuzzDecodeAnswers(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded answer does not decode: %v\n%s", err, wire)
 		}
-		if a.RuleID != b.RuleID || a.Component != b.Component {
-			t.Fatalf("rule/component %q/%q came back as %q/%q\n%s", a.RuleID, a.Component, b.RuleID, b.Component, wire)
+		if a.RuleID != b.RuleID || a.Component != b.Component || a.Tenant != b.Tenant {
+			t.Fatalf("rule/component/tenant %q/%q/%q came back as %q/%q/%q\n%s",
+				a.RuleID, a.Component, a.Tenant, b.RuleID, b.Component, b.Tenant, wire)
 		}
 		if len(a.Rows) != len(b.Rows) {
 			t.Fatalf("%d rows came back as %d\n%s", len(a.Rows), len(b.Rows), wire)

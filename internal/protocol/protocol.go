@@ -119,6 +119,9 @@ type TraceSpan struct {
 type Answer struct {
 	RuleID    string
 	Component string
+	// Tenant is the namespace of the rule a detection is for, as in
+	// Request.Tenant (empty: the default tenant, and no attribute).
+	Tenant string
 	// Rows holds one row per <log:answer> element, in message order.
 	Rows []AnswerRow
 
@@ -278,7 +281,7 @@ func DecodeValue(children []*xmltree.Node, typ string) (bindings.Value, error) {
 
 // EncodeAnswers renders an Answer as a <log:answers> element:
 //
-//	<log:answers rule="R" component="C">
+//	<log:answers rule="R" component="C" tenant="T">
 //	  <log:answer>
 //	    <log:variable name="X" type="string">…</log:variable>
 //	    <log:result>…</log:result>
@@ -292,6 +295,9 @@ func EncodeAnswers(a *Answer) *xmltree.Node {
 	}
 	if a.Component != "" {
 		root.SetAttr("", "component", a.Component)
+	}
+	if a.Tenant != "" {
+		root.SetAttr("", "tenant", a.Tenant)
 	}
 	if !a.AdmittedAt.IsZero() {
 		root.SetAttr("", "admitted", a.AdmittedAt.UTC().Format(time.RFC3339Nano))
@@ -394,6 +400,7 @@ func DecodeAnswers(n *xmltree.Node) (*Answer, error) {
 	a := &Answer{
 		RuleID:    n.AttrValue("", "rule"),
 		Component: n.AttrValue("", "component"),
+		Tenant:    n.AttrValue("", "tenant"),
 	}
 	// Lifecycle timestamps are optional and lenient: a malformed value
 	// degrades to zero (no lifecycle accounting) rather than failing the

@@ -167,3 +167,17 @@ func TestEmptyAnswersMeansNoTuples(t *testing.T) {
 		t.Errorf("expected empty answer, got %d rows", len(dec.Rows))
 	}
 }
+
+// An answer's tenant rides as an attribute written only when set, so the
+// default tenant's log:answers bytes are those of a tenant-unaware build.
+func TestAnswerTenantAttribute(t *testing.T) {
+	a := &Answer{RuleID: "r", Component: "event[1]"}
+	if _, ok := EncodeAnswers(a).Attr("", "tenant"); ok {
+		t.Fatalf("default tenant written: %s", EncodeAnswers(a))
+	}
+	a.Tenant = "acme"
+	b, err := DecodeAnswers(xmltree.MustParse(EncodeAnswers(a).String()))
+	if err != nil || b.Tenant != "acme" {
+		t.Fatalf("tenant came back as %q (%v)", b.Tenant, err)
+	}
+}

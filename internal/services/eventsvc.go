@@ -14,25 +14,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// DetectorOption configures a DetectorHost's detection fan-out and tenant
-// scope.
-type DetectorOption func(*detectorOpts)
-
-type detectorOpts struct {
-	pool       *DetectorPool
-	tenant     string // accepted event tenant when tenantOnly
-	tenantOnly bool
-}
-
-// newDetectorOpts applies opts over the default: a zero-worker pool of the
-// service's own (no goroutine, nothing to close).
-func newDetectorOpts(opts []DetectorOption) detectorOpts {
-	o := detectorOpts{pool: NewDetectorPool(0, nil)}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
+// DetectorOption configures a DetectorHost's detection fan-out.
+type DetectorOption func(*DetectorHost)
 
 // WithDetectorPool shards the service's detectors across the pool's
 // partitions: each registration is pinned to one partition by rule key,
@@ -42,26 +25,17 @@ func newDetectorOpts(opts []DetectorOption) detectorOpts {
 // stream's dispatch goroutine. The pool may be shared by several services;
 // its lifetime is the caller's (close it after unsubscribing the services).
 func WithDetectorPool(p *DetectorPool) DetectorOption {
-	return func(o *detectorOpts) { o.pool = p }
-}
-
-// WithTenantFilter restricts the service to events published under one
-// tenant: events whose Tenant differs are ignored before any detector
-// state is touched (SNOOP detectors are stateful and order-sensitive, so
-// cross-tenant events must never feed them). The empty string is a valid
-// filter — it is the default tenant's wire form, which also matches
-// events published by tenant-unaware code. Services built without this
-// option observe every event, the pre-tenancy behaviour.
-func WithTenantFilter(tenant string) DetectorOption {
-	return func(o *detectorOpts) { o.tenant, o.tenantOnly = tenant, true }
+	return func(h *DetectorHost) { h.pool = p }
 }
 
 // DetectorHost is the event detection service of Section 4.2 for every event
 // component language: a language supplies only its compile step (an
 // events.Language); the host subscribes to the stream, keeps the registry
-// by rule/component key, pins each registration to a DetectorPool
-// partition, filters tenants, ticks clocks, builds the log:answers reply of
-// every detection and delivers it.
+// by tenant and rule/component key, pins each registration to a
+// DetectorPool partition, builds the log:answers reply of every detection,
+// stamped with the registration's tenant, and delivers it. One host serves
+// every tenant: each event reaches only the detectors its own tenant
+// registered for its name (events.Matcher).
 //
 // Concurrency contract: a detector is not safe for concurrent use and may be
 // order-sensitive, so every detector is fed from exactly one serialization
@@ -71,7 +45,7 @@ func WithTenantFilter(tenant string) DetectorOption {
 // released: a delivery may raise an event that the stream dispatches on this
 // goroutine into the very partition that detected it.
 type DetectorHost struct {
-	detectorOpts
+	pool    *DetectorPool
 	compile events.Language
 	deliver *Deliverer
 	parts   []*hostPart // one per pool partition
@@ -96,7 +70,11 @@ type delivery struct {
 // NewDetectorHost creates a host for one event language and subscribes it
 // to the stream.
 func NewDetectorHost(stream *events.Stream, deliver *Deliverer, compile events.Language, opts ...DetectorOption) *DetectorHost {
-	h := &DetectorHost{detectorOpts: newDetectorOpts(opts), compile: compile, deliver: deliver}
+	// By default a zero-worker pool: inline detection, nothing to close.
+	h := &DetectorHost{pool: NewDetectorPool(0, nil), compile: compile, deliver: deliver}
+	for _, opt := range opts {
+		opt(h)
+	}
 	for range h.pool.Workers() {
 		h.parts = append(h.parts, &hostPart{index: events.NewMatcher()})
 	}
@@ -148,7 +126,8 @@ func compileSnoop(expr *xmltree.Node) (snoop.Expr, snoop.ParamContext, error) {
 }
 
 // snoopEvents compiles SNOOP expressions (compileSnoop). A detector listens
-// to every event: its periodic timers advance on any event's clock.
+// to the names of its leaf patterns; one with a periodic operator also has
+// an Advance, so its timers move on every event of its tenant.
 func snoopEvents(hub *obs.Hub) events.Language {
 	return func(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
 		e, ctx, err := compileSnoop(expr)
@@ -162,7 +141,11 @@ func snoopEvents(hub *obs.Hub) events.Language {
 			return events.Detector{}, err
 		}
 		d.SetObs(hub)
-		return events.Detector{Feed: d.Feed, Advance: d.Advance}, nil
+		det := events.Detector{Names: d.Names(), Feed: d.Feed}
+		if d.Periodic() {
+			det.Advance = d.Advance
+		}
+		return det, nil
 	}
 }
 
@@ -206,44 +189,21 @@ func (h *DetectorHost) step(run func(*events.Matcher)) {
 }
 
 func (h *DetectorHost) onEvent(ev events.Event) {
-	if h.tenantOnly && ev.Tenant != h.tenant {
-		return
-	}
 	h.lastSeq.Store(ev.Seq)
 	h.step(func(m *events.Matcher) { m.OnEvent(ev) })
 }
 
 // Advance moves every detector's clock forward, firing elapsed periodic
-// occurrences (snoop.Periodic) even while the stream is quiet. Call it from
-// a ticker, or use StartTicker. The tick is routed through the pool's
-// partitions so it serializes with each detector's event feed.
+// occurrences (snoop.Periodic) even while the stream is quiet; call it from
+// a ticker. The tick is routed through the pool's partitions so it
+// serializes with each detector's event feed.
 func (h *DetectorHost) Advance(now time.Time) {
 	seq := h.lastSeq.Load()
 	h.step(func(m *events.Matcher) { m.Advance(now, seq) })
 }
 
-// StartTicker advances the detectors' clocks every interval until the
-// returned stop function is called.
-func (h *DetectorHost) StartTicker(interval time.Duration) (stop func()) {
-	t := time.NewTicker(interval)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case now := <-t.C:
-				h.Advance(now)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		t.Stop()
-		close(done)
-	}
-}
-
-// Handle implements grh.Service: register-event and unregister-event.
+// Handle implements grh.Service: register-event and unregister-event,
+// under the request's tenant.
 func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 	key := req.RuleID + "/" + req.Component
 	part := h.parts[h.pool.Pick(key)]
@@ -252,18 +212,21 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 		if req.Expression == nil {
 			return nil, fmt.Errorf("eventd: register-event %s without an expression", key)
 		}
-		ruleID, component, replyTo := req.RuleID, req.Component, req.ReplyTo
+		tenant, ruleID, component, replyTo := req.Tenant, req.RuleID, req.Component, req.ReplyTo
 		det, err := h.compile(req.Expression, func(tuples []bindings.Tuple, constituents []events.Event) {
 			// Buffered, not delivered: the feeding task hands pend to its
 			// follow-up, which delivers outside every lock.
-			part.pend = append(part.pend, delivery{detectionAnswer(ruleID, component, tuples, constituents), replyTo})
+			part.pend = append(part.pend, delivery{detectionAnswer(tenant, ruleID, component, tuples, constituents), replyTo})
 		})
 		if err != nil {
 			return nil, err
 		}
-		part.index.Add(key, det)
+		if len(det.Names) == 0 {
+			return nil, fmt.Errorf("eventd: register-event %s listens to no event name", key)
+		}
+		part.index.Add(tenant, key, det)
 	case protocol.UnregisterEvent:
-		part.index.Unregister(key)
+		part.index.Unregister(req.Tenant, key)
 	default:
 		return nil, fmt.Errorf("eventd: unsupported request kind %q", req.Kind)
 	}
@@ -274,8 +237,8 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 // tuple whose results are the constituent events' payloads. A detection
 // completes with its newest constituent, so the lifecycle clock starts at
 // the newest admission and publication among them.
-func detectionAnswer(ruleID, component string, tuples []bindings.Tuple, constituents []events.Event) *protocol.Answer {
-	a := &protocol.Answer{RuleID: ruleID, Component: component}
+func detectionAnswer(tenant, ruleID, component string, tuples []bindings.Tuple, constituents []events.Event) *protocol.Answer {
+	a := &protocol.Answer{RuleID: ruleID, Component: component, Tenant: tenant}
 	for _, c := range constituents {
 		if c.AdmittedAt.After(a.AdmittedAt) {
 			a.AdmittedAt = c.AdmittedAt

@@ -145,7 +145,8 @@ func TestDetectorHostConformance(t *testing.T) {
 		{"answer", conformAnswer},
 		{"registration order", conformOrder},
 		{"remote delivery", conformRemote},
-		{"tenant filter", conformTenant},
+		{"tenants share a key", conformTenantKey},
+		{"no detection across tenants", conformTenantComposite},
 		{"ordered feed under concurrent publishers", conformOrderedFeed},
 	}
 	for _, lang := range hostedLanguages {
@@ -323,21 +324,91 @@ func conformRemote(t *testing.T, lang hostedLanguage) {
 	}
 }
 
-// conformTenant: a tenant-filtered host ignores events of other tenants.
-func conformTenant(t *testing.T, lang hostedLanguage) {
+// registerIn registers src under ruleID in a tenant.
+func registerIn(t *testing.T, h *DetectorHost, tenant, ruleID, src string) {
+	t.Helper()
+	req := &protocol.Request{Kind: protocol.RegisterEvent, RuleID: ruleID, Component: "event[1]",
+		Expression: xmltree.MustParse(src).Root(), Tenant: tenant}
+	if _, err := h.Handle(req); err != nil {
+		t.Fatalf("register %s in %q: %v", ruleID, tenant, err)
+	}
+}
+
+// eventIn is event(name, p) published under a tenant.
+func eventIn(tenant, name, p string) events.Event {
+	ev := event(name, p)
+	ev.Tenant = tenant
+	return ev
+}
+
+// conformTenantKey: two tenants register the same key and pattern; each
+// detects only its own tenant's events, and its answers carry its tenant.
+func conformTenantKey(t *testing.T, lang hostedLanguage) {
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile, WithTenantFilter("acme"))
+	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
 	defer h.Close()
-	register(t, h, "r", lang.single("a"), "")
-	for _, tenant := range []string{"other", "", "acme"} {
-		ev := event("a", tenant)
-		ev.Tenant = tenant
-		stream.Publish(ev)
+	for _, tenant := range []string{"", "acme"} {
+		registerIn(t, h, tenant, "r", lang.single("a"))
 	}
-	got := c.take()
-	if len(got) != 1 || got[0].Rows[0].Tuple["P"].AsString() != "acme" {
-		t.Fatalf("detections = %+v, want only the acme event's", got)
+	if h.Registrations() != 2 {
+		t.Fatalf("registrations = %d, want one per tenant", h.Registrations())
+	}
+	for _, tenant := range []string{"other", "", "acme"} {
+		stream.Publish(eventIn(tenant, "a", tenant))
+	}
+	var got []string
+	for _, a := range c.take() {
+		got = append(got, a.Tenant+"="+a.Rows[0].Tuple["P"].AsString())
+	}
+	if want := []string{"=", "acme=acme"}; !slices.Equal(got, want) {
+		t.Fatalf("detections (tenant=$P) = %v, want %v", got, want)
+	}
+	// Unregistering the key in one tenant leaves the other's.
+	if _, err := h.Handle(&protocol.Request{Kind: protocol.UnregisterEvent, RuleID: "r", Component: "event[1]", Tenant: "acme"}); err != nil {
+		t.Fatal(err)
+	}
+	stream.Publish(eventIn("acme", "a", "acme"))
+	stream.Publish(eventIn("", "a", "x"))
+	if got := c.take(); h.Registrations() != 1 || len(got) != 1 || got[0].Tenant != "" {
+		t.Fatalf("after unregistering in acme: %d registrations, detections %+v", h.Registrations(), got)
+	}
+}
+
+// conformTenantComposite: a detection never combines events of two
+// tenants. The composite's every event but the last in acme, the last in
+// beta, detects nothing; the last in acme completes it.
+func conformTenantComposite(t *testing.T, lang hostedLanguage) {
+	stream := events.NewStream()
+	var c answers
+	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	defer h.Close()
+	registerIn(t, h, "acme", "r", lang.composite)
+	last := len(lang.stream) - 1
+	for _, e := range lang.stream[:last] {
+		stream.Publish(eventIn("acme", e[0], e[1]))
+	}
+	stream.Publish(eventIn("beta", lang.stream[last][0], lang.stream[last][1]))
+	if got := c.take(); len(got) != 0 {
+		t.Fatalf("events of two tenants detected together: %+v", got)
+	}
+	stream.Publish(eventIn("acme", lang.stream[last][0], lang.stream[last][1]))
+	if got := c.take(); len(got) != 1 || got[0].Tenant != "acme" {
+		t.Fatalf("detections = %+v, want one for acme", got)
+	}
+}
+
+// TestDetectorHostRejectsNamelessDetector: a detector must listen to at
+// least one event name; one that names none is refused at registration.
+func TestDetectorHostRejectsNamelessDetector(t *testing.T) {
+	nameless := func(*xmltree.Node, events.Emit) (events.Detector, error) {
+		return events.Detector{Feed: func(events.Event) {}}, nil
+	}
+	h := NewDetectorHost(events.NewStream(), &Deliverer{}, nameless)
+	defer h.Close()
+	req := &protocol.Request{Kind: protocol.RegisterEvent, RuleID: "r", Component: "event[1]", Expression: xmltree.MustParse(`<a/>`).Root()}
+	if _, err := h.Handle(req); err == nil || h.Registrations() != 0 {
+		t.Fatalf("nameless detector: err %v, %d registrations", err, h.Registrations())
 	}
 }
 

@@ -114,14 +114,6 @@ func (s *DocStore) Update(uri string, f func(doc *xmltree.Node) error) error {
 // the wire protocol: POST eca:request, 200 log:answers.
 func Handler(svc grh.Service) http.Handler { return NewHandler(svc, nil, nil) }
 
-// InstrumentedHandler is Handler plus observability: every decoded
-// request counts into service_requests_total{kind} (and failures into
-// service_errors_total{kind}) on the given hub. A nil hub disables
-// instrumentation.
-func InstrumentedHandler(svc grh.Service, hub *obs.Hub) http.Handler {
-	return NewHandler(svc, hub, nil)
-}
-
 // NewHandler is the full wire-protocol handler: request counters and
 // per-phase latency histograms on hub, structured request logging on lg
 // (both optional), and — the server half of distributed rule-instance

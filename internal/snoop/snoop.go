@@ -29,6 +29,7 @@ import (
 	"repro/internal/bindings"
 	"repro/internal/events"
 	"repro/internal/obs"
+	"repro/internal/xmltree"
 )
 
 // ParamContext selects the SNOOP parameter context, which determines how
@@ -305,6 +306,20 @@ func (d *Detector) Feed(ev events.Event) {
 		leaf.feed(ev)
 	}
 }
+
+// Names returns the root names of the leaf patterns, in leaf order: the
+// only events Feed can detect anything from.
+func (d *Detector) Names() []xmltree.Name {
+	names := make([]xmltree.Name, len(d.leaves))
+	for i, leaf := range d.leaves {
+		names[i] = leaf.pattern.Name()
+	}
+	return names
+}
+
+// Periodic reports whether the expression has a periodic operator, whose
+// occurrences Advance fires.
+func (d *Detector) Periodic() bool { return len(d.periodics) > 0 }
 
 // Advance moves the detector clock forward (for Periodic expressions)
 // without feeding an event; seq is the stream position the emitted

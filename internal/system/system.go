@@ -204,17 +204,15 @@ type System struct {
 	tenantMu   sync.Mutex
 	spaces     map[string]*Space // per-tenant rule spaces, keyed by wire form ("" = default)
 	engineBase []engine.Option   // options every space's engine is built from
-	matcherSvc grh.Service       // tenant router over the per-space matchers
-	snoopSvc   grh.Service       // tenant router over the per-space SNOOP services
 
 	metAdmitted  *obs.CounterVec // events_admitted_total{tenant}
 	metShed      *obs.CounterVec // events_shed_total{tenant,reason}
 	metPending   *obs.Gauge      // events_pending
 	metBatchSize *obs.Histogram  // events_batch_size
 
-	// Matcher and Snoop (like Engine above) alias the default tenant's
-	// space — the historical single-tenant surface most tests and the
-	// quickstart use. Other tenants' components live in their Space.
+	// Matcher and Snoop are the atomic and SNOOP detection hosts, one each
+	// for every tenant: they index detectors by tenant and deliver each
+	// detection to its tenant's engine.
 	Matcher *services.DetectorHost
 	Snoop   *services.DetectorHost
 	XQuery  *services.XQueryService
@@ -268,15 +266,16 @@ func NewLocal(cfg Config) (*System, error) {
 	}
 	s.pool = services.NewDetectorPool(cfg.DetectorPartitions, cfg.Obs)
 	// The default tenant's space is built eagerly — it is the system the
-	// single-tenant surface (System.Engine/Matcher/Snoop) exposes. Other
-	// tenants' spaces appear on first use.
+	// single-tenant surface (System.Engine) exposes. Other tenants' spaces
+	// appear on first use.
 	def, err := s.spaceFor("")
 	if err != nil {
 		return nil, fmt.Errorf("system: default tenant: %w", err)
 	}
-	s.Engine, s.Matcher, s.Snoop = def.Engine, def.Matcher, def.Snoop
-	s.matcherSvc = spaceService{s, func(sp *Space) grh.Service { return sp.Matcher }}
-	s.snoopSvc = spaceService{s, func(sp *Space) grh.Service { return sp.Snoop }}
+	s.Engine = def.Engine
+	deliver := &services.Deliverer{Local: s.onDetection, Obs: cfg.Obs}
+	s.Matcher = services.NewEventMatcher(s.Stream, deliver, services.WithDetectorPool(s.pool))
+	s.Snoop = services.NewSnoopService(s.Stream, deliver, services.WithDetectorPool(s.pool))
 	s.XQuery = services.NewXQueryService(s.Store, cfg.Namespaces)
 	s.Actions = services.NewActionExecutor(s.Store, s.Stream, s.Notifier.Send)
 
@@ -291,8 +290,8 @@ func NewLocal(cfg Config) (*System, error) {
 	s.Datalog = dl
 
 	regs := []grh.Descriptor{
-		{Language: services.MatcherNS, Name: "atomic event matcher", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.matcherSvc},
-		{Language: snoop.NS, Name: "SNOOP detection service", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.snoopSvc},
+		{Language: services.MatcherNS, Name: "atomic event matcher", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.Matcher},
+		{Language: snoop.NS, Name: "SNOOP detection service", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.Snoop},
 		{Language: services.XQueryNS, Name: "XQuery service", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Local: s.XQuery},
 		{Language: services.DatalogNS, Name: "Datalog service", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Local: s.Datalog},
 		{Language: services.TestNS, Name: "test evaluator", Kinds: []ruleml.ComponentKind{ruleml.TestComponent}, FrameworkAware: true, Local: services.TestEvaluator{}},
@@ -391,11 +390,8 @@ func (s *System) StartCluster() {
 //	GET  /debug/pprof/        runtime profiling (when Config.PProf is set)
 func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *http.ServeMux {
 	mux := http.NewServeMux()
-	// The matcher and SNOOP endpoints mount the tenant routers, so a
-	// protocol document carrying a tenant stamp reaches that tenant's
-	// detector even over the distributed wiring.
-	mux.Handle("/services/matcher", services.NewHandler(s.matcherSvc, s.Obs, s.Log))
-	mux.Handle("/services/snoop", services.NewHandler(s.snoopSvc, s.Obs, s.Log))
+	mux.Handle("/services/matcher", services.NewHandler(s.Matcher, s.Obs, s.Log))
+	mux.Handle("/services/snoop", services.NewHandler(s.Snoop, s.Obs, s.Log))
 	mux.Handle("/services/xquery", services.NewHandler(s.XQuery, s.Obs, s.Log))
 	mux.Handle("/services/datalog", services.NewHandler(s.Datalog, s.Obs, s.Log))
 	mux.Handle("/services/test", services.NewHandler(services.TestEvaluator{}, s.Obs, s.Log))
@@ -415,7 +411,12 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.Engine.OnDetection(a)
+		sp, err := s.spaceFor(a.Tenant)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sp.Engine.OnDetection(a)
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("/engine/rules", func(w http.ResponseWriter, r *http.Request) {
@@ -917,16 +918,13 @@ func (s *System) Close() {
 		// engine and store they feed off shut down.
 		s.Cluster.Close()
 	}
-	// Unsubscribe every space's event services (stop producing detection
-	// tasks), then drain the partition workers into the still-open
-	// engines, then drain each engine's rule instances.
-	spaces := s.snapshotSpaces()
-	for _, sp := range spaces {
-		sp.Matcher.Close()
-		sp.Snoop.Close()
-	}
+	// Unsubscribe the detection hosts (stop producing detection tasks),
+	// then drain the partition workers into the still-open engines, then
+	// drain each engine's rule instances.
+	s.Matcher.Close()
+	s.Snoop.Close()
 	s.pool.Close()
-	for _, sp := range spaces {
+	for _, sp := range s.snapshotSpaces() {
 		sp.Engine.Close()
 	}
 	if s.Durable != nil {

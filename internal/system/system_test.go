@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bindings"
 	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/events"
@@ -309,9 +311,15 @@ func TestTwoNodeDistributedDetection(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild node B's engine with the callback URL (engine options are
-	// fixed at construction).
-	nodeB.Engine = engine.New(nodeB.GRH, engine.WithReplyTo(srvB.URL+"/engine/detect"))
+	// Rebuild node B's default-tenant engine with the callback URL (engine
+	// options are fixed at construction); /engine/detect routes to the
+	// engine of the answer's tenant space.
+	def, err := nodeB.spaceFor("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def.Engine = engine.New(nodeB.GRH, engine.WithReplyTo(srvB.URL+"/engine/detect"))
+	nodeB.Engine = def.Engine
 
 	rule := ruleml.MustParse(simpleRuleXML("remote"))
 	if err := nodeB.Engine.Register(rule); err != nil {
@@ -412,4 +420,45 @@ func urlQueryEscape(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestRepeatedPatternChildrenFireOnce: a pattern whose n identical children
+// bind nothing matches an event with n such children in one way, not in
+// its n! assignments: one tuple and one action, in bounded time.
+func TestRepeatedPatternChildrenFireOnce(t *testing.T) {
+	for _, n := range []int{3, 9, 12} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			sys, err := NewLocal(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			kids := strings.Repeat(`<t:x/>`, n)
+			rule := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="repeated">
+			  <eca:event><t:a k="$K">` + kids + `</t:a></eca:event>
+			  <eca:action><t:pong k="$K"/></eca:action>
+			</eca:rule>`
+			if err := sys.Engine.Register(ruleml.MustParse(rule)); err != nil {
+				t.Fatal(err)
+			}
+			ev := events.New(xmltree.MustParse(`<t:a xmlns:t="` + tNS + `" k="1">` + kids + `</t:a>`))
+			done := make(chan []bindings.Tuple)
+			go func() {
+				tuples := events.MustPattern(`<t:a xmlns:t="` + tNS + `" k="$K">` + kids + `</t:a>`).Match(ev)
+				sys.Stream.Publish(ev)
+				done <- tuples
+			}()
+			select {
+			case tuples := <-done:
+				if len(tuples) != 1 {
+					t.Fatalf("Match returned %d tuples, want 1", len(tuples))
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("matching did not finish in 10s")
+			}
+			if got := sys.Notifier.Count(); got != 1 {
+				t.Fatalf("the action fired %d times, want 1", got)
+			}
+		})
+	}
 }

@@ -1,34 +1,32 @@
 // Multi-tenant rule spaces. A System is composed of one Space per tenant:
-// a private engine, atomic event matcher and SNOOP detector sharing the
-// system's stream, GRH (with its answer cache and compile caches), document
-// store and detector pool. The default tenant's space is the system the
-// paper describes — its wire form is the empty string everywhere (event
-// stamps, journal frames, metric labels, protocol documents), which keeps
-// tenant-less deployments byte-identical with builds that predate
-// multi-tenancy. See docs/MULTITENANCY.md.
+// a private engine and quota state sharing the system's stream, detection
+// hosts (which index their detectors by tenant), GRH (with its answer cache
+// and compile caches), document store and detector pool. The default
+// tenant's space is the system the paper describes — its wire form is the
+// empty string everywhere (event stamps, journal frames, metric labels,
+// protocol documents), which keeps tenant-less deployments byte-identical
+// with builds that predate multi-tenancy. See docs/MULTITENANCY.md.
 package system
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/events"
-	"repro/internal/grh"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
-	"repro/internal/services"
 	"repro/internal/tenant"
 	"repro/internal/xmltree"
 )
 
-// Space is one tenant's rule space: the tenant's engine, detection
-// services and quota state. Spaces are created on first use (a tenant
-// exists as soon as a rule or event names it) and live until the system
-// closes.
+// Space is one tenant's rule space: the tenant's engine and quota state.
+// Spaces are created on first use (a tenant exists as soon as a rule or
+// event names it) and live until the system closes.
 type Space struct {
 	// ID is the external tenant id ("public" unless -default-tenant says
 	// otherwise).
@@ -40,14 +38,8 @@ type Space struct {
 	// event-rate bucket).
 	Tenant *tenant.Tenant
 
-	Engine  *engine.Engine
-	Matcher *services.DetectorHost
-	Snoop   *services.DetectorHost
+	Engine *engine.Engine
 }
-
-// Wire returns the tenant's wire form: "" for the default tenant — the
-// value stamped on events, journal frames and metric labels.
-func (sp *Space) Wire() string { return sp.wire }
 
 // wireFor maps a canonical (full) tenant id to its wire form.
 func (s *System) wireFor(full string) string {
@@ -58,42 +50,40 @@ func (s *System) wireFor(full string) string {
 }
 
 // spaceFor resolves an externally supplied tenant id — or a wire form;
-// both canonicalize the same way — to its rule space, creating the space
-// (and the tenant, under the registry's declared or wildcard quotas) on
-// first use. The empty string is the default tenant.
+// both canonicalize the same way — to its rule space. On first use it
+// creates the space: the tenant, under the registry's declared or wildcard
+// quotas, and an engine journaling through the store's tenant-scoped view.
+// The empty string is the default tenant.
 func (s *System) spaceFor(name string) (*Space, error) {
 	full := s.Tenants.Canonical(name)
+	wire := s.wireFor(full)
 	s.tenantMu.Lock()
 	defer s.tenantMu.Unlock()
-	if sp := s.spaces[s.wireFor(full)]; sp != nil {
+	if sp := s.spaces[wire]; sp != nil {
 		return sp, nil
 	}
-	return s.newSpaceLocked(full)
-}
-
-// newSpaceLocked builds a tenant's space: an engine journaling through the
-// store's tenant-scoped view, and matcher/SNOOP services whose tenant
-// filter drops foreign events before any stateful detector sees them. The
-// caller holds s.tenantMu.
-func (s *System) newSpaceLocked(full string) (*Space, error) {
 	ten, err := s.Tenants.Resolve(full)
 	if err != nil {
 		return nil, err
 	}
-	wire := s.wireFor(full)
-	opts := append([]engine.Option{}, s.engineBase...)
-	opts = append(opts, engine.WithTenant(wire))
+	opts := append(slices.Clip(s.engineBase), engine.WithTenant(wire))
 	if s.Durable != nil {
 		opts = append(opts, engine.WithJournal(s.Durable.Scoped(wire)))
 	}
-	eng := engine.New(s.GRH, opts...)
-	deliver := &services.Deliverer{Local: eng.OnDetection, Obs: s.Obs}
-	dopts := []services.DetectorOption{services.WithDetectorPool(s.pool), services.WithTenantFilter(wire)}
-	sp := &Space{ID: full, wire: wire, Tenant: ten, Engine: eng,
-		Matcher: services.NewEventMatcher(s.Stream, deliver, dopts...),
-		Snoop:   services.NewSnoopService(s.Stream, deliver, dopts...)}
+	sp := &Space{ID: full, wire: wire, Tenant: ten, Engine: engine.New(s.GRH, opts...)}
 	s.spaces[wire] = sp
 	return sp, nil
+}
+
+// onDetection hands a detection answer to the engine of the tenant it is
+// stamped with: the one local sink of both detection hosts.
+func (s *System) onDetection(a *protocol.Answer) {
+	sp, err := s.spaceFor(a.Tenant)
+	if err != nil {
+		s.Log.Warn("detection dropped", "tenant", a.Tenant, "rule", a.RuleID, "error", err.Error())
+		return
+	}
+	sp.Engine.OnDetection(a)
 }
 
 // snapshotSpaces returns the live spaces ordered by wire form, so the
@@ -111,23 +101,6 @@ func (s *System) snapshotSpaces() []*Space {
 		out = append(out, s.spaces[w])
 	}
 	return out
-}
-
-// spaceService routes a GRH dispatch to the per-tenant service instance
-// selected by the request's tenant stamp. The GRH keeps one registered
-// service per component language; with per-tenant matchers and SNOOP
-// detectors, that one service is this router.
-type spaceService struct {
-	s    *System
-	pick func(*Space) grh.Service
-}
-
-func (r spaceService) Handle(req *protocol.Request) (*protocol.Answer, error) {
-	sp, err := r.s.spaceFor(req.Tenant)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %q: %w", req.Tenant, err)
-	}
-	return r.pick(sp).Handle(req)
 }
 
 // tenantName extracts the tenant a request addresses from the

@@ -2,14 +2,19 @@ package system
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/bindings"
+	"repro/internal/events"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/ruleml"
 	"repro/internal/services"
 	"repro/internal/tenant"
 	"repro/internal/xmltree"
@@ -409,5 +414,88 @@ func TestRaisedEventsStayInTenant(t *testing.T) {
 	}
 	if got := strings.Join(firedBy(sys), ","); got != "acme" {
 		t.Fatalf("chained firings = %q, want acme only", got)
+	}
+}
+
+// POST /engine/detect hands a remote detection to the engine of the
+// tenant it is stamped with: with the same rule id in two tenants, a
+// detection for acme fires acme's rule and no other.
+func TestEngineDetectRoutesByTenant(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	for _, tn := range []string{"", "acme"} {
+		if code, body := tenantDo(t, http.MethodPost, srv.URL+"/engine/rules", tn, tenantRuleXML("r", "fired-"+tn)); code != 200 {
+			t.Fatalf("register r for %q = %d %q", tn, code, body)
+		}
+	}
+	a := &protocol.Answer{RuleID: "r", Component: "event[1]", Tenant: "acme",
+		Rows: []protocol.AnswerRow{{Tuple: bindings.Tuple{"X": bindings.Str("7")}}}}
+	if code, body := tenantDo(t, http.MethodPost, srv.URL+"/engine/detect", "", protocol.EncodeAnswers(a).String()); code != 200 {
+		t.Fatalf("POST /engine/detect = %d %q", code, body)
+	}
+	if got := strings.Join(firedBy(sys), ","); got != "fired-acme" {
+		t.Fatalf("firings = %q, want only acme's rule", got)
+	}
+}
+
+// However many tenants are live, the stream has two detection
+// subscribers: the atomic matcher and the SNOOP host.
+func TestStreamSubscribersIgnoreTenants(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := sys.spaceFor(fmt.Sprintf("t%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sys.Stream.Subscribers(); n != 2 {
+		t.Fatalf("stream subscribers = %d with 51 tenants, want 2", n)
+	}
+}
+
+// BenchmarkPublishTenants publishes one event that no rule matches while T
+// tenants are live, each with one atomic rule. Each event language has one
+// detection host for every tenant, so the cost of a publish must not
+// follow T (the CI tenant-count gate compares T = 1e3 with T = 1).
+func BenchmarkPublishTenants(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		tenants int
+	}{{"tenants=1", 1}, {"tenants=10", 10}, {"tenants=100", 100}, {"tenants=1e3", 1000}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, err := NewLocal(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			for i := 0; i < c.tenants; i++ {
+				name := "" // the default tenant, which publishes below
+				if i > 0 {
+					name = fmt.Sprintf("t%d", i)
+				}
+				sp, err := sys.spaceFor(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sp.Engine.Register(ruleml.MustParse(tenantRuleXML("r", "x"))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ev := events.New(xmltree.MustParse(`<t:unmatched xmlns:t="` + tNS + `" x="1"/>`))
+			runtime.GC() // the set-up garbage is not the measured loop's to collect
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Stream.Publish(ev)
+			}
+		})
 	}
 }

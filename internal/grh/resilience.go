@@ -25,9 +25,6 @@ import (
 // circuit breaker; match with errors.Is.
 var ErrCircuitOpen = errors.New("circuit open")
 
-// maxResponseBody bounds how much of a service response the GRH reads.
-const maxResponseBody = 16 << 20
-
 // RetryPolicy configures retry with exponential backoff for idempotent
 // dispatches. Only queries and tests (framework-aware POSTs and opaque
 // GETs alike) are retried: actions may have side effects, and replaying
@@ -275,7 +272,7 @@ func (g *GRH) exchange(kind protocol.RequestKind, verb, endpoint, traceID string
 				obs.FieldTraceID, traceID, "kind", string(kind), "error", err.Error())
 			return nil, fmt.Errorf("grh: %s %s: %w", verb, endpoint, err)
 		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
+		body, rerr := io.ReadAll(io.LimitReader(resp.Body, protocol.MaxBodyBytes))
 		resp.Body.Close()
 		if rerr != nil {
 			g.reportOutcome(endpoint, false)

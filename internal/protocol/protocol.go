@@ -6,7 +6,10 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strconv"
 	"time"
 
@@ -42,6 +45,27 @@ const (
 	// forwarding hops alike. Absent means the node's default tenant.
 	TenantHeader = "X-ECA-Tenant"
 )
+
+// MaxBodyBytes bounds every XML message body read over HTTP: requests to
+// the daemon's endpoints and to the component services, which answer 413
+// beyond it, and the service responses the GRH reads.
+const MaxBodyBytes = 16 << 20
+
+// ReadBody reads the body of r, cut off at MaxBodyBytes, with read. When
+// read fails, ReadBody answers the request itself — 413 when the body
+// exceeded the bound, 400 otherwise — and returns the error.
+func ReadBody[T any](w http.ResponseWriter, r *http.Request, read func(io.Reader) (T, error)) (T, error) {
+	v, err := read(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+	}
+	return v, err
+}
 
 // RequestKind enumerates the request envelopes the GRH sends to services.
 type RequestKind string

@@ -141,10 +141,9 @@ func NewHandler(svc grh.Service, hub *obs.Hub, lg *obs.Logger) http.Handler {
 			rlog = rlog.With(obs.FieldTraceID, traceID)
 		}
 		parseStart := time.Now()
-		doc, err := xmltree.Parse(io.LimitReader(r.Body, 16<<20))
+		doc, err := protocol.ReadBody(w, r, xmltree.Parse)
 		if err != nil {
 			rlog.Error("service request rejected", "reason", "xml", "error", err.Error())
-			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		req, err := protocol.DecodeRequest(doc)

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -354,7 +355,9 @@ func (s *System) StartCluster() {
 
 // Mux builds the HTTP surface of a distributed deployment: every component
 // service mounted under its conventional path, plus the engine's detection
-// callback and rule/event management endpoints used by ecactl.
+// callback and rule/event management endpoints used by ecactl. The XML
+// bodies of the POST endpoints are read up to protocol.MaxBodyBytes and
+// answered 413 beyond it.
 //
 //	POST /services/matcher    eca:request (register/unregister)
 //	POST /services/snoop      eca:request
@@ -401,9 +404,8 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 	}
 	mux.Handle("/opaque/xquery", services.NewOpaqueXQueryNode(s.Store, namespaces).SetObs(s.Obs))
 	mux.HandleFunc("/engine/detect", func(w http.ResponseWriter, r *http.Request) {
-		doc, err := xmltree.Parse(r.Body)
+		doc, err := protocol.ReadBody(w, r, xmltree.Parse)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		a, err := protocol.DecodeAnswers(doc)
@@ -451,9 +453,8 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			if !ok {
 				return
 			}
-			doc, err := xmltree.Parse(r.Body)
+			doc, err := protocol.ReadBody(w, r, xmltree.Parse)
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			rule, err := ruleml.Parse(doc)
@@ -594,10 +595,10 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 //   - with Content-Type application/x-ndjson, newline-delimited JSON
 //     strings, each holding one XML event document (a batch wire format
 //     that needs no XML envelope assembly on the client).
-func parseEventDocs(r *http.Request) ([]*xmltree.Node, error) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/x-ndjson") {
+func parseEventDocs(contentType string, body io.Reader) ([]*xmltree.Node, error) {
+	if strings.HasPrefix(contentType, "application/x-ndjson") {
 		var docs []*xmltree.Node
-		sc := bufio.NewScanner(r.Body)
+		sc := bufio.NewScanner(body)
 		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())
@@ -605,11 +606,17 @@ func parseEventDocs(r *http.Request) ([]*xmltree.Node, error) {
 				continue
 			}
 			var frag string
-			if err := json.Unmarshal([]byte(line), &frag); err != nil {
-				return nil, fmt.Errorf("ndjson line %d: %w", len(docs)+1, err)
+			err := json.Unmarshal([]byte(line), &frag)
+			var doc *xmltree.Node
+			if err == nil {
+				doc, err = xmltree.ParseString(frag)
 			}
-			doc, err := xmltree.Parse(strings.NewReader(frag))
 			if err != nil {
+				// A body cut off at its bound ends in a partial line: report
+				// the read error, not the line.
+				if rerr := sc.Err(); rerr != nil {
+					return nil, rerr
+				}
 				return nil, fmt.Errorf("ndjson line %d: %w", len(docs)+1, err)
 			}
 			docs = append(docs, doc)
@@ -622,7 +629,7 @@ func parseEventDocs(r *http.Request) ([]*xmltree.Node, error) {
 		}
 		return docs, nil
 	}
-	doc, err := xmltree.Parse(r.Body)
+	doc, err := xmltree.Parse(body)
 	if err != nil {
 		return nil, err
 	}
@@ -683,9 +690,10 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	docs, err := parseEventDocs(r)
+	docs, err := protocol.ReadBody(w, r, func(body io.Reader) ([]*xmltree.Node, error) {
+		return parseEventDocs(r.Header.Get("Content-Type"), body)
+	})
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// Clustered deployments route each event to the replicas whose rules

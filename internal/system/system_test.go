@@ -381,6 +381,65 @@ func TestEngineDetectEndpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesBounded: every endpoint that parses an XML body answers
+// 413 to a well-formed body one byte over protocol.MaxBodyBytes, then
+// serves the next request as usual.
+func TestRequestBodiesBounded(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+
+	const over = protocol.MaxBodyBytes + 1
+	event := `<t:ping xmlns:t="` + tNS + `" x="1"/>`
+	line, _ := json.Marshal(event)
+	answers := protocol.EncodeAnswers(&protocol.Answer{RuleID: "r", Component: "event[1]",
+		Rows: []protocol.AnswerRow{{Tuple: bindings.Tuple{"X": bindings.Str("1")}}}}).String()
+	test := protocol.EncodeRequest(&protocol.Request{Kind: protocol.Test, RuleID: "r", Component: "test[1]",
+		Expression: xmltree.MustParse(`<eca:opaque xmlns:eca="` + protocol.ECANS + `">$X != "b"</eca:opaque>`).Root(),
+		Bindings:   bindings.NewRelation(bindings.MustTuple("X", bindings.Str("a")))}).String()
+	// padded is a well-formed document of exactly over bytes.
+	padded := "<x>" + strings.Repeat(" ", over-len("<x></x>")) + "</x>"
+	// lines repeats the event line up to over bytes; the bound falls
+	// inside a line, so the server sees a partial last line.
+	full := string(line) + "\n"
+	lines := strings.Repeat(full, over/len(full)+1)[:over]
+	if protocol.MaxBodyBytes%len(full) == 0 {
+		t.Fatal("the bound falls between two NDJSON lines")
+	}
+	cases := []struct{ name, path, ct, big, next string }{
+		{"events", "/events", "application/xml", padded, event},
+		{"events ndjson", "/events", "application/x-ndjson",
+			string(line) + strings.Repeat("\n", over-len(line)), full},
+		{"events ndjson cut mid-line", "/events", "application/x-ndjson", lines, full},
+		{"rules", "/engine/rules", "application/xml", padded, simpleRuleXML("r")},
+		{"detect", "/engine/detect", "application/xml", padded, answers},
+		{"service", "/services/test", "application/xml", padded, test},
+	}
+	for _, c := range cases {
+		if len(c.big) != over {
+			t.Fatalf("%s: oversized body is %d bytes, want %d", c.name, len(c.big), over)
+		}
+		for _, step := range []struct {
+			body string
+			want int
+		}{{c.big, http.StatusRequestEntityTooLarge}, {c.next, http.StatusOK}} {
+			resp, err := http.Post(srv.URL+c.path, c.ct, strings.NewReader(step.body))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != step.want {
+				t.Errorf("%s: %d-byte body: status %d, want %d: %.200s", c.name, len(step.body), resp.StatusCode, step.want, msg)
+			}
+		}
+	}
+}
+
 func TestOpaqueEndpointsMounted(t *testing.T) {
 	sys, err := NewLocal(Config{})
 	if err != nil {

@@ -212,7 +212,7 @@ func New(o Options, hooks Hooks, st *store.Store) (*Node, error) {
 		ring:      ring,
 		hooks:     hooks,
 		store:     st,
-		client:    &http.Client{Timeout: o.HTTPTimeout},
+		client:    &http.Client{Timeout: o.HTTPTimeout, Transport: protocol.Transport},
 		met:       newMetrics(o.Obs),
 		hub:       o.Obs,
 		log:       o.Log,

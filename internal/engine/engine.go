@@ -73,8 +73,9 @@ type Stats struct {
 	ActionRuns         int // action component dispatches (per instance per action)
 }
 
-// Engine is the ECA engine. Safe for concurrent use; rule instances run
-// synchronously on the goroutine delivering the detection message, so a
+// Engine is the ECA engine. Safe for concurrent use. Rule instances are
+// admitted in the order detections arrive and run on whichever goroutine
+// calls the run Admit returns — synchronously inside OnDetection — so a
 // single-threaded event feed yields deterministic evaluation order.
 type Engine struct {
 	grh      *grh.GRH
@@ -156,6 +157,10 @@ type RuleState struct {
 	Firings int
 	// Died counts instances whose relation became empty.
 	Died int
+
+	// stepUses holds, per step, the variables its expression references
+	// (ruleml.VarAnalysis.Uses), analysed once at registration.
+	stepUses [][]string
 }
 
 // RuleInfo is a race-free snapshot of one rule's bookkeeping, as served
@@ -341,7 +346,19 @@ func (e *Engine) SetRegistered(id string, at time.Time) {
 // appropriate detection service via the GRH (Fig. 5). Rules without an id
 // are assigned rule-N.
 func (e *Engine) Register(rule *ruleml.Rule) error {
-	if err := ruleml.Validate(rule, e.analyzer); err != nil {
+	analyze := e.analyzer
+	if analyze == nil {
+		analyze = ruleml.DefaultAnalyzer
+	}
+	// Validate analyses each component once, in rule.Components() order —
+	// the event first, then the steps; their Uses are kept for evalStep.
+	var uses [][]string
+	err := ruleml.Validate(rule, func(c ruleml.Component) ruleml.VarAnalysis {
+		a := analyze(c)
+		uses = append(uses, a.Uses)
+		return a
+	})
+	if err != nil {
 		return err
 	}
 	// Compile-once: warm the expression cache and reject rules whose
@@ -367,7 +384,7 @@ func (e *Engine) Register(rule *ruleml.Rule) error {
 		return fmt.Errorf("engine: rule %q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
-	e.rules[rule.ID] = &RuleState{Rule: rule, Registered: registered}
+	e.rules[rule.ID] = &RuleState{Rule: rule, Registered: registered, stepUses: uses[1 : 1+len(rule.Steps)]}
 	e.stats.RulesRegistered++
 	e.met.rules.Set(float64(len(e.rules)))
 	e.mu.Unlock()
@@ -376,7 +393,7 @@ func (e *Engine) Register(rule *ruleml.Rule) error {
 		rule.ID, rule.Event.ID, orDefault(rule.Event.Language, "atomic"))
 	e.slog.Info("rule registered", obs.FieldRule, rule.ID,
 		obs.FieldComponent, rule.Event.ID, "language", orDefault(rule.Event.Language, "atomic"))
-	_, err := e.grh.Dispatch(protocol.RegisterEvent, grh.Component{
+	_, err = e.grh.Dispatch(protocol.RegisterEvent, grh.Component{
 		Rule:     rule.ID,
 		Comp:     rule.Event,
 		Bindings: bindings.NewRelation(),
@@ -424,26 +441,47 @@ func (e *Engine) Unregister(id string) error {
 }
 
 // OnDetection is the entry point for event detection messages (Fig. 6):
-// the local sink of in-process event services, and the HTTP callback
-// handler target in distributed deployments. One rule instance is created
-// per answer tuple — and, when the event component binds an
-// <eca:variable>, one per functional result of each tuple, per the
-// Fig. 8 semantics. Detections arriving after Close are dropped.
+// the HTTP callback handler target in distributed deployments, and the
+// local sink of event services that run rule instances where they detect.
+// It admits the answer's rule instances (Admit) and runs them before it
+// returns.
 func (e *Engine) OnDetection(a *protocol.Answer) {
+	if run := e.Admit(a); run != nil {
+		run()
+	}
+}
+
+// Admit creates the rule instances of one detection message: one per
+// answer tuple — and, when the event component binds an <eca:variable>,
+// one per functional result of each tuple, per the Fig. 8 semantics. It
+// counts them, gives each its trace and reserves its in-flight slot, so
+// instances are admitted, and their trace ids issued, in the order Admit
+// is called; detections arriving after Close are dropped. The instances'
+// query, test and action steps are left to run, which evaluates them in
+// admission order and may be called on any goroutine, once; nil means
+// nothing was admitted. Close waits for admitted instances, so every run
+// must be called.
+func (e *Engine) Admit(a *protocol.Answer) (run func()) {
 	e.met.detections.Inc()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		e.logf("detection for rule %q dropped: engine closed", a.RuleID)
-		return
+		return nil
 	}
 	rs, ok := e.rules[a.RuleID]
 	e.mu.Unlock()
 	if !ok {
 		e.logf("detection for unknown rule %q dropped", a.RuleID)
-		return
+		return nil
 	}
 	lc := lifecycle{admitted: a.AdmittedAt, published: a.PublishedAt, detected: time.Now()}
+	type instance struct {
+		tuple bindings.Tuple
+		tr    *obs.Instance
+	}
+	var admitted []instance
+admit:
 	for _, row := range a.Rows {
 		tuples := []bindings.Tuple{row.Tuple}
 		if rs.Rule.Event.Variable != "" && len(row.Results) > 0 {
@@ -462,7 +500,7 @@ func (e *Engine) OnDetection(a *protocol.Answer) {
 			if !e.admitInstance() {
 				e.logf("rule %s: detection dropped: engine closed", a.RuleID)
 				e.slog.Warn("detection dropped", obs.FieldRule, a.RuleID, "reason", "closed")
-				return
+				break admit
 			}
 			e.met.instances.With("created").Inc()
 			tr := e.tr.Begin(a.RuleID)
@@ -485,7 +523,15 @@ func (e *Engine) OnDetection(a *protocol.Answer) {
 			// one detected tuple into an admitted rule instance; the
 			// detection itself happened in the event service.
 			e.met.stepSec.With(string(ruleml.EventComponent)).Observe(obs.Since(evStart))
-			e.runInstance(rs, bindings.NewRelation(tuple), tr, lc)
+			admitted = append(admitted, instance{tuple, tr})
+		}
+	}
+	if len(admitted) == 0 {
+		return nil
+	}
+	return func() {
+		for _, in := range admitted {
+			e.runInstance(rs, bindings.NewRelation(in.tuple), in.tr, lc)
 			e.inFlight.Done()
 		}
 	}
@@ -496,7 +542,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 	rule := rs.Rule
 	start := time.Now()
 	il := e.slog.With(obs.FieldTraceID, tr.ID(), obs.FieldRule, rule.ID)
-	for _, step := range rule.Steps {
+	for i, step := range rule.Steps {
 		sp := obs.Span{
 			Stage:     string(step.Kind),
 			Component: step.ID,
@@ -508,7 +554,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 		if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
 			sp.Mode = "local"
 		}
-		next, err := e.evalStep(rule, step, rel, tr, &sp)
+		next, err := e.evalStep(rule, step, rs.stepUses[i], rel, tr, &sp)
 		sp.Duration = time.Since(sp.Start)
 		e.met.stepSec.With(string(step.Kind)).Observe(sp.Duration.Seconds())
 		if err != nil {
@@ -661,18 +707,13 @@ func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time, il *obs.
 // relation. tr rides along on the dispatch so the GRH can propagate the
 // instance's trace context to remote services; when the service answers
 // with its own phase spans, they are stitched into sp as children.
-func (e *Engine) evalStep(rule *ruleml.Rule, step ruleml.Component, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
+func (e *Engine) evalStep(rule *ruleml.Rule, step ruleml.Component, uses []string, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
 	if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
 		// Section 4.5: the test component is in general evaluated locally.
 		return services.EvalTest(step.Text, rel)
 	}
 	// Only the relevant bindings travel to the service (Section 4.4): the
 	// variables the component's expression references.
-	analyze := e.analyzer
-	if analyze == nil {
-		analyze = ruleml.DefaultAnalyzer
-	}
-	uses := analyze(step).Uses
 	input := rel.Project(uses...)
 	kind := protocol.Query
 	if step.Kind == ruleml.TestComponent {

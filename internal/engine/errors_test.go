@@ -227,3 +227,60 @@ func TestCustomEngineAnalyzer(t *testing.T) {
 		t.Fatalf("custom analyzer should allow $Anything: %v", err)
 	}
 }
+
+// TestAnalyzerRunsOnceAtRegistration: the analyzer sees each component
+// once, when the rule registers; rule instances project their step inputs
+// from what it returned then and do not call it again.
+func TestAnalyzerRunsOnceAtRegistration(t *testing.T) {
+	sys, err := system.NewLocal(system.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	analyzer := func(c ruleml.Component) ruleml.VarAnalysis {
+		calls++
+		return ruleml.DefaultAnalyzer(c)
+	}
+	var sent []bindings.Tuple
+	g := sys.GRH
+	if err := g.Register(grh.Descriptor{Language: "http://q/", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true,
+		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+			sent = append(sent, req.Bindings.Tuples()...)
+			return protocol.NewAnswer(req.RuleID, req.Component, req.Bindings), nil
+		})}); err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(g, engine.WithAnalyzer(analyzer))
+	r := ruleml.MustParse(`<eca:rule xmlns:eca="` + protocol.ECANS + `"
+	    xmlns:t="http://t/" xmlns:q="http://q/" id="once">
+	  <eca:event><t:e x="$X" y="$Y"/></eca:event>
+	  <eca:query><q:q>$X</q:q></eca:query>
+	  <eca:action><t:a x="$X" y="$Y"/></eca:action>
+	</eca:rule>`)
+	if err := e.Register(r); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 {
+		t.Fatalf("analyzer called %d times registering 3 components, want 3", calls)
+	}
+	for i := 0; i < 3; i++ {
+		e.OnDetection(&protocol.Answer{RuleID: "once", Component: "event[1]", Rows: []protocol.AnswerRow{
+			{Tuple: bindings.Tuple{"X": bindings.Str(fmt.Sprint(i)), "Y": bindings.Str("y")}},
+		}})
+	}
+	if calls != 3 {
+		t.Errorf("analyzer called %d more times for 3 events, want 0", calls-3)
+	}
+	if st := e.Stats(); st.InstancesCompleted != 3 {
+		t.Fatalf("stats = %+v, want 3 completed instances", st)
+	}
+	// The query uses $X only, so only $X travels to it.
+	if len(sent) != 3 {
+		t.Fatalf("query received %d tuples, want 3", len(sent))
+	}
+	for _, tu := range sent {
+		if vars := tu.Vars(); len(vars) != 1 || vars[0] != "X" {
+			t.Errorf("query received %v, want the projection on X", tu)
+		}
+	}
+}

@@ -66,10 +66,17 @@ func (e Event) String() string {
 //
 // Dispatch contract: the first publisher to find the stream idle becomes
 // the dispatcher and drains the delivery queue in Seq order on its own
-// goroutine; concurrent publishers enqueue and block until their event has
-// been delivered, so Publish still returns only after delivery.
+// goroutine; concurrent publishers enqueue and block until their events
+// have been delivered, so Publish still returns only after delivery.
 // Back-pressure is therefore the publisher's: a slow subscriber extends the
 // time every Publish call blocks.
+//
+// Follow-ups: a subscriber registered with SubscribeOrigin may hand work
+// that need not run in stream order to the publishing goroutine
+// (Origin.Later). Publish and PublishBatch run it after their own events
+// have been delivered, outside the dispatch stage, and return after it, so
+// the follow-ups of concurrent publishers overlap while delivery stays
+// ordered.
 //
 // Inside a subscriber use PublishDetached: the running dispatcher delivers
 // the event after the current one, preserving order. Publish or
@@ -90,16 +97,53 @@ type Stream struct {
 	queue       []pendingDelivery // sequenced, undelivered events (Seq order)
 	dispatching bool              // a dispatcher goroutine is draining queue
 	delivered   uint64            // highest Seq fully delivered to all subscribers
+	// later holds the follow-ups handed to waiting publish calls, keyed by
+	// the call's last Seq, until the call collects them.
+	later map[uint64][]func()
 }
 
 type subscriber struct {
 	id int
-	fn func(Event)
+	fn func(Event, Origin)
 }
 
 type pendingDelivery struct {
 	ev   Event
 	subs []subscriber // s.subs as of sequencing; shared, read-only
+	call uint64       // the waiting publish call's last Seq; 0 for PublishDetached
+}
+
+// Origin is the publish call an event delivery belongs to, as seen by a
+// subscriber registered with SubscribeOrigin. It is a small value and holds
+// nothing of the event, so a detector that keeps events does not keep it.
+type Origin struct {
+	s    *Stream
+	call uint64
+}
+
+// Later hands fn to the goroutine of the Publish or PublishBatch call that
+// sequenced the event being delivered: fn runs there once all of the call's
+// events have been delivered and before the call returns, after the
+// functions handed over before it. Where no publisher waits — the event
+// came from PublishDetached, o is the zero Origin, or the call's events are
+// all delivered already — Later runs fn now, on the calling goroutine.
+func (o Origin) Later(fn func()) {
+	if o.call != 0 {
+		s := o.s
+		s.mu.Lock()
+		// A call collects its follow-ups only after its last event was
+		// delivered, so until then they are sure to be run.
+		if s.delivered < o.call {
+			if s.later == nil {
+				s.later = map[uint64][]func(){}
+			}
+			s.later[o.call] = append(s.later[o.call], fn)
+			s.mu.Unlock()
+			return
+		}
+		s.mu.Unlock()
+	}
+	fn()
 }
 
 // NewStream returns an empty stream.
@@ -112,6 +156,12 @@ func NewStream() *Stream {
 // Subscribe registers a handler for every future event and returns a
 // cancel function, which may be called more than once and concurrently.
 func (s *Stream) Subscribe(f func(Event)) (cancel func()) {
+	return s.SubscribeOrigin(func(ev Event, _ Origin) { f(ev) })
+}
+
+// SubscribeOrigin is Subscribe for a handler that also receives the origin
+// of each delivery, to hand work to the publishing goroutine.
+func (s *Stream) SubscribeOrigin(f func(Event, Origin)) (cancel func()) {
 	s.mu.Lock()
 	id := s.next
 	s.next++
@@ -139,9 +189,10 @@ func (s *Stream) Subscribers() int {
 
 // Publish stamps the event with the next sequence number and delivers it to
 // all subscribers through the ordered dispatch stage. It returns the
-// stamped event once the event has been delivered. It must not be called
-// from inside a subscriber (it would wait on its own caller and deadlock);
-// use PublishDetached there.
+// stamped event once the event has been delivered and the follow-ups its
+// delivery handed over have run. It must not be called from inside a
+// subscriber (it would wait on its own caller and deadlock); use
+// PublishDetached there.
 func (s *Stream) Publish(ev Event) Event {
 	evs := [1]Event{ev}
 	s.publish(evs[:], true)
@@ -151,7 +202,8 @@ func (s *Stream) Publish(ev Event) Event {
 // PublishBatch stamps the events with consecutive sequence numbers under a
 // single lock acquisition and delivers them in order. All events share one
 // observation time (unless already stamped) and one subscriber snapshot.
-// Like Publish, it returns after the last event has been delivered.
+// Like Publish, it returns after the last event has been delivered and the
+// follow-ups of all of them have run, in Seq order.
 func (s *Stream) PublishBatch(evs []Event) []Event {
 	s.publish(evs, true)
 	return evs
@@ -163,7 +215,8 @@ func (s *Stream) PublishBatch(evs []Event) []Event {
 // when a dispatch is already running — on this goroutine or another — the
 // event is left for that dispatcher. It is the only publish allowed inside
 // a subscriber, e.g. act:raise from an action that runs on the goroutine
-// delivering the detection.
+// delivering the detection. No publisher waits for a detached event, so
+// its subscribers' follow-ups run during its delivery.
 func (s *Stream) PublishDetached(ev Event) Event {
 	evs := [1]Event{ev}
 	s.publish(evs[:], false)
@@ -172,35 +225,46 @@ func (s *Stream) PublishDetached(ev Event) Event {
 
 // publish sequences evs, enqueues them on the ordered dispatch queue, and
 // either drains the queue (becoming the dispatcher) or, when wait is set,
-// blocks until the last of evs is delivered.
+// blocks until the last of evs is delivered. A waiting call then runs the
+// follow-ups handed to it.
 func (s *Stream) publish(evs []Event, wait bool) {
 	if len(evs) == 0 {
 		return
 	}
 	now := time.Now()
 	s.mu.Lock()
+	last := s.seq + uint64(len(evs))
+	var call uint64
+	if wait {
+		call = last
+	}
 	for i := range evs {
 		s.seq++
 		evs[i].Seq = s.seq
 		if evs[i].Time.IsZero() {
 			evs[i].Time = now
 		}
-		s.queue = append(s.queue, pendingDelivery{ev: evs[i], subs: s.subs})
+		s.queue = append(s.queue, pendingDelivery{ev: evs[i], subs: s.subs, call: call})
 	}
-	last := evs[len(evs)-1].Seq
 	if s.dispatching {
 		// Someone is draining the queue and will deliver our events in
 		// order.
 		for wait && s.delivered < last {
 			s.cond.Wait()
 		}
-		s.mu.Unlock()
-		return
+	} else {
+		s.dispatching = true
+		s.drainLocked()
+		s.dispatching = false
 	}
-	s.dispatching = true
-	s.drainLocked()
-	s.dispatching = false
+	later := s.later[call]
+	if later != nil {
+		delete(s.later, call)
+	}
 	s.mu.Unlock()
+	for _, fn := range later {
+		fn()
+	}
 }
 
 // drainLocked delivers queued events in Seq order until the queue is
@@ -216,8 +280,9 @@ func (s *Stream) drainLocked() {
 			s.queue = nil // release the drained backing array
 		}
 		s.mu.Unlock()
+		o := Origin{s, d.call}
 		for _, sub := range d.subs {
-			sub.fn(d.ev)
+			sub.fn(d.ev, o)
 		}
 		s.mu.Lock()
 		s.delivered = d.ev.Seq

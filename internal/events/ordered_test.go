@@ -206,6 +206,29 @@ func TestSubscribeChurnKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestOriginLater: what a subscriber hands to Origin.Later runs on the
+// publisher after all of its call's events were delivered, in the order
+// handed over, before the call returns; for a detached event, or through
+// the zero Origin, it runs at once.
+func TestOriginLater(t *testing.T) {
+	s := NewStream()
+	var log []string
+	s.SubscribeOrigin(func(ev Event, o Origin) {
+		log = append(log, fmt.Sprint("deliver ", ev.Seq))
+		o.Later(func() { log = append(log, fmt.Sprint("run ", ev.Seq)) })
+	})
+	s.PublishBatch([]Event{numbered("a"), numbered("b"), numbered("c")})
+	s.PublishDetached(numbered("d"))
+	Origin{}.Later(func() { log = append(log, "zero") })
+	want := "[deliver 1 deliver 2 deliver 3 run 1 run 2 run 3 deliver 4 run 4 zero]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("log = %s, want %s", got, want)
+	}
+	if len(s.later) != 0 {
+		t.Errorf("%d publish calls left follow-ups behind", len(s.later))
+	}
+}
+
 // TestPublishSharesSubscriberSlice: a publish takes the stream's
 // copy-on-write subscriber slice as its snapshot instead of building one,
 // so what it allocates does not grow with the subscribers — the one

@@ -281,15 +281,8 @@ func sanitizeForCache(a *protocol.Answer) *protocol.Answer {
 func (g *GRH) dispatchCoalesced(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
 	key := cacheKey(kind, c)
 	start := time.Now()
-	stored, ok, expired := g.cache.get(key, g.now())
-	g.met.cacheEvictions.Add(int64(expired))
-	if ok {
-		g.met.requests.With(string(kind)).Inc()
-		g.met.cacheHits.Inc()
-		a := answerFor(stored, c)
-		g.met.dispatch.With(langLabel(c.Comp.Language), "cache").Observe(time.Since(start).Seconds())
-		g.addCacheSpan(c, "hit", len(a.Rows), start)
-		return a, nil
+	if stored, ok := g.cacheGet(key); ok {
+		return g.serveHit(kind, c, stored, start), nil
 	}
 	f, leader := g.flights.join(key)
 	if !leader {
@@ -303,8 +296,16 @@ func (g *GRH) dispatchCoalesced(kind protocol.RequestKind, c Component) (*protoc
 		g.addCacheSpan(c, "coalesced", len(f.answer.Rows), start)
 		return answerFor(f.answer, c), nil
 	}
+	// A caller can miss the cache just before an earlier leader fills it
+	// and join just after that leader completes its flight. Leading now,
+	// it looks again before it would repeat the upstream call.
+	if stored, ok := g.cacheGet(key); ok {
+		g.flights.complete(key, f, stored, nil)
+		return g.serveHit(kind, c, stored, start), nil
+	}
 	g.met.cacheMisses.Inc()
 	a, err := g.dispatchPartitioned(kind, c)
+	var stored *protocol.Answer
 	if err == nil {
 		stored = sanitizeForCache(a)
 		evicted := g.cache.put(key, stored, g.now())
@@ -313,6 +314,24 @@ func (g *GRH) dispatchCoalesced(kind protocol.RequestKind, c Component) (*protoc
 	}
 	g.flights.complete(key, f, stored, err)
 	return a, err
+}
+
+// cacheGet looks key up in the answer cache, metering the TTL evictions
+// the lookup causes.
+func (g *GRH) cacheGet(key string) (*protocol.Answer, bool) {
+	stored, ok, expired := g.cache.get(key, g.now())
+	g.met.cacheEvictions.Add(int64(expired))
+	return stored, ok
+}
+
+// serveHit answers c from a cached answer.
+func (g *GRH) serveHit(kind protocol.RequestKind, c Component, stored *protocol.Answer, start time.Time) *protocol.Answer {
+	g.met.requests.With(string(kind)).Inc()
+	g.met.cacheHits.Inc()
+	a := answerFor(stored, c)
+	g.met.dispatch.With(langLabel(c.Comp.Language), "cache").Observe(time.Since(start).Seconds())
+	g.addCacheSpan(c, "hit", len(a.Rows), start)
+	return a
 }
 
 // addCacheSpan records the cache layer's verdict on a traced dispatch.

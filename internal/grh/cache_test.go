@@ -275,6 +275,50 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 }
 
+// TestCoalescingLateLeaderRechecksCache replays, step by step, a caller
+// that misses the cache just before an earlier leader fills it and joins
+// just after that leader completed its flight: it leads a flight of its
+// own, and must serve the cached answer instead of calling upstream again.
+// The miss is made observable by letting it evict an expired entry; the
+// join is held back on the flight group's lock.
+func TestCoalescingLateLeaderRechecksCache(t *testing.T) {
+	hub := obs.NewHub()
+	var calls atomic.Int64
+	g := newCachedGRH(t, hub, CachePolicy{MaxEntries: 8, TTL: time.Second}, countingEcho(&calls))
+	var clock atomic.Int64
+	g.now = func() time.Time { return time.Unix(clock.Load(), 0) }
+	clock.Store(1000)
+	comp := queryComp("r", cacheTestLang, bindings.NewRelation(bindings.MustTuple("X", bindings.Str("1"))))
+	first, err := g.Dispatch(protocol.Query, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Store(5000) // the entry has expired
+
+	g.flights.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.Dispatch(protocol.Query, comp)
+		done <- err
+	}()
+	for g.cache.len() != 0 { // the late caller's lookup evicts the entry: it missed
+		time.Sleep(time.Millisecond)
+	}
+	// An earlier leader fills the cache and completes its flight (it has
+	// left the flight group) before the late caller joins.
+	g.cache.put(cacheKey(protocol.Query, comp), sanitizeForCache(first), g.now())
+	g.flights.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("service called %d times, want 1: the late leader did not look at the cache again", got)
+	}
+	if hits := hub.Metrics().Counter("grh_cache_hits_total", "").Value(); hits != 1 {
+		t.Errorf("cache hits = %d, want 1", hits)
+	}
+}
+
 // TestActionsNeverCachedCoalescedOrSharded pins the idempotency rule: an
 // action dispatch must reach its service every single time, with its full
 // input relation, no matter how aggressive the throughput configuration —

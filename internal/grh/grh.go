@@ -184,7 +184,8 @@ func WithBreaker(p BreakerPolicy) Option {
 }
 
 // New returns an empty GRH. Remote calls use a dedicated HTTP client with
-// DefaultTimeout (never http.DefaultClient, which has none).
+// DefaultTimeout (never http.DefaultClient, which has none) over the shared
+// keep-alive protocol.Transport.
 func New(opts ...Option) *GRH {
 	g := &GRH{
 		byLang:   map[string]*Descriptor{},
@@ -197,7 +198,7 @@ func New(opts ...Option) *GRH {
 		o(g)
 	}
 	if g.client == nil {
-		g.client = &http.Client{Timeout: g.timeout}
+		g.client = &http.Client{Timeout: g.timeout, Transport: protocol.Transport}
 	}
 	return g
 }

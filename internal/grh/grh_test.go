@@ -3,9 +3,12 @@ package grh
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bindings"
@@ -363,5 +366,63 @@ func TestEmptyBindingsSkipOpaqueCalls(t *testing.T) {
 	})
 	if err != nil || calls != 0 || len(a.Rows) != 0 {
 		t.Errorf("empty input should make no calls: calls=%d err=%v", calls, err)
+	}
+}
+
+// TestConcurrentDispatchesReuseConnections: rounds of concurrent dispatches
+// to one service reuse the connections the first round opened. Each round
+// holds all of its requests inside the handler at once, so it needs one
+// connection per request; a transport that keeps fewer idle connections
+// per host than that redials the rest every round.
+func TestConcurrentDispatchesReuseConnections(t *testing.T) {
+	const rounds, concurrent = 3, 8
+	var opened atomic.Int64
+	var inside sync.WaitGroup
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		doc, err := xmltree.Parse(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), 400)
+			return
+		}
+		req, err := protocol.DecodeRequest(doc)
+		if err != nil {
+			http.Error(w, err.Error(), 400)
+			return
+		}
+		inside.Done()
+		inside.Wait() // every request of the round is in flight
+		fmt.Fprint(w, protocol.EncodeAnswers(protocol.NewAnswer(req.RuleID, req.Component, req.Bindings)).String())
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	g := New()
+	g.Register(Descriptor{Language: "http://remote/", FrameworkAware: true, Endpoint: srv.URL})
+	comp := Component{
+		Rule:     "r",
+		Comp:     ruleml.Component{Kind: ruleml.QueryComponent, ID: "query[1]", Language: "http://remote/", Expression: xmltree.NewElement("http://remote/", "q")},
+		Bindings: bindings.NewRelation(bindings.MustTuple("P", bindings.Str("x"))),
+	}
+	for round := 0; round < rounds; round++ {
+		inside.Add(concurrent)
+		var done sync.WaitGroup
+		for i := 0; i < concurrent; i++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				if _, err := g.Dispatch(protocol.Query, comp); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		done.Wait()
+	}
+	if n := opened.Load(); n > concurrent {
+		t.Errorf("%d rounds of %d concurrent dispatches opened %d connections, want at most %d",
+			rounds, concurrent, n, concurrent)
 	}
 }

@@ -67,6 +67,22 @@ func ReadBody[T any](w http.ResponseWriter, r *http.Request, read func(io.Reader
 	return v, err
 }
 
+// MaxIdleConnsPerHost is how many idle keep-alive connections Transport
+// keeps per host. Rule instances run concurrently, and so do their
+// requests to one service (often the daemon's own address); the default
+// transport keeps 2 and redials the rest after every burst.
+const MaxIdleConnsPerHost = 64
+
+// Transport is the one HTTP transport of every outbound request: GRH
+// dispatches, remote detection deliveries and cluster traffic. It is
+// http.DefaultTransport with MaxIdleConnsPerHost raised; each client keeps
+// its own timeout.
+var Transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = MaxIdleConnsPerHost
+	return t
+}()
+
 // RequestKind enumerates the request envelopes the GRH sends to services.
 type RequestKind string
 

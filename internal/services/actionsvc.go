@@ -74,10 +74,11 @@ func (a *ActionExecutor) execute(expr *xmltree.Node, tenant string, t bindings.T
 		if a.stream == nil {
 			return fmt.Errorf("act:raise: no event stream attached")
 		}
-		// Detached: raising is ordered but never waits for delivery. With
-		// inline detection we are inside a stream dispatch, where Publish
-		// would wait for itself; on a detector partition worker it could
-		// wait for a dispatcher that is blocked on this worker's full queue.
+		// Detached: raising is ordered but never waits for delivery. The
+		// instance of a detached event runs inside the stream dispatch,
+		// where Publish would wait for itself; on a detector partition
+		// worker it could wait for a dispatcher that is blocked on this
+		// worker's full queue.
 		// The raised event stays in the raising rule's tenant, so a rule
 		// can trigger rules of its own tenant but never another's.
 		ev := events.New(Instantiate(kids[0], t))

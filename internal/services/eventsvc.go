@@ -43,7 +43,9 @@ func WithDetectorPool(p *DetectorPool) DetectorOption {
 // ticks both reach it as that partition's tasks. Detections are buffered
 // during the task and delivered in its follow-up, after the partition is
 // released: a delivery may raise an event that the stream dispatches on this
-// goroutine into the very partition that detected it.
+// goroutine into the very partition that detected it. Inline, a local
+// delivery to Deliverer.Admit is admitted there, in Seq order, and what it
+// leaves to run goes to the publishing goroutine (events.Origin.Later).
 type DetectorHost struct {
 	pool    *DetectorPool
 	compile events.Language
@@ -78,7 +80,7 @@ func NewDetectorHost(stream *events.Stream, deliver *Deliverer, compile events.L
 	for range h.pool.Workers() {
 		h.parts = append(h.parts, &hostPart{index: events.NewMatcher()})
 	}
-	h.cancel = stream.Subscribe(h.onEvent)
+	h.cancel = stream.SubscribeOrigin(h.onEvent)
 	return h
 }
 
@@ -163,8 +165,15 @@ func (h *DetectorHost) Registrations() int {
 
 // step runs one detector step (feeding an event or advancing the clocks) on
 // every partition that holds detectors, as that partition's task, and
-// delivers what the step emitted in the task's follow-up.
-func (h *DetectorHost) step(run func(*events.Matcher)) {
+// delivers what the step emitted in the task's follow-up. Inline, the
+// follow-up runs on the goroutine delivering the event, and a local
+// delivery hands what it does not need to do in stream order to o; a
+// partition worker's follow-up runs later, when nothing is waiting on o,
+// so it delivers without one.
+func (h *DetectorHost) step(run func(*events.Matcher), o events.Origin) {
+	if !h.pool.inline() {
+		o = events.Origin{}
+	}
 	h.pool.fanOut(func(i int) Task {
 		part := h.parts[i]
 		if part.index.Len() == 0 {
@@ -181,16 +190,16 @@ func (h *DetectorHost) step(run func(*events.Matcher)) {
 				for _, d := range pend {
 					// Delivery failures are the subscriber's problem;
 					// detection goes on for the remaining rules.
-					_ = h.deliver.Deliver(d.answer, d.replyTo)
+					_ = h.deliver.deliver(d.answer, d.replyTo, o)
 				}
 			}
 		}
 	})
 }
 
-func (h *DetectorHost) onEvent(ev events.Event) {
+func (h *DetectorHost) onEvent(ev events.Event, o events.Origin) {
 	h.lastSeq.Store(ev.Seq)
-	h.step(func(m *events.Matcher) { m.OnEvent(ev) })
+	h.step(func(m *events.Matcher) { m.OnEvent(ev) }, o)
 }
 
 // Advance moves every detector's clock forward, firing elapsed periodic
@@ -199,7 +208,7 @@ func (h *DetectorHost) onEvent(ev events.Event) {
 // serializes with each detector's event feed.
 func (h *DetectorHost) Advance(now time.Time) {
 	seq := h.lastSeq.Load()
-	h.step(func(m *events.Matcher) { m.Advance(now, seq) })
+	h.step(func(m *events.Matcher) { m.Advance(now, seq) }, events.Origin{})
 }
 
 // Handle implements grh.Service: register-event and unregister-event,

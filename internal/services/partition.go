@@ -78,6 +78,10 @@ func NewDetectorPool(workers int, h *obs.Hub) *DetectorPool {
 // Workers returns the partition count (1 for the zero-worker pool).
 func (p *DetectorPool) Workers() int { return len(p.parts) }
 
+// inline reports whether p is the zero-worker pool, whose tasks run on the
+// enqueuing goroutine.
+func (p *DetectorPool) inline() bool { return p.parts[0].tasks == nil }
+
 // Pick pins a rule key to a partition: FNV-1a of the key modulo the
 // partition count. The pin is stable for the detector's lifetime, which is
 // what guarantees its ordered feed.

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/grh"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -196,8 +197,8 @@ func NewHandler(svc grh.Service, hub *obs.Hub, lg *obs.Logger) http.Handler {
 
 // deliverClient is the fallback HTTP client for remote detection
 // deliveries: like the GRH's, it is bounded (never http.DefaultClient,
-// which has no timeout).
-var deliverClient = &http.Client{Timeout: grh.DefaultTimeout}
+// which has no timeout) and shares protocol.Transport.
+var deliverClient = &http.Client{Timeout: grh.DefaultTimeout, Transport: protocol.Transport}
 
 // Deliverer posts asynchronous detection answers either to a local sink or
 // to a remote ReplyTo URL, depending on how the event component was
@@ -205,6 +206,12 @@ var deliverClient = &http.Client{Timeout: grh.DefaultTimeout}
 type Deliverer struct {
 	// Local receives answers for registrations without a ReplyTo.
 	Local func(*protocol.Answer)
+	// Admit, when set, receives local answers in place of Local and splits
+	// their handling in two: it is called where Local would be, in
+	// detection order, and returns the rest of the work (nil for none),
+	// which goes to the goroutine that published the detected event when
+	// one waits for it (events.Origin.Later) and runs at once otherwise.
+	Admit func(*protocol.Answer) (run func())
 	// Client is used for remote deliveries; a shared client with
 	// grh.DefaultTimeout when nil.
 	Client *http.Client
@@ -217,8 +224,14 @@ type Deliverer struct {
 	httpDetected  *obs.Counter
 }
 
-// Deliver routes one detection answer.
+// Deliver routes one detection answer; local work runs before it returns.
 func (d *Deliverer) Deliver(a *protocol.Answer, replyTo string) error {
+	return d.deliver(a, replyTo, events.Origin{})
+}
+
+// deliver routes one detection answer, handing what Admit leaves to run to
+// o.
+func (d *Deliverer) deliver(a *protocol.Answer, replyTo string, o events.Origin) error {
 	d.once.Do(func() {
 		vec := d.Obs.Metrics().CounterVec("service_detections_total", "Detection answers delivered by event services, by transport.", "transport")
 		d.localDetected = vec.With("local")
@@ -230,10 +243,16 @@ func (d *Deliverer) Deliver(a *protocol.Answer, replyTo string) error {
 		d.httpDetected.Inc()
 	}
 	if replyTo == "" {
-		if d.Local == nil {
+		switch {
+		case d.Admit != nil:
+			if run := d.Admit(a); run != nil {
+				o.Later(run)
+			}
+		case d.Local != nil:
+			d.Local(a)
+		default:
 			return fmt.Errorf("services: no local detection sink configured")
 		}
-		d.Local(a)
 		return nil
 	}
 	client := d.Client

@@ -193,3 +193,33 @@ func TestRecoveryRestoresRegistrationTime(t *testing.T) {
 		t.Fatalf("registered = %v, want original %v", infos2[0].Registered, orig)
 	}
 }
+
+// TestDeeplyNestedEventRejected: an event body nested past
+// xmltree.MaxDepth — here 1.3 million <a> elements, 9.1 MB, under the body
+// bound — is a 400 from a durable POST /events, not a tree for the journal
+// writer to recurse through, and the daemon goes on admitting events.
+func TestDeeplyNestedEventRejected(t *testing.T) {
+	sys := durableSystem(t, t.TempDir(), nil)
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	const depth = 1_300_000
+	deep := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{deep, http.StatusBadRequest},
+		{`<t:ping xmlns:t="` + tNS + `" x="1"/>`, http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/events", "application/xml", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%d-byte body: status %d, want %d", len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}

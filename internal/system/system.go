@@ -274,7 +274,7 @@ func NewLocal(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("system: default tenant: %w", err)
 	}
 	s.Engine = def.Engine
-	deliver := &services.Deliverer{Local: s.onDetection, Obs: cfg.Obs}
+	deliver := &services.Deliverer{Admit: s.admitDetection, Obs: cfg.Obs}
 	s.Matcher = services.NewEventMatcher(s.Stream, deliver, services.WithDetectorPool(s.pool))
 	s.Snoop = services.NewSnoopService(s.Stream, deliver, services.WithDetectorPool(s.pool))
 	s.XQuery = services.NewXQueryService(s.Store, cfg.Namespaces)

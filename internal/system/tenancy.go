@@ -75,15 +75,17 @@ func (s *System) spaceFor(name string) (*Space, error) {
 	return sp, nil
 }
 
-// onDetection hands a detection answer to the engine of the tenant it is
-// stamped with: the one local sink of both detection hosts.
-func (s *System) onDetection(a *protocol.Answer) {
+// admitDetection hands a detection answer to the engine of the tenant it
+// is stamped with, the one local sink of both detection hosts. The engine
+// admits its rule instances here, in detection order; the instances run
+// where the hosts' Deliverer puts the returned run.
+func (s *System) admitDetection(a *protocol.Answer) (run func()) {
 	sp, err := s.spaceFor(a.Tenant)
 	if err != nil {
 		s.Log.Warn("detection dropped", "tenant", a.Tenant, "rule", a.RuleID, "error", err.Error())
-		return
+		return nil
 	}
-	sp.Engine.OnDetection(a)
+	return sp.Engine.Admit(a)
 }
 
 // snapshotSpaces returns the live spaces ordered by wire form, so the

@@ -65,6 +65,11 @@ var manyDecls = func() string {
 	return b.String()
 }()
 
+// nested is a document of depth elements, each inside the one before.
+func nested(depth int) string {
+	return strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+}
+
 // FuzzParse drives the XML reader every network and disk input goes
 // through (POST /events and /engine/rules bodies, protocol messages,
 // journal records) against the encoding/xml reference codec:
@@ -90,6 +95,9 @@ func FuzzParse(f *testing.F) {
 	for _, q := range quirks {
 		f.Add(q)
 	}
+	// The nesting bound, reached and passed.
+	f.Add(nested(xmltree.MaxDepth))
+	f.Add(nested(xmltree.MaxDepth + 1))
 	f.Fuzz(func(t *testing.T, src string) {
 		doc, err := xmltree.ParseString(src)
 		ref, refErr := xmltree.ReferenceParseString(src)

@@ -27,6 +27,13 @@ const (
 	maxPooledSlots = 4 << 10
 )
 
+// MaxDepth is how deeply Parse lets elements nest: the root element is at
+// depth 1, and a document with an element deeper than MaxDepth is an error.
+// The figures, examples and tests of this repository nest at most 6 deep;
+// the bound keeps every recursive walk of a parsed tree (String, Clone,
+// XPath evaluation) shallow, whatever a request body holds.
+const MaxDepth = 256
+
 var parsers = sync.Pool{New: func() any { return new(parser) }}
 
 // parser holds one parse's state; its slices are reused across documents.
@@ -72,7 +79,8 @@ type qname struct{ start, colon, end int }
 
 // Parse reads a complete XML document from r into a document node.
 // Element and attribute namespaces are resolved to URIs; the original xmlns
-// declarations are retained in the attribute lists.
+// declarations are retained in the attribute lists. Elements nested deeper
+// than MaxDepth are an error.
 func Parse(r io.Reader) (*Node, error) {
 	p := parsers.Get().(*parser)
 	defer p.release()
@@ -266,6 +274,9 @@ func (p *parser) startTag() error {
 	}
 	p.attrs = attrs
 
+	if len(p.open) > MaxDepth {
+		return p.syntaxError(p.pos, fmt.Sprintf("element <%s> nested deeper than %d", p.src[name.start:name.end], MaxDepth))
+	}
 	// The declarations apply to the element's own name and attributes.
 	mark := len(p.binds)
 	for _, a := range attrs {

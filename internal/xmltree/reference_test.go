@@ -14,11 +14,13 @@ import (
 
 // refParse reads a complete XML document from r into a document node.
 // Element and attribute namespaces are resolved to URIs; the original xmlns
-// declarations are retained in the attribute lists.
+// declarations are retained in the attribute lists. Like Parse, it rejects
+// elements nested deeper than MaxDepth, which encoding/xml itself does not.
 func refParse(r io.Reader) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	doc := NewDocument()
 	cur := doc
+	depth := 0
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -29,6 +31,9 @@ func refParse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if depth++; depth > MaxDepth {
+				return nil, fmt.Errorf("xmltree: parse: element <%s> nested deeper than %d", t.Name.Local, MaxDepth)
+			}
 			e := &Node{Kind: ElementNode, Name: internName(t.Name.Space, t.Name.Local)}
 			for _, a := range t.Attr {
 				e.Attrs = append(e.Attrs, Attr{Name: internName(a.Name.Space, a.Name.Local), Value: a.Value})
@@ -40,6 +45,7 @@ func refParse(r io.Reader) (*Node, error) {
 				return nil, fmt.Errorf("xmltree: parse: unbalanced end element </%s>", t.Name.Local)
 			}
 			cur = cur.Parent
+			depth--
 		case xml.CharData:
 			cur.Append(NewText(string(t)))
 		case xml.Comment:

@@ -322,3 +322,28 @@ func buildArbitrary(seed []byte) *Node {
 	}
 	return build(0)
 }
+
+// TestParseDepthBound: Parse and the reference reader accept documents
+// nested MaxDepth deep and reject one element deeper, empty or not, without
+// building the tree.
+func TestParseDepthBound(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		ok  bool
+	}{
+		{strings.Repeat("<a>", MaxDepth) + strings.Repeat("</a>", MaxDepth), true},
+		{strings.Repeat("<a>", MaxDepth-1) + "<b/>" + strings.Repeat("</a>", MaxDepth-1), true},
+		{strings.Repeat("<a>", MaxDepth+1) + strings.Repeat("</a>", MaxDepth+1), false},
+		{strings.Repeat("<a>", MaxDepth) + "<b/>" + strings.Repeat("</a>", MaxDepth), false},
+		{strings.Repeat("<a>", 1_000_000), false}, // unclosed, far past the bound
+	} {
+		_, err := ParseString(tc.src)
+		_, refErr := refParseString(tc.src)
+		if (err == nil) != tc.ok || (refErr == nil) != tc.ok {
+			t.Errorf("%d bytes: Parse error %v, reference error %v, want accepted=%v", len(tc.src), err, refErr, tc.ok)
+		}
+		if !tc.ok && err != nil && !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("%d bytes: error %q does not name the bound", len(tc.src), err)
+		}
+	}
+}

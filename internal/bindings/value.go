@@ -16,8 +16,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Kind discriminates the value variants a variable may be bound to.
-type Kind int
+// Kind discriminates the value variants a variable may be bound to. It is
+// one byte, so a Value packs it with its bool into one word.
+type Kind uint8
 
 // The kinds of values.
 const (
@@ -55,9 +56,9 @@ func (k Kind) String() string {
 // literal.
 type Value struct {
 	kind Kind
+	b    bool
 	str  string
 	num  float64
-	b    bool
 	node *xmltree.Node
 }
 

@@ -666,15 +666,48 @@ func decodeOpaqueResults(input bindings.Tuple, body string) ([]protocol.AnswerRo
 }
 
 // SubstituteVars replaces $Name occurrences in an opaque query string with
-// the values bound in the tuple, longest names first so $OwnCarX never
-// hijacks $OwnCar.
+// the values bound in the tuple. One left-to-right scan takes, at each $,
+// the longest bound name that follows it, so $OwnCarX never hijacks
+// $OwnCar, and never re-scans a substituted value: with A bound to "$B",
+// $A yields "$B" whatever B is bound to.
 func SubstituteVars(q string, t bindings.Tuple) string {
-	names := t.Vars()
-	sort.Slice(names, func(i, j int) bool { return len(names[i]) > len(names[j]) })
-	for _, n := range names {
-		q = strings.ReplaceAll(q, "$"+n, t[n].AsString())
+	i := strings.IndexByte(q, '$')
+	if i < 0 {
+		return q
 	}
-	return q
+	var b strings.Builder
+	start := 0
+	for ; i >= 0; i = nextDollar(q, i+1) {
+		best, found := "", false
+		for n := range t {
+			if (!found || len(n) > len(best)) && strings.HasPrefix(q[i+1:], n) {
+				best, found = n, true
+			}
+		}
+		if !found {
+			continue
+		}
+		if start == 0 {
+			b.Grow(len(q))
+		}
+		b.WriteString(q[start:i])
+		b.WriteString(t[best].AsString())
+		start = i + 1 + len(best)
+		i += len(best)
+	}
+	if start == 0 {
+		return q
+	}
+	b.WriteString(q[start:])
+	return b.String()
+}
+
+// nextDollar returns the index of the first $ in q at or after from, or -1.
+func nextDollar(q string, from int) int {
+	if j := strings.IndexByte(q[from:], '$'); j >= 0 {
+		return from + j
+	}
+	return -1
 }
 
 // truncate shortens s to at most n bytes, backing up to a rune boundary

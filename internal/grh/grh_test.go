@@ -287,6 +287,40 @@ func TestSubstituteVars(t *testing.T) {
 	}
 }
 
+// A substituted value is never scanned again: $A yields "$B" even though B
+// is bound, and a value naming its own variable does not recurse.
+func TestSubstituteVarsDoesNotRescanValues(t *testing.T) {
+	tup := bindings.MustTuple(
+		"A", bindings.Str("$B"),
+		"B", bindings.Str("x"),
+		"Self", bindings.Str("$Self$"),
+	)
+	for q, want := range map[string]string{
+		"$A":            "$B",
+		"$B$A$B":        "x$Bx",
+		"$Self":         "$Self$",
+		"$$A $C $":      "$$B $C $",
+		"no dollars":    "no dollars",
+		"$Unbound only": "$Unbound only",
+	} {
+		for range 20 { // map order must not matter
+			if got := SubstituteVars(q, tup); got != want {
+				t.Fatalf("SubstituteVars(%q) = %q, want %q", q, got, want)
+			}
+		}
+	}
+}
+
+func TestSubstituteVarsAllocations(t *testing.T) {
+	tup := bindings.MustTuple("OwnCar", bindings.Str("VW Golf"), "N", bindings.Num(5))
+	if n := testing.AllocsPerRun(100, func() { SubstituteVars("no variables here", tup) }); n != 0 {
+		t.Errorf("a string without $ allocated %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { SubstituteVars("car=$OwnCar", tup) }); n > 1 {
+		t.Errorf("one substitution allocated %v times, want at most 1", n)
+	}
+}
+
 func TestTraceHook(t *testing.T) {
 	g := New()
 	var lines []string

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
+	"sync/atomic"
 )
 
 // Canonical structured-log field names. Every log line emitted by the
@@ -21,8 +23,32 @@ const (
 // nil-safe wrapper around log/slog. A nil *Logger discards everything, so
 // instrumented packages hold one unconditionally and never branch on
 // "is logging enabled".
+//
+// With is lazy: it only records its attributes, and they are handed to
+// slog (whose handlers pre-format them) when the logger first emits a
+// record at an enabled level. A logger made per rule instance or per
+// request costs no formatting when its level is off, and the lines it
+// emits are the ones slog's own With would give.
 type Logger struct {
-	s *slog.Logger
+	root *slog.Logger
+	args []any // attributes added by With, in order
+	s    atomic.Pointer[slog.Logger]
+}
+
+func newLogger(s *slog.Logger) *Logger {
+	l := &Logger{root: s}
+	l.s.Store(s)
+	return l
+}
+
+// logger returns root.With(args...), built once.
+func (l *Logger) logger() *slog.Logger {
+	if s := l.s.Load(); s != nil {
+		return s
+	}
+	s := l.root.With(l.args...)
+	l.s.Store(s)
+	return s
 }
 
 // ParseLevel parses a -log-level flag value (debug, info, warn, error;
@@ -46,7 +72,7 @@ func NewLogger(w io.Writer, format string, level slog.Level) *Logger {
 	} else {
 		h = slog.NewTextHandler(w, opts)
 	}
-	return &Logger{s: slog.New(h)}
+	return newLogger(slog.New(h))
 }
 
 // FromSlog wraps an existing slog logger; nil yields the discard logger.
@@ -54,15 +80,16 @@ func FromSlog(s *slog.Logger) *Logger {
 	if s == nil {
 		return nil
 	}
-	return &Logger{s: s}
+	return newLogger(s)
 }
 
-// Slog returns the underlying slog logger (nil for the discard logger).
+// Slog returns the underlying slog logger, With's attributes included (nil
+// for the discard logger).
 func (l *Logger) Slog() *slog.Logger {
 	if l == nil {
 		return nil
 	}
-	return l.s
+	return l.logger()
 }
 
 // With returns a logger that adds the given key/value pairs to every
@@ -72,33 +99,24 @@ func (l *Logger) With(args ...any) *Logger {
 	if l == nil {
 		return nil
 	}
-	return &Logger{s: l.s.With(args...)}
+	return &Logger{root: l.root, args: append(l.args[:len(l.args):len(l.args)], args...)}
+}
+
+func (l *Logger) log(level slog.Level, msg string, args []any) {
+	if l == nil || !l.root.Enabled(context.Background(), level) {
+		return
+	}
+	l.logger().Log(context.Background(), level, msg, args...)
 }
 
 // Debug logs at debug level.
-func (l *Logger) Debug(msg string, args ...any) {
-	if l != nil {
-		l.s.Debug(msg, args...)
-	}
-}
+func (l *Logger) Debug(msg string, args ...any) { l.log(slog.LevelDebug, msg, args) }
 
 // Info logs at info level.
-func (l *Logger) Info(msg string, args ...any) {
-	if l != nil {
-		l.s.Info(msg, args...)
-	}
-}
+func (l *Logger) Info(msg string, args ...any) { l.log(slog.LevelInfo, msg, args) }
 
 // Warn logs at warn level.
-func (l *Logger) Warn(msg string, args ...any) {
-	if l != nil {
-		l.s.Warn(msg, args...)
-	}
-}
+func (l *Logger) Warn(msg string, args ...any) { l.log(slog.LevelWarn, msg, args) }
 
 // Error logs at error level.
-func (l *Logger) Error(msg string, args ...any) {
-	if l != nil {
-		l.s.Error(msg, args...)
-	}
-}
+func (l *Logger) Error(msg string, args ...any) { l.log(slog.LevelError, msg, args) }

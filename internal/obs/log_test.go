@@ -84,3 +84,69 @@ func TestParseLevel(t *testing.T) {
 		t.Error("ParseLevel accepted garbage")
 	}
 }
+
+// noTime drops the time attribute so two records' lines can be compared.
+func noTime(_ []string, a slog.Attr) slog.Attr {
+	if a.Key == slog.TimeKey {
+		return slog.Attr{}
+	}
+	return a
+}
+
+// The lazy With emits exactly the lines slog's own With does, through
+// nested Withs and in both formats.
+func TestLoggerWithLinesMatchSlog(t *testing.T) {
+	for _, format := range []string{"text", "json"} {
+		var got, want bytes.Buffer
+		mk := func(w *bytes.Buffer) *slog.Logger {
+			opts := &slog.HandlerOptions{ReplaceAttr: noTime}
+			if format == "json" {
+				return slog.New(slog.NewJSONHandler(w, opts))
+			}
+			return slog.New(slog.NewTextHandler(w, opts))
+		}
+		lg := FromSlog(mk(&got))
+		ref := mk(&want)
+		inst := lg.With(FieldTraceID, "r#1", FieldRule, "r")
+		inst.Info("instance created", "n", 1)
+		inst.With(FieldComponent, "query[1]").Warn("step failed", "error", "boom\n\"quoted\"")
+		inst.Info("again")
+		refInst := ref.With(FieldTraceID, "r#1", FieldRule, "r")
+		refInst.Info("instance created", "n", 1)
+		refInst.With(FieldComponent, "query[1]").Warn("step failed", "error", "boom\n\"quoted\"")
+		refInst.Info("again")
+		if got.String() != want.String() {
+			t.Errorf("%s lines differ:\n got %s\nwant %s", format, got.String(), want.String())
+		}
+	}
+}
+
+// countingHandler counts the WithAttrs calls that pre-format attributes.
+type countingHandler struct {
+	slog.Handler
+	withAttrs *int
+}
+
+func (h countingHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	*h.withAttrs++
+	return countingHandler{h.Handler.WithAttrs(as), h.withAttrs}
+}
+
+// With at a disabled level hands nothing to the handler; the first enabled
+// record does, once.
+func TestLoggerWithIsLazy(t *testing.T) {
+	var buf bytes.Buffer
+	n := 0
+	lg := FromSlog(slog.New(countingHandler{slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelError}), &n}))
+	inst := lg.With(FieldTraceID, "r#1")
+	inst.Info("below the level")
+	inst.With(FieldRule, "r").Debug("below the level")
+	if n != 0 || buf.Len() != 0 {
+		t.Fatalf("disabled records: %d WithAttrs calls, output %q", n, buf.String())
+	}
+	inst.Error("kept")
+	inst.Error("kept again")
+	if n != 1 || strings.Count(buf.String(), "trace_id=r#1") != 2 {
+		t.Fatalf("%d WithAttrs calls, want 1; output %q", n, buf.String())
+	}
+}

@@ -36,34 +36,45 @@ type family struct {
 	children map[string]any // key: label values joined by \xff
 }
 
-// childKey joins label values; values are padded/truncated to the family's
-// label arity so a miscounted With never corrupts the exposition.
-func (f *family) childKey(values []string) ([]string, string) {
-	vals := make([]string, len(f.labels))
-	copy(vals, values)
-	return vals, strings.Join(vals, "\xff")
+// appendChildKey appends the child key of the given label values to b:
+// the values joined by \xff, padded or truncated to the family's label
+// arity so a miscounted With never corrupts the exposition.
+func (f *family) appendChildKey(b []byte, values []string) []byte {
+	for i := range f.labels {
+		if i > 0 {
+			b = append(b, '\xff')
+		}
+		if i < len(values) {
+			b = append(b, values[i]...)
+		}
+	}
+	return b
 }
 
 // child returns the metric for the given label values, creating it with
-// mk on first use.
+// mk on first use. Finding an existing child allocates nothing: the key is
+// built in a stack buffer and the map lookup does not copy it.
 func (f *family) child(values []string, mk func() any) any {
-	vals, key := f.childKey(values)
+	var buf [128]byte
+	key := f.appendChildKey(buf[:0], values)
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
 	c = mk()
 	if lc, ok := c.(interface{ setLabels([]string) }); ok {
+		vals := make([]string, len(f.labels))
+		copy(vals, values)
 		lc.setLabels(vals)
 	}
-	f.children[key] = c
+	f.children[string(key)] = c
 	return c
 }
 

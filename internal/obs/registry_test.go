@@ -220,3 +220,31 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil recorder should record nothing")
 	}
 }
+
+// Looking up an existing child allocates nothing, for every metric type
+// and with one or two labels.
+func TestWithHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c1 := r.CounterVec("c1_total", "h", "kind")
+	c2 := r.CounterVec("c2_total", "h", "tenant", "reason")
+	g2 := r.GaugeVec("g2", "h", "a", "b")
+	h1 := r.HistogramVec("h1_seconds", "h", nil, "kind")
+	c1.With("event").Inc()
+	c2.With("acme", "quota").Inc()
+	g2.With("x", "y").Set(1)
+	h1.With("query").Observe(1)
+	tenant, reason := "acme", "quota" // not constants: the key is built per call
+	for name, f := range map[string]func(){
+		"counter 1 label":   func() { c1.With("event").Inc() },
+		"counter 2 labels":  func() { c2.With(tenant, reason).Inc() },
+		"gauge 2 labels":    func() { g2.With("x", "y").Add(1) },
+		"histogram 1 label": func() { h1.With("query").Observe(0.5) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: With on an existing child allocated %v times", name, n)
+		}
+	}
+	if got := c2.With("acme", "quota").Value(); got != 101+1 {
+		t.Errorf("counter = %d, want 102", got)
+	}
+}

@@ -116,7 +116,7 @@ func genExpr(rng *rand.Rand, depth int) Expr {
 // render spells out everything an occurrence carries.
 func render(o Occurrence) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "[%d,%d]@%d..%d %s", o.Start, o.End, o.StartTime.Unix(), o.EndTime.Unix(), o.Bindings)
+	fmt.Fprintf(&b, "[%d,%d]@..%d %s", o.Start, o.End, o.EndTime.Unix(), o.Bindings)
 	for _, c := range o.Constituents {
 		fmt.Fprintf(&b, " #%d", c.Seq)
 	}

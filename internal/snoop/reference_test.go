@@ -68,7 +68,7 @@ func (d *refDetector) build(e Expr, emit func([]Occurrence)) {
 			for i, t := range ts {
 				occs[i] = Occurrence{
 					Start: ev.Seq, End: ev.Seq,
-					StartTime: ev.Time, EndTime: ev.Time,
+					EndTime:      ev.Time,
 					Bindings:     t,
 					Constituents: []events.Event{ev},
 				}
@@ -383,7 +383,7 @@ func (n *refPeriodic) advance(now time.Time, seq uint64) {
 			o := n.windows[i].init
 			out = append(out, Occurrence{
 				Start: o.Start, End: seq,
-				StartTime: o.StartTime, EndTime: n.windows[i].due,
+				EndTime:      n.windows[i].due,
 				Bindings:     o.Bindings.Clone(),
 				Constituents: o.Constituents,
 			})

@@ -81,12 +81,15 @@ func (c ParamContext) String() string {
 }
 
 // Occurrence is one (composite) event occurrence: the interval it spans in
-// the stream, its variable bindings, and the primitive constituents.
+// the stream, the time it ended (a periodic window opens there), its
+// variable bindings, and the primitive constituents. The constituents keep
+// their payloads and stamps, which a detection answer carries; nothing
+// reads the time an occurrence started, so it is not kept.
 type Occurrence struct {
-	Start, End         uint64
-	StartTime, EndTime time.Time
-	Bindings           bindings.Tuple
-	Constituents       []events.Event
+	Start, End   uint64
+	EndTime      time.Time
+	Bindings     bindings.Tuple
+	Constituents []events.Event
 }
 
 func (o Occurrence) String() string {
@@ -97,14 +100,13 @@ func (o Occurrence) String() string {
 // already be known compatible.
 func merge(a, b Occurrence) Occurrence {
 	out := Occurrence{
-		Start:     a.Start,
-		StartTime: a.StartTime,
-		End:       a.End,
-		EndTime:   a.EndTime,
-		Bindings:  a.Bindings.Merge(b.Bindings),
+		Start:    a.Start,
+		End:      a.End,
+		EndTime:  a.EndTime,
+		Bindings: a.Bindings.Merge(b.Bindings),
 	}
 	if b.Start < a.Start {
-		out.Start, out.StartTime = b.Start, b.StartTime
+		out.Start = b.Start
 	}
 	if b.End > a.End {
 		out.End, out.EndTime = b.End, b.EndTime
@@ -362,7 +364,7 @@ func (n *atomicNode) feed(ev events.Event) {
 	for i, t := range ts {
 		occs[i] = Occurrence{
 			Start: ev.Seq, End: ev.Seq,
-			StartTime: ev.Time, EndTime: ev.Time,
+			EndTime:      ev.Time,
 			Bindings:     t,
 			Constituents: []events.Event{ev},
 		}
@@ -901,7 +903,7 @@ func (n *periodicNode) advance(now time.Time, seq uint64) {
 			o := n.windows[i].init
 			out = append(out, Occurrence{
 				Start: o.Start, End: seq,
-				StartTime: o.StartTime, EndTime: n.windows[i].due,
+				EndTime:      n.windows[i].due,
 				Bindings:     o.Bindings.Clone(),
 				Constituents: o.Constituents,
 			})

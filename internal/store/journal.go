@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // Record kinds appearing in the journal.
@@ -105,11 +107,131 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeRecord marshals a record into a framed byte slice.
+// encodeRecord renders a record as one framed byte slice.
 func encodeRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	return appendRecordFrame(nil, &rec)
+}
+
+// appendRecordFrame appends rec to b as one frame: the header, then the
+// JSON payload byte-identical to json.Marshal(rec). It writes the payload
+// in place, so a batch of records costs no per-record allocation.
+func appendRecordFrame(b []byte, rec *record) ([]byte, error) {
+	start := len(b)
+	b = append(b, make([]byte, frameHeaderSize)...)
+	b, err := appendRecordJSON(b, rec)
 	if err != nil {
-		return nil, err
+		return b[:start], err
 	}
-	return encodeFrame(payload), nil
+	payload := b[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
+}
+
+// appendRecordJSON appends json.Marshal(rec) to b: the fields in
+// declaration order, omitempty honoured (a time.Time is a struct, so its
+// omitempty omits nothing) and strings escaped as encoding/json does, HTML
+// characters included. A time that RFC 3339 cannot represent is left to
+// json.Marshal, which reports the error.
+func appendRecordJSON(b []byte, rec *record) ([]byte, error) {
+	start := len(b)
+	b = append(b, `{"kind":`...)
+	b = appendJSONString(b, rec.Kind)
+	b = append(b, `,"time":"`...)
+	t0 := len(b)
+	b = rec.Time.AppendFormat(b, time.RFC3339Nano)
+	if !strictRFC3339(b[t0:]) {
+		payload, err := json.Marshal(rec)
+		return append(b[:start], payload...), err
+	}
+	b = append(b, '"')
+	if rec.Rule != "" {
+		b = append(b, `,"rule":`...)
+		b = appendJSONString(b, rec.Rule)
+	}
+	if rec.Event != 0 {
+		b = append(b, `,"event":`...)
+		b = strconv.AppendUint(b, rec.Event, 10)
+	}
+	if rec.Doc != "" {
+		b = append(b, `,"doc":`...)
+		b = appendJSONString(b, rec.Doc)
+	}
+	if rec.Tenant != "" {
+		b = append(b, `,"tenant":`...)
+		b = appendJSONString(b, rec.Tenant)
+	}
+	return append(b, '}'), nil
+}
+
+// strictRFC3339 reports whether an RFC3339Nano rendering is one that
+// time.Time.MarshalJSON accepts: a four-digit year and a zone hour
+// below 24.
+func strictRFC3339(t []byte) bool {
+	if len(t) < len("2006-01-02T15:04:05Z") || t[4] != '-' {
+		return false
+	}
+	if t[len(t)-1] == 'Z' {
+		return true
+	}
+	c := t[len(t)-len("Z07:00")]
+	h := 10*int(t[len(t)-5]-'0') + int(t[len(t)-4]-'0')
+	return !('0' <= c && c <= '9') && h < 24
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// writes it with HTML escaping on: ", \ and the control characters
+// escaped (\b \f \n \r \t by name, the rest as \u00XX), <, > and & as
+// \u003c \u003e \u0026, U+2028 and U+2029 escaped, and every invalid UTF-8
+// byte replaced by \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

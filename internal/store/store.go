@@ -2,6 +2,8 @@ package store
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,6 +166,10 @@ type Store struct {
 	// to a follower.
 	repSeq  uint64
 	repSink func(RepRecord)
+
+	// frames is the reused buffer an append frames its records into
+	// before the one write that journals them.
+	frames []byte
 
 	// recovered* freeze what Open reconstructed, for Health and tests.
 	recoveredRules   int
@@ -391,8 +397,9 @@ func (s *Store) ruleRegistered(tenant, id string, doc *xmltree.Node, at time.Tim
 	if _, live := s.rules[k]; !live {
 		s.ruleOrder = append(s.ruleOrder, k)
 	}
-	s.rules[k] = ruleEntry{ID: id, Doc: doc.String(), Registered: at, Tenant: tenant}
-	s.appendLocked(record{Kind: KindRegister, Time: at, Rule: id, Doc: doc.String(), Tenant: tenant})
+	text := doc.String()
+	s.rules[k] = ruleEntry{ID: id, Doc: text, Registered: at, Tenant: tenant}
+	s.appendLocked(record{Kind: KindRegister, Time: at, Rule: id, Doc: text, Tenant: tenant})
 }
 
 func (s *Store) ruleUnregistered(tenant, id string) {
@@ -455,21 +462,11 @@ func (s *Store) AppendEvent(doc *xmltree.Node) (uint64, error) {
 	if s == nil || doc == nil {
 		return 0, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recovering || s.closed {
-		return 0, nil
-	}
-	s.eventSeq++
-	id := s.eventSeq
-	now := time.Now()
-	text := doc.String()
-	s.events[id] = eventEntry{ID: id, Doc: text, Accepted: now}
-	if err := s.appendLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: text}); err != nil {
-		delete(s.events, id)
+	ids, err := s.AppendEventTexts("", []string{doc.String()})
+	if err != nil {
 		return 0, err
 	}
-	return id, nil
+	return ids[0], nil
 }
 
 // AppendEventBatch journals a batch of accepted atomic events of the
@@ -479,44 +476,62 @@ func (s *Store) AppendEventBatch(docs []*xmltree.Node) ([]uint64, error) {
 }
 
 // AppendEventBatchTenant journals a batch of accepted atomic events for
-// one tenant under a single lock acquisition — and, under FsyncAlways, a
-// single fsync for the whole batch — returning one store-local id per
-// event, in order. This is the durability half of batched admission: N
-// events cost one mutex round-trip and one disk flush instead of N.
-// Batch envelopes are single-tenant, so one tenant per call suffices; the
-// tenant (wire form, "" = default) rides on each event record so recovery
-// republishes it into the right space. Ids are acknowledged with AckEvents
-// once the batch has been dispatched.
+// one tenant, serialized with String; see AppendEventTexts. A nil doc gets
+// id 0 and is not journaled.
 func (s *Store) AppendEventBatchTenant(tenant string, docs []*xmltree.Node) ([]uint64, error) {
 	if s == nil || len(docs) == 0 {
 		return make([]uint64, len(docs)), nil
 	}
+	texts := make([]string, len(docs))
+	for i, doc := range docs {
+		if doc != nil {
+			texts[i] = doc.String()
+		}
+	}
+	return s.AppendEventTexts(tenant, texts)
+}
+
+// AppendEventTexts journals a batch of accepted atomic events for one
+// tenant, each given as the XML text it was received in, and returns one
+// store-local id per event, in order. This is the durability half of
+// batched admission: the whole batch costs one lock acquisition, one
+// write and, under FsyncAlways, one fsync. Either every event is journaled
+// or, on error, none is. Batch envelopes are single-tenant, so one tenant
+// per call suffices; the tenant (wire form, "" = default) rides on each
+// event record so recovery republishes it into the right space. An empty
+// text gets id 0 and is not journaled. Ids are acknowledged with AckEvents
+// once the batch has been dispatched.
+func (s *Store) AppendEventTexts(tenant string, texts []string) ([]uint64, error) {
+	ids := make([]uint64, len(texts))
+	if s == nil || len(texts) == 0 {
+		return ids, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.recovering || s.closed {
-		return make([]uint64, len(docs)), nil
+		return ids, nil
 	}
-	ids := make([]uint64, 0, len(docs))
 	now := time.Now()
-	for _, doc := range docs {
-		if doc == nil {
-			ids = append(ids, 0)
+	s.frames = s.frames[:0]
+	n := 0
+	for i, text := range texts {
+		if text == "" {
 			continue
 		}
-		s.eventSeq++
-		id := s.eventSeq
-		text := doc.String()
-		s.events[id] = eventEntry{ID: id, Doc: text, Accepted: now, Tenant: tenant}
-		if err := s.appendRecordLocked(record{Kind: KindEvent, Time: now, Event: id, Doc: text, Tenant: tenant}, false); err != nil {
-			delete(s.events, id)
-			// The already-journaled prefix stays accepted; sync it so the
-			// caller's view (publish the prefix, fail the rest) matches disk.
-			if s.policy == FsyncAlways {
-				s.syncLocked()
-			}
-			return ids, err
+		ids[i] = s.eventSeq + uint64(n) + 1
+		if err := s.appendFrameLocked(record{Kind: KindEvent, Time: now, Event: ids[i], Doc: text, Tenant: tenant}); err != nil {
+			return nil, err
 		}
-		ids = append(ids, id)
+		n++
+	}
+	if err := s.writeFramesLocked(KindEvent, n); err != nil {
+		return nil, err
+	}
+	s.eventSeq += uint64(n)
+	for i, text := range texts {
+		if ids[i] != 0 {
+			s.events[ids[i]] = eventEntry{ID: ids[i], Doc: text, Accepted: now, Tenant: tenant}
+		}
 	}
 	if s.policy == FsyncAlways {
 		s.syncLocked()
@@ -529,21 +544,12 @@ func (s *Store) AppendEventBatchTenant(tenant string, docs []*xmltree.Node) ([]u
 // into the engine and no longer needs replay. Id 0 (from a nil store) is
 // ignored.
 func (s *Store) AckEvent(id uint64) {
-	if s == nil || id == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recovering || s.closed {
-		return
-	}
-	delete(s.events, id)
-	s.appendLocked(record{Kind: KindEventAck, Event: id})
+	s.AckEvents([]uint64{id})
 }
 
 // AckEvents journals the dispatch acknowledgement for a whole admitted
-// batch under one lock acquisition. Zero ids (nil store, shed events) are
-// skipped.
+// batch under one lock acquisition and with one write. Zero ids (nil
+// store, shed events) are skipped.
 func (s *Store) AckEvents(ids []uint64) {
 	if s == nil || len(ids) == 0 {
 		return
@@ -553,12 +559,18 @@ func (s *Store) AckEvents(ids []uint64) {
 	if s.recovering || s.closed {
 		return
 	}
+	s.frames = s.frames[:0]
+	n := 0
 	for _, id := range ids {
 		if id == 0 {
 			continue
 		}
 		delete(s.events, id)
-		s.appendRecordLocked(record{Kind: KindEventAck, Event: id}, false)
+		s.appendFrameLocked(record{Kind: KindEventAck, Event: id}) // a zero time always encodes
+		n++
+	}
+	if n == 0 || s.writeFramesLocked(KindEventAck, n) != nil {
+		return
 	}
 	if s.policy == FsyncAlways {
 		s.syncLocked()
@@ -570,40 +582,74 @@ func (s *Store) AckEvents(ids []uint64) {
 // triggers snapshot + compaction when the journal has grown past the
 // configured threshold. Caller holds s.mu.
 func (s *Store) appendLocked(rec record) error {
-	if err := s.appendRecordLocked(rec, s.policy == FsyncAlways); err != nil {
+	s.frames = s.frames[:0]
+	if err := s.appendFrameLocked(rec); err != nil {
 		return err
+	}
+	if err := s.writeFramesLocked(rec.Kind, 1); err != nil {
+		return err
+	}
+	if s.policy == FsyncAlways {
+		s.syncLocked()
 	}
 	s.maybeSnapshotLocked()
 	return nil
 }
 
-// appendRecordLocked frames and writes one record, optionally fsyncing.
-// Batched appenders pass sync=false and flush once at the end. Caller
-// holds s.mu.
-func (s *Store) appendRecordLocked(rec record, sync bool) error {
-	frame, err := encodeRecord(rec)
-	if err != nil {
+// appendFrameLocked appends rec's frame to s.frames; an encode failure is
+// metered and logged. Caller holds s.mu.
+func (s *Store) appendFrameLocked(rec record) error {
+	var err error
+	if s.frames, err = appendRecordFrame(s.frames, &rec); err != nil {
 		s.met.errs.Inc()
 		s.warn("journal encode failed", "kind", rec.Kind, "error", err.Error())
-		return err
 	}
-	if _, err := s.journal.Write(frame); err != nil {
+	return err
+}
+
+// writeFramesLocked writes the n frames of one record kind in s.frames to
+// the journal with a single write and hands each to the replication sink.
+// A failed write is cut back off the journal, so a later append never
+// lands behind a torn frame. Caller holds s.mu.
+func (s *Store) writeFramesLocked(kind string, n int) error {
+	if n == 0 {
+		return nil
+	}
+	defer s.trimFrames()
+	if _, err := s.journal.Write(s.frames); err != nil {
 		s.met.errs.Inc()
-		s.warn("journal append failed", "kind", rec.Kind, "error", err.Error())
+		s.warn("journal append failed", "kind", kind, "error", err.Error())
+		if terr := s.journal.Truncate(s.journalBytes); terr != nil {
+			s.warn("journal not cut back after a failed append", "error", terr.Error())
+		} else if _, serr := s.journal.Seek(s.journalBytes, 0); serr != nil {
+			s.warn("journal not cut back after a failed append", "error", serr.Error())
+		}
 		return err
 	}
-	s.journalRecords++
-	s.journalBytes += int64(len(frame))
+	s.journalRecords += n
+	s.journalBytes += int64(len(s.frames))
 	s.needsSync = true
-	s.met.records.With(rec.Kind).Inc()
-	s.repSeq++
-	if s.repSink != nil {
-		s.repSink(RepRecord{Seq: s.repSeq, Frame: frame})
-	}
-	if sync {
-		s.syncLocked()
+	s.met.records.With(kind).Add(int64(n))
+	for off := 0; off < len(s.frames); {
+		end := off + frameHeaderSize + int(binary.LittleEndian.Uint32(s.frames[off:]))
+		s.repSeq++
+		if s.repSink != nil {
+			// The sink keeps the frame after s.frames is reused.
+			s.repSink(RepRecord{Seq: s.repSeq, Frame: bytes.Clone(s.frames[off:end])})
+		}
+		off = end
 	}
 	return nil
+}
+
+// maxRetainedFrames bounds the frame buffer kept between appends: one
+// oversized batch does not pin its buffer for the life of the store.
+const maxRetainedFrames = 1 << 20
+
+func (s *Store) trimFrames() {
+	if cap(s.frames) > maxRetainedFrames {
+		s.frames = nil
+	}
 }
 
 // maybeSnapshotLocked snapshots + compacts when the journal has grown past

@@ -16,7 +16,8 @@ import (
 // FuzzParseEventDocs drives the POST /events body reader with arbitrary
 // bodies, as a single XML document or an <eca:events> envelope, or as an
 // NDJSON batch. It must never panic, and whatever it accepts must be a
-// non-empty list of documents, each holding an element.
+// non-empty list of documents, each holding an element; an NDJSON batch
+// also yields each document's text, which parses to the same tree.
 func FuzzParseEventDocs(f *testing.F) {
 	booking := travel.Booking("John Doe", "Munich", "Paris").String()
 	docs := []string{
@@ -51,12 +52,20 @@ func FuzzParseEventDocs(f *testing.F) {
 		if ndjson {
 			ct = "application/x-ndjson"
 		}
-		docs, err := system.ParseEventDocs(ct, bytes.NewReader(body))
+		docs, texts, err := system.ParseEventDocs(ct, bytes.NewReader(body))
 		if err != nil {
 			return
 		}
 		if len(docs) == 0 {
 			t.Fatal("accepted a body with no events")
+		}
+		if ndjson != (texts != nil) || texts != nil && len(texts) != len(docs) {
+			t.Fatalf("ndjson=%v: %d texts for %d documents", ndjson, len(texts), len(docs))
+		}
+		for i, text := range texts {
+			if d, err := xmltree.ParseString(text); err != nil || !xmltree.Equal(d, docs[i]) {
+				t.Fatalf("event %d: text %q does not parse to its document (%v)", i, text, err)
+			}
 		}
 		for i, d := range docs {
 			if root := d.Root(); root == nil || root.Kind != xmltree.ElementNode {

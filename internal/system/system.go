@@ -6,7 +6,6 @@
 package system
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -595,53 +595,26 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 //   - with Content-Type application/x-ndjson, newline-delimited JSON
 //     strings, each holding one XML event document (a batch wire format
 //     that needs no XML envelope assembly on the client).
-func parseEventDocs(contentType string, body io.Reader) ([]*xmltree.Node, error) {
+//
+// For an NDJSON batch it also returns each document's XML text as
+// received (see parseNDJSON); for the XML shapes texts is nil.
+func parseEventDocs(contentType string, body io.Reader) (docs []*xmltree.Node, texts []string, err error) {
 	if strings.HasPrefix(contentType, "application/x-ndjson") {
-		var docs []*xmltree.Node
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var frag string
-			err := json.Unmarshal([]byte(line), &frag)
-			var doc *xmltree.Node
-			if err == nil {
-				doc, err = xmltree.ParseString(frag)
-			}
-			if err != nil {
-				// A body cut off at its bound ends in a partial line: report
-				// the read error, not the line.
-				if rerr := sc.Err(); rerr != nil {
-					return nil, rerr
-				}
-				return nil, fmt.Errorf("ndjson line %d: %w", len(docs)+1, err)
-			}
-			docs = append(docs, doc)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		if len(docs) == 0 {
-			return nil, errors.New("empty ndjson event batch")
-		}
-		return docs, nil
+		return parseNDJSON(body)
 	}
 	doc, err := xmltree.Parse(body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	root := doc.Root()
 	if root == nil || root.Name.Space != protocol.ECANS || root.Name.Local != "events" {
-		return []*xmltree.Node{doc}, nil
+		return []*xmltree.Node{doc}, nil, nil
 	}
 	kids := root.ChildElements()
 	if len(kids) == 0 {
-		return nil, errors.New("eca:events envelope holds no events")
+		return nil, nil, errors.New("eca:events envelope holds no events")
 	}
-	docs := make([]*xmltree.Node, 0, len(kids))
+	docs = make([]*xmltree.Node, 0, len(kids))
 	for _, k := range kids {
 		// Each event gets its own document so journaling and recovery
 		// replay see the same per-event shape as single admissions; the
@@ -651,7 +624,7 @@ func parseEventDocs(contentType string, body io.Reader) ([]*xmltree.Node, error)
 		d.Append(k.Clone())
 		docs = append(docs, d)
 	}
-	return docs, nil
+	return docs, nil, nil
 }
 
 // handleEvents is POST /events: admit one event or a whole batch. A batch
@@ -690,8 +663,10 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	docs, err := protocol.ReadBody(w, r, func(body io.Reader) ([]*xmltree.Node, error) {
-		return parseEventDocs(r.Header.Get("Content-Type"), body)
+	var texts []string
+	docs, err := protocol.ReadBody(w, r, func(body io.Reader) (docs []*xmltree.Node, err error) {
+		docs, texts, err = parseEventDocs(r.Header.Get("Content-Type"), body)
+		return docs, err
 	})
 	if err != nil {
 		return
@@ -705,7 +680,8 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var forwarded []string
 	if s.Cluster != nil && r.Header.Get(cluster.OriginHeader) == "" {
 		local := docs[:0]
-		for _, doc := range docs {
+		var localTexts []string
+		for i, doc := range docs {
 			res := s.Cluster.RouteEvent(sp.wire, doc)
 			// Publish locally when local rules match — or when no peer
 			// accepted the event, so it is never silently dropped.
@@ -714,8 +690,11 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			local = append(local, doc)
+			if texts != nil {
+				localTexts = append(localTexts, texts[i])
+			}
 		}
-		docs = local
+		docs, texts = local, localTexts
 		if len(docs) == 0 {
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, "forwarded to %s\n", strings.Join(forwarded, " "))
@@ -740,9 +719,16 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Journal the accepted events before dispatch, acknowledge after: a
 	// crash in between leaves orphan records that recovery re-enqueues on
-	// the next boot. The whole batch costs one lock acquisition and one
-	// fsync.
-	journalIDs, err := s.Durable.AppendEventBatchTenant(sp.wire, docs)
+	// the next boot. The whole batch costs one lock acquisition, one write
+	// and one fsync. NDJSON events are journaled as received; the XML
+	// shapes are serialized, which gives envelope children the namespace
+	// declarations they inherit.
+	var journalIDs []uint64
+	if texts != nil {
+		journalIDs, err = s.Durable.AppendEventTexts(sp.wire, texts)
+	} else {
+		journalIDs, err = s.Durable.AppendEventBatchTenant(sp.wire, docs)
+	}
 	if err != nil {
 		http.Error(w, "event not journaled: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -756,9 +742,12 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.Durable.AckEvents(journalIDs)
 	s.metAdmitted.With(sp.wire).Add(int64(len(out)))
 	s.metBatchSize.Observe(float64(len(out)))
+	reply := make([]byte, 0, 8*len(out))
 	for _, ev := range out {
-		fmt.Fprintf(w, "%d\n", ev.Seq)
+		reply = strconv.AppendUint(reply, ev.Seq, 10)
+		reply = append(reply, '\n')
 	}
+	w.Write(reply)
 	if len(forwarded) > 0 {
 		fmt.Fprintf(w, "forwarded to %s\n", strings.Join(forwarded, " "))
 	}

@@ -44,10 +44,9 @@ func main() {
 	case *fig != 0:
 		failed += report(fmt.Sprintf("figure %d", *fig), bench.RunFigure(*fig, os.Stdout))
 	case *figs:
-		for _, n := range bench.Figures() {
-			fmt.Printf("\n════════ Figure %d ════════\n\n", n)
-			failed += report(fmt.Sprintf("figure %d", n), bench.RunFigure(n, os.Stdout))
-		}
+		bench.RunFigures(os.Stdout, func(n int, err error) {
+			failed += report(fmt.Sprintf("figure %d", n), err)
+		})
 	default:
 		flag.Usage()
 		fmt.Fprintf(os.Stderr, "\nfigures: %v\n", bench.Figures())

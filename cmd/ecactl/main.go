@@ -12,8 +12,8 @@
 //
 // cluster top renders a live per-node table from the daemon's federated
 // /cluster/metrics view: events/sec admitted, the p95 admit→action
-// latency over each sampling interval, and the admission/engine queue
-// depths. -n bounds the number of refreshes (0 = until interrupted).
+// latency over each sampling interval, and the admission slots held.
+// -n bounds the number of refreshes (0 = until interrupted).
 //
 // The default endpoint is taken from the ECA_ENDPOINT environment
 // variable when set; -s overrides it. Likewise -tenant scopes every

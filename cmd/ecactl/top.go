@@ -14,10 +14,8 @@ import (
 // /cluster/metrics view: each refresh scrapes the endpoint, diffs the
 // counters and the event_e2e_seconds histogram against the previous
 // scrape, and prints one row per node — events/sec admitted, the p95
-// admit→action latency over the interval, and the two queue depths
-// (admission slots held, detection tasks queued across the node's
-// detector partitions). iterations == 0 refreshes until the process is
-// interrupted.
+// admit→action latency over the interval, and the admission slots held.
+// iterations == 0 refreshes until the process is interrupted.
 func clusterTop(out io.Writer, base string, every time.Duration, iterations int) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	prev, err := scrapeCluster(client, base)
@@ -63,7 +61,7 @@ func renderTop(out io.Writer, prev, cur *obs.Exposition, dt time.Duration) {
 		secs = 1
 	}
 	tw := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "NODE\tEV/S\tP95\tCOMPLETED\tPENDING\tQUEUE")
+	fmt.Fprintln(tw, "NODE\tEV/S\tP95\tCOMPLETED\tPENDING")
 	for _, node := range cur.LabelValues("node") {
 		sel := map[string]string{"node": node}
 		rate := (cur.Sum("events_admitted_total", sel) - prev.Sum("events_admitted_total", sel)) / secs
@@ -73,8 +71,7 @@ func renderTop(out io.Writer, prev, cur *obs.Exposition, dt time.Duration) {
 			p95 = time.Duration(d.Quantile(0.95) * float64(time.Second)).Round(10 * time.Microsecond).String()
 		}
 		pending, _ := cur.Value("events_pending", sel)
-		queued := cur.Sum("snoop_partition_queue_depth", sel)
-		fmt.Fprintf(tw, "%s\t%.1f\t%s\t%d\t%.0f\t%.0f\n", node, rate, p95, d.Count, pending, queued)
+		fmt.Fprintf(tw, "%s\t%.1f\t%s\t%d\t%.0f\n", node, rate, p95, d.Count, pending)
 	}
 	tw.Flush()
 }

@@ -29,10 +29,6 @@ func fakeFederation(t *testing.T) *httptest.Server {
 			h := reg.Histogram("event_e2e_seconds", "E2E latency.", []float64{0.1, 0.5, 1})
 			h.Observe(0.05)
 			reg.Gauge("events_pending", "Slots held.").Set(3)
-			// QUEUE is the sum over the node's partitions.
-			depth := reg.GaugeVec("snoop_partition_queue_depth", "Queued detection tasks.", "partition")
-			depth.With("0").Set(1.5)
-			depth.With("1").Set(0.5)
 			if node == "n1" {
 				c.Add(extra.admitted)
 				for _, v := range extra.e2eObs {
@@ -108,9 +104,9 @@ func TestClusterTop(t *testing.T) {
 	if f2[1] != "0.0" || f2[2] != "-" || f2[3] != "0" {
 		t.Errorf("n2 idle row = %q, want zero rate and '-' p95", n2)
 	}
-	// The gauges are instantaneous, not deltas.
-	if f1[4] != "3" || f1[5] != "2" {
-		t.Errorf("n1 gauge columns = %q, want pending 3 queue 2", n1)
+	// The gauge is instantaneous, not a delta.
+	if f1[4] != "3" || len(f1) != 5 {
+		t.Errorf("n1 row = %q, want pending 3 in the last column", n1)
 	}
 }
 

@@ -10,19 +10,17 @@
 //	     [-log-level info] [-log-format text|json] \
 //	     [-retries N] [-breaker-failures N] [-breaker-cooldown 30s] \
 //	     [-cache-entries N] [-cache-ttl 30s] [-compile-cache-entries N] \
-//	     [-shard-tuples N] [-max-shards K] \
 //	     [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every N] \
 //	     [-node-id ID -peers id=url,id=url,...] [-replicate-to ID|none] \
 //	     [-probe-interval 1s] [-peer-down-after N] [-max-pending-events N] \
-//	     [-detect-partitions W] \
 //	     [-default-tenant ID] [-tenant-quotas tenant:key=value,...]...
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the HTTP listener
 // stops accepting requests, then the engine drains every in-flight rule
 // instance before the process exits. -retries and -breaker-* configure
-// the GRH resilience layer (see docs/RESILIENCE.md); -cache-* and
-// -shard-*/-max-shards configure the GRH throughput layer (see
-// docs/PERFORMANCE.md).
+// the GRH resilience layer (see docs/RESILIENCE.md); -cache-* configure
+// the GRH answer cache (see docs/PERFORMANCE.md). Event detection runs
+// inline on the publishing request, in stream order.
 //
 // With -data-dir the daemon is durable: rule registrations and accepted
 // events are written to a checksummed write-ahead journal under DIR, and
@@ -104,8 +102,6 @@ type options struct {
 	cacheEntries    int
 	cacheTTL        time.Duration
 	compileEntries  int
-	shardTuples     int
-	maxShards       int
 	dataDir         string
 	fsync           string
 	snapshotEvery   int
@@ -115,7 +111,6 @@ type options struct {
 	probeInterval   time.Duration
 	peerDownAfter   int
 	maxPending      int
-	detectParts     int
 	defaultTenant   string
 	tenantQuotas    []string
 	rules           []string
@@ -161,8 +156,6 @@ func main() {
 	flag.IntVar(&o.cacheEntries, "cache-entries", 0, "GRH answer cache size for idempotent dispatches (queries/tests; 0 disables caching and coalescing)")
 	flag.DurationVar(&o.cacheTTL, "cache-ttl", grh.DefaultCacheTTL, "how long a cached answer may be served (staleness bound)")
 	flag.IntVar(&o.compileEntries, "compile-cache-entries", compilecache.DefaultCapacity, "compiled-expression cache size shared by the component languages (0 disables compile caching)")
-	flag.IntVar(&o.shardTuples, "shard-tuples", 0, "shard idempotent dispatches whose input relation exceeds this many tuples (0 disables partitioning)")
-	flag.IntVar(&o.maxShards, "max-shards", grh.DefaultMaxShards, "concurrent shard fan-out cap per partitioned dispatch")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable store directory for the rule/event journal (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", string(store.FsyncInterval), "journal fsync policy: always, interval or never")
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", store.DefaultSnapshotEvery, "journal records between snapshot + compaction (negative disables automatic snapshots)")
@@ -172,7 +165,6 @@ func main() {
 	flag.DurationVar(&o.probeInterval, "probe-interval", cluster.DefaultProbeInterval, "cluster health-probe cadence")
 	flag.IntVar(&o.peerDownAfter, "peer-down-after", cluster.DefaultDownAfter, "consecutive failed probes before a peer is declared down")
 	flag.IntVar(&o.maxPending, "max-pending-events", 0, "max concurrent POST /events requests before shedding with 429 (0 = unlimited)")
-	flag.IntVar(&o.detectParts, "detect-partitions", 0, "shard SNOOP/matcher detection across this many pinned partition workers (0 = inline, fully synchronous; full partition queues back-pressure event admission)")
 	flag.StringVar(&o.defaultTenant, "default-tenant", "", "tenant id that tenant-less requests resolve to (default \"public\")")
 	var rules, docs, quotas repeated
 	flag.Var(&rules, "rule", "rule file to register at startup (repeatable)")
@@ -229,9 +221,6 @@ func run(o options) error {
 	if o.cacheEntries > 0 {
 		cfg.Cache = grh.CachePolicy{MaxEntries: o.cacheEntries, TTL: o.cacheTTL}
 	}
-	if o.shardTuples > 0 {
-		cfg.Partition = grh.PartitionPolicy{MaxTuples: o.shardTuples, MaxShards: o.maxShards}
-	}
 	if o.dataDir != "" {
 		policy, err := store.ParseFsyncPolicy(o.fsync)
 		if err != nil {
@@ -249,7 +238,6 @@ func run(o options) error {
 		cfg.Store = st
 	}
 	cfg.MaxPendingEvents = o.maxPending
-	cfg.DetectorPartitions = o.detectParts
 	if o.peers != "" || o.nodeID != "" {
 		if o.nodeID == "" || o.peers == "" {
 			return fmt.Errorf("clustering needs both -node-id and -peers")
@@ -349,12 +337,6 @@ func run(o options) error {
 	}
 	if o.cacheEntries > 0 {
 		logger.Info("answer cache on", "entries", o.cacheEntries, "ttl", o.cacheTTL.String())
-	}
-	if o.shardTuples > 0 {
-		logger.Info("partitioned dispatch on", "shard_tuples", o.shardTuples, "max_shards", o.maxShards)
-	}
-	if o.detectParts > 0 {
-		logger.Info("partitioned detection on", "partitions", o.detectParts)
 	}
 
 	if o.distribute {

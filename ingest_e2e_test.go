@@ -36,7 +36,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	)
 	daemon := e2etest.Start(t, e2etest.FreeAddr(t), "-travel",
 		"-data-dir", t.TempDir(), "-fsync", "always",
-		"-detect-partitions", "4", "-cache-entries", "256",
+		"-cache-entries", "256",
 		"-max-pending-events", "64", "-log-format", "json")
 
 	scrape := func() *obs.Exposition {
@@ -126,7 +126,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	if h.Notifications != total {
 		t.Errorf("notifications = %d, want %d", h.Notifications, total)
 	}
-	if h.Admission == nil || h.Admission.DetectorQueueDepth != 0 {
-		t.Errorf("admission section = %+v, want detector_queue_depth 0", h.Admission)
+	if h.Admission == nil || h.Admission.Pending != 0 || h.Admission.MaxPendingEvents != 64 {
+		t.Errorf("admission section = %+v, want 0 pending of 64", h.Admission)
 	}
 }

@@ -68,6 +68,18 @@ func RunScenario() (*ScenarioRun, error) {
 // Figures returns the set of reproducible figure numbers.
 func Figures() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} }
 
+// RunFigures replays every figure to w, each under a banner: the output of
+// ecabench -figs. A failed replay does not stop the others; fail receives
+// its figure number and error.
+func RunFigures(w io.Writer, fail func(n int, err error)) {
+	for _, n := range Figures() {
+		fmt.Fprintf(w, "\n════════ Figure %d ════════\n\n", n)
+		if err := RunFigure(n, w); err != nil {
+			fail(n, err)
+		}
+	}
+}
+
 // RunFigure reproduces one figure of the paper, writing the regenerated
 // artifact or message flow to w.
 func RunFigure(n int, w io.Writer) error {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/bindings"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -277,7 +278,7 @@ func sanitizeForCache(a *protocol.Answer) *protocol.Answer {
 
 // dispatchCoalesced is the throughput front door for idempotent kinds
 // when the cache is enabled: answer cache lookup, then singleflight
-// coalescing around the (possibly partitioned) upstream dispatch.
+// coalescing around the upstream dispatch.
 func (g *GRH) dispatchCoalesced(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
 	key := cacheKey(kind, c)
 	start := time.Now()
@@ -304,7 +305,7 @@ func (g *GRH) dispatchCoalesced(kind protocol.RequestKind, c Component) (*protoc
 		return g.serveHit(kind, c, stored, start), nil
 	}
 	g.met.cacheMisses.Inc()
-	a, err := g.dispatchPartitioned(kind, c)
+	a, err := g.dispatchDirect(kind, c)
 	var stored *protocol.Answer
 	if err == nil {
 		stored = sanitizeForCache(a)
@@ -343,5 +344,14 @@ func (g *GRH) addCacheSpan(c Component, mode string, rows int, start time.Time) 
 	if c.Bindings != nil {
 		in = c.Bindings.Size()
 	}
-	c.Trace.AddSpan(traceSpan(c, "cache", mode, in, rows, start))
+	c.Trace.AddSpan(obs.Span{
+		Stage:     "cache",
+		Component: c.Comp.ID,
+		Language:  c.Comp.Language,
+		Mode:      mode,
+		TuplesIn:  in,
+		TuplesOut: rows,
+		Start:     start,
+		Duration:  time.Since(start),
+	})
 }

@@ -89,10 +89,9 @@ type GRH struct {
 	breakers *breakerSet // nil: circuit breaking disabled
 
 	// Throughput layer: answer cache + singleflight coalescing (nil:
-	// disabled together) and partitioned parallel dispatch.
-	cache     *answerCache
-	flights   *flightGroup
-	partition PartitionPolicy
+	// disabled together).
+	cache   *answerCache
+	flights *flightGroup
 
 	// Clock and sleep hooks, replaced in tests to make retry/breaker/
 	// cache timing deterministic.
@@ -111,17 +110,11 @@ type metrics struct {
 	breakerState *obs.GaugeVec     // grh_breaker_state{endpoint}
 	breakerOpen  *obs.CounterVec   // grh_breaker_open_total{endpoint}
 
-	cacheHits      *obs.Counter   // grh_cache_hits_total
-	cacheMisses    *obs.Counter   // grh_cache_misses_total
-	cacheEvictions *obs.Counter   // grh_cache_evictions_total
-	coalesced      *obs.Counter   // grh_coalesced_total
-	shards         *obs.Counter   // grh_shards_total
-	shardFanout    *obs.Histogram // grh_shard_fanout
+	cacheHits      *obs.Counter // grh_cache_hits_total
+	cacheMisses    *obs.Counter // grh_cache_misses_total
+	cacheEvictions *obs.Counter // grh_cache_evictions_total
+	coalesced      *obs.Counter // grh_coalesced_total
 }
-
-// shardFanoutBuckets are the grh_shard_fanout histogram bounds: shard
-// counts, not latencies.
-var shardFanoutBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
 func newMetrics(h *obs.Hub) metrics {
 	r := h.Metrics()
@@ -138,8 +131,6 @@ func newMetrics(h *obs.Hub) metrics {
 		cacheMisses:    r.Counter("grh_cache_misses_total", "GRH answer cache misses (idempotent dispatches that went upstream)."),
 		cacheEvictions: r.Counter("grh_cache_evictions_total", "GRH answer cache entries removed by LRU pressure or TTL expiry."),
 		coalesced:      r.Counter("grh_coalesced_total", "Concurrent identical dispatches coalesced onto another dispatch's upstream request."),
-		shards:         r.Counter("grh_shards_total", "Shards dispatched by partitioned parallel dispatch."),
-		shardFanout:    r.Histogram("grh_shard_fanout", "Shard fan-out per partitioned dispatch (number of concurrent shards).", shardFanoutBuckets),
 	}
 }
 
@@ -316,7 +307,7 @@ type Component struct {
 	// Tenant is the namespace the dispatch acts within (empty = default
 	// tenant). It rides on the request envelope so multi-tenant event
 	// services route registrations to the right tenant's space, and it
-	// partitions the answer cache.
+	// scopes the answer cache.
 	Tenant string
 	// ReplyTo is the detection callback URL for event registrations
 	// handled by remote services.
@@ -333,21 +324,17 @@ type Component struct {
 // event service's sink (in-process) or the ReplyTo callback (remote).
 //
 // Idempotent request kinds (queries and tests) additionally pass through
-// the throughput layer when configured: the answer cache and singleflight
-// coalescing (WithCache) and partitioned parallel dispatch
-// (WithPartition). Actions and event (un)registrations are never cached,
-// coalesced or sharded — they may have side effects.
+// the answer cache and singleflight coalescing when configured (WithCache).
+// Actions and event (un)registrations are never cached or coalesced — they
+// may have side effects.
 func (g *GRH) Dispatch(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
-	if !retryableKind(kind) || (g.cache == nil && !g.partition.Enabled()) {
+	if !retryableKind(kind) || g.cache == nil {
 		return g.dispatchDirect(kind, c)
-	}
-	if g.cache == nil {
-		return g.dispatchPartitioned(kind, c)
 	}
 	return g.dispatchCoalesced(kind, c)
 }
 
-// dispatchDirect performs one uncached, unsharded dispatch: resolve the
+// dispatchDirect performs one uncached dispatch: resolve the
 // processor and forward the request in the form it understands.
 func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
 	g.met.requests.With(string(kind)).Inc()

@@ -3,7 +3,6 @@ package services
 import (
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/events"
@@ -55,27 +54,4 @@ func TestDeferredFollowUpsNotRetained(t *testing.T) {
 			grown>>10, initiators, pinned>>10)
 	}
 	t.Logf("live heap grew by %d KiB with %d initiators pending", grown>>10, initiators)
-}
-
-// TestAdmitRunsOnPartitionWorkers: a partition worker delivers after the
-// publisher has moved on, so what Admit leaves to run runs on the worker.
-func TestAdmitRunsOnPartitionWorkers(t *testing.T) {
-	const n = 100
-	pool := NewDetectorPool(2, nil)
-	stream := events.NewStream()
-	var ran atomic.Int64
-	h := NewEventMatcher(stream, &Deliverer{Admit: func(*protocol.Answer) func() {
-		return func() { ran.Add(1) }
-	}}, WithDetectorPool(pool))
-	register(t, h, "r", `<a k="$K"/>`, "")
-	for i := range n {
-		e := xmltree.NewElement("", "a")
-		e.SetAttr("", "k", strconv.Itoa(i))
-		stream.Publish(events.New(e))
-	}
-	h.Close()
-	pool.Close()
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d runs after the workers drained, want %d", got, n)
-	}
 }

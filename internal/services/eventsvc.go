@@ -2,6 +2,7 @@ package services
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,53 +15,31 @@ import (
 	"repro/internal/xmltree"
 )
 
-// DetectorOption configures a DetectorHost's detection fan-out.
-type DetectorOption func(*DetectorHost)
-
-// WithDetectorPool shards the service's detectors across the pool's
-// partitions: each registration is pinned to one partition by rule key,
-// and with workers independent detectors evaluate in parallel and a slow
-// delivery endpoint stalls only its own partition. Without the option the
-// service gets a zero-worker pool of its own and evaluates inline on the
-// stream's dispatch goroutine. The pool may be shared by several services;
-// its lifetime is the caller's (close it after unsubscribing the services).
-func WithDetectorPool(p *DetectorPool) DetectorOption {
-	return func(h *DetectorHost) { h.pool = p }
-}
-
 // DetectorHost is the event detection service of Section 4.2 for every event
 // component language: a language supplies only its compile step (an
 // events.Language); the host subscribes to the stream, keeps the registry
-// by tenant and rule/component key, pins each registration to a
-// DetectorPool partition, builds the log:answers reply of every detection,
-// stamped with the registration's tenant, and delivers it. One host serves
-// every tenant: each event reaches only the detectors its own tenant
-// registered for its name (events.Matcher).
+// by tenant and rule/component key, builds the log:answers reply of every
+// detection, stamped with the registration's tenant, and delivers it. One
+// host serves every tenant: each event reaches only the detectors its own
+// tenant registered for its name (events.Matcher).
 //
 // Concurrency contract: a detector is not safe for concurrent use and may be
-// order-sensitive, so every detector is fed from exactly one serialization
-// domain — the partition it is pinned to for life; event feeds and Advance
-// ticks both reach it as that partition's tasks. Detections are buffered
-// during the task and delivered in its follow-up, after the partition is
-// released: a delivery may raise an event that the stream dispatches on this
-// goroutine into the very partition that detected it. Inline, a local
-// delivery to Deliverer.Admit is admitted there, in Seq order, and what it
-// leaves to run goes to the publishing goroutine (events.Origin.Later).
+// order-sensitive, so event feeds and Advance ticks run one at a time under
+// the host's mutex; the stream feeds in Seq order. Detections are buffered
+// during a step and delivered after the mutex is released: a delivery may
+// raise an event that the stream dispatches on this goroutine into this
+// very host. A local delivery to Deliverer.Admit is admitted there, in Seq
+// order, and what it leaves to run goes to the publishing goroutine
+// (events.Origin.Later).
 type DetectorHost struct {
-	pool    *DetectorPool
 	compile events.Language
 	deliver *Deliverer
-	parts   []*hostPart // one per pool partition
+	index   *events.Matcher
 	cancel  func()
 	lastSeq atomic.Uint64
-}
 
-// hostPart is the host's share of one pool partition: the detectors pinned
-// to it, and the answers they emitted during the running task. pend is only
-// touched by the partition's tasks.
-type hostPart struct {
-	index *events.Matcher
-	pend  []delivery
+	mu   sync.Mutex // held for one feed or Advance tick
+	pend []delivery // answers emitted during the running step; guarded by mu
 }
 
 // delivery is one detection answer and where it goes.
@@ -71,29 +50,22 @@ type delivery struct {
 
 // NewDetectorHost creates a host for one event language and subscribes it
 // to the stream.
-func NewDetectorHost(stream *events.Stream, deliver *Deliverer, compile events.Language, opts ...DetectorOption) *DetectorHost {
-	// By default a zero-worker pool: inline detection, nothing to close.
-	h := &DetectorHost{pool: NewDetectorPool(0, nil), compile: compile, deliver: deliver}
-	for _, opt := range opts {
-		opt(h)
-	}
-	for range h.pool.Workers() {
-		h.parts = append(h.parts, &hostPart{index: events.NewMatcher()})
-	}
+func NewDetectorHost(stream *events.Stream, deliver *Deliverer, compile events.Language) *DetectorHost {
+	h := &DetectorHost{compile: compile, deliver: deliver, index: events.NewMatcher()}
 	h.cancel = stream.SubscribeOrigin(h.onEvent)
 	return h
 }
 
 // NewEventMatcher hosts the Atomic Event Matcher: rule event components
 // consisting of a single atomic event pattern.
-func NewEventMatcher(stream *events.Stream, deliver *Deliverer, opts ...DetectorOption) *DetectorHost {
-	return NewDetectorHost(stream, deliver, atomicEvents, opts...)
+func NewEventMatcher(stream *events.Stream, deliver *Deliverer) *DetectorHost {
+	return NewDetectorHost(stream, deliver, atomicEvents)
 }
 
 // NewSnoopService hosts composite event detection in the SNOOP markup
 // (snoop.NS), counting into the snoop_* metrics of deliver.Obs.
-func NewSnoopService(stream *events.Stream, deliver *Deliverer, opts ...DetectorOption) *DetectorHost {
-	return NewDetectorHost(stream, deliver, snoopEvents(deliver.Obs), opts...)
+func NewSnoopService(stream *events.Stream, deliver *Deliverer) *DetectorHost {
+	return NewDetectorHost(stream, deliver, snoopEvents(deliver.Obs))
 }
 
 // atomicEvents compiles a bare domain event pattern; its detector listens
@@ -155,46 +127,23 @@ func snoopEvents(hub *obs.Hub) events.Language {
 func (h *DetectorHost) Close() { h.cancel() }
 
 // Registrations returns the number of live detectors.
-func (h *DetectorHost) Registrations() int {
-	n := 0
-	for _, part := range h.parts {
-		n += part.index.Len()
-	}
-	return n
-}
+func (h *DetectorHost) Registrations() int { return h.index.Len() }
 
-// step runs one detector step (feeding an event or advancing the clocks) on
-// every partition that holds detectors, as that partition's task, and
-// delivers what the step emitted in the task's follow-up. Inline, the
-// follow-up runs on the goroutine delivering the event, and a local
-// delivery hands what it does not need to do in stream order to o; a
-// partition worker's follow-up runs later, when nothing is waiting on o,
-// so it delivers without one.
+// step runs one detector step (feeding an event or advancing the clocks)
+// under the host's mutex, then delivers what the step emitted with the
+// mutex released. A local delivery hands what it does not need to do in
+// stream order to o.
 func (h *DetectorHost) step(run func(*events.Matcher), o events.Origin) {
-	if !h.pool.inline() {
-		o = events.Origin{}
+	h.mu.Lock()
+	run(h.index)
+	pend := h.pend
+	h.pend = nil
+	h.mu.Unlock()
+	for _, d := range pend {
+		// Delivery failures are the subscriber's problem; detection goes on
+		// for the remaining rules.
+		_ = h.deliver.deliver(d.answer, d.replyTo, o)
 	}
-	h.pool.fanOut(func(i int) Task {
-		part := h.parts[i]
-		if part.index.Len() == 0 {
-			return nil
-		}
-		return func() func() {
-			run(part.index)
-			pend := part.pend
-			part.pend = nil
-			if len(pend) == 0 {
-				return nil
-			}
-			return func() {
-				for _, d := range pend {
-					// Delivery failures are the subscriber's problem;
-					// detection goes on for the remaining rules.
-					_ = h.deliver.deliver(d.answer, d.replyTo, o)
-				}
-			}
-		}
-	})
 }
 
 func (h *DetectorHost) onEvent(ev events.Event, o events.Origin) {
@@ -204,8 +153,9 @@ func (h *DetectorHost) onEvent(ev events.Event, o events.Origin) {
 
 // Advance moves every detector's clock forward, firing elapsed periodic
 // occurrences (snoop.Periodic) even while the stream is quiet; call it from
-// a ticker. The tick is routed through the pool's partitions so it
-// serializes with each detector's event feed.
+// a ticker. The tick serializes with the event feed under the host's mutex;
+// no publisher waits on it, so its detections are delivered without an
+// origin.
 func (h *DetectorHost) Advance(now time.Time) {
 	seq := h.lastSeq.Load()
 	h.step(func(m *events.Matcher) { m.Advance(now, seq) }, events.Origin{})
@@ -215,7 +165,6 @@ func (h *DetectorHost) Advance(now time.Time) {
 // under the request's tenant.
 func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 	key := req.RuleID + "/" + req.Component
-	part := h.parts[h.pool.Pick(key)]
 	switch req.Kind {
 	case protocol.RegisterEvent:
 		if req.Expression == nil {
@@ -223,9 +172,9 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 		}
 		tenant, ruleID, component, replyTo := req.Tenant, req.RuleID, req.Component, req.ReplyTo
 		det, err := h.compile(req.Expression, func(tuples []bindings.Tuple, constituents []events.Event) {
-			// Buffered, not delivered: the feeding task hands pend to its
-			// follow-up, which delivers outside every lock.
-			part.pend = append(part.pend, delivery{detectionAnswer(tenant, ruleID, component, tuples, constituents), replyTo})
+			// Buffered, not delivered: the running step delivers pend once
+			// it has released the host's mutex.
+			h.pend = append(h.pend, delivery{detectionAnswer(tenant, ruleID, component, tuples, constituents), replyTo})
 		})
 		if err != nil {
 			return nil, err
@@ -233,9 +182,9 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 		if len(det.Names) == 0 {
 			return nil, fmt.Errorf("eventd: register-event %s listens to no event name", key)
 		}
-		part.index.Add(tenant, key, det)
+		h.index.Add(tenant, key, det)
 	case protocol.UnregisterEvent:
-		part.index.Unregister(req.Tenant, key)
+		h.index.Unregister(req.Tenant, key)
 	default:
 		return nil, fmt.Errorf("eventd: unsupported request kind %q", req.Kind)
 	}

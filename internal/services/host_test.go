@@ -79,7 +79,7 @@ var hostedLanguages = []hostedLanguage{
 	},
 }
 
-// answers collects a host's local deliveries; safe for partition workers.
+// answers collects a host's local deliveries; safe for concurrent publishers.
 type answers struct {
 	mu  sync.Mutex
 	got []*protocol.Answer
@@ -413,58 +413,45 @@ func TestDetectorHostRejectsNamelessDetector(t *testing.T) {
 }
 
 // conformOrderedFeed: detectors fed from racing publishers detect every
-// event once, in the order the stream sequenced them, for every pool shape.
+// event once, in the order the stream sequenced them.
 func conformOrderedFeed(t *testing.T, lang hostedLanguage) {
 	const publishers, perPublisher = 8, 40
 	rules := []string{"r0", "r1", "r2"}
-	for _, workers := range detectorWorkers {
-		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
-			pool := NewDetectorPool(workers, nil)
-			defer pool.Close()
-			var mu sync.Mutex
-			got := map[string][]string{} // rule → $P of each detection, in delivery order
-			total := 0
-			stream := events.NewStream()
-			var streamOrder []string // p of every event, in Seq order
-			stream.Subscribe(func(ev events.Event) {
-				mu.Lock()
-				streamOrder = append(streamOrder, ev.Payload.AttrValue("", "p"))
-				mu.Unlock()
-			})
-			h := NewDetectorHost(stream, &Deliverer{Local: func(a *protocol.Answer) {
-				mu.Lock()
-				got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["P"].AsString())
-				total++
-				mu.Unlock()
-			}}, lang.compile, WithDetectorPool(pool))
-			defer h.Close()
-			for _, id := range rules {
-				register(t, h, id, lang.single("a"), "")
+	var mu sync.Mutex
+	got := map[string][]string{} // rule → $P of each detection, in delivery order
+	stream := events.NewStream()
+	var streamOrder []string // p of every event, in Seq order
+	stream.Subscribe(func(ev events.Event) {
+		mu.Lock()
+		streamOrder = append(streamOrder, ev.Payload.AttrValue("", "p"))
+		mu.Unlock()
+	})
+	h := NewDetectorHost(stream, &Deliverer{Local: func(a *protocol.Answer) {
+		mu.Lock()
+		got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["P"].AsString())
+		mu.Unlock()
+	}}, lang.compile)
+	defer h.Close()
+	for _, id := range rules {
+		register(t, h, id, lang.single("a"), "")
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perPublisher; i++ {
+				stream.Publish(event("a", fmt.Sprintf("%d-%d", p, i)))
 			}
-			var wg sync.WaitGroup
-			for p := 0; p < publishers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < perPublisher; i++ {
-						stream.Publish(event("a", fmt.Sprintf("%d-%d", p, i)))
-					}
-				}(p)
-			}
-			wg.Wait()
-			awaitCount(len(rules)*publishers*perPublisher, func() int {
-				mu.Lock()
-				defer mu.Unlock()
-				return total
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			for _, id := range rules {
-				if !slices.Equal(got[id], streamOrder) {
-					t.Errorf("rule %s: %d detections, not the %d events in stream order", id, len(got[id]), len(streamOrder))
-				}
-			}
-		})
+		}(p)
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range rules {
+		if !slices.Equal(got[id], streamOrder) {
+			t.Errorf("rule %s: %d detections, not the %d events in stream order", id, len(got[id]), len(streamOrder))
+		}
 	}
 }
 

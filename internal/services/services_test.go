@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bindings"
@@ -378,3 +380,76 @@ func TestHandlerWireProtocol(t *testing.T) {
 type serviceFunc func(*protocol.Request) (*protocol.Answer, error)
 
 func (f serviceFunc) Handle(r *protocol.Request) (*protocol.Answer, error) { return f(r) }
+
+// TestSnoopSequenceNoMisfireUnderConcurrentPublishers is the SNOOP-level
+// regression for the out-of-order Publish family: detectors a;b and a∧b
+// (joined on p) fed from racing publishers must fire exactly once per
+// pair, in the order the stream sequenced the terminating b events. Before
+// the ordered dispatch stage, a pair's b could reach the detector before
+// its a, silently dropping the occurrence.
+func TestSnoopSequenceNoMisfireUnderConcurrentPublishers(t *testing.T) {
+	const (
+		publishers = 8
+		pairsPer   = 40
+	)
+	var mu sync.Mutex
+	got := map[string][]string{} // rule → $P of each detection, in delivery order
+	stream := events.NewStream()
+	var streamOrder []string // p of every b, in Seq order
+	var lastSeq uint64
+	stream.Subscribe(func(ev events.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Seq <= lastSeq {
+			t.Errorf("stream delivered Seq %d after %d", ev.Seq, lastSeq)
+		}
+		lastSeq = ev.Seq
+		if ev.Payload.Name.Local == "b" {
+			streamOrder = append(streamOrder, ev.Payload.AttrValue("", "p"))
+		}
+	})
+	s := NewSnoopService(stream, &Deliverer{Local: func(a *protocol.Answer) {
+		mu.Lock()
+		got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["P"].AsString())
+		mu.Unlock()
+	}})
+	defer s.Close()
+	rules := []string{"seq", "and"}
+	for _, op := range rules {
+		expr := xmltree.MustParse(`<snoop:` + op + ` xmlns:snoop="` + snoop.NS + `" context="chronicle">
+			<snoop:event><a p="$P"/></snoop:event>
+			<snoop:event><b p="$P"/></snoop:event>
+		</snoop:` + op + `>`).Root()
+		if _, err := s.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: op, Component: "e", Expression: expr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < pairsPer; i++ {
+				tag := fmt.Sprintf("%d-%d", p, i)
+				ea := xmltree.NewElement("", "a")
+				ea.SetAttr("", "p", tag)
+				stream.Publish(events.New(ea)) // returns after ordered dispatch
+				eb := xmltree.NewElement("", "b")
+				eb.SetAttr("", "p", tag)
+				stream.Publish(events.New(eb)) // so b's Seq > a's Seq, globally
+			}
+		}(p)
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(streamOrder) != publishers*pairsPer {
+		t.Fatalf("stream delivered %d b events, want %d", len(streamOrder), publishers*pairsPer)
+	}
+	for _, rule := range rules {
+		if !slices.Equal(got[rule], streamOrder) {
+			t.Errorf("rule %s: %d detections, not the %d terminators in stream order (misfire or reordering under concurrency)",
+				rule, len(got[rule]), len(streamOrder))
+		}
+	}
+}

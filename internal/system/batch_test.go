@@ -184,87 +184,45 @@ func TestBatchAdmissionErrors(t *testing.T) {
 	}
 }
 
-// TestPartitionedSystemEndToEnd: a system with DetectorPartitions still
-// fires rules for batched admissions; detection is asynchronous past the
-// partition queues, so the firings are awaited.
-func TestPartitionedSystemEndToEnd(t *testing.T) {
-	sys, err := NewLocal(Config{DetectorPartitions: 4})
+// TestCloseDrainsRuleInstances: every event whose publish returned before
+// Close has had its actions run when Close returns, even behind slow
+// actions, and Close leaves no goroutine behind.
+func TestCloseDrainsRuleInstances(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sys, err := NewLocal(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	srv := httptest.NewServer(sys.Mux(nil, nil))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(simpleRuleXML("part-rule")))
-	if err != nil {
-		t.Fatal(err)
+	const rules, publishers, perPub = 8, 4, 10
+	for i := 0; i < rules; i++ {
+		if err := sys.Engine.Register(ruleml.MustParse(simpleRuleXML(fmt.Sprintf("drain-%d", i)))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resp.Body.Close()
-	var b strings.Builder
-	fmt.Fprintf(&b, `<eca:events xmlns:eca="%s" xmlns:t="%s">`, protocol.ECANS, tNS)
-	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&b, `<t:ping x="%d"/>`, i)
+	sys.Notifier.OnSend(func(Notification) { time.Sleep(100 * time.Microsecond) }) // slow actions
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evs := make([]events.Event, perPub)
+			for i := range evs {
+				evs[i] = events.New(xmltree.MustParse(fmt.Sprintf(`<t:ping xmlns:t="%s" x="%d"/>`, tNS, i)))
+			}
+			sys.Stream.PublishBatch(evs)
+		}()
 	}
-	b.WriteString(`</eca:events>`)
-	resp, err = http.Post(srv.URL+"/events", "application/xml", strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	sys.Close()
+	if got, want := sys.Notifier.Count(), rules*publishers*perPub; got != want {
+		t.Errorf("Close returned with %d of %d actions run", got, want)
 	}
-	resp.Body.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Notifier.Count() < 16 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if st := sys.Engine.Stats(); st.InstancesCompleted != st.InstancesCreated {
+		t.Errorf("Close returned mid-instance: %+v", st)
 	}
-	if got := sys.Notifier.Count(); got != 16 {
-		t.Fatalf("partitioned system fired %d rules, want 16", got)
-	}
-}
-
-// TestCloseDrainsDetectorPartitions: for inline detection and for one and
-// several partition workers, every event whose publish returned before
-// Close has had its actions run when Close returns — including detections
-// still waiting in partition queues behind slow actions — and Close leaves
-// no goroutine behind.
-func TestCloseDrainsDetectorPartitions(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			sys, err := NewLocal(Config{DetectorPartitions: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const rules, publishers, perPub = 8, 4, 10
-			for i := 0; i < rules; i++ { // eight rule keys spread over the partitions
-				if err := sys.Engine.Register(ruleml.MustParse(simpleRuleXML(fmt.Sprintf("drain-%d", i)))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sys.Notifier.OnSend(func(Notification) { time.Sleep(100 * time.Microsecond) }) // slow actions: queues build up
-			var wg sync.WaitGroup
-			for p := 0; p < publishers; p++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					evs := make([]events.Event, perPub)
-					for i := range evs {
-						evs[i] = events.New(xmltree.MustParse(fmt.Sprintf(`<t:ping xmlns:t="%s" x="%d"/>`, tNS, i)))
-					}
-					sys.Stream.PublishBatch(evs)
-				}()
-			}
-			wg.Wait()
-			sys.Close()
-			if got, want := sys.Notifier.Count(), rules*publishers*perPub; got != want {
-				t.Errorf("Close returned with %d of %d actions run", got, want)
-			}
-			if st := sys.Engine.Stats(); st.InstancesCompleted != st.InstancesCreated {
-				t.Errorf("Close returned mid-instance: %+v", st)
-			}
-			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines: %d before NewLocal, %d after Close", before, runtime.NumGoroutine())
-				}
-			}
-		})
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before NewLocal, %d after Close", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -14,10 +13,9 @@ import (
 )
 
 // TestPeriodicRaiseFromAdvance: a P(open, 10ms, close) rule whose action
-// raises an event, ticked by Advance under inline detection and under one
-// and several partition workers. The tick's delivery raises an event that
-// the idle stream dispatches on the ticking goroutine, into the partition
-// the tick is stepping; inline, that used to wait forever on the partition
+// raises an event, ticked by Advance. The tick's delivery raises an event
+// that the idle stream dispatches on the ticking goroutine, into the
+// detection host the tick is stepping; that used to wait forever on the
 // mutex the tick itself held.
 func TestPeriodicRaiseFromAdvance(t *testing.T) {
 	const ns = `xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" xmlns:snoop="` + snoop.NS +
@@ -35,37 +33,30 @@ func TestPeriodicRaiseFromAdvance(t *testing.T) {
 		  <eca:action><t:pong k="$K"/></eca:action>
 		</eca:rule>`,
 	}
-	for _, workers := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
-			sys, err := NewLocal(Config{DetectorPartitions: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rules {
-				if err := sys.Engine.Register(ruleml.MustParse(r)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			open := sys.Stream.Publish(events.New(xmltree.MustParse(`<t:open xmlns:t="` + tNS + `" k="1"/>`)))
-			ticked := make(chan struct{})
-			go func() {
-				defer close(ticked)
-				sys.Snoop.Advance(open.Time.Add(35 * time.Millisecond)) // three periods
-			}()
-			// On failure the system is left running: closing it would wait
-			// for the hung tick.
-			select {
-			case <-ticked:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Advance never returned: the raised event waited on the tick's own partition")
-			}
-			for deadline := time.Now().Add(10 * time.Second); len(sys.Notifier.Sent()) < 3 && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if got := len(sys.Notifier.Sent()); got != 3 {
-				t.Fatalf("chained rule fired %d times, want one per elapsed period (3)", got)
-			}
-			sys.Close()
-		})
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, r := range rules {
+		if err := sys.Engine.Register(ruleml.MustParse(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := sys.Stream.Publish(events.New(xmltree.MustParse(`<t:open xmlns:t="` + tNS + `" k="1"/>`)))
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		sys.Snoop.Advance(open.Time.Add(35 * time.Millisecond)) // three periods
+	}()
+	// On failure the system is left running: closing it would wait for the
+	// hung tick.
+	select {
+	case <-ticked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Advance never returned: the raised event waited on the tick's own host")
+	}
+	if got := len(sys.Notifier.Sent()); got != 3 {
+		t.Fatalf("chained rule fired %d times, want one per elapsed period (3)", got)
+	}
+	sys.Close()
 }

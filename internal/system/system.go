@@ -144,11 +144,6 @@ type Config struct {
 	// idempotent dispatches (queries and tests; never actions). The zero
 	// value disables it; grh.DefaultCachePolicy is a sane starting point.
 	Cache grh.CachePolicy
-	// Partition enables partitioned parallel dispatch: large input
-	// relations of idempotent dispatches are sharded and dispatched
-	// concurrently. The zero value disables it;
-	// grh.DefaultPartitionPolicy is a sane starting point.
-	Partition grh.PartitionPolicy
 	// Store is the durability subsystem (write-ahead rule/event journal,
 	// snapshots, crash recovery — see internal/store and
 	// docs/DURABILITY.md). nil keeps the engine purely in-memory, the
@@ -166,12 +161,6 @@ type Config struct {
 	// header and the documented overload body. Zero means no admission
 	// limit, the historical behaviour.
 	MaxPendingEvents int
-	// DetectorPartitions shards SNOOP and atomic-matcher detection across
-	// this many partition workers, each detector pinned to one worker by
-	// rule key (see services.DetectorPool). Zero keeps detection inline on
-	// the publishing goroutine — the fully synchronous behaviour that most
-	// tests and the quickstart rely on.
-	DetectorPartitions int
 	// DefaultTenant names the tenant every tenant-less request resolves
 	// to; tenant.Default ("public") when empty. The default tenant's
 	// internal wire form is the empty string, which keeps journals,
@@ -198,9 +187,8 @@ type System struct {
 	Tenants  *tenant.Registry // tenant set; always non-nil after NewLocal
 
 	pprof      bool
-	eventSlots chan struct{}          // admission semaphore for POST /events; nil = unlimited
-	maxPending int                    // cap of eventSlots; 0 = unlimited
-	pool       *services.DetectorPool // shared by every space's detectors
+	eventSlots chan struct{} // admission semaphore for POST /events; nil = unlimited
+	maxPending int           // cap of eventSlots; 0 = unlimited
 
 	tenantMu   sync.Mutex
 	spaces     map[string]*Space // per-tenant rule spaces, keyed by wire form ("" = default)
@@ -232,8 +220,7 @@ func NewLocal(cfg Config) (*System, error) {
 		Store:  services.NewDocStore(),
 		GRH: grh.New(grh.WithObs(cfg.Obs), grh.WithTimeout(cfg.HTTPTimeout),
 			grh.WithRetry(cfg.Retry), grh.WithBreaker(cfg.Breaker),
-			grh.WithCache(cfg.Cache), grh.WithPartition(cfg.Partition),
-			grh.WithLog(cfg.Log)),
+			grh.WithCache(cfg.Cache), grh.WithLog(cfg.Log)),
 		Notifier: &Notifier{},
 		Obs:      cfg.Obs,
 		Log:      cfg.Log,
@@ -265,7 +252,6 @@ func NewLocal(cfg Config) (*System, error) {
 	if cfg.Logger != nil {
 		s.engineBase = append(s.engineBase, engine.WithLogger(cfg.Logger))
 	}
-	s.pool = services.NewDetectorPool(cfg.DetectorPartitions, cfg.Obs)
 	// The default tenant's space is built eagerly — it is the system the
 	// single-tenant surface (System.Engine) exposes. Other tenants' spaces
 	// appear on first use.
@@ -275,8 +261,8 @@ func NewLocal(cfg Config) (*System, error) {
 	}
 	s.Engine = def.Engine
 	deliver := &services.Deliverer{Admit: s.admitDetection, Obs: cfg.Obs}
-	s.Matcher = services.NewEventMatcher(s.Stream, deliver, services.WithDetectorPool(s.pool))
-	s.Snoop = services.NewSnoopService(s.Stream, deliver, services.WithDetectorPool(s.pool))
+	s.Matcher = services.NewEventMatcher(s.Stream, deliver)
+	s.Snoop = services.NewSnoopService(s.Stream, deliver)
 	s.XQuery = services.NewXQueryService(s.Store, cfg.Namespaces)
 	s.Actions = services.NewActionExecutor(s.Store, s.Stream, s.Notifier.Send)
 
@@ -825,14 +811,12 @@ type Health struct {
 }
 
 // AdmissionHealth reports event-admission pressure: how many POST
-// /events requests hold a slot right now, the configured cap, the
-// pending level at which Ready degrades, and the detection tasks queued
-// across the detector partitions (0 with inline detection).
+// /events requests hold a slot right now, the configured cap, and the
+// pending level at which Ready degrades.
 type AdmissionHealth struct {
-	Pending            int `json:"pending"`
-	MaxPendingEvents   int `json:"max_pending_events"`
-	ReadyThreshold     int `json:"ready_threshold"`
-	DetectorQueueDepth int `json:"detector_queue_depth"`
+	Pending          int `json:"pending"`
+	MaxPendingEvents int `json:"max_pending_events"`
+	ReadyThreshold   int `json:"ready_threshold"`
 }
 
 // readyThreshold is the pending-admissions level at which /healthz
@@ -871,10 +855,9 @@ func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.maxPending > 0 {
 		a := AdmissionHealth{
-			Pending:            len(s.eventSlots),
-			MaxPendingEvents:   s.maxPending,
-			ReadyThreshold:     readyThreshold(s.maxPending),
-			DetectorQueueDepth: s.pool.QueueDepth(),
+			Pending:          len(s.eventSlots),
+			MaxPendingEvents: s.maxPending,
+			ReadyThreshold:   readyThreshold(s.maxPending),
 		}
 		h.Admission = &a
 		if a.Pending >= a.ReadyThreshold {
@@ -915,12 +898,10 @@ func (s *System) Close() {
 		// engine and store they feed off shut down.
 		s.Cluster.Close()
 	}
-	// Unsubscribe the detection hosts (stop producing detection tasks),
-	// then drain the partition workers into the still-open engines, then
-	// drain each engine's rule instances.
+	// Unsubscribe the detection hosts, then drain each engine's rule
+	// instances.
 	s.Matcher.Close()
 	s.Snoop.Close()
-	s.pool.Close()
 	for _, sp := range s.snapshotSpaces() {
 		sp.Engine.Close()
 	}

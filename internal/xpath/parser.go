@@ -3,6 +3,8 @@ package xpath
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/xmltree"
 )
 
 // Compile parses an XPath expression into an immutable, reusable Expr.
@@ -12,7 +14,7 @@ func Compile(src string) (*Expr, error) {
 		return nil, err
 	}
 	p := &parser{tokens: tokens, src: src}
-	root, err := p.parseExpr()
+	root, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
@@ -35,6 +37,7 @@ type parser struct {
 	tokens []token
 	pos    int
 	src    string
+	depth  int // nesting levels open; see nested
 }
 
 func (p *parser) peek() token { return p.tokens[p.pos] }
@@ -86,8 +89,21 @@ func (p *parser) acceptOpName(names ...string) (string, bool) {
 	return "", false
 }
 
-// parseExpr := OrExpr
-func (p *parser) parseExpr() (exprNode, error) { return p.parseOr() }
+// nested parses one nesting level: a parenthesized expression, a
+// predicate, a function argument or a negated operand. An expression nested
+// deeper than xmltree.MaxDepth levels is refused, which bounds the parser's
+// recursion and every recursive walk of the tree it builds.
+func (p *parser) nested(parse func() (exprNode, error)) (exprNode, error) {
+	if p.depth == xmltree.MaxDepth {
+		return nil, p.errf("expression nested deeper than %d levels", xmltree.MaxDepth)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	return parse()
+}
+
+// parseExpr := OrExpr, one level deeper than the enclosing expression.
+func (p *parser) parseExpr() (exprNode, error) { return p.nested(p.parseOr) }
 
 func (p *parser) parseOr() (exprNode, error) {
 	left, err := p.parseAnd()
@@ -224,7 +240,7 @@ func (p *parser) parseMultiplicative() (exprNode, error) {
 
 func (p *parser) parseUnary() (exprNode, error) {
 	if p.accept(tokMinus) {
-		operand, err := p.parseUnary()
+		operand, err := p.nested(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}

@@ -64,38 +64,49 @@ func BenchmarkAdd(b *testing.B) {
 // TestPoolReuseCanary is the mutate-after-return canary: tuples stored in a
 // relation returned by Join/Project/Extend must never be recycled by later
 // operations. It holds references into an early result, churns the pool
-// hard, and asserts the held tuples are unchanged.
+// hard, and asserts the held tuples are unchanged — for relations on both
+// sides of smallRelation, since small ones dedup without their index.
 func TestPoolReuseCanary(t *testing.T) {
-	r := benchRelation(64, 8, "K", "A")
-	s := benchRelation(64, 8, "K", "B")
-	first := r.Join(s)
-	if first.Empty() {
-		t.Fatal("empty join")
-	}
-	// Snapshot the result by deep copy before churning.
-	want := make([]Tuple, 0, first.Size())
-	for _, tu := range first.Tuples() {
-		want = append(want, tu.Clone())
-	}
-	// Churn: many joins/projections whose duplicate rejections and pooled
-	// tuples would stomp first's tuples if any stored tuple were released.
-	for i := 0; i < 50; i++ {
-		x := benchRelation(64, 4, "K", "C")
-		y := benchRelation(64, 4, "K", "D")
-		out := x.Join(y)
-		out.Project("K")
-		out.Extend("E", func(Tuple) []Value { return []Value{Str("e")} })
-		// Duplicate-heavy union exercises the release-on-reject path.
-		x.Union(x)
-	}
-	got := first.Tuples()
-	if len(got) != len(want) {
-		t.Fatalf("result size changed under pool churn: %d → %d", len(want), len(got))
-	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("tuple %d mutated by pool reuse:\n  was %v\n  now %v", i, want[i], got[i])
-		}
+	for _, c := range []struct{ n, keys, churnKeys int }{
+		{smallRelation - 2, smallRelation - 2, smallRelation - 2}, // every relation small
+		{64, 8, 4},
+	} {
+		n := c.n
+		t.Run(fmt.Sprintf("tuples=%d", n), func(t *testing.T) {
+			r := benchRelation(n, c.keys, "K", "A")
+			s := benchRelation(n, c.keys, "K", "B")
+			first := r.Join(s)
+			if first.Empty() {
+				t.Fatal("empty join")
+			}
+			// Snapshot the result by deep copy before churning.
+			want := make([]Tuple, 0, first.Size())
+			for _, tu := range first.Tuples() {
+				want = append(want, tu.Clone())
+			}
+			// Churn: many joins/projections whose duplicate rejections and
+			// pooled tuples would stomp first's tuples if any stored tuple
+			// were released.
+			for i := 0; i < 50; i++ {
+				x := benchRelation(n, c.churnKeys, "K", "C")
+				y := benchRelation(n, c.churnKeys, "K", "D")
+				out := x.Join(y)
+				out.Project("K")
+				out.Project() // all but one projection is a rejected pooled duplicate
+				out.Extend("E", func(Tuple) []Value { return []Value{Str("e")} })
+				// Duplicate-heavy union exercises the release-on-reject path.
+				x.Union(x)
+			}
+			got := first.Tuples()
+			if len(got) != len(want) {
+				t.Fatalf("result size changed under pool churn: %d → %d", len(want), len(got))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("tuple %d mutated by pool reuse:\n  was %v\n  now %v", i, want[i], got[i])
+				}
+			}
+		})
 	}
 }
 

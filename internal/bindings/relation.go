@@ -144,14 +144,22 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
+// smallRelation is the most tuples a relation holds before it indexes
+// them. Most relations of a rule instance hold one tuple; up to this size a
+// linear Tuple.Equal scan finds duplicates and the tuples themselves give
+// the variable set, so such a relation allocates no map.
+const smallRelation = 8
+
 // Relation is a set of tuples of variable bindings — the evaluation state of
 // an ECA rule instance as it flows through the Event, Query, Test and Action
 // components. The zero Relation is empty. Relations are not safe for
 // concurrent mutation.
 type Relation struct {
 	tuples []Tuple
+	// index and varset are built when the relation grows past
+	// smallRelation tuples, and kept by add from then on.
 	index  map[string][]int // tuple.key() → indices, for duplicate elimination
-	varset map[string]bool  // union of variables bound in any tuple, kept by Add
+	varset map[string]bool  // union of variables bound in any tuple
 }
 
 // NewRelation returns a relation containing the given tuples (duplicates,
@@ -175,12 +183,26 @@ func (r *Relation) Add(t Tuple) bool { return r.add(t, false) }
 
 // add is Add with the pooling contract: when pooled is set, a rejected
 // duplicate is returned to the tuple pool (it was never stored, so no one
-// else can hold a reference). The dedup lookup itself does not allocate —
-// the key is built in pooled scratch and only converted to a string when
-// the tuple is actually inserted.
+// else can hold a reference). A small relation scans its tuples; a larger
+// one looks the tuple's key up in its index, building the key in pooled
+// scratch and converting it to a string only when the tuple is inserted,
+// so neither lookup allocates. Tuples that are Equal have the same key, so
+// both find the same duplicates.
 func (r *Relation) add(t Tuple, pooled bool) bool {
 	if r.index == nil {
-		r.index = map[string][]int{}
+		for _, u := range r.tuples {
+			if u.Equal(t) {
+				if pooled {
+					releaseTuple(t)
+				}
+				return false
+			}
+		}
+		r.tuples = append(r.tuples, t)
+		if len(r.tuples) > smallRelation {
+			r.buildIndex()
+		}
+		return true
 	}
 	sc := getScratch()
 	sc.buf, sc.names = t.appendKey(sc.buf[:0], sc.names)
@@ -197,21 +219,33 @@ func (r *Relation) add(t Tuple, pooled bool) bool {
 	putScratch(sc)
 	r.index[k] = append(r.index[k], len(r.tuples))
 	r.tuples = append(r.tuples, t)
-	if len(t) > 0 {
-		if r.varset == nil {
-			r.varset = map[string]bool{}
-		}
-		for name := range t {
-			r.varset[name] = true
-		}
+	for name := range t {
+		r.varset[name] = true
 	}
 	return true
 }
 
-// newSized returns an empty relation with storage preallocated for about n
-// tuples, so bulk producers (Join, Select, Project) do not regrow.
+// buildIndex builds the key index and variable set of a relation that has
+// outgrown smallRelation, sized for the tuples newSized made room for.
+func (r *Relation) buildIndex() {
+	r.index = make(map[string][]int, max(2*len(r.tuples), cap(r.tuples)))
+	r.varset = map[string]bool{}
+	sc := getScratch()
+	for i, t := range r.tuples {
+		sc.buf, sc.names = t.appendKey(sc.buf[:0], sc.names)
+		k := string(sc.buf)
+		r.index[k] = append(r.index[k], i)
+		for name := range t {
+			r.varset[name] = true
+		}
+	}
+	putScratch(sc)
+}
+
+// newSized returns an empty relation with room for about n tuples, so bulk
+// producers (Join, Select, Project) do not regrow its slice.
 func newSized(n int) *Relation {
-	return &Relation{tuples: make([]Tuple, 0, n), index: make(map[string][]int, n)}
+	return &Relation{tuples: make([]Tuple, 0, n)}
 }
 
 // mergeTuples merges two tuples into a pool-obtained map (t wins on shared
@@ -238,16 +272,49 @@ func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
 // shared; callers must not mutate it.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// Vars returns the sorted union of variables bound in any tuple. The set
-// is maintained incrementally by Add, so this costs O(vars), not
+// Vars returns the sorted union of variables bound in any tuple. A large
+// relation keeps the set as it adds tuples, so this costs O(vars), not
 // O(tuples×vars) — Join consults it on every call.
 func (r *Relation) Vars() []string {
-	out := make([]string, 0, len(r.varset))
-	for k := range r.varset {
-		out = append(out, k)
-	}
+	out := []string{}
+	r.eachVar(func(v string) { out = append(out, v) })
 	sort.Strings(out)
 	return out
+}
+
+// eachVar calls f once for every variable bound in some tuple, in no
+// particular order.
+func (r *Relation) eachVar(f func(string)) {
+	if r.varset != nil {
+		for v := range r.varset {
+			f(v)
+		}
+		return
+	}
+	for i, t := range r.tuples {
+	names:
+		for v := range t {
+			for _, u := range r.tuples[:i] {
+				if _, seen := u[v]; seen {
+					continue names
+				}
+			}
+			f(v)
+		}
+	}
+}
+
+// hasVar reports whether some tuple binds v.
+func (r *Relation) hasVar(v string) bool {
+	if r.varset != nil {
+		return r.varset[v]
+	}
+	for _, t := range r.tuples {
+		if _, ok := t[v]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns a relation with copies of all tuples.
@@ -323,16 +390,15 @@ func (r *Relation) Join(s *Relation) *Relation {
 }
 
 func sharedVars(r, s *Relation) []string {
-	small, large := r, s
-	if len(s.varset) < len(r.varset) {
-		small, large = s, r
+	if len(s.tuples) < len(r.tuples) {
+		r, s = s, r
 	}
 	var shared []string
-	for v := range small.varset {
-		if large.varset[v] {
+	r.eachVar(func(v string) {
+		if s.hasVar(v) {
 			shared = append(shared, v)
 		}
-	}
+	})
 	sort.Strings(shared)
 	return shared
 }

@@ -330,7 +330,7 @@ func (n *Node) ForwardRule(tenant string, rule *ruleml.Rule, owner string) (int,
 	if !up {
 		return 0, "", fmt.Errorf("%w: %s", ErrPeerDown, owner)
 	}
-	tr := n.hub.Traces().Begin("cluster:" + rule.ID)
+	tr := n.hub.Traces().Begin("cluster:"+rule.ID, 1)
 	start := time.Now()
 	status, body, err := n.post(ps.url+"/engine/rules", rule.Doc.String(), tr.ID(), tenant)
 	tr.AddSpan(obs.Span{Stage: "forward", Component: owner, Language: "register",
@@ -399,7 +399,7 @@ func (n *Node) RouteEvent(tenant string, doc *xmltree.Node) RouteResult {
 		return res
 	}
 	body := doc.String()
-	tr := n.hub.Traces().Begin("cluster:" + term)
+	tr := n.hub.Traces().Begin("cluster:"+term, len(targets))
 	for _, ps := range targets {
 		start := time.Now()
 		outcome, err := n.forwardEvent(ps, body, tr.ID(), tenant)

@@ -124,7 +124,7 @@ func (n *Node) maybeTakeover(id string) {
 	n.takenOver[id] = true
 	n.mu.Unlock()
 
-	tr := n.hub.Traces().Begin("cluster:takeover:" + id)
+	tr := n.hub.Traces().Begin("cluster:takeover:"+id, 1)
 	start := time.Now()
 	stats, err := rep.RecoverTenants(n.hooks.RegisterRecovered, n.hooks.PublishRecovered)
 	rules, events := rep.Counts()

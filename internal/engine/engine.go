@@ -9,6 +9,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -487,11 +488,14 @@ admit:
 		if rs.Rule.Event.Variable != "" && len(row.Results) > 0 {
 			// Fig. 8 functional-result semantics: every result yields
 			// its own binding of the event variable, hence its own rule
-			// instance — not just the first result.
+			// instance — not just the first result. A detected event's
+			// payload is shared by every rule that detected it, and a
+			// later component may splice a bound fragment into a tree of
+			// its own, so the binding gets its own copy.
 			tuples = tuples[:0]
 			for _, res := range row.Results {
 				t := row.Tuple.Clone()
-				t[rs.Rule.Event.Variable] = res
+				t[rs.Rule.Event.Variable] = res.Clone()
 				tuples = append(tuples, t)
 			}
 		}
@@ -503,7 +507,8 @@ admit:
 				break admit
 			}
 			e.met.instances.With("created").Inc()
-			tr := e.tr.Begin(a.RuleID)
+			// Spans: the event, each step and action, and the lifecycle.
+			tr := e.tr.Begin(a.RuleID, 2+len(rs.Rule.Steps)+len(rs.Rule.Actions))
 			if e.tenant != "" {
 				tr.SetTenant(e.tenant)
 			}
@@ -515,10 +520,14 @@ admit:
 				TuplesOut: 1,
 				Start:     evStart,
 			})
-			e.logf("rule %s: event %s detected, instance created with %s",
-				a.RuleID, a.Component, tuple)
-			e.slog.Info("rule instance created", obs.FieldTraceID, tr.ID(),
-				obs.FieldRule, a.RuleID, obs.FieldComponent, a.Component)
+			if e.log != nil {
+				e.logf("rule %s: event %s detected, instance created with %s",
+					a.RuleID, a.Component, tuple)
+			}
+			if e.slog.Enabled(slog.LevelInfo) {
+				e.slog.Info("rule instance created", obs.FieldTraceID, tr.ID(),
+					obs.FieldRule, a.RuleID, obs.FieldComponent, a.Component)
+			}
 			// The "event" step latency is the engine-side cost of turning
 			// one detected tuple into an admitted rule instance; the
 			// detection itself happened in the event service.
@@ -541,7 +550,6 @@ admit:
 func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Instance, lc lifecycle) {
 	rule := rs.Rule
 	start := time.Now()
-	il := e.slog.With(obs.FieldTraceID, tr.ID(), obs.FieldRule, rule.ID)
 	for i, step := range rule.Steps {
 		sp := obs.Span{
 			Stage:     string(step.Kind),
@@ -561,19 +569,25 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 			sp.Err = err.Error()
 			tr.AddSpan(sp)
 			e.logf("rule %s: %s failed: %v — instance aborted", rule.ID, step.ID, err)
-			il.Error("step failed", obs.FieldComponent, step.ID, "error", err.Error())
-			e.died(rs, tr, start, il)
+			e.instanceLog(tr, rule.ID).Error("step failed", obs.FieldComponent, step.ID, "error", err.Error())
+			e.died(rs, tr, start)
 			return
 		}
 		rel = next
 		sp.TuplesOut = rel.Size()
 		tr.AddSpan(sp)
-		e.logf("rule %s: after %s: %d tuple(s)", rule.ID, step.ID, rel.Size())
-		il.Debug("step evaluated", obs.FieldComponent, step.ID,
-			"kind", string(step.Kind), "tuples", rel.Size())
+		if e.log != nil {
+			e.logf("rule %s: after %s: %d tuple(s)", rule.ID, step.ID, rel.Size())
+		}
+		if e.slog.Enabled(slog.LevelDebug) {
+			e.instanceLog(tr, rule.ID).Debug("step evaluated", obs.FieldComponent, step.ID,
+				"kind", string(step.Kind), "tuples", rel.Size())
+		}
 		if rel.Empty() {
-			e.logf("rule %s: relation empty after %s — instance eliminated", rule.ID, step.ID)
-			e.died(rs, tr, start, il)
+			if e.log != nil {
+				e.logf("rule %s: relation empty after %s — instance eliminated", rule.ID, step.ID)
+			}
+			e.died(rs, tr, start)
 			return
 		}
 	}
@@ -604,15 +618,19 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 			sp.Err = err.Error()
 			tr.AddSpan(sp)
 			e.logf("rule %s: action %s failed: %v", rule.ID, action.ID, err)
-			il.Error("action failed", obs.FieldComponent, action.ID, "error", err.Error())
-			e.died(rs, tr, start, il)
+			e.instanceLog(tr, rule.ID).Error("action failed", obs.FieldComponent, action.ID, "error", err.Error())
+			e.died(rs, tr, start)
 			return
 		}
 		sp.TuplesOut = rel.Size()
 		sp.Children = serverSpans(answer)
 		tr.AddSpan(sp)
-		e.logf("rule %s: action %s executed for %d tuple(s)", rule.ID, action.ID, rel.Size())
-		il.Debug("action executed", obs.FieldComponent, action.ID, "tuples", rel.Size())
+		if e.log != nil {
+			e.logf("rule %s: action %s executed for %d tuple(s)", rule.ID, action.ID, rel.Size())
+		}
+		if e.slog.Enabled(slog.LevelDebug) {
+			e.instanceLog(tr, rule.ID).Debug("action executed", obs.FieldComponent, action.ID, "tuples", rel.Size())
+		}
 	}
 	ack := time.Now()
 	e.mu.Lock()
@@ -623,7 +641,15 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 	e.met.instanceSec.Observe(ack.Sub(start).Seconds())
 	e.observeLifecycle(rule.ID, tr, lc, stepsDone, ack)
 	tr.Finish("completed")
-	il.Info("rule instance completed", "seconds", ack.Sub(start).Seconds())
+	if e.slog.Enabled(slog.LevelInfo) {
+		e.instanceLog(tr, rule.ID).Info("rule instance completed", "seconds", ack.Sub(start).Seconds())
+	}
+}
+
+// instanceLog returns the logger of one rule instance, whose records carry
+// its trace id and rule.
+func (e *Engine) instanceLog(tr *obs.Instance, rule string) *obs.Logger {
+	return e.slog.With(obs.FieldTraceID, tr.ID(), obs.FieldRule, rule)
 }
 
 // observeLifecycle records the admit→action stage histograms of a
@@ -654,6 +680,7 @@ func (e *Engine) observeLifecycle(ruleID string, tr *obs.Instance, lc lifecycle,
 		Mode:     "engine",
 		Start:    lc.admitted,
 		Duration: maxDuration(0, ack.Sub(lc.admitted)),
+		Children: make([]obs.Span, 0, len(stages)),
 	}
 	for _, s := range stages {
 		d := maxDuration(0, s.end.Sub(s.start))
@@ -692,7 +719,7 @@ func serverSpans(a *protocol.Answer) []obs.Span {
 	return out
 }
 
-func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time, il *obs.Logger) {
+func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time) {
 	e.mu.Lock()
 	rs.Died++
 	e.stats.InstancesDied++
@@ -700,7 +727,9 @@ func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time, il *obs.
 	e.met.instances.With("died").Inc()
 	e.met.instanceSec.Observe(time.Since(start).Seconds())
 	tr.Finish("died")
-	il.Info("rule instance died", "seconds", time.Since(start).Seconds())
+	if e.slog.Enabled(slog.LevelInfo) {
+		e.instanceLog(tr, rs.Rule.ID).Info("rule instance died", "seconds", time.Since(start).Seconds())
+	}
 }
 
 // evalStep evaluates one query or test component against the instance

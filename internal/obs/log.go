@@ -102,8 +102,15 @@ func (l *Logger) With(args ...any) *Logger {
 	return &Logger{root: l.root, args: append(l.args[:len(l.args):len(l.args)], args...)}
 }
 
+// Enabled reports whether l emits records at level (never, for the
+// discard logger). A hot path checks it before building a record's
+// arguments, so a record whose level is off costs nothing.
+func (l *Logger) Enabled(level slog.Level) bool {
+	return l != nil && l.root.Enabled(context.Background(), level)
+}
+
 func (l *Logger) log(level slog.Level, msg string, args []any) {
-	if l == nil || !l.root.Enabled(context.Background(), level) {
+	if !l.Enabled(level) {
 		return
 	}
 	l.logger().Log(context.Background(), level, msg, args...)

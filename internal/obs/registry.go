@@ -226,7 +226,15 @@ type Histogram struct {
 	counts      []atomic.Int64 // len(bounds)+1; the last is the +Inf bucket
 	count       atomic.Int64
 	sumBits     atomic.Uint64
-	exemplar    atomic.Pointer[Exemplar]
+	exemplar    atomic.Pointer[exemplarSlot]
+}
+
+// exemplarSlot holds a histogram's most recent exemplar. It is allocated by
+// the first ObserveExemplar and overwritten in place after that, so an
+// observation allocates nothing.
+type exemplarSlot struct {
+	mu sync.Mutex
+	e  Exemplar
 }
 
 // Exemplar correlates a single recent observation with the trace that
@@ -265,9 +273,17 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 		return
 	}
 	h.Observe(v)
-	if traceID != "" {
-		h.exemplar.Store(&Exemplar{Value: v, TraceID: traceID})
+	if traceID == "" {
+		return
 	}
+	slot := h.exemplar.Load()
+	if slot == nil {
+		h.exemplar.CompareAndSwap(nil, &exemplarSlot{})
+		slot = h.exemplar.Load()
+	}
+	slot.mu.Lock()
+	slot.e = Exemplar{Value: v, TraceID: traceID}
+	slot.mu.Unlock()
 }
 
 // Exemplar returns the most recently stored exemplar, if any.
@@ -275,8 +291,10 @@ func (h *Histogram) Exemplar() (Exemplar, bool) {
 	if h == nil {
 		return Exemplar{}, false
 	}
-	if e := h.exemplar.Load(); e != nil {
-		return *e, true
+	if slot := h.exemplar.Load(); slot != nil {
+		slot.mu.Lock()
+		defer slot.mu.Unlock()
+		return slot.e, true
 	}
 	return Exemplar{}, false
 }

@@ -213,7 +213,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry should write nothing")
 	}
 	tr := h.Traces()
-	inst := tr.Begin("r")
+	inst := tr.Begin("r", 0)
 	inst.AddSpan(Span{Stage: "event"})
 	inst.Finish("completed")
 	if tr.Snapshot() != nil || tr.Recorded() != 0 {

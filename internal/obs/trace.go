@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -134,21 +134,24 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// Begin starts recording a new rule instance, evicting the oldest when
-// the ring is full. Returns nil (a valid no-op instance) when the
-// recorder is nil or has zero capacity.
-func (r *Recorder) Begin(rule string) *Instance {
+// Begin starts recording a new rule instance, with room for the given
+// number of spans, evicting the oldest when the ring is full. Returns nil
+// (a valid no-op instance) when the recorder is nil or has zero capacity.
+func (r *Recorder) Begin(rule string, spans int) *Instance {
 	if r == nil || r.cap == 0 {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
+	var buf [64]byte
+	id := strconv.AppendUint(append(append(buf[:0], rule...), '#'), r.total, 10)
 	inst := &Instance{data: InstanceTrace{
-		ID:    fmt.Sprintf("%s#%d", rule, r.total),
+		ID:    string(id),
 		Rule:  rule,
 		State: "running",
 		Start: time.Now(),
+		Spans: make([]Span, 0, spans),
 	}}
 	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, inst)

@@ -11,14 +11,14 @@ import (
 
 func TestTracesHandlerIDLookup(t *testing.T) {
 	h := NewHub()
-	a := h.Traces().Begin("chain")
+	a := h.Traces().Begin("chain", 0)
 	a.AddSpan(Span{Stage: "event"})
 	a.AddSpan(Span{Stage: "query", Mode: "grh", Children: []Span{
 		{Stage: "parse", Mode: "server"},
 		{Stage: "evaluate", Mode: "server", TuplesOut: 2},
 	}})
 	a.Finish("completed")
-	h.Traces().Begin("chain").Finish("died")
+	h.Traces().Begin("chain", 0).Finish("died")
 
 	rec := httptest.NewRecorder()
 	h.TracesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?id="+a.ID(), nil))
@@ -57,7 +57,7 @@ func TestTracesHandlerIDLookup(t *testing.T) {
 func TestTracesHandlerLimitAndPretty(t *testing.T) {
 	h := NewHub()
 	for i := 0; i < 5; i++ {
-		h.Traces().Begin(fmt.Sprintf("r%d", i)).Finish("completed")
+		h.Traces().Begin(fmt.Sprintf("r%d", i), 0).Finish("completed")
 	}
 
 	rec := httptest.NewRecorder()
@@ -131,7 +131,7 @@ func TestRecorderConcurrentEviction(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				inst := r.Begin(fmt.Sprintf("w%d", w))
+				inst := r.Begin(fmt.Sprintf("w%d", w), 0)
 				inst.AddSpan(Span{Stage: "event"})
 				inst.Finish("completed")
 			}

@@ -12,7 +12,7 @@ import (
 func TestRecorderRingEviction(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		inst := r.Begin(fmt.Sprintf("r%d", i))
+		inst := r.Begin(fmt.Sprintf("r%d", i), 0)
 		inst.AddSpan(Span{Stage: "event"})
 		inst.Finish("completed")
 	}
@@ -36,8 +36,8 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderIDsUnique(t *testing.T) {
 	r := NewRecorder(8)
-	a := r.Begin("rule")
-	b := r.Begin("rule")
+	a := r.Begin("rule", 0)
+	b := r.Begin("rule", 0)
 	if a.ID() == b.ID() {
 		t.Errorf("duplicate instance ids: %q", a.ID())
 	}
@@ -54,7 +54,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				inst := r.Begin("r")
+				inst := r.Begin("r", 0)
 				inst.AddSpan(Span{Stage: "query", TuplesIn: 1, TuplesOut: 1})
 				inst.Finish("completed")
 				_ = r.Snapshot()
@@ -72,7 +72,7 @@ func TestRecorderConcurrent(t *testing.T) {
 
 func TestZeroCapacityRecorder(t *testing.T) {
 	r := NewRecorder(0)
-	inst := r.Begin("r")
+	inst := r.Begin("r", 0)
 	if inst != nil {
 		t.Error("zero-capacity recorder should return nil instances")
 	}
@@ -85,11 +85,11 @@ func TestZeroCapacityRecorder(t *testing.T) {
 
 func TestTracesHandlerJSONAndFilters(t *testing.T) {
 	h := NewHub()
-	a := h.Traces().Begin("car-rental")
+	a := h.Traces().Begin("car-rental", 0)
 	a.AddSpan(Span{Stage: "event", Component: "event[1]", TuplesOut: 1})
 	a.AddSpan(Span{Stage: "query", Component: "query[1]", TuplesIn: 1, TuplesOut: 2})
 	a.Finish("completed")
-	b := h.Traces().Begin("other")
+	b := h.Traces().Begin("other", 0)
 	b.Finish("died")
 
 	rec := httptest.NewRecorder()

@@ -192,9 +192,12 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 }
 
 // detectionAnswer is the log:answers message of one detection: a row per
-// tuple whose results are the constituent events' payloads. A detection
-// completes with its newest constituent, so the lifecycle clock starts at
-// the newest admission and publication among them.
+// tuple whose results are the constituent events' payloads. The payloads
+// are shared, not copied: every rule that detects an event reads the same
+// tree, and the engine copies it only for a rule that binds it to a
+// variable. A detection completes with its newest constituent, so the
+// lifecycle clock starts at the newest admission and publication among
+// them.
 func detectionAnswer(tenant, ruleID, component string, tuples []bindings.Tuple, constituents []events.Event) *protocol.Answer {
 	a := &protocol.Answer{RuleID: ruleID, Component: component, Tenant: tenant}
 	for _, c := range constituents {
@@ -208,7 +211,7 @@ func detectionAnswer(tenant, ruleID, component string, tuples []bindings.Tuple, 
 	for _, t := range tuples {
 		row := protocol.AnswerRow{Tuple: t}
 		for _, c := range constituents {
-			row.Results = append(row.Results, bindings.Fragment(c.Payload.Clone()))
+			row.Results = append(row.Results, bindings.Fragment(c.Payload))
 		}
 		a.Rows = append(a.Rows, row)
 	}

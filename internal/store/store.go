@@ -215,7 +215,7 @@ func Open(dir string, o Options) (*Store, error) {
 		events:   map[uint64]eventEntry{},
 		stopSync: make(chan struct{}),
 	}
-	s.trace = o.Obs.Traces().Begin("store")
+	s.trace = o.Obs.Traces().Begin("store", 4)
 
 	snapStart := time.Now()
 	s.loadSnapshot()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compilecache"
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
@@ -171,8 +172,11 @@ func TestEngineErrBadExpression(t *testing.T) {
 
 // TestRegisterRejectsDeepNesting: a query or test nested 10⁶ parentheses
 // deep used to overflow the compiler's stack, which no handler can
-// recover from. Now it is a bad expression (400), and the next request is
-// served.
+// recover from. Now it is a bad expression (400) whose body quotes only an
+// excerpt of it, and the next request is served. A 4 MB operator chain
+// used to compile into a tree as deep as the chain and kill the process at
+// the first matching event; now it is one node, accepted, and evaluated in
+// a loop when its event arrives.
 func TestRegisterRejectsDeepNesting(t *testing.T) {
 	sys, err := NewLocal(Config{})
 	if err != nil {
@@ -182,9 +186,20 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 	srv := httptest.NewServer(sys.Mux(nil, nil))
 	defer srv.Close()
 	deep := strings.Repeat("(", 1e6) + "1" + strings.Repeat(")", 1e6)
-	for _, c := range []struct{ name, component, next string }{
-		{"xq:query", `<eca:query><xq:query>` + deep + `</xq:query></eca:query>`, "after-query"},
-		{"eca:test", `<eca:test>` + deep + ` = 1</eca:test>`, "after-test"},
+	chain := "1" + strings.Repeat("+1", 2<<20) + " > 1"
+	// The chain's compiled form is about 180 MB; drop it from the
+	// process-wide compile cache so later tests do not carry it.
+	t.Cleanup(func() {
+		compilecache.Default.SetCapacity(0)
+		compilecache.Default.SetCapacity(compilecache.DefaultCapacity)
+	})
+	for _, c := range []struct {
+		name, component, next string
+		status                int
+	}{
+		{"xq:query", `<eca:query><xq:query>` + deep + `</xq:query></eca:query>`, "after-query", http.StatusBadRequest},
+		{"eca:test", `<eca:test>` + deep + ` = 1</eca:test>`, "after-test", http.StatusBadRequest},
+		{"4 MB chain", `<eca:test>` + chain + `</eca:test>`, "after-chain", http.StatusOK},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rule := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" xmlns:xq="` + services.XQueryNS + `" id="deep">
@@ -195,10 +210,23 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			io.Copy(io.Discard, resp.Body)
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("status %d, want 400", resp.StatusCode)
+			if resp.StatusCode != c.status {
+				t.Errorf("status %d, want %d: %.300s", resp.StatusCode, c.status, body)
+			}
+			if len(body) >= 1024 {
+				t.Errorf("body of %d bytes, want under 1 KiB: %.300s…", len(body), body)
+			}
+			if c.status == http.StatusOK {
+				resp, err := http.Post(srv.URL+"/events", "application/xml", strings.NewReader(`<t:ping xmlns:t="`+tNS+`" x="1"/>`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if info, _ := sys.Engine.RuleInfo("deep"); resp.StatusCode != http.StatusOK || info.Firings != 1 {
+					t.Errorf("event: status %d, chain rule fired %d times; want 200 and once", resp.StatusCode, info.Firings)
+				}
 			}
 			resp, err = http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(simpleRuleXML(c.next)))
 			if err != nil {

@@ -118,11 +118,13 @@ type filterExpr struct {
 	preds   []exprNode
 }
 
-// binaryExpr covers or/and/=/!=/</<=/>/>=/+/-/*/div/mod and '|'.
-type binaryExpr struct {
-	op    string
-	left  exprNode
-	right exprNode
+// chainExpr is a left-associative chain of binary operators of one
+// precedence level — or, and, = !=, < <= > >=, + -, * div mod, or | —
+// applied as operands[0] ops[0] operands[1] ops[1] operands[2] …, so
+// len(operands) == len(ops)+1.
+type chainExpr struct {
+	operands []exprNode
+	ops      []string
 }
 
 // negExpr is unary minus.

@@ -238,45 +238,35 @@ func (e *negExpr) eval(c *evalCtx) (object, error) {
 	return -toNumber(v), nil
 }
 
-func (e *binaryExpr) eval(c *evalCtx) (object, error) {
-	// Short-circuit boolean operators.
-	switch e.op {
-	case "and":
-		l, err := e.left.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		if !toBool(l) {
-			return false, nil
-		}
-		r, err := e.right.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		return toBool(r), nil
-	case "or":
-		l, err := e.left.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		if toBool(l) {
-			return true, nil
-		}
-		r, err := e.right.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		return toBool(r), nil
-	}
-	l, err := e.left.eval(c)
+// eval folds the chain from the left in a loop. and and or short-circuit:
+// once the value so far decides them, the remaining operands of that
+// operator are not evaluated.
+func (e *chainExpr) eval(c *evalCtx) (object, error) {
+	acc, err := e.operands[0].eval(c)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.right.eval(c)
-	if err != nil {
-		return nil, err
+	for i, op := range e.ops {
+		if (op == "and" && !toBool(acc)) || (op == "or" && toBool(acc)) {
+			acc = toBool(acc)
+			continue
+		}
+		r, err := e.operands[i+1].eval(c)
+		if err != nil {
+			return nil, err
+		}
+		if acc, err = binary(op, acc, r); err != nil {
+			return nil, err
+		}
 	}
-	switch e.op {
+	return acc, nil
+}
+
+// binary applies one operator to its evaluated operands.
+func binary(op string, l, r object) (object, error) {
+	switch op {
+	case "and", "or":
+		return toBool(r), nil // l has not decided the result
 	case "|":
 		ln, ok1 := l.(NodeSet)
 		rn, ok2 := r.(NodeSet)
@@ -286,7 +276,7 @@ func (e *binaryExpr) eval(c *evalCtx) (object, error) {
 		return unionNodeSets(ln, rn), nil
 	case "+", "-", "*", "div", "mod":
 		a, b := toNumber(l), toNumber(r)
-		switch e.op {
+		switch op {
 		case "+":
 			return a + b, nil
 		case "-":
@@ -299,11 +289,11 @@ func (e *binaryExpr) eval(c *evalCtx) (object, error) {
 			return math.Mod(a, b), nil
 		}
 	case "=", "!=":
-		return compareEq(l, r, e.op == "!="), nil
+		return compareEq(l, r, op == "!="), nil
 	case "<", "<=", ">", ">=":
-		return compareRel(l, r, e.op), nil
+		return compareRel(l, r, op), nil
 	}
-	return nil, fmt.Errorf("xpath: unknown operator %q", e.op)
+	return nil, fmt.Errorf("xpath: unknown operator %q", op)
 }
 
 // compareEq implements the XPath 1.0 =/!= semantics including existential

@@ -70,27 +70,13 @@ type token struct {
 	pos  int
 }
 
-// lexer tokenizes an XPath expression. Disambiguation of '*' (multiply vs
-// wildcard) and of the operator names and/or/div/mod is grammar-directed:
-// the parser interprets them by syntactic position.
+// lexer tokenizes an XPath expression one token at a time, on the
+// parser's demand. Disambiguation of '*' (multiply vs wildcard) and of the
+// operator names and/or/div/mod is grammar-directed: the parser interprets
+// them by syntactic position.
 type lexer struct {
 	src string
 	pos int
-}
-
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	var tokens []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		tokens = append(tokens, t)
-		if t.kind == tokEOF {
-			return tokens, nil
-		}
-	}
 }
 
 func (l *lexer) next() (token, error) {

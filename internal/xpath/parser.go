@@ -9,17 +9,18 @@ import (
 
 // Compile parses an XPath expression into an immutable, reusable Expr.
 func Compile(src string) (*Expr, error) {
-	tokens, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{tokens: tokens, src: src}
+	p := &parser{lx: lexer{src: src}, src: src}
 	root, err := p.parseOr()
+	if err == nil && p.peek().kind != tokEOF {
+		err = p.errf("unexpected %s after expression", p.peek().kind)
+	}
+	// A malformed token anywhere in the source is the error, as if the
+	// whole source had been tokenized before parsing.
+	if lexErr := p.drain(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected %s after expression", p.peek().kind)
 	}
 	return &Expr{root: root, src: src}, nil
 }
@@ -33,24 +34,62 @@ func MustCompile(src string) *Expr {
 	return e
 }
 
+// parser reads the source through a two-token window, so a large
+// expression is never held as a slice of tokens.
 type parser struct {
-	tokens []token
-	pos    int
+	lx     lexer
+	window [2]token // the next tokens, window[:n] filled
+	n      int
+	lexErr error // the lexer's error, after which it yields tokEOF
 	src    string
 	depth  int // nesting levels open; see nested
 }
 
-func (p *parser) peek() token { return p.tokens[p.pos] }
-func (p *parser) peek2() token {
-	if p.pos+1 < len(p.tokens) {
-		return p.tokens[p.pos+1]
+// fill lexes until the window holds k tokens.
+func (p *parser) fill(k int) {
+	for p.n < k {
+		t := token{kind: tokEOF, pos: len(p.src)}
+		if p.lexErr == nil {
+			if next, err := p.lx.next(); err != nil {
+				p.lexErr = err
+			} else {
+				t = next
+			}
+		}
+		p.window[p.n] = t
+		p.n++
 	}
-	return p.tokens[len(p.tokens)-1]
 }
+
+// drain lexes the rest of the source and returns the lexer's error, if
+// any.
+func (p *parser) drain() error {
+	for p.lexErr == nil {
+		t, err := p.lx.next()
+		if err != nil {
+			p.lexErr = err
+		} else if t.kind == tokEOF {
+			return nil
+		}
+	}
+	return p.lexErr
+}
+
+func (p *parser) peek() token {
+	p.fill(1)
+	return p.window[0]
+}
+
+func (p *parser) peek2() token {
+	p.fill(2)
+	return p.window[1]
+}
+
 func (p *parser) advance() token {
-	t := p.tokens[p.pos]
-	if p.pos < len(p.tokens)-1 {
-		p.pos++
+	t := p.peek()
+	if t.kind != tokEOF {
+		p.window[0] = p.window[1]
+		p.n--
 	}
 	return t
 }
@@ -105,137 +144,80 @@ func (p *parser) nested(parse func() (exprNode, error)) (exprNode, error) {
 // parseExpr := OrExpr, one level deeper than the enclosing expression.
 func (p *parser) parseExpr() (exprNode, error) { return p.nested(p.parseOr) }
 
-func (p *parser) parseOr() (exprNode, error) {
-	left, err := p.parseAnd()
+// chain parses operand (op operand)*, one precedence level of binary
+// operators, into a single chainExpr however long the chain: its height is
+// 1, so long chains cost neither parser nor evaluator recursion.
+func (p *parser) chain(operand func() (exprNode, error), op func() (string, bool)) (exprNode, error) {
+	first, err := operand()
 	if err != nil {
 		return nil, err
 	}
+	var c *chainExpr
 	for {
-		if _, ok := p.acceptOpName("or"); !ok {
-			return left, nil
+		o, ok := op()
+		if !ok {
+			break
 		}
-		right, err := p.parseAnd()
+		next, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryExpr{"or", left, right}
+		if c == nil {
+			c = &chainExpr{operands: []exprNode{first}}
+		}
+		c.ops = append(c.ops, o)
+		c.operands = append(c.operands, next)
 	}
+	if c == nil {
+		return first, nil
+	}
+	return c, nil
+}
+
+// acceptSymbol consumes an operator token of one of the kinds in ops,
+// returning its spelling.
+func (p *parser) acceptSymbol(ops map[tokenKind]string) (string, bool) {
+	op, ok := ops[p.peek().kind]
+	if ok {
+		p.advance()
+	}
+	return op, ok
+}
+
+var (
+	equalityOps   = map[tokenKind]string{tokEq: "=", tokNeq: "!="}
+	relationalOps = map[tokenKind]string{tokLt: "<", tokLte: "<=", tokGt: ">", tokGte: ">="}
+	additiveOps   = map[tokenKind]string{tokPlus: "+", tokMinus: "-"}
+	unionOps      = map[tokenKind]string{tokPipe: "|"}
+)
+
+func (p *parser) parseOr() (exprNode, error) {
+	return p.chain(p.parseAnd, func() (string, bool) { return p.acceptOpName("or") })
 }
 
 func (p *parser) parseAnd() (exprNode, error) {
-	left, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := p.acceptOpName("and"); !ok {
-			return left, nil
-		}
-		right, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{"and", left, right}
-	}
+	return p.chain(p.parseEquality, func() (string, bool) { return p.acceptOpName("and") })
 }
 
 func (p *parser) parseEquality() (exprNode, error) {
-	left, err := p.parseRelational()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokEq:
-			op = "="
-		case tokNeq:
-			op = "!="
-		default:
-			return left, nil
-		}
-		p.advance()
-		right, err := p.parseRelational()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op, left, right}
-	}
+	return p.chain(p.parseRelational, func() (string, bool) { return p.acceptSymbol(equalityOps) })
 }
 
 func (p *parser) parseRelational() (exprNode, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokLt:
-			op = "<"
-		case tokLte:
-			op = "<="
-		case tokGt:
-			op = ">"
-		case tokGte:
-			op = ">="
-		default:
-			return left, nil
-		}
-		p.advance()
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op, left, right}
-	}
+	return p.chain(p.parseAdditive, func() (string, bool) { return p.acceptSymbol(relationalOps) })
 }
 
 func (p *parser) parseAdditive() (exprNode, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tokPlus:
-			op = "+"
-		case tokMinus:
-			op = "-"
-		default:
-			return left, nil
-		}
-		p.advance()
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op, left, right}
-	}
+	return p.chain(p.parseMultiplicative, func() (string, bool) { return p.acceptSymbol(additiveOps) })
 }
 
 func (p *parser) parseMultiplicative() (exprNode, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		if p.peek().kind == tokStar {
-			op = "*"
-			p.advance()
-		} else if name, ok := p.acceptOpName("div", "mod"); ok {
-			op = name
-		} else {
-			return left, nil
+	return p.chain(p.parseUnary, func() (string, bool) {
+		if p.accept(tokStar) {
+			return "*", true
 		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op, left, right}
-	}
+		return p.acceptOpName("div", "mod")
+	})
 }
 
 func (p *parser) parseUnary() (exprNode, error) {
@@ -250,18 +232,7 @@ func (p *parser) parseUnary() (exprNode, error) {
 }
 
 func (p *parser) parseUnion() (exprNode, error) {
-	left, err := p.parsePath()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokPipe) {
-		right, err := p.parsePath()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{"|", left, right}
-	}
-	return left, nil
+	return p.chain(p.parsePath, func() (string, bool) { return p.acceptSymbol(unionOps) })
 }
 
 // nodeTypeNames are the node tests that look like function calls.
@@ -376,7 +347,7 @@ func (p *parser) parseStep() (step, error) {
 	} else if p.peek().kind == tokName && p.peek2().kind == tokColonColon {
 		ax, ok := axisNames[p.peek().text]
 		if !ok {
-			return step{}, p.errf("unknown axis %q", p.peek().text)
+			return step{}, p.errf("unknown axis %q", excerpt(p.peek().text, 0))
 		}
 		p.advance()
 		p.advance()
@@ -451,7 +422,7 @@ func (p *parser) parsePrimary() (exprNode, error) {
 		t := p.advance()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
+			return nil, p.errf("bad number %q", excerpt(t.text, 0))
 		}
 		return &numberExpr{f}, nil
 	case tokLParen:

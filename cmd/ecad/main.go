@@ -8,8 +8,7 @@
 //	ecad -addr :8080 [-rule file.xml]... [-doc uri=file.xml]... \
 //	     [-datalog rules.dl] [-travel] [-distribute] [-metrics] [-pprof] [-v] \
 //	     [-log-level info] [-log-format text|json] \
-//	     [-retries N] [-breaker-failures N] [-breaker-cooldown 30s] \
-//	     [-cache-entries N] [-cache-ttl 30s] [-compile-cache-entries N] \
+//	     [-retries N] [-breaker-failures N] \
 //	     [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every N] \
 //	     [-node-id ID -peers id=url,id=url,...] [-replicate-to ID|none] \
 //	     [-probe-interval 1s] [-peer-down-after N] [-max-pending-events N] \
@@ -17,10 +16,11 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the HTTP listener
 // stops accepting requests, then the engine drains every in-flight rule
-// instance before the process exits. -retries and -breaker-* configure
-// the GRH resilience layer (see docs/RESILIENCE.md); -cache-* configure
-// the GRH answer cache (see docs/PERFORMANCE.md). Event detection runs
-// inline on the publishing request, in stream order.
+// instance before the process exits. -retries and -breaker-failures
+// configure the GRH resilience layer (see docs/RESILIENCE.md). The GRH
+// keeps no answers: every query and test is evaluated fresh on each
+// dispatch (see docs/PERFORMANCE.md). Event detection runs inline on the
+// publishing request, in stream order.
 //
 // With -data-dir the daemon is durable: rule registrations and accepted
 // events are written to a checksummed write-ahead journal under DIR, and
@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compilecache"
 	"repro/internal/datalog"
 	"repro/internal/domain/travel"
 	"repro/internal/engine"
@@ -98,10 +97,6 @@ type options struct {
 	logFormat       string
 	retries         int
 	breakerFailures int
-	breakerCooldown time.Duration
-	cacheEntries    int
-	cacheTTL        time.Duration
-	compileEntries  int
 	dataDir         string
 	fsync           string
 	snapshotEvery   int
@@ -152,10 +147,6 @@ func main() {
 	flag.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text or json")
 	flag.IntVar(&o.retries, "retries", 2, "GRH retries after the first attempt for idempotent dispatches (queries/tests; 0 disables)")
 	flag.IntVar(&o.breakerFailures, "breaker-failures", grh.DefaultBreakerPolicy.FailureThreshold, "consecutive endpoint failures that trip the GRH circuit breaker (0 disables)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", grh.DefaultBreakerPolicy.Cooldown, "how long an open circuit breaker sheds load before probing the endpoint again")
-	flag.IntVar(&o.cacheEntries, "cache-entries", 0, "GRH answer cache size for idempotent dispatches (queries/tests; 0 disables caching and coalescing)")
-	flag.DurationVar(&o.cacheTTL, "cache-ttl", grh.DefaultCacheTTL, "how long a cached answer may be served (staleness bound)")
-	flag.IntVar(&o.compileEntries, "compile-cache-entries", compilecache.DefaultCapacity, "compiled-expression cache size shared by the component languages (0 disables compile caching)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable store directory for the rule/event journal (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", string(store.FsyncInterval), "journal fsync policy: always, interval or never")
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", store.DefaultSnapshotEvery, "journal records between snapshot + compaction (negative disables automatic snapshots)")
@@ -215,11 +206,8 @@ func run(o options) error {
 		cfg.Retry.MaxAttempts = o.retries + 1
 	}
 	if o.breakerFailures > 0 {
-		cfg.Breaker = grh.BreakerPolicy{FailureThreshold: o.breakerFailures, Cooldown: o.breakerCooldown}
-	}
-	compilecache.Default.SetCapacity(o.compileEntries)
-	if o.cacheEntries > 0 {
-		cfg.Cache = grh.CachePolicy{MaxEntries: o.cacheEntries, TTL: o.cacheTTL}
+		cfg.Breaker = grh.DefaultBreakerPolicy
+		cfg.Breaker.FailureThreshold = o.breakerFailures
 	}
 	if o.dataDir != "" {
 		policy, err := store.ParseFsyncPolicy(o.fsync)
@@ -333,10 +321,7 @@ func run(o options) error {
 	}
 	if o.retries > 0 || o.breakerFailures > 0 {
 		logger.Info("resilience configured", "retries", o.retries,
-			"breaker_failures", o.breakerFailures, "breaker_cooldown", o.breakerCooldown.String())
-	}
-	if o.cacheEntries > 0 {
-		logger.Info("answer cache on", "entries", o.cacheEntries, "ttl", o.cacheTTL.String())
+			"breaker_failures", o.breakerFailures, "breaker_cooldown", grh.DefaultBreakerPolicy.Cooldown.String())
 	}
 
 	if o.distribute {

@@ -16,13 +16,13 @@ import (
 
 // TestIngestEndToEnd is the ingest smoke test over the real ecad binary
 // with every admission-path option on at once: a durable journal synced
-// on every append, four detector partitions, the GRH answer cache and an
-// admission limit. It posts 64 single car-rental bookings and two NDJSON
-// batches of 32 from concurrent clients, waits until all 128 instances
-// complete, and then checks exact counts: every event admitted, none shed,
-// one batch-size observation per request, one notification per booking,
-// no detection task left queued, and a lint-clean /metrics before and
-// after. Nothing here depends on timing; the counts are the contract.
+// on every append and an admission limit. It posts 64 single car-rental
+// bookings and two NDJSON batches of 32 from concurrent clients, waits
+// until all 128 instances complete, and then checks exact counts: every
+// event admitted, none shed, one batch-size observation per request, one
+// notification per booking, no detection task left queued, and a
+// lint-clean /metrics before and after. Nothing here depends on timing;
+// the counts are the contract.
 func TestIngestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -36,7 +36,6 @@ func TestIngestEndToEnd(t *testing.T) {
 	)
 	daemon := e2etest.Start(t, e2etest.FreeAddr(t), "-travel",
 		"-data-dir", t.TempDir(), "-fsync", "always",
-		"-cache-entries", "256",
 		"-max-pending-events", "64", "-log-format", "json")
 
 	scrape := func() *obs.Exposition {

@@ -6,9 +6,12 @@
 // of times over the rule's lifetime. Compiling is pure (source text in,
 // immutable compiled form out), so each language package exposes a
 // CompileCached entry point backed by one shared Cache here: sha256-keyed,
-// size-bounded with LRU eviction, concurrency-safe, with singleflight
-// behaviour on misses so a burst of identical cold dispatches compiles
-// once.
+// bounded by the source bytes it holds with LRU eviction, concurrency-safe,
+// with singleflight behaviour on misses so a burst of identical cold
+// dispatches compiles once. The bound is in bytes, not entries, because a
+// compiled form grows with its source (an XPath AST is up to about 45× its
+// text): a count of entries would let a few multi-megabyte rules pin
+// gigabytes.
 //
 // Compile *errors* are cached too (negative caching): a rule whose
 // expression does not compile would otherwise re-run the parser on every
@@ -27,9 +30,18 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultCapacity is the entry bound of the Default cache; override with
-// SetCapacity (ecad -compile-cache-entries).
-const DefaultCapacity = 4096
+// DefaultCapacity is the byte budget of the Default cache. It holds 4096
+// entries of 325 source bytes, the largest expression the figure replays
+// and the benchmark workloads compile, with room to spare.
+const DefaultCapacity = 2 << 20
+
+// entryOverhead is charged to every resident entry on top of its source
+// length, for its key, list element and compiled form, so that a stream of
+// distinct tiny sources cannot hold an unbounded number of entries.
+const entryOverhead = 128
+
+// cost is what one entry for src is charged against the byte budget.
+func cost(src string) int { return len(src) + entryOverhead }
 
 // Default is the process-wide cache shared by the language packages'
 // CompileCached entry points.
@@ -57,13 +69,15 @@ type entry struct {
 	val  any
 	err  error
 	elem *list.Element // position in the LRU list; nil while compiling
+	size int           // charged against the budget once on the list
 }
 
-// Cache is a size-bounded, concurrency-safe memo of compiled expressions.
+// Cache is a byte-bounded, concurrency-safe memo of compiled expressions.
 // The zero value is not usable; call New.
 type Cache struct {
 	mu      sync.Mutex
-	cap     int
+	cap     int // byte budget
+	used    int // bytes charged by the entries on the LRU list
 	entries map[key]*entry
 	lru     *list.List // front = most recently used; values are keys
 
@@ -71,25 +85,24 @@ type Cache struct {
 	compileSec              *obs.HistogramVec // compile_seconds{language}
 }
 
-// New returns a cache bounded to capacity entries. A capacity of 0 (or
-// negative) disables caching: Get then always compiles, still counting
-// misses and compile latency.
+// New returns a cache whose resident entries are charged at most capacity
+// bytes (see cost). A capacity of 0 (or negative) disables caching: Get
+// then always compiles, still counting misses and compile latency.
 func New(capacity int) *Cache {
 	return &Cache{cap: capacity, entries: map[key]*entry{}, lru: list.New()}
 }
 
-// SetCapacity re-bounds the cache, evicting LRU entries if it shrank.
-// A capacity ≤ 0 disables caching and drops every entry.
+// SetCapacity re-bounds the cache to n bytes, evicting LRU entries if it
+// shrank. A capacity ≤ 0 disables caching and drops every entry.
 func (c *Cache) SetCapacity(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = n
 	if n <= 0 {
-		c.entries = map[key]*entry{}
-		c.lru.Init()
+		c.purgeLocked()
 		return
 	}
-	for c.lru.Len() > c.cap {
+	for c.used > c.cap {
 		c.evictOldestLocked()
 	}
 }
@@ -118,18 +131,25 @@ func (c *Cache) Len() int {
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.purgeLocked()
+}
+
+func (c *Cache) purgeLocked() {
 	c.entries = map[key]*entry{}
 	c.lru.Init()
+	c.used = 0
 }
 
 // Get returns the compiled form of src in the given language, compiling at
 // most once per (language, source) while the entry stays resident.
-// Concurrent Gets for the same missing key share one compile. The compiled
-// value must be immutable / safe for concurrent use, as every caller
-// receives the same instance.
+// Concurrent Gets for the same missing key share one compile. A source
+// whose cost exceeds the whole budget is compiled on every Get and never
+// kept. The compiled value must be immutable / safe for concurrent use, as
+// every caller receives the same instance.
 func (c *Cache) Get(lang, src string, compile func(src string) (any, error)) (any, error) {
+	size := cost(src)
 	c.mu.Lock()
-	if c.cap <= 0 {
+	if size > c.cap {
 		misses, sec := c.misses, c.compileSec
 		c.mu.Unlock()
 		misses.Inc()
@@ -157,10 +177,12 @@ func (c *Cache) Get(lang, src string, compile func(src string) (any, error)) (an
 
 	c.mu.Lock()
 	// The entry may have been purged or the cache resized while compiling;
-	// only link it into the LRU if it is still the resident one.
-	if c.entries[k] == e && c.cap > 0 {
-		e.elem = c.lru.PushFront(k)
-		for c.lru.Len() > c.cap {
+	// only link it into the LRU if it is still the resident one. Should the
+	// budget have shrunk below its size, the eviction loop drops it again.
+	if c.entries[k] == e {
+		e.elem, e.size = c.lru.PushFront(k), size
+		c.used += size
+		for c.used > c.cap {
 			c.evictOldestLocked()
 		}
 	}
@@ -177,7 +199,9 @@ func (c *Cache) evictOldestLocked() {
 		return
 	}
 	c.lru.Remove(back)
-	delete(c.entries, back.Value.(key))
+	k := back.Value.(key)
+	c.used -= c.entries[k].size
+	delete(c.entries, k)
 	c.evictions.Inc()
 }
 

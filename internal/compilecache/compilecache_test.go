@@ -3,6 +3,7 @@ package compilecache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,12 @@ import (
 	"repro/internal/obs"
 )
 
+// slot is the charge of one short test source ("e0", "expr", "a"): a cache
+// of n*slot bytes holds n of them.
+var slot = cost("e0")
+
 func TestGetCompilesOnceAndCachesValue(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	var calls atomic.Int64
 	compile := func(src string) (any, error) {
 		calls.Add(1)
@@ -35,7 +40,7 @@ func TestGetCompilesOnceAndCachesValue(t *testing.T) {
 }
 
 func TestNegativeCaching(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	var calls atomic.Int64
 	bad := errors.New("syntax error")
 	compile := func(string) (any, error) {
@@ -53,7 +58,7 @@ func TestNegativeCaching(t *testing.T) {
 }
 
 func TestLanguageSegregatesKeys(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	mk := func(lang string) func(string) (any, error) {
 		return func(src string) (any, error) { return lang + ":" + src, nil }
 	}
@@ -65,7 +70,7 @@ func TestLanguageSegregatesKeys(t *testing.T) {
 }
 
 func TestEvictionUnderSizeBound(t *testing.T) {
-	c := New(3)
+	c := New(3 * slot)
 	hub := obs.NewHub()
 	c.SetObs(hub)
 	compile := func(src string) (any, error) { return src, nil }
@@ -96,7 +101,7 @@ func TestEvictionUnderSizeBound(t *testing.T) {
 }
 
 func TestLRUTouchOnHit(t *testing.T) {
-	c := New(2)
+	c := New(2 * slot)
 	compile := func(src string) (any, error) { return src, nil }
 	c.Get("l", "a", compile)
 	c.Get("l", "b", compile)
@@ -111,6 +116,49 @@ func TestLRUTouchOnHit(t *testing.T) {
 	c.Get("l", "b", counting)
 	if calls.Load() != 1 {
 		t.Fatal("LRU entry was not evicted")
+	}
+}
+
+// TestByteBudget: whatever mix of source lengths passes through, the
+// entries kept never charge more than the budget, and their source bytes
+// alone never exceed it; a source larger than the whole budget is compiled
+// on every Get, returned, and neither kept nor allowed to evict the others.
+func TestByteBudget(t *testing.T) {
+	const budget = 4096
+	c := New(budget)
+	compile := func(src string) (any, error) { return len(src), nil }
+	resident := func() (charged, source int) {
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			charged += c.entries[el.Value.(key)].size
+		}
+		return charged, charged - c.lru.Len()*entryOverhead
+	}
+	for i := 0; i < 500; i++ {
+		src := strings.Repeat("x", (i*7919)%1500) + fmt.Sprint(i%40)
+		if v, err := c.Get("l", src, compile); err != nil || v != len(src) {
+			t.Fatalf("Get(%d bytes) = %v, %v", len(src), v, err)
+		}
+		charged, source := resident()
+		if charged != c.used || charged > budget || source > budget {
+			t.Fatalf("after %d Gets: charged %d (used %d), source bytes %d, budget %d", i+1, charged, c.used, source, budget)
+		}
+	}
+
+	c.Purge()
+	c.Get("l", "small", compile)
+	var calls atomic.Int64
+	huge := strings.Repeat("y", budget)
+	for i := 0; i < 2; i++ {
+		v, err := c.Get("l", huge, func(src string) (any, error) { calls.Add(1); return len(src), nil })
+		if err != nil || v != budget {
+			t.Fatalf("oversize Get = %v, %v", v, err)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("oversize source compiled %d times, want 2 (never kept)", n)
+	}
+	if c.Len() != 1 || c.used != cost("small") {
+		t.Fatalf("after oversize Gets: Len = %d, used = %d; want only the small entry", c.Len(), c.used)
 	}
 }
 
@@ -132,12 +180,12 @@ func TestCapacityZeroBypasses(t *testing.T) {
 }
 
 func TestSetCapacityShrinksAndDisables(t *testing.T) {
-	c := New(10)
+	c := New(10 * slot)
 	compile := func(src string) (any, error) { return src, nil }
 	for i := 0; i < 10; i++ {
 		c.Get("l", fmt.Sprintf("e%d", i), compile)
 	}
-	c.SetCapacity(4)
+	c.SetCapacity(4 * slot)
 	if c.Len() != 4 {
 		t.Fatalf("Len after shrink = %d, want 4", c.Len())
 	}
@@ -150,7 +198,7 @@ func TestSetCapacityShrinksAndDisables(t *testing.T) {
 // TestConcurrentWarmAndMiss hammers one cache from many goroutines over a
 // small keyspace with an eviction-prone bound; run with -race -count=2.
 func TestConcurrentWarmAndMiss(t *testing.T) {
-	c := New(4)
+	c := New(4 * slot)
 	hub := obs.NewHub()
 	c.SetObs(hub)
 	var wg sync.WaitGroup
@@ -170,7 +218,7 @@ func TestConcurrentWarmAndMiss(t *testing.T) {
 					return
 				}
 				if i%100 == 0 {
-					c.SetCapacity(3 + i%3) // resize under load
+					c.SetCapacity((3 + i%3) * slot) // resize under load
 				}
 			}
 		}(g)
@@ -183,7 +231,7 @@ func TestConcurrentWarmAndMiss(t *testing.T) {
 
 // TestSingleflight: concurrent misses for one key share a single compile.
 func TestSingleflight(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -211,7 +259,7 @@ func TestSingleflight(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	c.Get("l", "x", func(s string) (any, error) { return s, nil })
 	c.Purge()
 	if c.Len() != 0 {
@@ -225,7 +273,7 @@ func TestPurge(t *testing.T) {
 }
 
 func TestMetricsCounters(t *testing.T) {
-	c := New(8)
+	c := New(8 * slot)
 	hub := obs.NewHub()
 	c.SetObs(hub)
 	compile := func(src string) (any, error) { return src, nil }

@@ -88,13 +88,8 @@ type GRH struct {
 	retry    RetryPolicy
 	breakers *breakerSet // nil: circuit breaking disabled
 
-	// Throughput layer: answer cache + singleflight coalescing (nil:
-	// disabled together).
-	cache   *answerCache
-	flights *flightGroup
-
-	// Clock and sleep hooks, replaced in tests to make retry/breaker/
-	// cache timing deterministic.
+	// Clock and sleep hooks, replaced in tests to make retry and breaker
+	// timing deterministic.
 	now   func() time.Time
 	sleep func(time.Duration)
 }
@@ -109,11 +104,6 @@ type metrics struct {
 	retries      *obs.CounterVec   // grh_retries_total{kind}
 	breakerState *obs.GaugeVec     // grh_breaker_state{endpoint}
 	breakerOpen  *obs.CounterVec   // grh_breaker_open_total{endpoint}
-
-	cacheHits      *obs.Counter // grh_cache_hits_total
-	cacheMisses    *obs.Counter // grh_cache_misses_total
-	cacheEvictions *obs.Counter // grh_cache_evictions_total
-	coalesced      *obs.Counter // grh_coalesced_total
 }
 
 func newMetrics(h *obs.Hub) metrics {
@@ -126,11 +116,6 @@ func newMetrics(h *obs.Hub) metrics {
 		retries:      r.CounterVec("grh_retries_total", "GRH dispatch retries by request kind (idempotent kinds only).", "kind"),
 		breakerState: r.GaugeVec("grh_breaker_state", "Circuit breaker state per service endpoint (0 closed, 1 half-open, 2 open).", "endpoint"),
 		breakerOpen:  r.CounterVec("grh_breaker_open_total", "Circuit breaker trips (transitions to open) per service endpoint.", "endpoint"),
-
-		cacheHits:      r.Counter("grh_cache_hits_total", "GRH answer cache hits (idempotent dispatches served without an upstream request)."),
-		cacheMisses:    r.Counter("grh_cache_misses_total", "GRH answer cache misses (idempotent dispatches that went upstream)."),
-		cacheEvictions: r.Counter("grh_cache_evictions_total", "GRH answer cache entries removed by LRU pressure or TTL expiry."),
-		coalesced:      r.Counter("grh_coalesced_total", "Concurrent identical dispatches coalesced onto another dispatch's upstream request."),
 	}
 }
 
@@ -306,8 +291,7 @@ type Component struct {
 	Bindings *bindings.Relation
 	// Tenant is the namespace the dispatch acts within (empty = default
 	// tenant). It rides on the request envelope so multi-tenant event
-	// services route registrations to the right tenant's space, and it
-	// scopes the answer cache.
+	// services route registrations to the right tenant's space.
 	Tenant string
 	// ReplyTo is the detection callback URL for event registrations
 	// handled by remote services.
@@ -319,24 +303,13 @@ type Component struct {
 	Trace *obs.Instance
 }
 
-// Dispatch evaluates a component request and returns the service's answer.
+// Dispatch evaluates a component request and returns the service's answer:
+// it resolves the processor and forwards the request in the form the
+// processor understands. Every dispatch reaches the service, so a query
+// sees the service's data as the previous action left it (§4.3–4.4).
 // Event registrations return an empty answer; detections arrive through the
 // event service's sink (in-process) or the ReplyTo callback (remote).
-//
-// Idempotent request kinds (queries and tests) additionally pass through
-// the answer cache and singleflight coalescing when configured (WithCache).
-// Actions and event (un)registrations are never cached or coalesced — they
-// may have side effects.
 func (g *GRH) Dispatch(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
-	if !retryableKind(kind) || g.cache == nil {
-		return g.dispatchDirect(kind, c)
-	}
-	return g.dispatchCoalesced(kind, c)
-}
-
-// dispatchDirect performs one uncached dispatch: resolve the
-// processor and forward the request in the form it understands.
-func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
 	g.met.requests.With(string(kind)).Inc()
 	start := time.Now()
 	mode := "aware"
@@ -360,7 +333,7 @@ func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.
 					return nil, g.kindRejected(d, c)
 				}
 				mode = "opaque"
-				return g.opaqueMediate(kind, c)
+				return g.opaqueMediateVia(kind, c, c.Comp.Service)
 			}
 		}
 		// Opaque text for a registered language: wrap as an expression the
@@ -374,12 +347,6 @@ func (g *GRH) dispatchDirect(kind protocol.RequestKind, c Component) (*protocol.
 	}
 	d, err := g.resolve(c.Comp.Kind, c.Comp.Language)
 	if err != nil {
-		if c.Comp.Opaque && c.Comp.Service != "" {
-			// No registered processor: fall back to opaque mediation
-			// against the pinned endpoint.
-			mode = "opaque"
-			return g.opaqueMediate(kind, c)
-		}
 		g.met.errors.With("resolve").Inc()
 		g.log.Error("grh dispatch failed", "reason", "resolve",
 			obs.FieldTraceID, c.Trace.ID(), obs.FieldRule, c.Rule,
@@ -531,11 +498,6 @@ func (g *GRH) httpDispatch(d *Descriptor, req *protocol.Request, traceID string)
 	}
 	g.emitTrace("←", d.name(), doc)
 	return a, nil
-}
-
-// opaqueMediate handles an opaque component pinned to a service URI.
-func (g *GRH) opaqueMediate(kind protocol.RequestKind, c Component) (*protocol.Answer, error) {
-	return g.opaqueMediateVia(kind, c, c.Comp.Service)
 }
 
 // opaqueMediateVia implements the framework-unaware protocol of Fig. 9:

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -180,6 +181,49 @@ func TestActionsNeverRetried(t *testing.T) {
 	}
 	if v := counter(hub, "grh_retries_total", "kind", "action"); v != 0 {
 		t.Errorf("grh_retries_total{action} = %d, want 0", v)
+	}
+}
+
+// TestIdenticalActionsEachDispatched: actions may have side effects, so N
+// identical concurrent action dispatches — same rule, component and input
+// relation — reach the service N times; none is collapsed onto another.
+func TestIdenticalActionsEachDispatched(t *testing.T) {
+	hub := obs.NewHub()
+	var calls atomic.Int64
+	g := New(WithObs(hub))
+	const lang = "http://test/action"
+	if err := g.Register(Descriptor{Language: lang, FrameworkAware: true, Local: ServiceFunc(func(*protocol.Request) (*protocol.Answer, error) {
+		calls.Add(1)
+		return &protocol.Answer{}, nil
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	rel := bindings.NewRelation()
+	for i := 0; i < 10; i++ {
+		rel.Add(bindings.MustTuple("X", bindings.Str(fmt.Sprint(i))))
+	}
+	comp := Component{
+		Rule:     "r",
+		Comp:     ruleml.Component{Kind: ruleml.ActionComponent, ID: "action[1]", Language: lang, Expression: xmltree.NewElement(lang, "do")},
+		Bindings: rel,
+	}
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.Dispatch(protocol.Action, comp); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := calls.Load(); got != n {
+		t.Fatalf("service saw %d action requests for %d identical dispatches, want every one", got, n)
+	}
+	if v := counter(hub, "grh_requests_total", "kind", "action"); v != n {
+		t.Errorf("grh_requests_total{action} = %d, want %d", v, n)
 	}
 }
 

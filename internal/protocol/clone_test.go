@@ -10,7 +10,7 @@ import (
 
 // TestAnswerClone: the clone must share no mutable memory with the
 // original — rows, tuples, values (XML node trees included), results and
-// trace spans. The GRH answer cache depends on this isolation.
+// trace spans. Consumers of one answer depend on this isolation.
 func TestAnswerClone(t *testing.T) {
 	frag := xmltree.MustParse(`<car><model>VW Golf</model></car>`).Root()
 	orig := &Answer{

@@ -199,10 +199,8 @@ func NewAnswer(ruleID, component string, rel *bindings.Relation) *Answer {
 }
 
 // Clone returns a deep copy of the answer: rows, tuples, values (XML
-// fragments included) and trace spans share no memory with the original.
-// The GRH answer cache relies on this to hand every rule instance an
-// independent copy — a cached relation must never be aliased across
-// instances.
+// fragments included) and trace spans share no memory with the original,
+// so one answer can be handed to two consumers that may each modify it.
 func (a *Answer) Clone() *Answer {
 	if a == nil {
 		return nil

@@ -140,10 +140,6 @@ type Config struct {
 	// value disables it; grh.DefaultBreakerPolicy is a sane starting
 	// point.
 	Breaker grh.BreakerPolicy
-	// Cache enables the GRH answer cache and request coalescing for
-	// idempotent dispatches (queries and tests; never actions). The zero
-	// value disables it; grh.DefaultCachePolicy is a sane starting point.
-	Cache grh.CachePolicy
 	// Store is the durability subsystem (write-ahead rule/event journal,
 	// snapshots, crash recovery — see internal/store and
 	// docs/DURABILITY.md). nil keeps the engine purely in-memory, the
@@ -220,7 +216,7 @@ func NewLocal(cfg Config) (*System, error) {
 		Store:  services.NewDocStore(),
 		GRH: grh.New(grh.WithObs(cfg.Obs), grh.WithTimeout(cfg.HTTPTimeout),
 			grh.WithRetry(cfg.Retry), grh.WithBreaker(cfg.Breaker),
-			grh.WithCache(cfg.Cache), grh.WithLog(cfg.Log)),
+			grh.WithLog(cfg.Log)),
 		Notifier: &Notifier{},
 		Obs:      cfg.Obs,
 		Log:      cfg.Log,

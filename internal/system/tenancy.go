@@ -1,7 +1,7 @@
 // Multi-tenant rule spaces. A System is composed of one Space per tenant:
 // a private engine and quota state sharing the system's stream, detection
-// hosts (which index their detectors by tenant), GRH (with its answer cache
-// and compile caches) and document store. The default
+// hosts (which index their detectors by tenant), GRH, compile cache and
+// document store. The default
 // tenant's space is the system the paper describes — its wire form is the
 // empty string everywhere (event stamps, journal frames, metric labels,
 // protocol documents), which keeps tenant-less deployments byte-identical

@@ -8,19 +8,19 @@
 //	ecad -addr :8080 [-rule file.xml]... [-doc uri=file.xml]... \
 //	     [-datalog rules.dl] [-travel] [-distribute] [-metrics] [-pprof] [-v] \
 //	     [-log-level info] [-log-format text|json] \
-//	     [-retries N] [-breaker-failures N] \
-//	     [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every N] \
+//	     [-data-dir DIR] [-fsync always|interval|never] \
 //	     [-node-id ID -peers id=url,id=url,...] [-replicate-to ID|none] \
 //	     [-probe-interval 1s] [-peer-down-after N] [-max-pending-events N] \
 //	     [-default-tenant ID] [-tenant-quotas tenant:key=value,...]...
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the HTTP listener
 // stops accepting requests, then the engine drains every in-flight rule
-// instance before the process exits. -retries and -breaker-failures
-// configure the GRH resilience layer (see docs/RESILIENCE.md). The GRH
-// keeps no answers: every query and test is evaluated fresh on each
-// dispatch (see docs/PERFORMANCE.md). Event detection runs inline on the
-// publishing request, in stream order.
+// instance before the process exits. The GRH retries idempotent dispatches
+// and breaks failing endpoints' circuits with grh.DefaultRetryPolicy and
+// grh.DefaultBreakerPolicy (see docs/RESILIENCE.md). It keeps no answers:
+// every query and test is evaluated fresh on each dispatch (see
+// docs/PERFORMANCE.md). Event detection runs inline on the publishing
+// request, in stream order.
 //
 // With -data-dir the daemon is durable: rule registrations and accepted
 // events are written to a checksummed write-ahead journal under DIR, and
@@ -85,31 +85,28 @@ func (r *repeated) Set(s string) error { *r = append(*r, s); return nil }
 
 // options carries the parsed command-line configuration.
 type options struct {
-	addr            string
-	datalogSrc      string
-	registry        string
-	loadTravel      bool
-	distribute      bool
-	metrics         bool
-	pprof           bool
-	verbose         bool
-	logLevel        string
-	logFormat       string
-	retries         int
-	breakerFailures int
-	dataDir         string
-	fsync           string
-	snapshotEvery   int
-	nodeID          string
-	peers           string
-	replicateTo     string
-	probeInterval   time.Duration
-	peerDownAfter   int
-	maxPending      int
-	defaultTenant   string
-	tenantQuotas    []string
-	rules           []string
-	docs            []string
+	addr          string
+	datalogSrc    string
+	registry      string
+	loadTravel    bool
+	distribute    bool
+	metrics       bool
+	pprof         bool
+	verbose       bool
+	logLevel      string
+	logFormat     string
+	dataDir       string
+	fsync         string
+	nodeID        string
+	peers         string
+	replicateTo   string
+	probeInterval time.Duration
+	peerDownAfter int
+	maxPending    int
+	defaultTenant string
+	tenantQuotas  []string
+	rules         []string
+	docs          []string
 }
 
 // parsePeers reads the -peers value: comma-separated id=url pairs naming
@@ -145,11 +142,8 @@ func main() {
 	flag.BoolVar(&o.verbose, "v", false, "log engine evaluation traces (at debug level)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text or json")
-	flag.IntVar(&o.retries, "retries", 2, "GRH retries after the first attempt for idempotent dispatches (queries/tests; 0 disables)")
-	flag.IntVar(&o.breakerFailures, "breaker-failures", grh.DefaultBreakerPolicy.FailureThreshold, "consecutive endpoint failures that trip the GRH circuit breaker (0 disables)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable store directory for the rule/event journal (empty = in-memory only)")
 	flag.StringVar(&o.fsync, "fsync", string(store.FsyncInterval), "journal fsync policy: always, interval or never")
-	flag.IntVar(&o.snapshotEvery, "snapshot-every", store.DefaultSnapshotEvery, "journal records between snapshot + compaction (negative disables automatic snapshots)")
 	flag.StringVar(&o.nodeID, "node-id", "", "this node's id in a clustered deployment (requires -peers)")
 	flag.StringVar(&o.peers, "peers", "", "static cluster member list as id=url,id=url,... including this node")
 	flag.StringVar(&o.replicateTo, "replicate-to", "", "peer id to stream the journal to (empty = sorted successor, none = disable replication)")
@@ -180,7 +174,8 @@ func run(o options) error {
 	}
 	logger := obs.NewLogger(os.Stderr, o.logFormat, level)
 
-	cfg := system.Config{Namespaces: travel.Namespaces(), Log: logger, PProf: o.pprof, DefaultTenant: o.defaultTenant}
+	cfg := system.Config{Namespaces: travel.Namespaces(), Log: logger, PProf: o.pprof, DefaultTenant: o.defaultTenant,
+		Retry: grh.DefaultRetryPolicy, Breaker: grh.DefaultBreakerPolicy}
 	for _, spec := range o.tenantQuotas {
 		id, q, err := tenant.ParseQuotaSpec(spec)
 		if err != nil {
@@ -201,25 +196,12 @@ func run(o options) error {
 			logger.Debug(fmt.Sprintf(format, args...))
 		})
 	}
-	if o.retries > 0 {
-		cfg.Retry = grh.DefaultRetryPolicy
-		cfg.Retry.MaxAttempts = o.retries + 1
-	}
-	if o.breakerFailures > 0 {
-		cfg.Breaker = grh.DefaultBreakerPolicy
-		cfg.Breaker.FailureThreshold = o.breakerFailures
-	}
 	if o.dataDir != "" {
 		policy, err := store.ParseFsyncPolicy(o.fsync)
 		if err != nil {
 			return fmt.Errorf("-fsync: %w", err)
 		}
-		st, err := store.Open(o.dataDir, store.Options{
-			Fsync:         policy,
-			SnapshotEvery: o.snapshotEvery,
-			Obs:           cfg.Obs,
-			Log:           logger,
-		})
+		st, err := store.Open(o.dataDir, store.Options{Fsync: policy, Obs: cfg.Obs, Log: logger})
 		if err != nil {
 			return err
 		}
@@ -319,10 +301,8 @@ func run(o options) error {
 	if o.pprof {
 		logger.Info("profiling on", "pprof", base+"/debug/pprof/")
 	}
-	if o.retries > 0 || o.breakerFailures > 0 {
-		logger.Info("resilience configured", "retries", o.retries,
-			"breaker_failures", o.breakerFailures, "breaker_cooldown", grh.DefaultBreakerPolicy.Cooldown.String())
-	}
+	logger.Info("resilience configured", "retries", cfg.Retry.MaxAttempts-1,
+		"breaker_failures", cfg.Breaker.FailureThreshold, "breaker_cooldown", cfg.Breaker.Cooldown.String())
 
 	if o.distribute {
 		if err := sys.Distribute(base); err != nil {

@@ -352,13 +352,13 @@ func TestJournalHandlerProtocol(t *testing.T) {
 	defer s.Close()
 	var stream []store.RepRecord
 	s.SetReplicationSink(func(r store.RepRecord) { stream = append(stream, r) })
-	s.RuleRegistered("r1", pingRule("r1").Doc, time.Now())
-	s.RuleRegistered("r2", snoopRule("r2").Doc, time.Now())
+	s.RuleRegistered("", "r1", pingRule("r1").Doc, time.Now())
+	s.RuleRegistered("", "r2", snoopRule("r2").Doc, time.Now())
 	baseFrames, baseSeq, err := s.ReplicationState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RuleRegistered("r3", pingRule("r3").Doc, time.Now())
+	s.RuleRegistered("", "r3", pingRule("r3").Doc, time.Now())
 
 	n, err := New(Options{NodeID: "b", Peers: []Peer{
 		{ID: "a", URL: "http://127.0.0.1:1"}, {ID: "b", URL: "http://127.0.0.1:2"},
@@ -479,10 +479,10 @@ func TestShipAndTakeover(t *testing.T) {
 		t.Fatalf("primary follower = %q, want b (sorted successor)", got)
 	}
 
-	st.RuleRegistered("r1", pingRule("r1").Doc, time.Now())
+	st.RuleRegistered("", "r1", pingRule("r1").Doc, time.Now())
 	primary.Start()
 	defer primary.Close()
-	st.RuleRegistered("r2", snoopRule("r2").Doc, time.Now())
+	st.RuleRegistered("", "r2", snoopRule("r2").Doc, time.Now())
 	if _, err := st.AppendEvent(xmltree.MustParse(`<orphan/>`)); err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -43,14 +44,15 @@ var ErrNoRule = errors.New("no rule")
 // Journal receives durable notifications of rule life-cycle changes; the
 // store subsystem implements it to write the write-ahead journal. Both
 // methods are called outside the engine lock, after the change took
-// effect. A nil Journal is never called.
+// effect, with the rule's tenant in wire form ("" = default). A nil
+// Journal is never called.
 type Journal interface {
 	// RuleRegistered reports a successful registration: the assigned rule
 	// id, the original ECA-ML document (nil when the rule was built
 	// programmatically) and the registration time.
-	RuleRegistered(id string, doc *xmltree.Node, at time.Time)
+	RuleRegistered(tenant, id string, doc *xmltree.Node, at time.Time)
 	// RuleUnregistered reports a withdrawal.
-	RuleUnregistered(id string)
+	RuleUnregistered(tenant, id string)
 }
 
 // Logger receives human-readable evaluation traces; the ecabench harness
@@ -78,11 +80,15 @@ type Stats struct {
 // admitted in the order detections arrive and run on whichever goroutine
 // calls the run Admit returns — synchronously inside OnDetection — so a
 // single-threaded event feed yields deterministic evaluation order.
+//
+// One engine serves every tenant: rules are keyed by (tenant, rule id),
+// with the tenant in wire form (the empty string is the default tenant),
+// and every dispatch, raised event, trace and per-tenant metric a rule
+// produces carries its tenant.
 type Engine struct {
 	grh      *grh.GRH
 	analyzer ruleml.Analyzer
 	replyTo  string
-	tenant   string // wire form of the owning tenant; "" = default
 	log      Logger
 	slog     *obs.Logger
 	hub      *obs.Hub
@@ -90,11 +96,11 @@ type Engine struct {
 	met      metrics
 	journal  Journal
 
-	mu     sync.Mutex
-	rules  map[string]*RuleState
-	seq    int
-	stats  Stats
-	closed bool
+	mu      sync.Mutex
+	rules   map[ruleKey]*RuleState
+	tenants map[string]*tenantRules // tenants that own or owned a rule
+	stats   Stats
+	closed  bool
 
 	inFlight sync.WaitGroup // instances admitted and not yet finished; Close drains it
 }
@@ -111,6 +117,18 @@ type lifecycle struct {
 	detected  time.Time // detection answer reached the engine
 }
 
+// ruleKey names a rule: its tenant's wire form and its id.
+type ruleKey struct{ tenant, id string }
+
+// tenantRules is one tenant's share of the engine: its live rule count,
+// the engine_rules gauge that reports it, and the counter behind the
+// rule-N ids minted for it.
+type tenantRules struct {
+	rules int
+	seq   int
+	gauge *obs.Gauge
+}
+
 func (lc lifecycle) observable() bool {
 	return !lc.admitted.IsZero() && !lc.published.IsZero() && !lc.detected.IsZero()
 }
@@ -119,7 +137,7 @@ func (lc lifecycle) observable() bool {
 // uninstrumented engine pays only nil receiver checks on the hot path.
 type metrics struct {
 	instances   *obs.CounterVec   // engine_instances{state=created|completed|died}
-	rules       *obs.Gauge        // engine_rules{tenant}, bound to this engine's tenant
+	rules       *obs.GaugeVec     // engine_rules{tenant}
 	detections  *obs.Counter      // engine_detections_total
 	actionRuns  *obs.Counter      // engine_action_runs_total
 	instanceSec *obs.Histogram    // engine_instance_seconds
@@ -128,17 +146,15 @@ type metrics struct {
 	e2e         *obs.HistogramVec // event_e2e_seconds{rule,tenant}
 }
 
-// newMetrics registers the engine instruments. Counters are shared across
-// per-tenant engines (increments are additive), but a shared gauge would
-// be clobbered — each Set would overwrite the other tenants' values — so
-// engine_rules carries a tenant label and each engine binds its own child.
-// The tenant label holds the wire form: empty for the default tenant,
-// keeping single-tenant scrapes unchanged.
-func newMetrics(h *obs.Hub, tenant string) metrics {
+// newMetrics registers the engine instruments. engine_rules carries a
+// tenant label, one series per tenant that owns or owned a rule; the label
+// holds the wire form, empty for the default tenant, keeping single-tenant
+// scrapes unchanged.
+func newMetrics(h *obs.Hub) metrics {
 	r := h.Metrics()
 	return metrics{
 		instances:   r.CounterVec("engine_instances", "Rule instances by life-cycle state (created, completed, died).", "state"),
-		rules:       r.GaugeVec("engine_rules", "Currently registered rules by tenant (empty label = default tenant).", "tenant").With(tenant),
+		rules:       r.GaugeVec("engine_rules", "Currently registered rules by tenant (empty label = default tenant).", "tenant"),
 		detections:  r.Counter("engine_detections_total", "Event detection messages received."),
 		actionRuns:  r.Counter("engine_action_runs_total", "Action component dispatches."),
 		instanceSec: r.Histogram("engine_instance_seconds", "End-to-end rule-instance evaluation latency (detection to last action).", nil),
@@ -151,6 +167,9 @@ func newMetrics(h *obs.Hub, tenant string) metrics {
 // RuleState is the engine's bookkeeping for one registered rule.
 type RuleState struct {
 	Rule *ruleml.Rule
+	// Tenant is the wire form of the tenant the rule belongs to ("" =
+	// default).
+	Tenant string
 	// Registered is when the rule was registered (restored from the
 	// journal after crash recovery).
 	Registered time.Time
@@ -190,13 +209,6 @@ func WithAnalyzer(a ruleml.Analyzer) Option { return func(e *Engine) { e.analyze
 // services on registration.
 func WithReplyTo(url string) Option { return func(e *Engine) { e.replyTo = url } }
 
-// WithTenant scopes the engine to one tenant's rule space: the tenant
-// (in wire form — empty string means the default tenant) is stamped onto
-// every GRH dispatch, raised event, rule listing, trace and per-tenant
-// metric the engine produces. The zero value preserves pre-tenant
-// behaviour byte-for-byte.
-func WithTenant(tenant string) Option { return func(e *Engine) { e.tenant = tenant } }
-
 // WithLogger installs an evaluation trace logger.
 func WithLogger(l Logger) Option { return func(e *Engine) { e.log = l } }
 
@@ -211,18 +223,19 @@ func WithLog(l *obs.Logger) Option { return func(e *Engine) { e.slog = l } }
 func WithObs(h *obs.Hub) Option { return func(e *Engine) { e.hub = h } }
 
 // WithJournal installs the durable journal hook: every successful
-// Register/Unregister is reported to j after it takes effect, so a
-// restarted engine can recover its rule set (see internal/store).
+// registration and withdrawal is reported to j after it takes effect, so
+// a restarted engine can recover its rule set (see internal/store).
 func WithJournal(j Journal) Option { return func(e *Engine) { e.journal = j } }
 
 // New builds an engine over a Generic Request Handler.
 func New(g *grh.GRH, opts ...Option) *Engine {
-	e := &Engine{grh: g, rules: map[string]*RuleState{}}
+	e := &Engine{grh: g, rules: map[ruleKey]*RuleState{}, tenants: map[string]*tenantRules{}}
 	for _, o := range opts {
 		o(e)
 	}
-	e.met = newMetrics(e.hub, e.tenant)
+	e.met = newMetrics(e.hub)
 	e.tr = e.hub.Traces()
+	e.tenantLocked("") // the default tenant's engine_rules series exists from the start
 	return e
 }
 
@@ -269,84 +282,128 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Rules returns the registered rule ids, sorted.
-func (e *Engine) Rules() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.rules))
-	for id := range e.rules {
-		out = append(out, id)
+// tenantLocked returns one tenant's bookkeeping, creating it and its
+// engine_rules series on first use. Callers hold e.mu.
+func (e *Engine) tenantLocked(tenant string) *tenantRules {
+	t := e.tenants[tenant]
+	if t == nil {
+		t = &tenantRules{gauge: e.met.rules.With(tenant)}
+		e.tenants[tenant] = t
 	}
-	sort.Strings(out)
+	return t
+}
+
+// countLocked adjusts a tenant's live rule count and its engine_rules
+// gauge. Callers hold e.mu.
+func (e *Engine) countLocked(tenant string, delta int) {
+	t := e.tenantLocked(tenant)
+	t.rules += delta
+	t.gauge.Set(float64(t.rules))
+}
+
+// listingOrder orders rules as every listing does: the default tenant
+// first, then the other tenants by wire form, each tenant's rules by id.
+func listingOrder(tenantA, idA, tenantB, idB string) int {
+	return cmp.Or(strings.Compare(tenantA, tenantB), strings.Compare(idA, idB))
+}
+
+// Rules returns the registered rule ids in listing order.
+func (e *Engine) Rules() []string {
+	infos := e.RuleInfos()
+	out := make([]string, len(infos))
+	for i, info := range infos {
+		out[i] = info.ID
+	}
 	return out
 }
 
-// RuleState returns the bookkeeping for a rule id.
-func (e *Engine) RuleState(id string) (*RuleState, bool) {
+// RuleState returns the bookkeeping for a tenant's rule id.
+func (e *Engine) RuleState(tenant, id string) (*RuleState, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rules[id]
+	rs, ok := e.rules[ruleKey{tenant, id}]
 	return rs, ok
 }
 
 // RuleInfo returns a snapshot of one registered rule's bookkeeping and
 // whether the rule exists, without visiting the other rules.
-func (e *Engine) RuleInfo(id string) (RuleInfo, bool) {
+func (e *Engine) RuleInfo(tenant, id string) (RuleInfo, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rules[id]
+	rs, ok := e.rules[ruleKey{tenant, id}]
 	if !ok {
 		return RuleInfo{}, false
 	}
-	return e.infoLocked(id, rs), true
+	return rs.infoLocked(), true
 }
 
-func (e *Engine) infoLocked(id string, rs *RuleState) RuleInfo {
-	return RuleInfo{ID: id, Registered: rs.Registered, Firings: rs.Firings, Died: rs.Died, Tenant: e.tenant}
+// Find returns the first tenant, in listing order, that holds a rule with
+// this id, visiting the tenants but not their rules.
+func (e *Engine) Find(id string) (tenant string, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for t := range e.tenants {
+		if _, held := e.rules[ruleKey{t, id}]; held && (!ok || t < tenant) {
+			tenant, ok = t, true
+		}
+	}
+	return tenant, ok
 }
 
-// RuleInfos returns a snapshot of every registered rule's bookkeeping,
-// sorted by id.
+func (rs *RuleState) infoLocked() RuleInfo {
+	return RuleInfo{ID: rs.Rule.ID, Registered: rs.Registered, Firings: rs.Firings, Died: rs.Died, Tenant: rs.Tenant}
+}
+
+// RuleInfos returns a snapshot of every registered rule's bookkeeping in
+// listing order.
 func (e *Engine) RuleInfos() []RuleInfo {
 	e.mu.Lock()
 	out := make([]RuleInfo, 0, len(e.rules))
-	for id, rs := range e.rules {
-		out = append(out, e.infoLocked(id, rs))
+	for _, rs := range e.rules {
+		out = append(out, rs.infoLocked())
 	}
 	e.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b RuleInfo) int { return listingOrder(a.Tenant, a.ID, b.Tenant, b.ID) })
 	return out
 }
 
-// RegisteredRules returns the parsed rules currently registered, sorted by
-// id — the cluster layer reads them to advertise this node's event
-// vocabulary. The *ruleml.Rule values are shared, not copied: callers must
-// treat them as read-only.
+// RegisteredRules returns every tenant's parsed rules in listing order —
+// the cluster layer reads them to advertise this node's event vocabulary.
+// The *ruleml.Rule values are shared, not copied: callers must treat them
+// as read-only.
 func (e *Engine) RegisteredRules() []*ruleml.Rule {
 	e.mu.Lock()
-	out := make([]*ruleml.Rule, 0, len(e.rules))
+	states := make([]*RuleState, 0, len(e.rules))
 	for _, rs := range e.rules {
-		out = append(out, rs.Rule)
+		states = append(states, rs)
 	}
 	e.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(states, func(a, b *RuleState) int { return listingOrder(a.Tenant, a.Rule.ID, b.Tenant, b.Rule.ID) })
+	out := make([]*ruleml.Rule, len(states))
+	for i, rs := range states {
+		out[i] = rs.Rule
+	}
 	return out
 }
 
 // SetRegistered back-dates a rule's registration time; crash recovery uses
 // it to restore the original registration instant from the journal.
-func (e *Engine) SetRegistered(id string, at time.Time) {
+func (e *Engine) SetRegistered(tenant, id string, at time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if rs, ok := e.rules[id]; ok {
+	if rs, ok := e.rules[ruleKey{tenant, id}]; ok {
 		rs.Registered = at
 	}
 }
 
-// Register validates the rule and registers its event component with the
-// appropriate detection service via the GRH (Fig. 5). Rules without an id
-// are assigned rule-N.
-func (e *Engine) Register(rule *ruleml.Rule) error {
+// Register registers a rule in the default tenant; see Add.
+func (e *Engine) Register(rule *ruleml.Rule) error { return e.Add("", rule) }
+
+// Add validates the rule and registers it in tenant (wire form, "" = the
+// default tenant), submitting its event component to the appropriate
+// detection service via the GRH (Fig. 5). Rules without an id are
+// assigned rule-N, numbered per tenant.
+func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 	analyze := e.analyzer
 	if analyze == nil {
 		analyze = ruleml.DefaultAnalyzer
@@ -372,22 +429,24 @@ func (e *Engine) Register(rule *ruleml.Rule) error {
 	if rule.ID == "" {
 		// Skip ids already taken — a recovered rule set may occupy
 		// rule-N slots from a previous run of the sequence.
+		t := e.tenantLocked(tenant)
 		for {
-			e.seq++
-			rule.ID = fmt.Sprintf("rule-%d", e.seq)
-			if _, taken := e.rules[rule.ID]; !taken {
+			t.seq++
+			rule.ID = fmt.Sprintf("rule-%d", t.seq)
+			if _, taken := e.rules[ruleKey{tenant, rule.ID}]; !taken {
 				break
 			}
 		}
 	}
-	if _, dup := e.rules[rule.ID]; dup {
+	k := ruleKey{tenant, rule.ID}
+	if _, dup := e.rules[k]; dup {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: rule %q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
-	e.rules[rule.ID] = &RuleState{Rule: rule, Registered: registered, stepUses: uses[1 : 1+len(rule.Steps)]}
+	e.rules[k] = &RuleState{Rule: rule, Tenant: tenant, Registered: registered, stepUses: uses[1 : 1+len(rule.Steps)]}
 	e.stats.RulesRegistered++
-	e.met.rules.Set(float64(len(e.rules)))
+	e.countLocked(tenant, 1)
 	e.mu.Unlock()
 
 	e.logf("register rule %s: submitting event component %s (language %s) to GRH",
@@ -399,44 +458,45 @@ func (e *Engine) Register(rule *ruleml.Rule) error {
 		Comp:     rule.Event,
 		Bindings: bindings.NewRelation(),
 		ReplyTo:  e.replyTo,
-		Tenant:   e.tenant,
+		Tenant:   tenant,
 	})
 	if err != nil {
 		e.mu.Lock()
-		delete(e.rules, rule.ID)
+		delete(e.rules, k)
 		e.stats.RulesRegistered--
-		e.met.rules.Set(float64(len(e.rules)))
+		e.countLocked(tenant, -1)
 		e.mu.Unlock()
 		e.slog.Error("rule registration failed", obs.FieldRule, rule.ID, "error", err.Error())
 		return fmt.Errorf("engine: registering event component of %s: %w", rule.ID, err)
 	}
 	if e.journal != nil {
-		e.journal.RuleRegistered(rule.ID, rule.Doc, registered)
+		e.journal.RuleRegistered(tenant, rule.ID, rule.Doc, registered)
 	}
 	return nil
 }
 
-// Unregister withdraws a rule and its event registration. An unknown id
-// yields an error wrapping ErrNoRule.
-func (e *Engine) Unregister(id string) error {
+// Unregister withdraws a tenant's rule and its event registration. An
+// unknown id yields an error wrapping ErrNoRule.
+func (e *Engine) Unregister(tenant, id string) error {
+	k := ruleKey{tenant, id}
 	e.mu.Lock()
-	rs, ok := e.rules[id]
+	rs, ok := e.rules[k]
 	if ok {
-		delete(e.rules, id)
-		e.met.rules.Set(float64(len(e.rules)))
+		delete(e.rules, k)
+		e.countLocked(tenant, -1)
 	}
 	e.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("engine: %w %q", ErrNoRule, id)
 	}
 	if e.journal != nil {
-		e.journal.RuleUnregistered(id)
+		e.journal.RuleUnregistered(tenant, id)
 	}
 	_, err := e.grh.Dispatch(protocol.UnregisterEvent, grh.Component{
 		Rule:     id,
 		Comp:     rs.Rule.Event,
 		Bindings: bindings.NewRelation(),
-		Tenant:   e.tenant,
+		Tenant:   tenant,
 	})
 	return err
 }
@@ -470,7 +530,7 @@ func (e *Engine) Admit(a *protocol.Answer) (run func()) {
 		e.logf("detection for rule %q dropped: engine closed", a.RuleID)
 		return nil
 	}
-	rs, ok := e.rules[a.RuleID]
+	rs, ok := e.rules[ruleKey{a.Tenant, a.RuleID}]
 	e.mu.Unlock()
 	if !ok {
 		e.logf("detection for unknown rule %q dropped", a.RuleID)
@@ -509,8 +569,8 @@ admit:
 			e.met.instances.With("created").Inc()
 			// Spans: the event, each step and action, and the lifecycle.
 			tr := e.tr.Begin(a.RuleID, 2+len(rs.Rule.Steps)+len(rs.Rule.Actions))
-			if e.tenant != "" {
-				tr.SetTenant(e.tenant)
+			if rs.Tenant != "" {
+				tr.SetTenant(rs.Tenant)
 			}
 			tr.AddSpan(obs.Span{
 				Stage:     string(ruleml.EventComponent),
@@ -562,7 +622,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 		if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
 			sp.Mode = "local"
 		}
-		next, err := e.evalStep(rule, step, rs.stepUses[i], rel, tr, &sp)
+		next, err := e.evalStep(rs, step, rs.stepUses[i], rel, tr, &sp)
 		sp.Duration = time.Since(sp.Start)
 		e.met.stepSec.With(string(step.Kind)).Observe(sp.Duration.Seconds())
 		if err != nil {
@@ -606,7 +666,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 			Comp:     action,
 			Bindings: rel,
 			Trace:    tr,
-			Tenant:   e.tenant,
+			Tenant:   rs.Tenant,
 		})
 		sp.Duration = time.Since(sp.Start)
 		e.met.stepSec.With(string(ruleml.ActionComponent)).Observe(sp.Duration.Seconds())
@@ -639,7 +699,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 	e.mu.Unlock()
 	e.met.instances.With("completed").Inc()
 	e.met.instanceSec.Observe(ack.Sub(start).Seconds())
-	e.observeLifecycle(rule.ID, tr, lc, stepsDone, ack)
+	e.observeLifecycle(rs, tr, lc, stepsDone, ack)
 	tr.Finish("completed")
 	if e.slog.Enabled(slog.LevelInfo) {
 		e.instanceLog(tr, rule.ID).Info("rule instance completed", "seconds", ack.Sub(start).Seconds())
@@ -661,7 +721,7 @@ func (e *Engine) instanceLog(tr *obs.Instance, rule string) *obs.Logger {
 // with event_e2e_seconds.
 // Negative spans can only arise from wall-clock skew on cross-node
 // detections and are clamped to zero.
-func (e *Engine) observeLifecycle(ruleID string, tr *obs.Instance, lc lifecycle, stepsDone, ack time.Time) {
+func (e *Engine) observeLifecycle(rs *RuleState, tr *obs.Instance, lc lifecycle, stepsDone, ack time.Time) {
 	if !lc.observable() {
 		return
 	}
@@ -684,10 +744,10 @@ func (e *Engine) observeLifecycle(ruleID string, tr *obs.Instance, lc lifecycle,
 	}
 	for _, s := range stages {
 		d := maxDuration(0, s.end.Sub(s.start))
-		e.met.lifecycle.With(s.name, e.tenant).ObserveExemplar(d.Seconds(), id)
+		e.met.lifecycle.With(s.name, rs.Tenant).ObserveExemplar(d.Seconds(), id)
 		span.Children = append(span.Children, obs.Span{Stage: s.name, Mode: "engine", Start: s.start, Duration: d})
 	}
-	e.met.e2e.With(ruleID, e.tenant).ObserveExemplar(span.Duration.Seconds(), id)
+	e.met.e2e.With(rs.Rule.ID, rs.Tenant).ObserveExemplar(span.Duration.Seconds(), id)
 	tr.AddSpan(span)
 }
 
@@ -736,7 +796,7 @@ func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time) {
 // relation. tr rides along on the dispatch so the GRH can propagate the
 // instance's trace context to remote services; when the service answers
 // with its own phase spans, they are stitched into sp as children.
-func (e *Engine) evalStep(rule *ruleml.Rule, step ruleml.Component, uses []string, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
+func (e *Engine) evalStep(rs *RuleState, step ruleml.Component, uses []string, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
 	if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
 		// Section 4.5: the test component is in general evaluated locally.
 		return services.EvalTest(step.Text, rel)
@@ -749,11 +809,11 @@ func (e *Engine) evalStep(rule *ruleml.Rule, step ruleml.Component, uses []strin
 		kind = protocol.Test
 	}
 	answer, err := e.grh.Dispatch(kind, grh.Component{
-		Rule:     rule.ID,
+		Rule:     rs.Rule.ID,
 		Comp:     step,
 		Bindings: input,
 		Trace:    tr,
-		Tenant:   e.tenant,
+		Tenant:   rs.Tenant,
 	})
 	if err != nil {
 		return nil, err

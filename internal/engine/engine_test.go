@@ -307,20 +307,20 @@ func TestUnregisterStopsDetection(t *testing.T) {
 	if len(sys.Notifier.Sent()) != 1 {
 		t.Fatal("rule should fire before unregistration")
 	}
-	if info, ok := sys.Engine.RuleInfo("u"); !ok || info.ID != "u" || info.Firings != 1 || info.Registered.IsZero() {
+	if info, ok := sys.Engine.RuleInfo("", "u"); !ok || info.ID != "u" || info.Firings != 1 || info.Registered.IsZero() {
 		t.Errorf("RuleInfo(u) = %+v, %v", info, ok)
 	}
-	if _, ok := sys.Engine.RuleInfo("absent"); ok {
+	if _, ok := sys.Engine.RuleInfo("", "absent"); ok {
 		t.Error("RuleInfo of an unknown id should report false")
 	}
-	if err := sys.Engine.Unregister("u"); err != nil {
+	if err := sys.Engine.Unregister("", "u"); err != nil {
 		t.Fatal(err)
 	}
 	sys.Stream.Publish(eventsNew(xmltree.NewElement("http://t/", "e")))
 	if len(sys.Notifier.Sent()) != 1 {
 		t.Error("rule fired after unregistration")
 	}
-	if err := sys.Engine.Unregister("u"); !errors.Is(err, engine.ErrNoRule) {
+	if err := sys.Engine.Unregister("", "u"); !errors.Is(err, engine.ErrNoRule) {
 		t.Errorf("double unregister = %v, want an error wrapping ErrNoRule", err)
 	}
 }

@@ -144,11 +144,11 @@ func TestRulesAndRuleState(t *testing.T) {
 		t.Errorf("rules = %q (sorted)", got)
 	}
 	sys.Stream.Publish(eventsNew(xmltree.NewElement("http://t/", "e")))
-	rs, ok := sys.Engine.RuleState("a-rule")
+	rs, ok := sys.Engine.RuleState("", "a-rule")
 	if !ok || rs.Firings != 1 {
 		t.Errorf("rule state = %+v, %v", rs, ok)
 	}
-	if _, ok := sys.Engine.RuleState("nope"); ok {
+	if _, ok := sys.Engine.RuleState("", "nope"); ok {
 		t.Error("unknown rule state should be absent")
 	}
 }

@@ -18,24 +18,26 @@ import (
 type fakeJournal struct {
 	mu         sync.Mutex
 	registered []string
+	tenants    []string // the tenant of each registration
 	docs       map[string]*xmltree.Node
 	removed    []string
 }
 
-func (j *fakeJournal) RuleRegistered(id string, doc *xmltree.Node, at time.Time) {
+func (j *fakeJournal) RuleRegistered(tenant, id string, doc *xmltree.Node, at time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.docs == nil {
 		j.docs = map[string]*xmltree.Node{}
 	}
 	j.registered = append(j.registered, id)
+	j.tenants = append(j.tenants, tenant)
 	j.docs[id] = doc
 	if at.IsZero() {
 		panic("zero registration time")
 	}
 }
 
-func (j *fakeJournal) RuleUnregistered(id string) {
+func (j *fakeJournal) RuleUnregistered(_, id string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.removed = append(j.removed, id)
@@ -73,7 +75,7 @@ func TestJournalHookOnRegisterUnregister(t *testing.T) {
 	if len(j.registered) != 1 || j.registered[0] != "jr" || j.docs["jr"] == nil {
 		t.Fatalf("journal after register: %+v", j)
 	}
-	if err := e.Unregister("jr"); err != nil {
+	if err := e.Unregister("", "jr"); err != nil {
 		t.Fatal(err)
 	}
 	if len(j.removed) != 1 || j.removed[0] != "jr" {
@@ -137,7 +139,7 @@ func TestRuleInfos(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
-	e.SetRegistered("a", old)
+	e.SetRegistered("", "a", old)
 	infos := e.RuleInfos()
 	if len(infos) != 2 || infos[0].ID != "a" || infos[1].ID != "b" {
 		t.Fatalf("infos = %+v", infos)

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -322,4 +323,40 @@ func validUTF8(s string) bool {
 		}
 	}
 	return true
+}
+
+// Anonymous blank nodes nest at most xmltree.MaxDepth deep: a document at
+// the bound parses, one level more is rejected with an error naming the
+// bound, and a megabyte of open brackets is rejected at the same level,
+// under a 1 MiB stack, instead of recursing through the whole input.
+func TestTurtleNestingBound(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	nested := func(depth int) string {
+		return "<s> " + strings.Repeat("<p> [ ", depth) + "<p> <o>" + strings.Repeat(" ]", depth) + " ."
+	}
+	for _, c := range []struct {
+		name string
+		src  string
+		ok   bool
+	}{
+		{"at the bound", nested(256), true},
+		{"one past the bound", nested(257), false},
+		{"1 MB of open brackets", "<s> <p> " + strings.Repeat("[ <p> ", 1<<20/6), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts, err := ParseTurtleString(c.src)
+			if c.ok {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ts) != 257 {
+					t.Fatalf("triples = %d, want 257", len(ts))
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "deeper than 256") {
+				t.Fatalf("err = %v, want the nesting bound", err)
+			}
+		})
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+
+	"repro/internal/xmltree"
 )
 
 // ParseTurtle reads a Turtle-subset document into a slice of triples.
@@ -13,6 +15,8 @@ import (
 // prefixed names, the "a" keyword, plain/language-tagged/datatyped string
 // literals, integer/decimal/boolean shorthand literals, blank node labels
 // (_:x) and anonymous blank nodes ([]), and the ";" / "," abbreviations.
+// Anonymous blank nodes nest at most xmltree.MaxDepth deep, the bound every
+// reader of the engine shares.
 func ParseTurtle(r io.Reader) ([]Triple, error) {
 	src, err := io.ReadAll(r)
 	if err != nil {
@@ -43,6 +47,7 @@ type turtleParser struct {
 	prefixes map[string]string
 	base     string
 	bnodeSeq int
+	depth    int // open '[' blank nodes
 	triples  []Triple
 }
 
@@ -247,6 +252,11 @@ func (p *turtleParser) parseTerm(subjectPos bool) (Term, error) {
 		}
 		return NewBlank(label), nil
 	case c == '[':
+		if p.depth == xmltree.MaxDepth {
+			return Term{}, p.errf("blank nodes nest deeper than %d", xmltree.MaxDepth)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
 		p.pos++
 		p.skipWS()
 		p.bnodeSeq++

@@ -29,9 +29,9 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	rule := xmltree.MustParse(`<eca:rule xmlns:eca="http://eca/" xmlns:t="http://t/"><eca:event><t:e m="x"/></eca:event><eca:action><t:a/></eca:action></eca:rule>`)
 	ev := xmltree.MustParse(`<t:ev xmlns:t="http://t/" n="1"/>`)
-	s.RuleRegistered("r1", rule, time.Unix(1700000000, 0))
-	s.RuleRegistered("r2", rule, time.Unix(1700000001, 0))
-	s.RuleUnregistered("r2")
+	s.RuleRegistered("", "r1", rule, time.Unix(1700000000, 0))
+	s.RuleRegistered("", "r2", rule, time.Unix(1700000001, 0))
+	s.RuleUnregistered("", "r2")
 	id, err := s.AppendEvent(ev)
 	if err != nil {
 		f.Fatal(err)

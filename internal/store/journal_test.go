@@ -56,7 +56,7 @@ func TestBatchWriteCutAtEveryOffset(t *testing.T) {
 	s := open(t, dir, Options{SnapshotEvery: -1})
 	var shipped []byte
 	s.SetReplicationSink(func(r RepRecord) { shipped = append(shipped, r.Frame...) })
-	s.RuleRegistered("r1", ruleDoc(t, "one"), time.Unix(1700000000, 0))
+	s.RuleRegistered("", "r1", ruleDoc(t, "one"), time.Unix(1700000000, 0))
 	before := s.Health().JournalBytes
 	texts := []string{`<t:ev xmlns:t="http://t/" n="1"/>`, `<e>&lt;two&gt;</e>`, `<t:ev xmlns:t="http://t/" n="3">three</t:ev>`}
 	if _, err := s.AppendEventTexts("acme", texts); err != nil {

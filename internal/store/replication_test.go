@@ -41,13 +41,13 @@ func TestReplicationSinkSeesEveryAppend(t *testing.T) {
 	s.SetReplicationSink(func(r RepRecord) { got = append(got, r) })
 
 	doc := xmltree.MustParse(`<e/>`)
-	s.RuleRegistered("r1", xmltree.MustParse(ruleRec(t, "r1").Doc), time.Now())
+	s.RuleRegistered("", "r1", xmltree.MustParse(ruleRec(t, "r1").Doc), time.Now())
 	id, err := s.AppendEvent(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.AckEvent(id)
-	s.RuleUnregistered("r1")
+	s.RuleUnregistered("", "r1")
 
 	if len(got) != 4 {
 		t.Fatalf("sink saw %d records, want 4", len(got))
@@ -136,9 +136,9 @@ func TestReplicaRestartResumesFromBase(t *testing.T) {
 	var stream []RepRecord
 	s.SetReplicationSink(func(r RepRecord) { stream = append(stream, r) })
 
-	s.RuleRegistered("keep", xmltree.MustParse(ruleRec(t, "keep").Doc), time.Now())
-	s.RuleRegistered("drop", xmltree.MustParse(ruleRec(t, "drop").Doc), time.Now())
-	s.RuleUnregistered("drop")
+	s.RuleRegistered("", "keep", xmltree.MustParse(ruleRec(t, "keep").Doc), time.Now())
+	s.RuleRegistered("", "drop", xmltree.MustParse(ruleRec(t, "drop").Doc), time.Now())
+	s.RuleUnregistered("", "drop")
 	if _, err := s.AppendEvent(xmltree.MustParse(`<orphan/>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestReplicaRestartResumesFromBase(t *testing.T) {
 		t.Fatalf("rebased replica = %d rules, %d events, want 1, 1", rules, events)
 	}
 
-	s.RuleRegistered("late", xmltree.MustParse(ruleRec(t, "late").Doc), time.Now())
+	s.RuleRegistered("", "late", xmltree.MustParse(ruleRec(t, "late").Doc), time.Now())
 	inc := stream[len(stream)-1]
 	if inc.Seq != seq+1 {
 		t.Fatalf("incremental record seq = %d, want %d", inc.Seq, seq+1)

@@ -364,22 +364,12 @@ func (s *Store) dropOrder(id string) {
 
 // --- runtime appends ---------------------------------------------------------------
 
-// RuleRegistered journals a successful rule registration in the default
-// tenant's space. doc is the full ECA-ML rule document; a nil doc (a rule
-// built programmatically rather than parsed) cannot be made durable and is
-// logged and skipped. Implements the engine's Journal hook; non-default
-// tenants journal through Scoped.
-func (s *Store) RuleRegistered(id string, doc *xmltree.Node, at time.Time) {
-	s.ruleRegistered("", id, doc, at)
-}
-
-// RuleUnregistered journals a rule withdrawal from the default tenant's
-// space. Implements the engine's Journal hook.
-func (s *Store) RuleUnregistered(id string) {
-	s.ruleUnregistered("", id)
-}
-
-func (s *Store) ruleRegistered(tenant, id string, doc *xmltree.Node, at time.Time) {
+// RuleRegistered journals a successful rule registration in a tenant's
+// rule set (wire form: the empty string is the default tenant, whose
+// records carry no tenant). doc is the full ECA-ML rule document; a nil
+// doc (a rule built programmatically rather than parsed) cannot be made
+// durable and is logged and skipped. Implements the engine's Journal hook.
+func (s *Store) RuleRegistered(tenant, id string, doc *xmltree.Node, at time.Time) {
 	if s == nil {
 		return
 	}
@@ -402,7 +392,9 @@ func (s *Store) ruleRegistered(tenant, id string, doc *xmltree.Node, at time.Tim
 	s.appendLocked(record{Kind: KindRegister, Time: at, Rule: id, Doc: text, Tenant: tenant})
 }
 
-func (s *Store) ruleUnregistered(tenant, id string) {
+// RuleUnregistered journals a rule withdrawal from a tenant's rule set.
+// Implements the engine's Journal hook.
+func (s *Store) RuleUnregistered(tenant, id string) {
 	if s == nil {
 		return
 	}
@@ -415,43 +407,6 @@ func (s *Store) ruleUnregistered(tenant, id string) {
 	delete(s.rules, k)
 	s.dropOrder(k)
 	s.appendLocked(record{Kind: KindUnregister, Time: time.Now(), Rule: id, Tenant: tenant})
-}
-
-// TenantJournal is a Store view scoped to one tenant's rule space: rule
-// life-cycle records it writes carry the tenant, so recovery can rebuild
-// each tenant's space separately. It implements the engine's Journal hook;
-// each per-tenant engine gets its own scoped view over the shared store.
-// All methods are nil-safe.
-type TenantJournal struct {
-	s      *Store
-	tenant string
-}
-
-// Scoped returns the store's journal view for one tenant (wire form: the
-// empty string is the default tenant, equivalent to the Store's own
-// RuleRegistered/RuleUnregistered). A nil store yields a nil, still-safe
-// view.
-func (s *Store) Scoped(tenant string) *TenantJournal {
-	if s == nil {
-		return nil
-	}
-	return &TenantJournal{s: s, tenant: tenant}
-}
-
-// RuleRegistered journals a registration in the scoped tenant's space.
-func (j *TenantJournal) RuleRegistered(id string, doc *xmltree.Node, at time.Time) {
-	if j == nil {
-		return
-	}
-	j.s.ruleRegistered(j.tenant, id, doc, at)
-}
-
-// RuleUnregistered journals a withdrawal from the scoped tenant's space.
-func (j *TenantJournal) RuleUnregistered(id string) {
-	if j == nil {
-		return
-	}
-	j.s.ruleUnregistered(j.tenant, id)
 }
 
 // AppendEvent journals an accepted atomic event of the default tenant

@@ -45,9 +45,9 @@ func open(t *testing.T, dir string, o Options) *Store {
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Fsync: FsyncAlways})
-	s.RuleRegistered("r1", ruleDoc(t, "one"), time.Now())
-	s.RuleRegistered("r2", ruleDoc(t, "two"), time.Now())
-	s.RuleUnregistered("r2")
+	s.RuleRegistered("", "r1", ruleDoc(t, "one"), time.Now())
+	s.RuleRegistered("", "r2", ruleDoc(t, "two"), time.Now())
+	s.RuleUnregistered("", "r2")
 	id1, err := s.AppendEvent(doc(t, `<t:ev xmlns:t="http://t/" n="1"/>`))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestTornFinalRecordDiscarded(t *testing.T) {
 		t.Run(tear.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := open(t, dir, Options{})
-			s.RuleRegistered("r1", ruleDoc(t, "keep"), time.Now())
+			s.RuleRegistered("", "r1", ruleDoc(t, "keep"), time.Now())
 			// Crash: corrupt the tail directly on disk.
 			path := filepath.Join(dir, journalFile)
 			data, err := os.ReadFile(path)
@@ -116,7 +116,7 @@ func TestTornFinalRecordDiscarded(t *testing.T) {
 			}
 			// The torn tail was truncated: new appends must land on a
 			// clean boundary and survive the next reopen.
-			r.RuleRegistered("r2", ruleDoc(t, "after"), time.Now())
+			r.RuleRegistered("", "r2", ruleDoc(t, "after"), time.Now())
 			r2 := open(t, dir, Options{})
 			if got := len(r2.RecoveredRules()); got != 2 {
 				t.Fatalf("rules after tear+append = %d, want 2", got)
@@ -131,11 +131,11 @@ func TestTruncatedSnapshotSkipped(t *testing.T) {
 	dir := t.TempDir()
 	hub := obs.NewHub()
 	s := open(t, dir, Options{})
-	s.RuleRegistered("in-snapshot", ruleDoc(t, "s"), time.Now())
+	s.RuleRegistered("", "in-snapshot", ruleDoc(t, "s"), time.Now())
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	s.RuleRegistered("in-journal", ruleDoc(t, "j"), time.Now())
+	s.RuleRegistered("", "in-journal", ruleDoc(t, "j"), time.Now())
 	// Crash, then the snapshot gets truncated (disk corruption).
 	path := filepath.Join(dir, snapshotFile)
 	data, err := os.ReadFile(path)
@@ -177,12 +177,12 @@ func TestTruncatedSnapshotSkipped(t *testing.T) {
 func TestDuplicateRegisterUnregisterSequences(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	s.RuleRegistered("r", ruleDoc(t, "v1"), time.Now())
-	s.RuleRegistered("r", ruleDoc(t, "v2"), time.Now()) // overwrite
-	s.RuleUnregistered("r")
-	s.RuleUnregistered("r") // no-op
-	s.RuleRegistered("r", ruleDoc(t, "v3"), time.Now())
-	s.RuleUnregistered("ghost") // never registered
+	s.RuleRegistered("", "r", ruleDoc(t, "v1"), time.Now())
+	s.RuleRegistered("", "r", ruleDoc(t, "v2"), time.Now()) // overwrite
+	s.RuleUnregistered("", "r")
+	s.RuleUnregistered("", "r") // no-op
+	s.RuleRegistered("", "r", ruleDoc(t, "v3"), time.Now())
+	s.RuleUnregistered("", "ghost") // never registered
 
 	r := open(t, dir, Options{})
 	rules := r.RecoveredRules()
@@ -196,8 +196,8 @@ func TestDuplicateRegisterUnregisterSequences(t *testing.T) {
 func TestRecoverSkipsBadRecordsAndCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	s.RuleRegistered("good", ruleDoc(t, "ok"), time.Now())
-	s.RuleRegistered("rejected", ruleDoc(t, "rej"), time.Now())
+	s.RuleRegistered("", "good", ruleDoc(t, "ok"), time.Now())
+	s.RuleRegistered("", "rejected", ruleDoc(t, "rej"), time.Now())
 	if _, err := s.AppendEvent(doc(t, `<t:ev xmlns:t="http://t/"/>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestAutoSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{SnapshotEvery: 4})
 	for i := 0; i < 25; i++ {
-		s.RuleRegistered(fmt.Sprintf("r%d", i), ruleDoc(t, "x"), time.Now())
+		s.RuleRegistered("", fmt.Sprintf("r%d", i), ruleDoc(t, "x"), time.Now())
 	}
 	h := s.Health()
 	if h.JournalRecords >= 4 {
@@ -290,7 +290,7 @@ func TestAutoSnapshotCompaction(t *testing.T) {
 func TestCloseCompactsAndPersistsPending(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
-	s.RuleRegistered("r", ruleDoc(t, "z"), time.Now())
+	s.RuleRegistered("", "r", ruleDoc(t, "z"), time.Now())
 	if _, err := s.AppendEvent(doc(t, `<t:orphan xmlns:t="http://t/"/>`)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCloseCompactsAndPersistsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-close writes are silently dropped, not crashes.
-	s.RuleRegistered("late", ruleDoc(t, "late"), time.Now())
+	s.RuleRegistered("", "late", ruleDoc(t, "late"), time.Now())
 
 	r := open(t, dir, Options{})
 	if got := len(r.RecoveredRules()); got != 1 {
@@ -338,7 +338,7 @@ func TestStoreMetricsExposition(t *testing.T) {
 	hub := obs.NewHub()
 	s := open(t, dir, Options{Obs: hub, Fsync: FsyncAlways})
 	defer s.Close()
-	s.RuleRegistered("r", ruleDoc(t, "m"), time.Now())
+	s.RuleRegistered("", "r", ruleDoc(t, "m"), time.Now())
 	id, _ := s.AppendEvent(doc(t, `<e/>`))
 	s.AckEvent(id)
 	var exp strings.Builder
@@ -362,8 +362,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 // A nil *Store is a valid no-op for every method, the in-memory mode.
 func TestNilStoreIsNoOp(t *testing.T) {
 	var s *Store
-	s.RuleRegistered("r", nil, time.Now())
-	s.RuleUnregistered("r")
+	s.RuleRegistered("", "r", nil, time.Now())
+	s.RuleUnregistered("", "r")
 	if id, err := s.AppendEvent(nil); id != 0 || err != nil {
 		t.Fatalf("AppendEvent on nil = %d, %v", id, err)
 	}
@@ -398,7 +398,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 func TestSnapshotFormat(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	s.RuleRegistered("r", ruleDoc(t, "fmt"), time.Now())
+	s.RuleRegistered("", "r", ruleDoc(t, "fmt"), time.Now())
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 					t.Fatal(err)
 				}
 				resp.Body.Close()
-				if info, _ := sys.Engine.RuleInfo("deep"); resp.StatusCode != http.StatusOK || info.Firings != 1 {
+				if info, _ := sys.Engine.RuleInfo("", "deep"); resp.StatusCode != http.StatusOK || info.Firings != 1 {
 					t.Errorf("event: status %d, chain rule fired %d times; want 200 and once", resp.StatusCode, info.Firings)
 				}
 			}

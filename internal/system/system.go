@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,10 +187,6 @@ type System struct {
 	eventSlots chan struct{} // admission semaphore for POST /events; nil = unlimited
 	maxPending int           // cap of eventSlots; 0 = unlimited
 
-	tenantMu   sync.Mutex
-	spaces     map[string]*Space // per-tenant rule spaces, keyed by wire form ("" = default)
-	engineBase []engine.Option   // options every space's engine is built from
-
 	metAdmitted  *obs.CounterVec // events_admitted_total{tenant}
 	metShed      *obs.CounterVec // events_shed_total{tenant,reason}
 	metPending   *obs.Gauge      // events_pending
@@ -197,7 +194,7 @@ type System struct {
 
 	// Matcher and Snoop are the atomic and SNOOP detection hosts, one each
 	// for every tenant: they index detectors by tenant and deliver each
-	// detection to its tenant's engine.
+	// detection to the engine, which routes it by (tenant, rule id).
 	Matcher *services.DetectorHost
 	Snoop   *services.DetectorHost
 	XQuery  *services.XQueryService
@@ -242,21 +239,20 @@ func NewLocal(cfg Config) (*System, error) {
 		}
 	}
 	s.Tenants = tenants
-	s.spaces = make(map[string]*Space)
 	compilecache.Default.SetObs(cfg.Obs)
-	s.engineBase = []engine.Option{engine.WithObs(cfg.Obs), engine.WithLog(cfg.Log)}
+	opts := []engine.Option{engine.WithObs(cfg.Obs), engine.WithLog(cfg.Log)}
 	if cfg.Logger != nil {
-		s.engineBase = append(s.engineBase, engine.WithLogger(cfg.Logger))
+		opts = append(opts, engine.WithLogger(cfg.Logger))
 	}
-	// The default tenant's space is built eagerly — it is the system the
-	// single-tenant surface (System.Engine) exposes. Other tenants' spaces
-	// appear on first use.
-	def, err := s.spaceFor("")
-	if err != nil {
-		return nil, fmt.Errorf("system: default tenant: %w", err)
+	if cfg.Store != nil {
+		opts = append(opts, engine.WithJournal(cfg.Store))
 	}
-	s.Engine = def.Engine
-	deliver := &services.Deliverer{Admit: s.admitDetection, Obs: cfg.Obs}
+	s.Engine = engine.New(s.GRH, opts...)
+	// Both detection hosts admit into System.Engine as it is when the
+	// detection arrives. The engine admits the rule instances in detection
+	// order; they run where the hosts' Deliverer puts the returned run.
+	admit := func(a *protocol.Answer) func() { return s.Engine.Admit(a) }
+	deliver := &services.Deliverer{Admit: admit, Obs: cfg.Obs}
 	s.Matcher = services.NewEventMatcher(s.Stream, deliver)
 	s.Snoop = services.NewSnoopService(s.Stream, deliver)
 	s.XQuery = services.NewXQueryService(s.Store, cfg.Namespaces)
@@ -305,7 +301,7 @@ func NewLocal(cfg Config) (*System, error) {
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	if cfg.Cluster != nil {
 		node, err := cluster.New(*cfg.Cluster, cluster.Hooks{
-			LocalRules:        s.localRules,
+			LocalRules:        func() []*ruleml.Rule { return s.Engine.RegisteredRules() },
 			RegisterRecovered: s.registerRecovered,
 			PublishRecovered:  s.publishRecovered,
 		}, cfg.Store)
@@ -395,12 +391,11 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sp, err := s.spaceFor(a.Tenant)
-		if err != nil {
+		if _, _, err := s.tenantFor(a.Tenant); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sp.Engine.OnDetection(a)
+		s.Engine.OnDetection(a)
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("/engine/rules", func(w http.ResponseWriter, r *http.Request) {
@@ -431,7 +426,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 				Rules []engine.RuleInfo `json:"rules"`
 			}{infos})
 		case http.MethodPost:
-			sp, ok := s.spaceFromRequest(w, r)
+			ten, wire, ok := s.tenantFromRequest(w, r)
 			if !ok {
 				return
 			}
@@ -455,7 +450,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 					}
 				}
 				if owner := s.Cluster.Owner(rule.ID); owner != s.Cluster.ID() {
-					status, body, err := s.Cluster.ForwardRule(sp.wire, rule, owner)
+					status, body, err := s.Cluster.ForwardRule(wire, rule, owner)
 					switch {
 					case err == nil:
 						w.WriteHeader(status)
@@ -472,12 +467,12 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			// The max-rules quota is claimed before registration and rolled
 			// back if the engine rejects the rule, so a rejected document
 			// never consumes quota.
-			if err := sp.Tenant.AcquireRule(); err != nil {
+			if err := ten.AcquireRule(); err != nil {
 				writeQuotaExceeded(w, err)
 				return
 			}
-			if err := sp.Engine.Register(rule); err != nil {
-				sp.Tenant.ReleaseRule()
+			if err := s.Engine.Add(wire, rule); err != nil {
+				ten.ReleaseRule()
 				// A rule whose component expression does not compile is a
 				// malformed request (400); other failures (duplicate ids,
 				// unroutable components) stay 422.
@@ -501,51 +496,42 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 		}
 		switch r.Method {
 		case http.MethodGet:
-			wire, filtered, ok := s.listTenant(w, r)
+			wire, ok := s.ruleTenant(w, r, id)
 			if !ok {
 				return
 			}
-			for _, sp := range s.snapshotSpaces() {
-				if filtered && sp.wire != wire {
-					continue
-				}
-				if info, ok := sp.Engine.RuleInfo(id); ok {
-					if s.Cluster != nil {
-						info.Owner = s.Cluster.ID()
-					}
-					writeJSON(w, info)
-					return
-				}
+			info, ok := s.Engine.RuleInfo(wire, id)
+			if !ok {
+				http.Error(w, fmt.Sprintf("no rule %q", id), http.StatusNotFound)
+				return
 			}
-			http.Error(w, fmt.Sprintf("no rule %q", id), http.StatusNotFound)
+			if s.Cluster != nil {
+				info.Owner = s.Cluster.ID()
+			}
+			writeJSON(w, info)
 		case http.MethodDelete:
-			wire, filtered, ok := s.listTenant(w, r)
+			wire, ok := s.ruleTenant(w, r, id)
 			if !ok {
 				return
 			}
-			for _, sp := range s.snapshotSpaces() {
-				if filtered && sp.wire != wire {
-					continue
+			switch err := s.Engine.Unregister(wire, id); {
+			case errors.Is(err, engine.ErrNoRule):
+				http.Error(w, fmt.Sprintf("no rule %q", id), http.StatusNotFound)
+			case err != nil:
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			default:
+				if t, ok := s.Tenants.Lookup(wire); ok {
+					t.ReleaseRule()
 				}
-				err := sp.Engine.Unregister(id)
-				if err == nil {
-					sp.Tenant.ReleaseRule()
-					fmt.Fprintln(w, id)
-					return
-				}
-				if !errors.Is(err, engine.ErrNoRule) {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
+				fmt.Fprintln(w, id)
 			}
-			http.Error(w, fmt.Sprintf("no rule %q", id), http.StatusNotFound)
 		default:
 			http.Error(w, "GET or DELETE a rule id", http.StatusMethodNotAllowed)
 		}
 	})
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/engine/stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.engineStats()
+		st := s.Engine.Stats()
 		fmt.Fprintf(w, "rules %d\ninstances_created %d\ninstances_completed %d\ninstances_died %d\naction_runs %d\nnotifications %d\n",
 			st.RulesRegistered, st.InstancesCreated, st.InstancesCompleted, st.InstancesDied, st.ActionRuns, s.Notifier.Count())
 	})
@@ -627,7 +613,7 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// The tenant is resolved before the admission slot: a request naming
 	// an invalid tenant is a client error even under overload, and the
 	// shed counter needs the tenant label either way.
-	sp, ok := s.spaceFromRequest(w, r)
+	ten, wire, ok := s.tenantFromRequest(w, r)
 	if !ok {
 		return
 	}
@@ -640,7 +626,7 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 				s.metPending.Set(float64(len(s.eventSlots)))
 			}()
 		default:
-			s.metShed.With(sp.wire, "overload").Inc()
+			s.metShed.With(wire, "overload").Inc()
 			writeOverloaded(w)
 			return
 		}
@@ -664,7 +650,7 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 		local := docs[:0]
 		var localTexts []string
 		for i, doc := range docs {
-			res := s.Cluster.RouteEvent(sp.wire, doc)
+			res := s.Cluster.RouteEvent(wire, doc)
 			// Publish locally when local rules match — or when no peer
 			// accepted the event, so it is never silently dropped.
 			if !res.Local && len(res.Forwarded) > 0 {
@@ -688,14 +674,14 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// the rate bucket charges the batch as a unit. Both reject with the
 	// quota 429 body, which cluster forwarders and clients can tell from
 	// node overload.
-	if err := sp.Tenant.AcquirePending(len(docs)); err != nil {
-		s.metShed.With(sp.wire, "quota").Inc()
+	if err := ten.AcquirePending(len(docs)); err != nil {
+		s.metShed.With(wire, "quota").Inc()
 		writeQuotaExceeded(w, err)
 		return
 	}
-	defer sp.Tenant.ReleasePending(len(docs))
-	if err := sp.Tenant.AdmitEvents(len(docs)); err != nil {
-		s.metShed.With(sp.wire, "quota").Inc()
+	defer ten.ReleasePending(len(docs))
+	if err := ten.AdmitEvents(len(docs)); err != nil {
+		s.metShed.With(wire, "quota").Inc()
 		writeQuotaExceeded(w, err)
 		return
 	}
@@ -707,9 +693,9 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// declarations they inherit.
 	var journalIDs []uint64
 	if texts != nil {
-		journalIDs, err = s.Durable.AppendEventTexts(sp.wire, texts)
+		journalIDs, err = s.Durable.AppendEventTexts(wire, texts)
 	} else {
-		journalIDs, err = s.Durable.AppendEventBatchTenant(sp.wire, docs)
+		journalIDs, err = s.Durable.AppendEventBatchTenant(wire, docs)
 	}
 	if err != nil {
 		http.Error(w, "event not journaled: "+err.Error(), http.StatusInternalServerError)
@@ -718,11 +704,11 @@ func (s *System) handleEvents(w http.ResponseWriter, r *http.Request) {
 	evs := make([]events.Event, len(docs))
 	for i, doc := range docs {
 		evs[i] = events.NewAdmitted(doc, admittedAt)
-		evs[i].Tenant = sp.wire
+		evs[i].Tenant = wire
 	}
 	out := s.Stream.PublishBatch(evs)
 	s.Durable.AckEvents(journalIDs)
-	s.metAdmitted.With(sp.wire).Add(int64(len(out)))
+	s.metAdmitted.With(wire).Add(int64(len(out)))
 	s.metBatchSize.Observe(float64(len(out)))
 	reply := make([]byte, 0, 8*len(out))
 	for _, ev := range out {
@@ -751,37 +737,18 @@ func writeOverloaded(w http.ResponseWriter) {
 	json.NewEncoder(w).Encode(Overload{Error: "overloaded", RetryAfterSeconds: 1})
 }
 
-// ruleInfos aggregates every space's RuleInfos (default tenant first,
-// then tenants in id order) plus the owner stamp: on clustered
-// deployments every locally registered rule is owned by this node.
-// Single-tenant, single-node output is unchanged (both fields are
-// omitempty).
+// ruleInfos lists every tenant's rules (default tenant first, then
+// tenants in id order) plus the owner stamp: on clustered deployments
+// every locally registered rule is owned by this node. Single-tenant,
+// single-node output is unchanged (both fields are omitempty).
 func (s *System) ruleInfos() []engine.RuleInfo {
-	var infos []engine.RuleInfo
-	for _, sp := range s.snapshotSpaces() {
-		infos = append(infos, sp.Engine.RuleInfos()...)
-	}
+	infos := s.Engine.RuleInfos()
 	if s.Cluster != nil {
 		for i := range infos {
 			infos[i].Owner = s.Cluster.ID()
 		}
 	}
 	return infos
-}
-
-// engineStats sums every space's engine counters — the node-level view
-// /engine/stats and /healthz report.
-func (s *System) engineStats() engine.Stats {
-	var st engine.Stats
-	for _, sp := range s.snapshotSpaces() {
-		es := sp.Engine.Stats()
-		st.RulesRegistered += es.RulesRegistered
-		st.InstancesCreated += es.InstancesCreated
-		st.InstancesCompleted += es.InstancesCompleted
-		st.InstancesDied += es.InstancesDied
-		st.ActionRuns += es.ActionRuns
-	}
-	return st
 }
 
 // Health is the /healthz response body. Ready is the load-balancer
@@ -803,7 +770,7 @@ type Health struct {
 	Store              *store.Health    `json:"store,omitempty"`     // absent for in-memory deployments
 	Cluster            *cluster.Status  `json:"cluster,omitempty"`   // absent for single-node deployments
 	Admission          *AdmissionHealth `json:"admission,omitempty"` // absent without -max-pending-events
-	Tenants            []TenantHealth   `json:"tenants,omitempty"`   // absent while only the default space is live
+	Tenants            []TenantHealth   `json:"tenants,omitempty"`   // absent while only the default tenant is in use
 }
 
 // AdmissionHealth reports event-admission pressure: how many POST
@@ -827,8 +794,7 @@ func readyThreshold(maxPending int) int {
 }
 
 func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
-	spaces := s.snapshotSpaces()
-	st := s.engineStats()
+	st := s.Engine.Stats()
 	h := Health{
 		Status:             "ok",
 		Ready:              true,
@@ -840,13 +806,14 @@ func (s *System) healthz(w http.ResponseWriter, r *http.Request) {
 		InstancesDied:      st.InstancesDied,
 		Notifications:      s.Notifier.Count(),
 	}
-	if len(spaces) > 1 {
-		for _, sp := range spaces {
-			h.Tenants = append(h.Tenants, TenantHealth{
-				ID:            sp.ID,
-				Rules:         sp.Tenant.Rules(),
-				PendingEvents: sp.Tenant.Pending(),
-			})
+	if ids := s.Tenants.IDs(); len(ids) > 1 {
+		// Listing order: the default tenant (wire form "") first.
+		def := s.Tenants.DefaultID()
+		ids = append([]string{def}, slices.DeleteFunc(ids, func(id string) bool { return id == def })...)
+		for _, id := range ids {
+			if t, ok := s.Tenants.Lookup(id); ok {
+				h.Tenants = append(h.Tenants, TenantHealth{ID: id, Rules: t.Rules(), PendingEvents: t.Pending()})
+			}
 		}
 	}
 	if s.maxPending > 0 {
@@ -894,13 +861,11 @@ func (s *System) Close() {
 		// engine and store they feed off shut down.
 		s.Cluster.Close()
 	}
-	// Unsubscribe the detection hosts, then drain each engine's rule
+	// Unsubscribe the detection hosts, then drain the engine's rule
 	// instances.
 	s.Matcher.Close()
 	s.Snoop.Close()
-	for _, sp := range s.snapshotSpaces() {
-		sp.Engine.Close()
-	}
+	s.Engine.Close()
 	if s.Durable != nil {
 		if err := s.Durable.Close(); err != nil {
 			s.Log.Warn("store close", "error", err.Error())

@@ -311,15 +311,9 @@ func TestTwoNodeDistributedDetection(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild node B's default-tenant engine with the callback URL (engine
-	// options are fixed at construction); /engine/detect routes to the
-	// engine of the answer's tenant space.
-	def, err := nodeB.spaceFor("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	def.Engine = engine.New(nodeB.GRH, engine.WithReplyTo(srvB.URL+"/engine/detect"))
-	nodeB.Engine = def.Engine
+	// Rebuild node B's engine with the callback URL (engine options are
+	// fixed at construction); /engine/detect hands detections to it.
+	nodeB.Engine = engine.New(nodeB.GRH, engine.WithReplyTo(srvB.URL+"/engine/detect"))
 
 	rule := ruleml.MustParse(simpleRuleXML("remote"))
 	if err := nodeB.Engine.Register(rule); err != nil {

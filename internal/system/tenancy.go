@@ -1,8 +1,7 @@
-// Multi-tenant rule spaces. A System is composed of one Space per tenant:
-// a private engine and quota state sharing the system's stream, detection
-// hosts (which index their detectors by tenant), GRH, compile cache and
-// document store. The default
-// tenant's space is the system the paper describes — its wire form is the
+// Multi-tenancy. One engine and one set of detection hosts serve every
+// tenant: rules are keyed by (tenant, rule id), detectors by tenant, and a
+// tenant itself is only its quota state in the tenant.Registry. The
+// default tenant is the system the paper describes — its wire form is the
 // empty string everywhere (event stamps, journal frames, metric labels,
 // protocol documents), which keeps tenant-less deployments byte-identical
 // with builds that predate multi-tenancy. See docs/MULTITENANCY.md.
@@ -12,34 +11,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
-	"sort"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
 	"repro/internal/tenant"
 	"repro/internal/xmltree"
 )
-
-// Space is one tenant's rule space: the tenant's engine and quota state.
-// Spaces are created on first use (a tenant exists as soon as a rule or
-// event names it) and live until the system closes.
-type Space struct {
-	// ID is the external tenant id ("public" unless -default-tenant says
-	// otherwise).
-	ID string
-	// wire is the tenant's canonical internal form: the empty string for
-	// the default tenant, the tenant id otherwise.
-	wire string
-	// Tenant holds the tenant's quota state (rule count, pending events,
-	// event-rate bucket).
-	Tenant *tenant.Tenant
-
-	Engine *engine.Engine
-}
 
 // wireFor maps a canonical (full) tenant id to its wire form.
 func (s *System) wireFor(full string) string {
@@ -49,60 +28,16 @@ func (s *System) wireFor(full string) string {
 	return full
 }
 
-// spaceFor resolves an externally supplied tenant id — or a wire form;
-// both canonicalize the same way — to its rule space. On first use it
-// creates the space: the tenant, under the registry's declared or wildcard
-// quotas, and an engine journaling through the store's tenant-scoped view.
-// The empty string is the default tenant.
-func (s *System) spaceFor(name string) (*Space, error) {
-	full := s.Tenants.Canonical(name)
-	wire := s.wireFor(full)
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if sp := s.spaces[wire]; sp != nil {
-		return sp, nil
-	}
-	ten, err := s.Tenants.Resolve(full)
+// tenantFor resolves an externally supplied tenant id — or a wire form;
+// both canonicalize the same way — to its quota state and wire form,
+// creating the tenant, under the registry's declared or wildcard quotas,
+// on first use. The empty string is the default tenant.
+func (s *System) tenantFor(name string) (*tenant.Tenant, string, error) {
+	t, err := s.Tenants.Resolve(name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	opts := append(slices.Clip(s.engineBase), engine.WithTenant(wire))
-	if s.Durable != nil {
-		opts = append(opts, engine.WithJournal(s.Durable.Scoped(wire)))
-	}
-	sp := &Space{ID: full, wire: wire, Tenant: ten, Engine: engine.New(s.GRH, opts...)}
-	s.spaces[wire] = sp
-	return sp, nil
-}
-
-// admitDetection hands a detection answer to the engine of the tenant it
-// is stamped with, the one local sink of both detection hosts. The engine
-// admits its rule instances here, in detection order; the instances run
-// where the hosts' Deliverer puts the returned run.
-func (s *System) admitDetection(a *protocol.Answer) (run func()) {
-	sp, err := s.spaceFor(a.Tenant)
-	if err != nil {
-		s.Log.Warn("detection dropped", "tenant", a.Tenant, "rule", a.RuleID, "error", err.Error())
-		return nil
-	}
-	return sp.Engine.Admit(a)
-}
-
-// snapshotSpaces returns the live spaces ordered by wire form, so the
-// default space (wire "") always leads and aggregate listings are stable.
-func (s *System) snapshotSpaces() []*Space {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	wires := make([]string, 0, len(s.spaces))
-	for w := range s.spaces {
-		wires = append(wires, w)
-	}
-	sort.Strings(wires)
-	out := make([]*Space, 0, len(wires))
-	for _, w := range wires {
-		out = append(out, s.spaces[w])
-	}
-	return out
+	return t, s.wireFor(t.ID()), nil
 }
 
 // tenantName extracts the tenant a request addresses from the
@@ -121,18 +56,19 @@ func tenantName(r *http.Request) (string, error) {
 	return q, nil
 }
 
-// spaceFromRequest resolves the request's tenant to its space, answering
-// 400 with the documented JSON error body when the tenant id is invalid.
-func (s *System) spaceFromRequest(w http.ResponseWriter, r *http.Request) (*Space, bool) {
+// tenantFromRequest resolves the request's tenant, answering 400 with the
+// documented JSON error body when the tenant id is invalid.
+func (s *System) tenantFromRequest(w http.ResponseWriter, r *http.Request) (*tenant.Tenant, string, bool) {
 	name, err := tenantName(r)
 	if err == nil {
-		var sp *Space
-		if sp, err = s.spaceFor(name); err == nil {
-			return sp, true
+		var t *tenant.Tenant
+		var wire string
+		if t, wire, err = s.tenantFor(name); err == nil {
+			return t, wire, true
 		}
 	}
 	writeError(w, http.StatusBadRequest, err.Error())
-	return nil, false
+	return nil, "", false
 }
 
 // listTenant resolves the tenant filter of a listing endpoint (GET
@@ -156,11 +92,22 @@ func (s *System) listTenant(w http.ResponseWriter, r *http.Request) (wire string
 		}
 	}
 	full := s.Tenants.Canonical(name)
-	if _, known := s.Tenants.Lookup(full); !known {
+	if !s.Tenants.Known(full) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown tenant %q", name))
 		return "", false, false
 	}
 	return s.wireFor(full), true, true
+}
+
+// ruleTenant names the tenant whose rule GET and DELETE
+// /engine/rules/{id} address: the tenant filter when the request names
+// one, else the first tenant, in listing order, holding the id.
+func (s *System) ruleTenant(w http.ResponseWriter, r *http.Request, id string) (wire string, ok bool) {
+	wire, filtered, ok := s.listTenant(w, r)
+	if ok && !filtered {
+		wire, _ = s.Engine.Find(id)
+	}
+	return wire, ok
 }
 
 // tenantTraces validates the ?tenant= filter before delegating to the obs
@@ -172,7 +119,7 @@ func (s *System) tenantTraces(next http.Handler) http.Handler {
 		if q.Has("tenant") {
 			name := q.Get("tenant")
 			full := s.Tenants.Canonical(name)
-			if _, known := s.Tenants.Lookup(full); !known {
+			if !s.Tenants.Known(full) {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown tenant %q", name))
 				return
 			}
@@ -217,24 +164,13 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	}{msg})
 }
 
-// localRules aggregates every space's registered rules — the cluster
-// layer's vocabulary advertisement covers all tenants.
-func (s *System) localRules() []*ruleml.Rule {
-	var out []*ruleml.Rule
-	for _, sp := range s.snapshotSpaces() {
-		out = append(out, sp.Engine.RegisteredRules()...)
-	}
-	return out
-}
-
-// registerRecovered re-registers one journaled rule into its tenant's
-// space through the regular validation path, restoring its id and
-// registration time. It is the rule-phase callback of both crash recovery
+// registerRecovered re-registers one journaled rule in its tenant through
+// the regular validation path, restoring its id and registration time. It is the rule-phase callback of both crash recovery
 // (Recover) and cluster partition takeover. Recovery bypasses the
 // max-rules quota (ForceRule): rules journaled before a quota was
 // tightened must survive a restart.
 func (s *System) registerRecovered(tenantWire, id string, doc *xmltree.Node, registered time.Time) error {
-	sp, err := s.spaceFor(tenantWire)
+	t, wire, err := s.tenantFor(tenantWire)
 	if err != nil {
 		return err
 	}
@@ -243,11 +179,11 @@ func (s *System) registerRecovered(tenantWire, id string, doc *xmltree.Node, reg
 		return err
 	}
 	rule.ID = id
-	if err := sp.Engine.Register(rule); err != nil {
+	if err := s.Engine.Add(wire, rule); err != nil {
 		return err
 	}
-	sp.Tenant.ForceRule()
-	sp.Engine.SetRegistered(id, registered)
+	t.ForceRule()
+	s.Engine.SetRegistered(wire, id, registered)
 	return nil
 }
 
@@ -256,18 +192,18 @@ func (s *System) registerRecovered(tenantWire, id string, doc *xmltree.Node, reg
 // under so only that tenant's detectors see it; the event phase of both
 // crash recovery and cluster partition takeover.
 func (s *System) publishRecovered(tenantWire string, doc *xmltree.Node) error {
-	sp, err := s.spaceFor(tenantWire)
+	_, wire, err := s.tenantFor(tenantWire)
 	if err != nil {
 		return err
 	}
 	ev := events.New(doc)
-	ev.Tenant = sp.wire
+	ev.Tenant = wire
 	s.Stream.Publish(ev)
 	return nil
 }
 
 // TenantHealth is one tenant's entry in the /healthz tenants section,
-// present only when more than one space is live.
+// present only when a tenant other than the default is in use.
 type TenantHealth struct {
 	ID            string `json:"id"`
 	Rules         int    `json:"rules"`

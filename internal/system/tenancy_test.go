@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -283,9 +284,7 @@ func TestTenantDurableRecovery(t *testing.T) {
 
 	sys2 := durableSystem(t, dir, nil)
 	defer sys2.Close()
-	for _, sp := range sys2.snapshotSpaces() {
-		sp.Engine.Wait()
-	}
+	sys2.Engine.Wait()
 	fired := firedBy(sys2)
 	if len(fired) != 2 {
 		t.Fatalf("recovery fired %d instances, want 2 (%v)", len(fired), fired)
@@ -305,13 +304,13 @@ func TestTenantDurableRecovery(t *testing.T) {
 	if code != 200 || strings.TrimSpace(body) != "d-acme" {
 		t.Fatalf("recovered acme ids = %d %q", code, body)
 	}
-	// Recovery restored the quota accounting: the acme space counts its
+	// Recovery restored the quota accounting: the acme tenant counts its
 	// one rule.
-	sp, err := sys2.spaceFor("acme")
+	acme, _, err := sys2.tenantFor("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Tenant.Rules(); got != 1 {
+	if got := acme.Rules(); got != 1 {
 		t.Errorf("recovered acme rule count = %d, want 1", got)
 	}
 
@@ -321,6 +320,61 @@ func TestTenantDurableRecovery(t *testing.T) {
 	}
 	if got := firedBy(sys2); got[len(got)-1] != "acme" {
 		t.Fatalf("post-recovery firing = %v", got)
+	}
+}
+
+// A tenant without rules costs no engine state: an unmatched event under
+// each of 10³ tenant headers leaves one engine_rules series — the default
+// tenant's, the one tenant that owns a rule — while every event is
+// admitted and /healthz still lists every tenant the requests named, the
+// default first, and no tenant that is only declared.
+func TestTenantWithoutRulesCostsNoEngineState(t *testing.T) {
+	const tenants = 1000
+	sys, err := NewLocal(Config{Obs: obs.NewHub(), TenantQuotas: map[string]tenant.Quotas{"declared": {MaxRules: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	if code, body := tenantDo(t, http.MethodPost, srv.URL+"/engine/rules", "", tenantRuleXML("r", "default")); code != 200 {
+		t.Fatalf("register = %d %q", code, body)
+	}
+	want := []string{tenant.Default}
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("t%d", i)
+		want = append(want, id)
+		if code, body := tenantDo(t, http.MethodPost, srv.URL+"/events", id, `<t:unmatched xmlns:t="`+tNS+`" x="1"/>`); code != 200 {
+			t.Fatalf("event for %s = %d %q", id, code, body)
+		}
+	}
+	sort.Strings(want[1:])
+	if code, body := tenantDo(t, http.MethodGet, srv.URL+"/engine/rules?tenant=declared", "", ""); code != 200 {
+		t.Errorf("listing a declared tenant = %d %q", code, body)
+	}
+
+	_, metrics := tenantDo(t, http.MethodGet, srv.URL+"/metrics", "", "")
+	var series []string
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "engine_rules{") {
+			series = append(series, line)
+		}
+	}
+	if len(series) != 1 || series[0] != `engine_rules{tenant=""} 1` {
+		t.Errorf("engine_rules series = %d (first %q), want one for the default tenant", len(series), series[:min(3, len(series))])
+	}
+
+	_, body := tenantDo(t, http.MethodGet, srv.URL+"/healthz", "", "")
+	var h Health
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, th := range h.Tenants {
+		got = append(got, th.ID)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("/healthz tenants = %d (first %q), want %d (first %q)", len(got), got[:min(3, len(got))], len(want), want[:3])
 	}
 }
 
@@ -409,9 +463,7 @@ func TestRaisedEventsStayInTenant(t *testing.T) {
 	if code, body := tenantDo(t, http.MethodPost, srv.URL+"/events", "acme", `<t:ping xmlns:t="`+tNS+`" x="5"/>`); code != 200 {
 		t.Fatalf("event = %d %q", code, body)
 	}
-	for _, sp := range sys.snapshotSpaces() {
-		sp.Engine.Wait()
-	}
+	sys.Engine.Wait()
 	if got := strings.Join(firedBy(sys), ","); got != "acme" {
 		t.Fatalf("chained firings = %q, want acme only", got)
 	}
@@ -452,7 +504,7 @@ func TestStreamSubscribersIgnoreTenants(t *testing.T) {
 	}
 	defer sys.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := sys.spaceFor(fmt.Sprintf("t%d", i)); err != nil {
+		if _, _, err := sys.tenantFor(fmt.Sprintf("t%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,11 +533,11 @@ func BenchmarkPublishTenants(b *testing.B) {
 				if i > 0 {
 					name = fmt.Sprintf("t%d", i)
 				}
-				sp, err := sys.spaceFor(name)
+				_, wire, err := sys.tenantFor(name)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sp.Engine.Register(ruleml.MustParse(tenantRuleXML("r", "x"))); err != nil {
+				if err := sys.Engine.Add(wire, ruleml.MustParse(tenantRuleXML("r", "x"))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -220,14 +220,15 @@ func (t *Tenant) AdmitEvents(n int) error {
 
 // Registry owns the tenant set for one System. Tenants are created on
 // first use (open registration) with the registry's default quotas
-// unless quotas were declared for that id up front.
+// unless quotas were declared for that id up front; a declaration alone
+// creates no tenant.
 type Registry struct {
 	defaultID string
 
 	mu       sync.RWMutex
-	declared map[string]Quotas // ids pre-declared via -tenant-quotas
-	wildcard *Quotas           // "*" default quotas for undeclared tenants
-	tenants  map[string]*Tenant
+	declared map[string]Quotas  // ids pre-declared via -tenant-quotas
+	wildcard *Quotas            // "*" default quotas for undeclared tenants
+	tenants  map[string]*Tenant // the default and every tenant resolved since
 	now      func() time.Time
 }
 
@@ -273,8 +274,8 @@ func (r *Registry) newTenant(id string, q Quotas) *Tenant {
 func (r *Registry) DefaultID() string { return r.defaultID }
 
 // Declare registers quotas for a tenant id ("*" sets the default
-// quotas applied to every tenant not declared explicitly). Declaring
-// re-creates the tenant's quota state, so declare before traffic.
+// quotas applied to every tenant not declared explicitly). Declaring a
+// tenant in use re-creates its quota state, so declare before traffic.
 func (r *Registry) Declare(id string, q Quotas) error {
 	if id == "*" {
 		r.mu.Lock()
@@ -289,7 +290,9 @@ func (r *Registry) Declare(id string, q Quotas) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.declared[id] = q
-	r.tenants[id] = r.newTenant(id, q)
+	if _, used := r.tenants[id]; used {
+		r.tenants[id] = r.newTenant(id, q)
+	}
 	return nil
 }
 
@@ -337,9 +340,7 @@ func (r *Registry) Resolve(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// Lookup returns an existing tenant without creating one. Listing
-// filters use it so `?tenant=` on an id that was never declared or
-// used is a client error, not a silent empty result.
+// Lookup returns a tenant in use without creating one.
 func (r *Registry) Lookup(id string) (*Tenant, bool) {
 	id = r.Canonical(id)
 	r.mu.RLock()
@@ -348,7 +349,19 @@ func (r *Registry) Lookup(id string) (*Tenant, bool) {
 	return t, ok
 }
 
-// IDs returns the known tenant ids, sorted.
+// Known reports whether a tenant is in use or declared. Listing filters
+// use it so `?tenant=` on an id that was never declared or used is a
+// client error, not a silent empty result.
+func (r *Registry) Known(id string) bool {
+	id = r.Canonical(id)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, used := r.tenants[id]
+	_, declared := r.declared[id]
+	return used || declared
+}
+
+// IDs returns the ids of the tenants in use, sorted.
 func (r *Registry) IDs() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -76,6 +76,14 @@ func TestRegistryDeclareAndWildcard(t *testing.T) {
 	if err := r.Declare("*", Quotas{MaxRules: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// A declaration alone is known to listing filters but creates no
+	// tenant in use.
+	if _, ok := r.Lookup("acme"); ok || !r.Known("acme") || r.Known("other") {
+		t.Fatalf("declared acme: Lookup ok=%v Known=%v; undeclared other Known=%v", ok, r.Known("acme"), r.Known("other"))
+	}
+	if ids := r.IDs(); len(ids) != 1 || ids[0] != "public" {
+		t.Fatalf("IDs() before use = %v, want only the default", ids)
+	}
 	acme, _ := r.Resolve("acme")
 	if acme.Quotas().MaxRules != 2 {
 		t.Fatalf("declared quotas lost: %+v", acme.Quotas())

@@ -7,10 +7,12 @@
 //  2. host it as a service that accepts registration requests and posts
 //     log:answers detection messages — the language supplies only its
 //     compile step (winlang.Language), services.DetectorHost does the rest,
-//  3. register the service in the GRH under the URI.
+//  3. register the service in the GRH under the URI, with the language's
+//     Compile, so a malformed expression is rejected when its rule is
+//     registered.
 //
-// No engine, GRH or rule-markup changes — a rule simply writes its event
-// component in the new namespace:
+// That is one Register call. No engine, GRH or rule-markup changes — a
+// rule simply writes its event component in the new namespace:
 //
 //	ON   at least 3 failed logins by the same user within 10s
 //	DO   lock the account
@@ -55,7 +57,8 @@ func main() {
 	})
 
 	// Step 2+3: host the new language's compile step and register the
-	// service. This is ALL it takes — the engine and GRH stay untouched.
+	// service with it. This is ALL it takes — the engine and GRH stay
+	// untouched.
 	winService := services.NewDetectorHost(sys.Stream, &services.Deliverer{Local: sys.Engine.OnDetection}, winlang.Language)
 	defer winService.Close()
 	if err := sys.GRH.Register(grh.Descriptor{
@@ -64,6 +67,9 @@ func main() {
 		Kinds:          []ruleml.ComponentKind{ruleml.EventComponent},
 		FrameworkAware: true,
 		Local:          winService,
+		Compile: func(c ruleml.Component) (any, error) {
+			return winlang.Parse(c.Expression)
+		},
 	}); err != nil {
 		log.Fatal(err)
 	}

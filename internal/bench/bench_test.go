@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/compilecache"
+	"repro/internal/domain/travel"
+	"repro/internal/grh"
+	"repro/internal/protocol"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figs.golden from the current replay")
@@ -88,46 +89,47 @@ func normalizePorts(s string) string {
 	return ephemeralPort.ReplaceAllString(s, "127.0.0.1:PORT")
 }
 
-// TestCachedVsFreshFigureReplays is the compile-once property test: every
-// message-flow figure (Figs. 5–11) must replay byte-identically whether the
-// expressions are compiled fresh per dispatch (cache disabled) or served
-// from a warm cache. Any divergence means a cached compiled form carries
-// state between evaluations.
+// TestCachedVsFreshFigureReplays: reusing a rule's compiled forms, kept
+// from its registration, across events carries no state. The message-flow
+// figures (Figs. 5–11) of one scenario whose services get no compiled form
+// (every dispatch compiles the text afresh) are byte-identical to the
+// golden, which the kept forms produced.
 func TestCachedVsFreshFigureReplays(t *testing.T) {
-	cache := compilecache.Default
-	defer func() {
-		cache.SetCapacity(compilecache.DefaultCapacity)
-		cache.Purge()
-	}()
-
-	run := func(n int) (string, error) {
-		var buf bytes.Buffer
-		err := RunFigure(n, &buf)
-		return normalizePorts(buf.String()), err
+	want, err := os.ReadFile("testdata/figs.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	wantFigs := splitFigures(string(want))
+	run, err := runScenario(func(sc *travel.Scenario) {
+		for _, lang := range sc.GRH.Languages() {
+			d, _ := sc.GRH.Lookup(lang)
+			if d.Local == nil {
+				continue
+			}
+			fresh, inner := *d, d.Local
+			fresh.Local = grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+				req.Compiled = nil
+				return inner.Handle(req)
+			})
+			if err := sc.GRH.Register(fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Cleanup()
 	for _, n := range []int{5, 6, 7, 8, 9, 10, 11} {
 		t.Run(fmt.Sprintf("fig%d", n), func(t *testing.T) {
-			// Fresh: the cache is bypassed, every Get compiles.
-			cache.SetCapacity(0)
-			cache.Purge()
-			fresh, err := run(n)
-			if err != nil {
-				t.Fatalf("fresh replay: %v", err)
+			var b strings.Builder
+			fmt.Fprintf(&b, "════════ Figure %d ════════\n\n", n)
+			if err := replayFlow(n, &b, run); err != nil {
+				t.Fatal(err)
 			}
-			// Cached: warm the cache with one full replay, then compare a
-			// second replay served entirely from cached compiled forms.
-			cache.SetCapacity(compilecache.DefaultCapacity)
-			cache.Purge()
-			if _, err := run(n); err != nil {
-				t.Fatalf("warming replay: %v", err)
-			}
-			cached, err := run(n)
-			if err != nil {
-				t.Fatalf("cached replay: %v", err)
-			}
-			if cached != fresh {
-				t.Fatalf("cached replay diverges from fresh:%s", firstDiff(fresh, cached))
+			got, want := strings.TrimRight(normalizePorts(b.String()), "\n"), strings.TrimRight(wantFigs[n], "\n")
+			if got != want {
+				t.Fatalf("replay without compiled forms differs from the golden:%s", firstDiff(want, got))
 			}
 		})
 	}

@@ -40,7 +40,11 @@ type ScenarioRun struct {
 
 // RunScenario wires the car-rental scenario with tracing and publishes the
 // paper's booking event.
-func RunScenario() (*ScenarioRun, error) {
+func RunScenario() (*ScenarioRun, error) { return runScenario(nil) }
+
+// runScenario is RunScenario, with prepare (when not nil) applied to the
+// wired scenario before the booking.
+func runScenario(prepare func(*travel.Scenario)) (*ScenarioRun, error) {
 	run := &ScenarioRun{}
 	var mu sync.Mutex
 	cfg := system.Config{
@@ -61,6 +65,9 @@ func RunScenario() (*ScenarioRun, error) {
 	}
 	run.Sc = sc
 	run.Cleanup = cleanup
+	if prepare != nil {
+		prepare(sc)
+	}
 	sc.Book("John Doe", "Munich", "Paris")
 	return run, nil
 }
@@ -266,6 +273,11 @@ func figFlow(n int, w io.Writer) error {
 		return err
 	}
 	defer run.Cleanup()
+	return replayFlow(n, w, run)
+}
+
+// replayFlow writes message-flow figure n (5–11) as run observed it.
+func replayFlow(n int, w io.Writer, run *ScenarioRun) error {
 	headers := map[int]string{
 		5:  "# Fig. 5 — registration of the event component (engine → GRH → atomic matcher)",
 		6:  "# Fig. 6 — detection of the event component (matcher → engine, instance creation)",

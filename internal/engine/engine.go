@@ -23,6 +23,7 @@ import (
 	"repro/internal/ruleml"
 	"repro/internal/services"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // ErrDuplicateRule reports a Register of an id that is already live.
@@ -181,6 +182,20 @@ type RuleState struct {
 	// stepUses holds, per step, the variables its expression references
 	// (ruleml.VarAnalysis.Uses), analysed once at registration.
 	stepUses [][]string
+	// compiled holds, in rule.Components() order, the compiled form of
+	// each component made at registration, which every dispatch of the
+	// component carries; nil when no component's language compiles
+	// anything.
+	compiled []any
+}
+
+// compiledForm is the compiled form of the rule's i-th component in
+// rule.Components() order (0 is the event), nil when it has none.
+func (rs *RuleState) compiledForm(i int) any {
+	if rs.compiled == nil {
+		return nil
+	}
+	return rs.compiled[i]
 }
 
 // RuleInfo is a race-free snapshot of one rule's bookkeeping, as served
@@ -419,11 +434,27 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 	if err != nil {
 		return err
 	}
-	// Compile-once: warm the expression cache and reject rules whose
-	// component expressions do not compile, so the failure surfaces here
-	// (a 400 naming the component) instead of on every matching event.
-	if err := services.PrecompileRule(rule); err != nil {
-		return fmt.Errorf("engine: rule %q: %w: %w", rule.ID, ErrBadExpression, err)
+	// Compile once: each component's language compiles its expression
+	// here, so a rule that does not compile is rejected (a 400 naming the
+	// component) instead of failing on every matching event, and the
+	// compiled forms stay with the rule.
+	comps := rule.Components()
+	var compiled []any
+	for i, c := range comps {
+		compile := e.grh.Compile
+		if isLocalTest(c) {
+			compile = services.CompileTest
+		}
+		form, err := compile(c)
+		if err != nil {
+			return fmt.Errorf("engine: rule %q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
+		}
+		if form != nil {
+			if compiled == nil {
+				compiled = make([]any, len(comps))
+			}
+			compiled[i] = form
+		}
 	}
 	e.mu.Lock()
 	if rule.ID == "" {
@@ -444,7 +475,8 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		return fmt.Errorf("engine: rule %q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
-	e.rules[k] = &RuleState{Rule: rule, Tenant: tenant, Registered: registered, stepUses: uses[1 : 1+len(rule.Steps)]}
+	e.rules[k] = &RuleState{Rule: rule, Tenant: tenant, Registered: registered,
+		stepUses: uses[1 : 1+len(rule.Steps)], compiled: compiled}
 	e.stats.RulesRegistered++
 	e.countLocked(tenant, 1)
 	e.mu.Unlock()
@@ -619,10 +651,10 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 			TuplesIn:  rel.Size(),
 			Start:     time.Now(),
 		}
-		if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
+		if isLocalTest(step) {
 			sp.Mode = "local"
 		}
-		next, err := e.evalStep(rs, step, rs.stepUses[i], rel, tr, &sp)
+		next, err := e.evalStep(rs, i, rel, tr, &sp)
 		sp.Duration = time.Since(sp.Start)
 		e.met.stepSec.With(string(step.Kind)).Observe(sp.Duration.Seconds())
 		if err != nil {
@@ -652,7 +684,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 		}
 	}
 	stepsDone := time.Now()
-	for _, action := range rule.Actions {
+	for i, action := range rule.Actions {
 		sp := obs.Span{
 			Stage:     string(ruleml.ActionComponent),
 			Component: action.ID,
@@ -664,6 +696,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 		answer, err := e.grh.Dispatch(protocol.Action, grh.Component{
 			Rule:     rule.ID,
 			Comp:     action,
+			Compiled: rs.compiledForm(1 + len(rule.Steps) + i),
 			Bindings: rel,
 			Trace:    tr,
 			Tenant:   rs.Tenant,
@@ -796,14 +829,15 @@ func (e *Engine) died(rs *RuleState, tr *obs.Instance, start time.Time) {
 // relation. tr rides along on the dispatch so the GRH can propagate the
 // instance's trace context to remote services; when the service answers
 // with its own phase spans, they are stitched into sp as children.
-func (e *Engine) evalStep(rs *RuleState, step ruleml.Component, uses []string, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
-	if step.Kind == ruleml.TestComponent && e.isLocalTest(step) {
+func (e *Engine) evalStep(rs *RuleState, i int, rel *bindings.Relation, tr *obs.Instance, sp *obs.Span) (*bindings.Relation, error) {
+	step := rs.Rule.Steps[i]
+	if isLocalTest(step) {
 		// Section 4.5: the test component is in general evaluated locally.
-		return services.EvalTest(step.Text, rel)
+		return services.EvalTest(rs.compiledForm(1+i).(*xpath.Expr), rel)
 	}
 	// Only the relevant bindings travel to the service (Section 4.4): the
 	// variables the component's expression references.
-	input := rel.Project(uses...)
+	input := rel.Project(rs.stepUses[i]...)
 	kind := protocol.Query
 	if step.Kind == ruleml.TestComponent {
 		kind = protocol.Test
@@ -811,6 +845,7 @@ func (e *Engine) evalStep(rs *RuleState, step ruleml.Component, uses []string, r
 	answer, err := e.grh.Dispatch(kind, grh.Component{
 		Rule:     rs.Rule.ID,
 		Comp:     step,
+		Compiled: rs.compiledForm(1 + i),
 		Bindings: input,
 		Trace:    tr,
 		Tenant:   rs.Tenant,
@@ -829,11 +864,13 @@ func (e *Engine) evalStep(rs *RuleState, step ruleml.Component, uses []string, r
 	return rel.Join(answer.Relation()), nil
 }
 
-func (e *Engine) isLocalTest(step ruleml.Component) bool {
-	if !step.Opaque || step.Service != "" {
+// isLocalTest reports whether the engine evaluates a component itself: an
+// opaque test in the test language, addressed to no service.
+func isLocalTest(c ruleml.Component) bool {
+	if c.Kind != ruleml.TestComponent || !c.Opaque || c.Service != "" {
 		return false
 	}
-	return step.Language == "" || step.Language == services.TestNS
+	return c.Language == "" || c.Language == services.TestNS
 }
 
 // extendWithResults implements the eca:variable semantics: for every tuple

@@ -68,6 +68,11 @@ type Descriptor struct {
 	Local Service
 	// Endpoint is the HTTP URL of a remote processor.
 	Endpoint string
+	// Compile turns a component of this language into its compiled form,
+	// once, at registration (see GRH.Compile); the engine keeps the result
+	// with the rule and hands it back on every dispatch as
+	// Component.Compiled. Nil when the language has nothing to compile.
+	Compile func(ruleml.Component) (any, error)
 }
 
 // TraceFunc observes GRH traffic for the message-flow reproductions:
@@ -283,6 +288,29 @@ func (g *GRH) resolve(kind ruleml.ComponentKind, language string) (*Descriptor, 
 	return nil, fmt.Errorf("grh: no processor for language %s", language)
 }
 
+// Compile compiles a component with the language Dispatch would send it
+// to, for the caller to keep and pass back on Component.Compiled. It
+// compiles nothing (nil, nil) for a component pinned to a service URI, in
+// a language no processor is registered for, or whose processor has no
+// Compile or does not accept its kind: those expressions are left to the
+// service, which reads their text.
+func (g *GRH) Compile(c ruleml.Component) (any, error) {
+	if c.Service != "" {
+		return nil, nil
+	}
+	g.mu.RLock()
+	lang := c.Language
+	if lang == "" {
+		lang = g.defaults[c.Kind]
+	}
+	d, ok := g.byLang[lang]
+	g.mu.RUnlock()
+	if !ok || d.Compile == nil || !kindAllowed(d, c.Kind) {
+		return nil, nil
+	}
+	return d.Compile(c)
+}
+
 // Component carries what the GRH needs to evaluate one rule component: the
 // parsed component plus the rule id and input bindings.
 type Component struct {
@@ -296,6 +324,10 @@ type Component struct {
 	// ReplyTo is the detection callback URL for event registrations
 	// handled by remote services.
 	ReplyTo string
+	// Compiled is the component's compiled form as GRH.Compile made it at
+	// registration (nil when there is none). It rides on the request to an
+	// in-process service only; the wire protocol never carries it.
+	Compiled any
 	// Trace is the live rule-instance trace this dispatch belongs to;
 	// its id travels in the X-ECA-Trace-Id header of every outbound HTTP
 	// request so services can report correlated server-side spans. Nil
@@ -324,6 +356,7 @@ func (g *GRH) Dispatch(kind protocol.RequestKind, c Component) (*protocol.Answer
 		Bindings:  c.Bindings,
 		ReplyTo:   c.ReplyTo,
 		Tenant:    c.Tenant,
+		Compiled:  c.Compiled,
 	}
 	if c.Comp.Opaque {
 		// Directly addressed framework-unaware service (uri attribute)?

@@ -460,3 +460,58 @@ func TestConcurrentDispatchesReuseConnections(t *testing.T) {
 			rounds, concurrent, n, concurrent)
 	}
 }
+
+// TestCompile: GRH.Compile uses the Compile of the processor Dispatch
+// would resolve (the kind default for a component without a language),
+// passes its error on, and compiles nothing for a pinned service, an
+// unregistered language, a processor without Compile or one that does not
+// accept the kind. The compiled form reaches the service on dispatch.
+func TestCompile(t *testing.T) {
+	g := New()
+	var got any
+	svc := ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+		got = req.Compiled
+		return protocol.NewAnswer(req.RuleID, req.Component, req.Bindings), nil
+	})
+	compile := func(c ruleml.Component) (any, error) {
+		if c.Text == "bad" {
+			return nil, fmt.Errorf("bad expression")
+		}
+		return "compiled " + c.Text, nil
+	}
+	for _, d := range []Descriptor{
+		{Language: "http://c/", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Local: svc, Compile: compile},
+		{Language: "http://plain/", FrameworkAware: true, Local: svc},
+	} {
+		if err := g.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.SetDefault(ruleml.QueryComponent, "http://c/")
+	query := func(lang, service, text string) ruleml.Component {
+		return ruleml.Component{Kind: ruleml.QueryComponent, ID: "query[1]", Language: lang, Opaque: true, Service: service, Text: text}
+	}
+	for _, c := range []struct {
+		name string
+		comp ruleml.Component
+		want any
+	}{
+		{"language", query("http://c/", "", "q"), "compiled q"},
+		{"kind default", query("", "", "q"), "compiled q"},
+		{"pinned service", query("http://c/", "http://example.org/raw", "q"), nil},
+		{"unregistered language", query("http://nobody/", "", "q"), nil},
+		{"no Compile", query("http://plain/", "", "q"), nil},
+		{"kind not accepted", ruleml.Component{Kind: ruleml.TestComponent, Language: "http://c/", Opaque: true, Text: "q"}, nil},
+	} {
+		if v, err := g.Compile(c.comp); err != nil || v != c.want {
+			t.Errorf("%s: Compile = %v, %v; want %v", c.name, v, err, c.want)
+		}
+	}
+	if v, err := g.Compile(query("http://c/", "", "bad")); err == nil || v != nil {
+		t.Errorf("bad expression: Compile = %v, %v; want the language's error", v, err)
+	}
+	if _, err := g.Dispatch(protocol.Query, Component{Rule: "r", Comp: query("http://c/", "", "q"),
+		Compiled: "kept", Bindings: bindings.NewRelation()}); err != nil || got != "kept" {
+		t.Errorf("dispatch: service got Compiled %v (err %v), want the component's", got, err)
+	}
+}

@@ -123,6 +123,11 @@ type Request struct {
 	// default tenant, which keeps the wire format of tenant-unaware
 	// deployments byte-identical.
 	Tenant string
+	// Compiled is the expression's compiled form, handed to an in-process
+	// service so it need not compile the text again; services check its
+	// type and fall back to compiling Expression. EncodeRequest never
+	// writes it and DecodeRequest leaves it nil.
+	Compiled any
 }
 
 // AnswerRow is one <log:answer> element: a tuple of variable bindings plus

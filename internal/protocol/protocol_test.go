@@ -127,6 +127,16 @@ func TestRequestRoundTrip(t *testing.T) {
 	if !dec.Bindings.Equal(req.Bindings) {
 		t.Errorf("bindings round trip:\nwant %s\ngot %s", req.Bindings, dec.Bindings)
 	}
+	// A compiled form is in-process only: it changes nothing on the wire
+	// and a decoded request has none.
+	withCompiled := *req
+	withCompiled.Compiled = "compiled form"
+	if got := EncodeRequest(&withCompiled).String(); got != enc.String() {
+		t.Errorf("Compiled reached the wire:\n%s", got)
+	}
+	if dec.Compiled != nil {
+		t.Errorf("decoded Compiled = %v, want nil", dec.Compiled)
+	}
 }
 
 func TestDecodeRequestRejectsUnknownKind(t *testing.T) {

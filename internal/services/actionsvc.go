@@ -118,15 +118,13 @@ func (a *ActionExecutor) execute(expr *xmltree.Node, tenant string, t bindings.T
 		if a.store == nil {
 			return fmt.Errorf("store:delete: no document store attached")
 		}
-		// Substitution yields per-tuple source text, so the cache's negative
-		// entries matter here: a bad selector is compiled (and rejected) once.
-		selector := grh.SubstituteVars(sel, t)
-		compiled, err := xpath.CompileCached(selector)
+		// Substitution yields per-tuple source text, compiled per tuple.
+		selector, err := xpath.Compile(grh.SubstituteVars(sel, t))
 		if err != nil {
 			return fmt.Errorf("store:delete select: %w", err)
 		}
 		return a.store.Update(doc, func(d *xmltree.Node) error {
-			ns, err := compiled.EvalNodes(&xpath.Context{Node: d})
+			ns, err := selector.EvalNodes(&xpath.Context{Node: d})
 			if err != nil {
 				return err
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grh"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/ruleml"
 	"repro/internal/snoop"
 	"repro/internal/xmltree"
 )
@@ -97,6 +98,20 @@ func compileSnoop(expr *xmltree.Node) (snoop.Expr, snoop.ParamContext, error) {
 		}
 	}
 	return e, ctx, snoop.Validate(e)
+}
+
+// CompileSnoop checks a SNOOP event component at registration (the SNOOP
+// service's grh.Descriptor.Compile), so a malformed expression is a bad
+// rule; the detector itself is built when the event is registered.
+func CompileSnoop(c ruleml.Component) (any, error) {
+	if c.Expression == nil {
+		return nil, nil
+	}
+	e, _, err := compileSnoop(c.Expression)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // snoopEvents compiles SNOOP expressions (compileSnoop). A detector listens

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grh"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/ruleml"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xq"
@@ -36,11 +37,7 @@ func (s *XQueryService) Handle(req *protocol.Request) (*protocol.Answer, error) 
 	if req.Kind != protocol.Query {
 		return nil, fmt.Errorf("xqueryd: unsupported request kind %q", req.Kind)
 	}
-	text, err := queryText(req.Expression)
-	if err != nil {
-		return nil, fmt.Errorf("xqueryd: %w", err)
-	}
-	q, err := xq.CompileCached(text)
+	q, err := compiledOr(req, xq.Compile)
 	if err != nil {
 		return nil, fmt.Errorf("xqueryd: %w", err)
 	}
@@ -63,6 +60,56 @@ func (s *XQueryService) Handle(req *protocol.Request) (*protocol.Answer, error) 
 	}
 	return a, nil
 }
+
+// compiledOr returns the request's compiled form when it is a T, as the
+// engine kept it from registration; else it compiles the expression text
+// (a request off the wire, or from a caller that compiled nothing).
+func compiledOr[T any](req *protocol.Request, compile func(string) (T, error)) (T, error) {
+	if v, ok := req.Compiled.(T); ok {
+		return v, nil
+	}
+	text, err := queryText(req.Expression)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return compile(text)
+}
+
+// compileComponent compiles a component's expression text, its opaque
+// text or what queryText reads from its expression element, for
+// grh.Descriptor.Compile.
+func compileComponent[T any](c ruleml.Component, compile func(string) (T, error)) (any, error) {
+	text := strings.TrimSpace(c.Text)
+	var err error
+	switch {
+	case !c.Opaque:
+		text, err = queryText(c.Expression)
+	case text == "":
+		err = fmt.Errorf("empty %s expression", c.Kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	v, err := compile(text)
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// CompileXQuery compiles an XQuery-lite query component into its *xq.Query
+// (the XQuery service's grh.Descriptor.Compile).
+func CompileXQuery(c ruleml.Component) (any, error) { return compileComponent(c, xq.Compile) }
+
+// CompileDatalog parses a Datalog query component into its goal
+// datalog.Atom (the Datalog service's grh.Descriptor.Compile).
+func CompileDatalog(c ruleml.Component) (any, error) { return compileComponent(c, datalog.ParseQuery) }
+
+// CompileTest compiles a test component into its *xpath.Expr (the test
+// evaluator's grh.Descriptor.Compile, and the engine's for the tests it
+// evaluates itself).
+func CompileTest(c ruleml.Component) (any, error) { return compileComponent(c, xpath.Compile) }
 
 // queryText extracts the query source from the expression element: either
 // the text content of a marked-up <xq:query> element or the wrapped opaque
@@ -156,13 +203,9 @@ func (s *DatalogService) Handle(req *protocol.Request) (*protocol.Answer, error)
 	if req.Kind != protocol.Query {
 		return nil, fmt.Errorf("datalogd: unsupported request kind %q", req.Kind)
 	}
-	text, err := queryText(req.Expression)
+	goal, err := compiledOr(req, datalog.ParseQuery)
 	if err != nil {
 		return nil, fmt.Errorf("datalogd: %w", err)
-	}
-	goal, err := datalog.ParseQueryCached(text)
-	if err != nil {
-		return nil, err
 	}
 	s.mu.RLock()
 	db := s.db
@@ -200,24 +243,20 @@ func (TestEvaluator) Handle(req *protocol.Request) (*protocol.Answer, error) {
 	if req.Kind != protocol.Test {
 		return nil, fmt.Errorf("testd: unsupported request kind %q", req.Kind)
 	}
-	text, err := queryText(req.Expression)
+	expr, err := compiledOr(req, xpath.Compile)
 	if err != nil {
 		return nil, fmt.Errorf("testd: %w", err)
 	}
-	keep, err := EvalTest(text, req.Bindings)
+	keep, err := EvalTest(expr, req.Bindings)
 	if err != nil {
 		return nil, err
 	}
 	return protocol.NewAnswer(req.RuleID, req.Component, keep), nil
 }
 
-// EvalTest filters a relation by a boolean XPath condition over the bound
-// variables (σ of Section 3).
-func EvalTest(cond string, rel *bindings.Relation) (*bindings.Relation, error) {
-	expr, err := xpath.CompileCached(cond)
-	if err != nil {
-		return nil, fmt.Errorf("test: %w", err)
-	}
+// EvalTest filters a relation by a compiled boolean XPath condition over
+// the bound variables (σ of Section 3).
+func EvalTest(expr *xpath.Expr, rel *bindings.Relation) (*bindings.Relation, error) {
 	dummy := xmltree.NewDocument()
 	var evalErr error
 	out := rel.Select(func(t bindings.Tuple) bool {
@@ -240,7 +279,7 @@ func EvalTest(cond string, rel *bindings.Relation) (*bindings.Relation, error) {
 		}
 		ok, err := expr.EvalBool(&xpath.Context{Node: dummy, Vars: vars})
 		if err != nil {
-			evalErr = fmt.Errorf("test %q: %w", cond, err)
+			evalErr = fmt.Errorf("test %q: %w", expr, err)
 			return false
 		}
 		return ok
@@ -281,7 +320,7 @@ func (s *OpaqueXMLStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
-	expr, err := xpath.CompileCached(q)
+	expr, err := xpath.Compile(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -346,7 +385,7 @@ func (s *OpaqueXQueryNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
-	q, err := xq.CompileCached(qs)
+	q, err := xq.Compile(qs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

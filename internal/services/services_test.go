@@ -17,6 +17,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/snoop"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 func TestDocStore(t *testing.T) {
@@ -162,7 +163,7 @@ func TestTestEvaluator(t *testing.T) {
 		bindings.MustTuple("N", bindings.Num(5), "S", bindings.Str("keep")),
 		bindings.MustTuple("N", bindings.Num(50), "S", bindings.Str("drop")),
 	)
-	out, err := EvalTest(`$N < 10 and $S = 'keep'`, rel)
+	out, err := EvalTest(xpath.MustCompile(`$N < 10 and $S = 'keep'`), rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,19 @@ func TestTestEvaluator(t *testing.T) {
 	if len(a.Rows) != 1 || a.Rows[0].Tuple["S"].AsString() != "drop" {
 		t.Errorf("rows = %+v", a.Rows)
 	}
+	// A compiled form on the request is used in place of the text.
+	a, err = TestEvaluator{}.Handle(&protocol.Request{Kind: protocol.Test, Expression: expr, Bindings: rel,
+		Compiled: xpath.MustCompile(`$N < 10`)})
+	if err != nil || len(a.Rows) != 1 || a.Rows[0].Tuple["S"].AsString() != "keep" {
+		t.Errorf("with Compiled: rows = %+v, err %v", a, err)
+	}
 	// Bad condition.
-	if _, err := EvalTest(`$N <`, rel); err == nil {
+	bad := xmltree.NewElement(TestNS, "test")
+	bad.AppendText(`$N <`)
+	if _, err := (TestEvaluator{}).Handle(&protocol.Request{Kind: protocol.Test, Expression: bad, Bindings: rel}); err == nil {
 		t.Error("bad condition should fail")
 	}
-	if _, err := EvalTest(`$Missing > 1`, rel); err == nil {
+	if _, err := EvalTest(xpath.MustCompile(`$Missing > 1`), rel); err == nil {
 		t.Error("unbound variable in test should fail")
 	}
 }

@@ -12,10 +12,11 @@ import (
 	"repro/internal/protocol"
 )
 
-// TestConcurrentRulesThroughCachedForms drives two rules that share one
-// cached compiled test expression from many goroutines at once (run under
-// -race): cached compiled forms must be safe for concurrent evaluation and
-// must not leak bindings between in-flight events.
+// TestConcurrentRulesThroughCachedForms drives two rules with the same test
+// expression from many goroutines at once (run under -race): the compiled
+// form each rule keeps from its registration is evaluated by all its
+// in-flight instances, so it must be safe for concurrent evaluation and
+// must not leak bindings between events.
 func TestConcurrentRulesThroughCachedForms(t *testing.T) {
 	sys, err := NewLocal(Config{})
 	if err != nil {
@@ -24,8 +25,8 @@ func TestConcurrentRulesThroughCachedForms(t *testing.T) {
 	srv := httptest.NewServer(sys.Mux(nil, nil))
 	defer srv.Close()
 
-	// Both rules carry the same test expression, so after registration
-	// pre-warming they evaluate through the same cached *xpath.Expr.
+	// Both rules carry the same test expression; each evaluates it through
+	// the *xpath.Expr compiled when it was registered.
 	rule := func(id, action string) string {
 		return `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="` + id + `">
 		  <eca:event><t:ping x="$X"/></eca:event>

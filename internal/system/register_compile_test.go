@@ -8,8 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/compilecache"
 	"repro/internal/engine"
+	"repro/internal/events"
+	"repro/internal/grh"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
 	"repro/internal/services"
@@ -17,7 +18,7 @@ import (
 )
 
 // badTestRuleXML is a rule whose test component is not valid XPath: before
-// registration-time precompilation the register succeeded and every
+// rules were compiled at registration the register succeeded and every
 // matching event produced a service error.
 func badTestRuleXML(id string) string {
 	return `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="` + id + `">
@@ -187,12 +188,6 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 	defer srv.Close()
 	deep := strings.Repeat("(", 1e6) + "1" + strings.Repeat(")", 1e6)
 	chain := "1" + strings.Repeat("+1", 2<<20) + " > 1"
-	// The chain's compiled form is about 180 MB; drop it from the
-	// process-wide compile cache so later tests do not carry it.
-	t.Cleanup(func() {
-		compilecache.Default.SetCapacity(0)
-		compilecache.Default.SetCapacity(compilecache.DefaultCapacity)
-	})
 	for _, c := range []struct {
 		name, component, next string
 		status                int
@@ -227,6 +222,12 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 				if info, _ := sys.Engine.RuleInfo("", "deep"); resp.StatusCode != http.StatusOK || info.Firings != 1 {
 					t.Errorf("event: status %d, chain rule fired %d times; want 200 and once", resp.StatusCode, info.Firings)
 				}
+				// The chain's compiled form, about 180 MB, is kept with the
+				// rule: unregistering it lets it go, so later tests do not
+				// carry it.
+				if err := sys.Engine.Unregister("", "deep"); err != nil {
+					t.Fatal(err)
+				}
 			}
 			resp, err = http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(simpleRuleXML(c.next)))
 			if err != nil {
@@ -237,5 +238,54 @@ func TestRegisterRejectsDeepNesting(t *testing.T) {
 				t.Errorf("next request: status %d, want 200", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestRuleCompiledOnce: a rule's expression is compiled once, at
+// registration, whatever its size, and every dispatch carries that one
+// compiled form. The 4 MB operator chain takes about a second to
+// compile.
+func TestRuleCompiledOnce(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	d, _ := sys.GRH.Lookup(services.TestNS)
+	recorder, inner := *d, d.Local
+	var seen []any
+	recorder.Local = grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+		seen = append(seen, req.Compiled)
+		return inner.Handle(req)
+	})
+	if err := sys.GRH.Register(recorder); err != nil {
+		t.Fatal(err)
+	}
+	chain := "1" + strings.Repeat("+1", 2<<20) + " > 1"
+	rule, err := ruleml.ParseString(`<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="chain">
+	  <eca:event><t:ping x="$X"/></eca:event>
+	  <eca:test><c:test xmlns:c="` + services.TestNS + `">` + chain + `</c:test></eca:test>
+	  <eca:action><t:pong x="$X"/></eca:action>
+	</eca:rule>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Engine.Register(rule); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Engine.Unregister("", "chain")
+	for i := 0; i < 3; i++ {
+		sys.Stream.Publish(events.New(pingPayload("1")))
+	}
+	if info, _ := sys.Engine.RuleInfo("", "chain"); info.Firings != 3 {
+		t.Errorf("rule fired %d times, want 3", info.Firings)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d test dispatches, want 3", len(seen))
+	}
+	for i, c := range seen {
+		if c == nil || c != seen[0] {
+			t.Fatalf("dispatch %d carried a %T compiled form (the first dispatch's: %v), want the same non-nil form on every dispatch", i, c, c == seen[0])
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/bindings"
 	"repro/internal/cluster"
-	"repro/internal/compilecache"
 	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/events"
@@ -239,7 +238,6 @@ func NewLocal(cfg Config) (*System, error) {
 		}
 	}
 	s.Tenants = tenants
-	compilecache.Default.SetObs(cfg.Obs)
 	opts := []engine.Option{engine.WithObs(cfg.Obs), engine.WithLog(cfg.Log)}
 	if cfg.Logger != nil {
 		opts = append(opts, engine.WithLogger(cfg.Logger))
@@ -268,16 +266,8 @@ func NewLocal(cfg Config) (*System, error) {
 	}
 	s.Datalog = dl
 
-	regs := []grh.Descriptor{
-		{Language: services.MatcherNS, Name: "atomic event matcher", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.Matcher},
-		{Language: snoop.NS, Name: "SNOOP detection service", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Local: s.Snoop},
-		{Language: services.XQueryNS, Name: "XQuery service", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Local: s.XQuery},
-		{Language: services.DatalogNS, Name: "Datalog service", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Local: s.Datalog},
-		{Language: services.TestNS, Name: "test evaluator", Kinds: []ruleml.ComponentKind{ruleml.TestComponent}, FrameworkAware: true, Local: services.TestEvaluator{}},
-		{Language: services.ActionNS, Name: "action executor", Kinds: []ruleml.ComponentKind{ruleml.ActionComponent}, FrameworkAware: true, Local: s.Actions},
-	}
-	for _, d := range regs {
-		if err := s.GRH.Register(d); err != nil {
+	for _, l := range s.languages() {
+		if err := s.GRH.Register(l.descriptor("")); err != nil {
 			return nil, err
 		}
 	}
@@ -371,12 +361,9 @@ func (s *System) StartCluster() {
 //	GET  /debug/pprof/        runtime profiling (when Config.PProf is set)
 func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/services/matcher", services.NewHandler(s.Matcher, s.Obs, s.Log))
-	mux.Handle("/services/snoop", services.NewHandler(s.Snoop, s.Obs, s.Log))
-	mux.Handle("/services/xquery", services.NewHandler(s.XQuery, s.Obs, s.Log))
-	mux.Handle("/services/datalog", services.NewHandler(s.Datalog, s.Obs, s.Log))
-	mux.Handle("/services/test", services.NewHandler(services.TestEvaluator{}, s.Obs, s.Log))
-	mux.Handle("/services/action", services.NewHandler(s.Actions, s.Obs, s.Log))
+	for _, l := range s.languages() {
+		mux.Handle(l.path, services.NewHandler(l.svc, s.Obs, s.Log))
+	}
 	if opaqueDoc != nil {
 		mux.Handle("/opaque/store", services.NewOpaqueXMLStore(opaqueDoc, namespaces).SetObs(s.Obs))
 	}
@@ -514,17 +501,21 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			if !ok {
 				return
 			}
-			switch err := s.Engine.Unregister(wire, id); {
-			case errors.Is(err, engine.ErrNoRule):
+			err := s.Engine.Unregister(wire, id)
+			if errors.Is(err, engine.ErrNoRule) {
 				http.Error(w, fmt.Sprintf("no rule %q", id), http.StatusNotFound)
-			case err != nil:
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			default:
-				if t, ok := s.Tenants.Lookup(wire); ok {
-					t.ReleaseRule()
-				}
-				fmt.Fprintln(w, id)
+				return
 			}
+			// The engine removed the rule, even when withdrawing its event
+			// registration failed, so its quota slot is free either way.
+			if t, ok := s.Tenants.Lookup(wire); ok {
+				t.ReleaseRule()
+			}
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			fmt.Fprintln(w, id)
 		default:
 			http.Error(w, "GET or DELETE a rule id", http.StatusMethodNotAllowed)
 		}
@@ -896,18 +887,46 @@ func (s *System) Recover() (store.RecoveryStats, error) {
 // receiving detections locally unless replyTo routing is configured on the
 // services' Deliverer.
 func (s *System) Distribute(baseURL string) error {
-	remote := []grh.Descriptor{
-		{Language: services.MatcherNS, Name: "atomic event matcher (remote)", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/matcher"},
-		{Language: snoop.NS, Name: "SNOOP detection service (remote)", Kinds: []ruleml.ComponentKind{ruleml.EventComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/snoop"},
-		{Language: services.XQueryNS, Name: "XQuery service (remote)", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/xquery"},
-		{Language: services.DatalogNS, Name: "Datalog service (remote)", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/datalog"},
-		{Language: services.TestNS, Name: "test evaluator (remote)", Kinds: []ruleml.ComponentKind{ruleml.TestComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/test"},
-		{Language: services.ActionNS, Name: "action executor (remote)", Kinds: []ruleml.ComponentKind{ruleml.ActionComponent}, FrameworkAware: true, Endpoint: baseURL + "/services/action"},
-	}
-	for _, d := range remote {
-		if err := s.GRH.Register(d); err != nil {
+	for _, l := range s.languages() {
+		if err := s.GRH.Register(l.descriptor(baseURL + l.path)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// language is one built-in component language: its namespace, the kind
+// of component it serves, the path Mux mounts its service under, the
+// service, and how it compiles a component at registration (nil: it has
+// nothing to compile).
+type language struct {
+	ns, name, path string
+	kind           ruleml.ComponentKind
+	svc            grh.Service
+	compile        func(ruleml.Component) (any, error)
+}
+
+// languages is the table of built-in languages, the one place NewLocal,
+// Distribute and Mux take them from.
+func (s *System) languages() []language {
+	return []language{
+		{services.MatcherNS, "atomic event matcher", "/services/matcher", ruleml.EventComponent, s.Matcher, nil},
+		{snoop.NS, "SNOOP detection service", "/services/snoop", ruleml.EventComponent, s.Snoop, services.CompileSnoop},
+		{services.XQueryNS, "XQuery service", "/services/xquery", ruleml.QueryComponent, s.XQuery, services.CompileXQuery},
+		{services.DatalogNS, "Datalog service", "/services/datalog", ruleml.QueryComponent, s.Datalog, services.CompileDatalog},
+		{services.TestNS, "test evaluator", "/services/test", ruleml.TestComponent, services.TestEvaluator{}, services.CompileTest},
+		{services.ActionNS, "action executor", "/services/action", ruleml.ActionComponent, s.Actions, nil},
+	}
+}
+
+// descriptor is the language's GRH registration: its in-process service,
+// or with an endpoint the remote one behind it.
+func (l language) descriptor(endpoint string) grh.Descriptor {
+	d := grh.Descriptor{Language: l.ns, Name: l.name, Kinds: []ruleml.ComponentKind{l.kind},
+		FrameworkAware: true, Local: l.svc, Compile: l.compile}
+	if endpoint != "" {
+		d.Name += " (remote)"
+		d.Local, d.Endpoint = nil, endpoint
+	}
+	return d
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
 	"repro/internal/services"
+	"repro/internal/snoop"
 	"repro/internal/xmltree"
 )
 
@@ -333,20 +334,58 @@ func TestTwoNodeDistributedDetection(t *testing.T) {
 	}
 }
 
+// TestDistributeRewiresEverything: after Distribute every built-in
+// language is served remotely, from the path Mux mounts for it, and still
+// compiles at registration: a rule with a bad component in it is rejected
+// with a 400 naming that component.
 func TestDistributeRewiresEverything(t *testing.T) {
 	sys, err := NewLocal(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	srv := httptest.NewServer(sys.Mux(nil, nil))
 	defer srv.Close()
 	if err := sys.Distribute(srv.URL); err != nil {
 		t.Fatal(err)
 	}
+	event := `<eca:event><t:ping x="$X"/></eca:event>`
+	for _, c := range []struct {
+		name, event, step, component string
+	}{
+		{"xq:query", event, `<eca:query><xq:query>for $c in doc( return $c</xq:query></eca:query>`, "query[1]"},
+		{"eca:test", event, `<eca:test>$X !!= '7'</eca:test>`, "test[1]"},
+		{"test language", event, `<eca:test><c:test xmlns:c="` + services.TestNS + `">$X !!= '7'</c:test></eca:test>`, "test[1]"},
+		{"datalog", event, `<eca:query><d:query xmlns:d="` + services.DatalogNS + `">owns(X,</d:query></eca:query>`, "query[1]"},
+		{"snoop", `<eca:event><snoop:bogus xmlns:snoop="` + snoop.NS + `"><snoop:event><t:ping x="$X"/></snoop:event></snoop:bogus></eca:event>`, "", "event"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rule := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" xmlns:xq="` + services.XQueryNS + `" id="bad">` +
+				c.event + c.step + `<eca:action><t:pong x="$X"/></eca:action></eca:rule>`
+			resp, err := http.Post(srv.URL+"/engine/rules", "application/xml", strings.NewReader(rule))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "component "+c.component) {
+				t.Errorf("status %d body %q, want 400 naming %s", resp.StatusCode, body, c.component)
+			}
+		})
+	}
 	for _, lang := range sys.GRH.Languages() {
 		d, _ := sys.GRH.Lookup(lang)
-		if d.Local != nil || d.Endpoint == "" {
-			t.Errorf("language %s still local after Distribute", lang)
+		if d.Local != nil || !strings.HasPrefix(d.Endpoint, srv.URL+"/services/") {
+			t.Errorf("language %s: local %v, endpoint %q; want remote under /services/", lang, d.Local, d.Endpoint)
+			continue
+		}
+		resp, err := http.Post(d.Endpoint, "application/xml", strings.NewReader("<not-a-request/>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			t.Errorf("language %s: POST %s = 404, Mux does not mount it", lang, d.Endpoint)
 		}
 	}
 }

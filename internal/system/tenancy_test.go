@@ -2,6 +2,7 @@ package system
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/bindings"
 	"repro/internal/events"
+	"repro/internal/grh"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
@@ -251,6 +253,47 @@ func TestTenantQuotaRejections(t *testing.T) {
 		if !strings.Contains(exp.String(), want) {
 			t.Errorf("exposition missing %s:\n%s", want, exp.String())
 		}
+	}
+}
+
+// TestDeleteReleasesQuotaWhenUnregisterFails: DELETE of a rule whose
+// event service fails to withdraw the registration answers 500, but the
+// engine has removed the rule, so the tenant's max-rules slot is free and
+// the next registration fits.
+func TestDeleteReleasesQuotaWhenUnregisterFails(t *testing.T) {
+	sys, err := NewLocal(Config{TenantQuotas: map[string]tenant.Quotas{"acme": {MaxRules: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const failNS = "http://example.org/failing-events"
+	if err := sys.GRH.Register(grh.Descriptor{Language: failNS, FrameworkAware: true,
+		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+			if req.Kind == protocol.UnregisterEvent {
+				return nil, errors.New("event service unavailable")
+			}
+			return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
+		})}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+
+	failing := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:f="` + failNS + `" xmlns:t="` + tNS + `" id="d-1">
+	  <eca:event><f:ping x="$X"/></eca:event>
+	  <eca:action><t:pong x="$X"/></eca:action>
+	</eca:rule>`
+	if code, body := tenantDo(t, http.MethodPost, srv.URL+"/engine/rules", "acme", failing); code != 200 {
+		t.Fatalf("register = %d %q", code, body)
+	}
+	if code, body := tenantDo(t, http.MethodDelete, srv.URL+"/engine/rules/d-1", "acme", ""); code != 500 {
+		t.Fatalf("delete = %d %q, want 500", code, body)
+	}
+	if code, body := tenantDo(t, http.MethodGet, srv.URL+"/engine/rules?tenant=acme&format=ids", "", ""); code != 200 || body != "" {
+		t.Fatalf("acme rules after delete = %d %q, want none", code, body)
+	}
+	if code, body := tenantDo(t, http.MethodPost, srv.URL+"/engine/rules", "acme", tenantRuleXML("d-2", "acme")); code != 200 {
+		t.Fatalf("registration after delete = %d %q, want 200", code, body)
 	}
 }
 

@@ -3,8 +3,8 @@
 // pending events, token-bucket event rate), and a registry that owns
 // the tenant set for one System.
 //
-// Tenants are namespaces, not processes: every tenant shares the GRH,
-// compile cache, journal file and ordered dispatch stage, but rules
+// Tenants are namespaces, not processes: every tenant shares the engine,
+// the GRH, the journal file and the ordered dispatch stage, but rules
 // registered under one tenant only ever see events published under the
 // same tenant. The default tenant (normally "public") is what every
 // request without an explicit tenant resolves to, which is how a

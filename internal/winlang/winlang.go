@@ -92,7 +92,7 @@ type match struct {
 // Language compiles a win:atleast expression for the detection host: the
 // detector listens to its pattern's event name.
 func Language(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
-	e, err := ParseCached(expr)
+	e, err := Parse(expr)
 	if err != nil {
 		return events.Detector{}, err
 	}

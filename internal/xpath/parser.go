@@ -3,9 +3,52 @@ package xpath
 import (
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/xmltree"
 )
+
+// SyntaxError is the error Compile returns for malformed expressions. Pos
+// is a byte offset into Src; embedding compilers (internal/xq carves XPath
+// spans out of XQuery-lite source) translate it into their own coordinate
+// space instead of re-parsing the message.
+type SyntaxError struct {
+	Src string // the expression source handed to Compile
+	Pos int    // byte offset into Src where compilation failed
+	Msg string // what went wrong
+}
+
+// errorContext is how many bytes of the source an error message quotes on
+// either side of the failing position, so that the message about a large
+// expression (and a rejected rule's 400 body) stays small.
+const errorContext = 32
+
+// Error renders the historical message shape, quoting the source around
+// Pos.
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("xpath: %q: position %d: %s", excerpt(e.Src, e.Pos), e.Pos, e.Msg)
+}
+
+// excerpt is src around pos: all of it when it is short, else about
+// errorContext bytes on either side, widened to whole runes (by at most a
+// rune's length, however invalid the UTF-8), with "…" where cut.
+func excerpt(src string, pos int) string {
+	from, to := max(0, pos-errorContext), min(len(src), pos+errorContext)
+	for i := 1; i < utf8.UTFMax && from > 0 && !utf8.RuneStart(src[from]); i++ {
+		from--
+	}
+	for i := 1; i < utf8.UTFMax && to < len(src) && !utf8.RuneStart(src[to]); i++ {
+		to++
+	}
+	s := src[from:to]
+	if from > 0 {
+		s = "…" + s
+	}
+	if to < len(src) {
+		s += "…"
+	}
+	return s
+}
 
 // Compile parses an XPath expression into an immutable, reusable Expr.
 func Compile(src string) (*Expr, error) {

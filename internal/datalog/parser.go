@@ -59,7 +59,7 @@ func ParseQuery(src string) (Atom, error) {
 	}
 	p.skipWS()
 	if p.pos < len(p.src) {
-		return Atom{}, fmt.Errorf("datalog: trailing input after query atom: %q", p.src[p.pos:])
+		return Atom{}, fmt.Errorf("datalog: trailing input after query atom: %q", peekAt(p.src, p.pos))
 	}
 	return a, nil
 }
@@ -190,7 +190,7 @@ func (p *dlParser) parseAtom() (Atom, error) {
 		return Atom{}, p.errf("expected a predicate name, found %q", peekAt(p.src, p.pos))
 	}
 	if r := rune(name[0]); unicode.IsUpper(r) || r == '_' {
-		return Atom{}, p.errf("predicate name %q must not start with an upper-case letter", name)
+		return Atom{}, p.errf("predicate name %q must not start with an upper-case letter", peekAt(name, 0))
 	}
 	if err := p.expect('('); err != nil {
 		return Atom{}, err
@@ -267,7 +267,7 @@ func (p *dlParser) parseTerm() (Term, error) {
 		}
 		f, err := strconv.ParseFloat(p.src[start:p.pos], 64)
 		if err != nil {
-			return Term{}, p.errf("bad number %q", p.src[start:p.pos])
+			return Term{}, p.errf("bad number %q", peekAt(p.src[:p.pos], start))
 		}
 		return N(f), nil
 	default:
@@ -295,6 +295,7 @@ func (p *dlParser) parseIdent() string {
 	return p.src[start:p.pos]
 }
 
+// peekAt is what an error quotes of s at pos: at most 10 bytes.
 func peekAt(s string, pos int) string {
 	end := pos + 10
 	if end > len(s) {

@@ -22,14 +22,14 @@ import (
 // tuple it evaluates the query with the tuple's variables bound and returns
 // the result items as functional results (one <log:answer> per input tuple).
 type XQueryService struct {
-	store      *DocStore
+	docs       func(uri string) (*xmltree.Node, error)
 	namespaces map[string]string
 }
 
 // NewXQueryService creates the service over a document store. The
 // namespace map is offered to queries for prefixed name tests.
 func NewXQueryService(store *DocStore, namespaces map[string]string) *XQueryService {
-	return &XQueryService{store: store, namespaces: namespaces}
+	return &XQueryService{docs: store.Resolver(), namespaces: namespaces}
 }
 
 // Handle implements grh.Service for query components.
@@ -44,7 +44,7 @@ func (s *XQueryService) Handle(req *protocol.Request) (*protocol.Answer, error) 
 	a := &protocol.Answer{RuleID: req.RuleID, Component: req.Component}
 	for _, t := range req.Bindings.Tuples() {
 		ctx := &xq.Context{
-			Docs:       s.store.Resolver(),
+			Docs:       s.docs,
 			Vars:       tupleToXQVars(t),
 			Namespaces: s.namespaces,
 		}
@@ -255,29 +255,27 @@ func (TestEvaluator) Handle(req *protocol.Request) (*protocol.Answer, error) {
 }
 
 // EvalTest filters a relation by a compiled boolean XPath condition over
-// the bound variables (σ of Section 3).
+// the bound variables (σ of Section 3). It converts only the variables the
+// condition references.
 func EvalTest(expr *xpath.Expr, rel *bindings.Relation) (*bindings.Relation, error) {
-	dummy := xmltree.NewDocument()
+	ctx := &xpath.Context{Node: xmltree.NewDocument()}
+	names := expr.Vars()
+	if len(names) > 0 {
+		ctx.Vars = make(map[string]xpath.Object, len(names))
+	}
 	var evalErr error
 	out := rel.Select(func(t bindings.Tuple) bool {
 		if evalErr != nil {
 			return false
 		}
-		vars := make(map[string]xpath.Object, len(t))
-		for name, v := range t {
-			switch v.Kind() {
-			case bindings.XML:
-				vars[name] = xpath.NodeSet{v.Node()}
-			case bindings.Number:
-				f, _ := v.AsNumber()
-				vars[name] = f
-			case bindings.Bool:
-				vars[name] = v.AsBool()
-			default:
-				vars[name] = v.AsString()
+		for _, name := range names {
+			if v, ok := t[name]; ok {
+				ctx.Vars[name] = xpathValue(v)
+			} else {
+				delete(ctx.Vars, name)
 			}
 		}
-		ok, err := expr.EvalBool(&xpath.Context{Node: dummy, Vars: vars})
+		ok, err := expr.EvalBool(ctx)
 		if err != nil {
 			evalErr = fmt.Errorf("test %q: %w", expr, err)
 			return false
@@ -290,6 +288,65 @@ func EvalTest(expr *xpath.Expr, rel *bindings.Relation) (*bindings.Relation, err
 	return out, nil
 }
 
+// xpathValue is a bound value as an XPath object.
+func xpathValue(v bindings.Value) xpath.Object {
+	switch v.Kind() {
+	case bindings.XML:
+		return xpath.NodeSet{v.Node()}
+	case bindings.Number:
+		f, _ := v.AsNumber()
+		return f
+	case bindings.Bool:
+		return v.AsBool()
+	default:
+		return v.AsString()
+	}
+}
+
+// memoBound is how many distinct query texts a framework-unaware stand-in
+// keeps compiled. A new text that finds the memo full empties it first.
+const memoBound = 256
+
+// maxMemoText is the longest query text a stand-in keeps; a longer one is
+// compiled on every request. With memoBound it caps a memo's texts at
+// 1 MiB.
+const maxMemoText = 4 << 10
+
+// memo compiles each distinct query text a stand-in is sent once, for as
+// long as it stays in the memo. Only successful compiles are kept: a text
+// that does not compile is compiled, and refused, on every request.
+type memo[T any] struct {
+	compile func(string) (T, error)
+
+	mu       sync.Mutex
+	compiled map[string]T
+}
+
+func newMemo[T any](compile func(string) (T, error)) *memo[T] {
+	return &memo[T]{compile: compile, compiled: make(map[string]T)}
+}
+
+// get returns text compiled, from the memo when it holds the text.
+func (m *memo[T]) get(text string) (T, error) {
+	m.mu.Lock()
+	v, ok := m.compiled[text]
+	m.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := m.compile(text)
+	if err != nil || len(text) > maxMemoText {
+		return v, err
+	}
+	m.mu.Lock()
+	if len(m.compiled) >= memoBound {
+		clear(m.compiled)
+	}
+	m.compiled[text] = v
+	m.mu.Unlock()
+	return v, nil
+}
+
 // OpaqueXMLStore is the framework-UNaware query node of Fig. 9 (the eXist
 // stand-in): it is only an http.Handler — GET ?query=<xpath> evaluates the
 // query against its document and returns a plain <results> document. It
@@ -298,11 +355,12 @@ type OpaqueXMLStore struct {
 	doc        *xmltree.Node
 	namespaces map[string]string
 	requests   *obs.Counter
+	queries    *memo[*xpath.Expr]
 }
 
 // NewOpaqueXMLStore serves queries against one document.
 func NewOpaqueXMLStore(doc *xmltree.Node, namespaces map[string]string) *OpaqueXMLStore {
-	return &OpaqueXMLStore{doc: doc, namespaces: namespaces}
+	return &OpaqueXMLStore{doc: doc, namespaces: namespaces, queries: newMemo(xpath.Compile)}
 }
 
 // SetObs counts this node's raw GETs into service_requests_total
@@ -320,7 +378,7 @@ func (s *OpaqueXMLStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
-	expr, err := xpath.Compile(q)
+	expr, err := s.queries.get(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -354,14 +412,15 @@ func (s *OpaqueXMLStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // engine "faking" framework awareness by generating the answer markup
 // itself.
 type OpaqueXQueryNode struct {
-	store      *DocStore
+	docs       func(uri string) (*xmltree.Node, error)
 	namespaces map[string]string
 	requests   *obs.Counter
+	queries    *memo[*xq.Query]
 }
 
 // NewOpaqueXQueryNode serves raw XQuery-lite over a document store.
 func NewOpaqueXQueryNode(store *DocStore, namespaces map[string]string) *OpaqueXQueryNode {
-	return &OpaqueXQueryNode{store: store, namespaces: namespaces}
+	return &OpaqueXQueryNode{docs: store.Resolver(), namespaces: namespaces, queries: newMemo(xq.Compile)}
 }
 
 // SetObs counts this node's raw GETs into service_requests_total
@@ -385,12 +444,12 @@ func (s *OpaqueXQueryNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
-	q, err := xq.Compile(qs)
+	q, err := s.queries.get(qs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	seq, err := q.Eval(&xq.Context{Docs: s.store.Resolver(), Namespaces: s.namespaces})
+	seq, err := q.Eval(&xq.Context{Docs: s.docs, Namespaces: s.namespaces})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return

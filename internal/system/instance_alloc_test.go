@@ -135,11 +135,11 @@ func BenchmarkDurableBatchHandler(b *testing.B) {
 }
 
 // maxInstanceAllocs is TestInstanceAllocs' limit on allocations per event,
-// from the HTTP handler to the action. The path makes about 91; each cost
+// from the HTTP handler to the action. The path makes about 88; each cost
 // the allocation-lean instance path removed (index maps of one-tuple
 // relations, a payload copy per detection, the arguments of disabled log
 // records) was at least 17 per event, so the return of any one fails.
-const maxInstanceAllocs = 105
+const maxInstanceAllocs = 102
 
 // TestInstanceAllocs pins what an admitted event of the durable_batch
 // workload allocates, and checks that the events really fired the rule.

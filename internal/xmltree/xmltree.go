@@ -163,12 +163,21 @@ func (n *Node) AttrValue(space, local string) string {
 // AttrNodes materializes the element's non-namespace attributes as synthetic
 // AttrNode nodes whose Parent is n. Repeated calls create fresh nodes.
 func (n *Node) AttrNodes() []*Node {
-	var out []*Node
+	k := 0
 	for _, a := range n.Attrs {
-		if a.IsNamespaceDecl() {
-			continue
+		if !a.IsNamespaceDecl() {
+			k++
 		}
-		out = append(out, &Node{Kind: AttrNode, Name: a.Name, Text: a.Value, Parent: n})
+	}
+	if k == 0 {
+		return nil
+	}
+	nodes, out := make([]Node, 0, k), make([]*Node, 0, k)
+	for _, a := range n.Attrs {
+		if !a.IsNamespaceDecl() {
+			nodes = append(nodes, Node{Kind: AttrNode, Name: a.Name, Text: a.Value, Parent: n})
+			out = append(out, &nodes[len(nodes)-1])
+		}
 	}
 	return out
 }
@@ -255,19 +264,24 @@ func (n *Node) TextContent() string {
 	if n.Kind == TextNode || n.Kind == AttrNode {
 		return n.Text
 	}
+	if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+		return n.Children[0].Text
+	}
 	var b strings.Builder
-	var walk func(*Node)
-	walk = func(x *Node) {
-		if x.Kind == TextNode {
-			b.WriteString(x.Text)
-			return
-		}
-		for _, c := range x.Children {
-			walk(c)
+	n.writeText(&b)
+	return b.String()
+}
+
+// writeText writes the text of n's descendant text nodes to b, in document
+// order.
+func (n *Node) writeText(b *strings.Builder) {
+	for _, c := range n.Children {
+		if c.Kind == TextNode {
+			b.WriteString(c.Text)
+		} else {
+			c.writeText(b)
 		}
 	}
-	walk(n)
-	return b.String()
 }
 
 // Clone returns a deep copy of n with a nil parent.

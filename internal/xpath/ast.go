@@ -1,20 +1,21 @@
 package xpath
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Expr is a compiled XPath expression. Compile once with Compile, then
 // evaluate against any context; compiled expressions are immutable and safe
 // for concurrent use.
 type Expr struct {
 	root exprNode
 	src  string
+	vars []string
 }
 
 // String returns the source text the expression was compiled from.
 func (e *Expr) String() string { return e.src }
+
+// Vars lists the variables the expression references, each once, in order
+// of first reference. Evaluation reads no other Context.Vars entry. The
+// slice is shared: callers must not modify it.
+func (e *Expr) Vars() []string { return e.vars }
 
 // exprNode is a node of the expression AST.
 type exprNode interface {
@@ -54,15 +55,6 @@ var axisNames = map[string]axis{
 	"preceding":          axisPreceding,
 }
 
-func (a axis) String() string {
-	for n, ax := range axisNames {
-		if ax == a {
-			return n
-		}
-	}
-	return fmt.Sprintf("axis(%d)", int(a))
-}
-
 // testKind discriminates node tests.
 type testKind int
 
@@ -79,22 +71,6 @@ type nodeTest struct {
 	prefix   string // as written; resolved at evaluation time
 	local    string
 	nodeType string // "node", "text", "comment"
-}
-
-func (t nodeTest) String() string {
-	switch t.kind {
-	case testAny:
-		return "*"
-	case testNSWildcard:
-		return t.prefix + ":*"
-	case testNodeType:
-		return t.nodeType + "()"
-	default:
-		if t.prefix != "" {
-			return t.prefix + ":" + t.local
-		}
-		return t.local
-	}
 }
 
 // step is one location step: axis::test[pred]...
@@ -127,14 +103,22 @@ type chainExpr struct {
 	ops      []string
 }
 
+// attrCompare is @name op other, or other op @name, for a comparison op:
+// it compares the context node's attribute value without making the
+// attribute a node.
+type attrCompare struct {
+	attr     nodeTest // a name test
+	op       string
+	other    exprNode
+	attrLeft bool
+}
+
 // negExpr is unary minus.
 type negExpr struct{ operand exprNode }
 
-// literalExpr is a string literal.
-type literalExpr struct{ val string }
-
-// numberExpr is a numeric literal.
-type numberExpr struct{ val float64 }
+// literalExpr is a string or numeric literal, its value boxed once, at
+// compile.
+type literalExpr struct{ val object }
 
 // varExpr is a variable reference $name.
 type varExpr struct{ name string }
@@ -143,20 +127,4 @@ type varExpr struct{ name string }
 type funcExpr struct {
 	name string
 	args []exprNode
-}
-
-func (p *pathExpr) describe() string {
-	var b strings.Builder
-	if p.absolute {
-		b.WriteString("/")
-	}
-	for i, s := range p.steps {
-		if i > 0 {
-			b.WriteString("/")
-		}
-		b.WriteString(s.axis.String())
-		b.WriteString("::")
-		b.WriteString(s.test.String())
-	}
-	return b.String()
 }

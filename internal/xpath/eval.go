@@ -20,7 +20,8 @@ type Object any
 type object = Object
 
 // Context supplies everything an expression evaluation needs besides the
-// expression itself.
+// expression itself: the context node, the variables, the namespaces and
+// Docs, the resolver of doc().
 type Context struct {
 	// Node is the context node. For absolute paths the document root is
 	// located by following Parent pointers.
@@ -37,31 +38,39 @@ type Context struct {
 	// query components use so domain documents with a default namespace
 	// can be queried without prefixing every step).
 	DefaultNS string
-	// Functions adds or overrides functions for this context; it is
-	// consulted before the core library. The XQuery-lite interpreter uses
-	// it to provide doc(). May be nil.
-	Functions map[string]func(ctx *Context, args []Object) (Object, error)
+	// Docs resolves doc('uri') to a document node, for the XQuery-lite
+	// interpreter and its document store. May be nil: doc() then fails.
+	Docs func(uri string) (*xmltree.Node, error)
 }
 
-// evalCtx is the per-evaluation state: the dynamic context position/size
-// plus caches shared across the whole evaluation.
+// evaluation is the state one Eval call shares across all its dynamic
+// contexts.
+type evaluation struct {
+	env *Context
+	// attrCache memoizes synthesized attribute nodes so repeated attribute
+	// axis traversals of one element yield identical node pointers. It is
+	// made on first use.
+	attrCache map[*xmltree.Node][]*xmltree.Node
+	// args is a stack of evaluated function arguments: a call pushes its
+	// arguments, passes them to the function and pops them.
+	args []object
+	top  evalCtx
+}
+
+// evalCtx is a dynamic context: the context node, position and size.
 type evalCtx struct {
 	node *xmltree.Node
 	pos  int // 1-based context position
 	size int
-	env  *Context
-	// attrCache memoizes synthesized attribute nodes so repeated attribute
-	// axis traversals of one element yield identical node pointers.
-	attrCache map[*xmltree.Node][]*xmltree.Node
-}
-
-func (c *evalCtx) with(n *xmltree.Node, pos, size int) *evalCtx {
-	return &evalCtx{node: n, pos: pos, size: size, env: c.env, attrCache: c.attrCache}
+	*evaluation
 }
 
 func (c *evalCtx) attrs(n *xmltree.Node) []*xmltree.Node {
 	if a, ok := c.attrCache[n]; ok {
 		return a
+	}
+	if c.attrCache == nil {
+		c.attrCache = map[*xmltree.Node][]*xmltree.Node{}
 	}
 	a := n.AttrNodes()
 	c.attrCache[n] = a
@@ -70,8 +79,9 @@ func (c *evalCtx) attrs(n *xmltree.Node) []*xmltree.Node {
 
 // Eval evaluates the expression and returns the result object.
 func (e *Expr) Eval(ctx *Context) (Object, error) {
-	ec := &evalCtx{node: ctx.Node, pos: 1, size: 1, env: ctx, attrCache: map[*xmltree.Node][]*xmltree.Node{}}
-	return e.root.eval(ec)
+	ev := &evaluation{env: ctx}
+	ev.top = evalCtx{node: ctx.Node, pos: 1, size: 1, evaluation: ev}
+	return e.root.eval(&ev.top)
 }
 
 // EvalNodes evaluates the expression and returns its node-set result; it is
@@ -219,7 +229,6 @@ func toBool(o object) bool {
 // --- expression evaluation ---------------------------------------------------
 
 func (e *literalExpr) eval(*evalCtx) (object, error) { return e.val, nil }
-func (e *numberExpr) eval(*evalCtx) (object, error)  { return e.val, nil }
 
 func (e *varExpr) eval(c *evalCtx) (object, error) {
 	if c.env.Vars != nil {
@@ -299,102 +308,154 @@ func binary(op string, l, r object) (object, error) {
 // compareEq implements the XPath 1.0 =/!= semantics including existential
 // node-set comparison.
 func compareEq(l, r object, negate bool) bool {
-	eq := func(a, b object) bool {
-		_, ab := a.(bool)
-		_, bb := b.(bool)
-		if ab || bb {
-			return toBool(a) == toBool(b)
-		}
-		_, an := a.(float64)
-		_, bn := b.(float64)
-		if an || bn {
-			return toNumber(a) == toNumber(b)
-		}
-		return toString(a) == toString(b)
-	}
 	// When either operand is a boolean, the other is converted with
 	// boolean() and compared once — even if it is a node-set.
-	if _, ok := l.(bool); ok {
+	if isBool(l) || isBool(r) {
 		return (toBool(l) == toBool(r)) != negate
 	}
-	if _, ok := r.(bool); ok {
-		return (toBool(l) == toBool(r)) != negate
-	}
-	ln, lIsSet := l.(NodeSet)
-	rn, rIsSet := r.(NodeSet)
-	switch {
-	case lIsSet && rIsSet:
+	if ln, ok := l.(NodeSet); ok {
 		for _, a := range ln {
-			for _, b := range rn {
-				if (a.TextContent() == b.TextContent()) != negate {
-					return true
-				}
-			}
-		}
-		return false
-	case lIsSet:
-		for _, a := range ln {
-			if eq(a.TextContent(), r) != negate {
+			if eqText(a.TextContent(), r, negate) {
 				return true
 			}
 		}
 		return false
-	case rIsSet:
+	}
+	if rn, ok := r.(NodeSet); ok {
 		for _, b := range rn {
-			if eq(l, b.TextContent()) != negate {
+			if eqText(b.TextContent(), l, negate) {
 				return true
 			}
 		}
 		return false
+	}
+	_, ln := l.(float64)
+	_, rn := r.(float64)
+	if ln || rn {
+		return (toNumber(l) == toNumber(r)) != negate
+	}
+	return (toString(l) == toString(r)) != negate
+}
+
+func isBool(o object) bool {
+	_, ok := o.(bool)
+	return ok
+}
+
+// eqText is = (or != with negate) between a node whose string-value is t
+// and r, which is no boolean: existential over a node-set r.
+func eqText(t string, r object, negate bool) bool {
+	switch r := r.(type) {
+	case NodeSet:
+		for _, b := range r {
+			if (t == b.TextContent()) != negate {
+				return true
+			}
+		}
+		return false
+	case float64:
+		return (stringToNumber(t) == r) != negate
 	default:
-		return eq(l, r) != negate
+		return (t == toString(r)) != negate
 	}
 }
 
 // compareRel implements </<=/>/>= with numeric comparison and existential
 // node-set semantics.
 func compareRel(l, r object, op string) bool {
-	cmp := func(a, b float64) bool {
-		switch op {
-		case "<":
-			return a < b
-		case "<=":
-			return a <= b
-		case ">":
-			return a > b
-		default:
-			return a >= b
-		}
-	}
-	ln, lIsSet := l.(NodeSet)
-	rn, rIsSet := r.(NodeSet)
-	switch {
-	case lIsSet && rIsSet:
+	if ln, ok := l.(NodeSet); ok {
 		for _, a := range ln {
-			for _, b := range rn {
-				if cmp(stringToNumber(a.TextContent()), stringToNumber(b.TextContent())) {
-					return true
-				}
-			}
-		}
-		return false
-	case lIsSet:
-		for _, a := range ln {
-			if cmp(stringToNumber(a.TextContent()), toNumber(r)) {
+			if relText(a.TextContent(), r, op, true) {
 				return true
 			}
 		}
 		return false
-	case rIsSet:
+	}
+	if rn, ok := r.(NodeSet); ok {
 		for _, b := range rn {
-			if cmp(toNumber(l), stringToNumber(b.TextContent())) {
+			if relText(b.TextContent(), l, op, false) {
 				return true
 			}
 		}
 		return false
-	default:
-		return cmp(toNumber(l), toNumber(r))
 	}
+	return cmpNumbers(toNumber(l), toNumber(r), op)
+}
+
+// relText compares the number of a node whose string-value is t with r,
+// the node on the left of op when tLeft: existential over a node-set r.
+func relText(t string, r object, op string, tLeft bool) bool {
+	a := stringToNumber(t)
+	cmp := func(b float64) bool {
+		if tLeft {
+			return cmpNumbers(a, b, op)
+		}
+		return cmpNumbers(b, a, op)
+	}
+	if rn, ok := r.(NodeSet); ok {
+		for _, b := range rn {
+			if cmp(stringToNumber(b.TextContent())) {
+				return true
+			}
+		}
+		return false
+	}
+	return cmp(toNumber(r))
+}
+
+func cmpNumbers(a, b float64, op string) bool {
+	switch op {
+	case "<":
+		return a < b
+	case "<=":
+		return a <= b
+	case ">":
+		return a > b
+	default:
+		return a >= b
+	}
+}
+
+// eval compares as binary would with the attribute as a node-set of one
+// node, or none.
+func (e *attrCompare) eval(c *evalCtx) (object, error) {
+	text, found := attrValue(c, c.node, e.attr)
+	other, err := e.other.eval(c)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case !found:
+		if e.attrLeft {
+			return binary(e.op, NodeSet(nil), other)
+		}
+		return binary(e.op, other, NodeSet(nil))
+	case e.op == "=" || e.op == "!=":
+		if b, ok := other.(bool); ok {
+			return b != (e.op == "!="), nil
+		}
+		return eqText(text, other, e.op == "!="), nil
+	default:
+		return relText(text, other, e.op, e.attrLeft), nil
+	}
+}
+
+// attrValue is the value of n's attribute that name test t selects.
+func attrValue(c *evalCtx, n *xmltree.Node, t nodeTest) (string, bool) {
+	uri := ""
+	if t.prefix != "" {
+		u, ok := c.env.Namespaces[t.prefix]
+		if !ok {
+			return "", false
+		}
+		uri = u
+	}
+	for _, a := range n.Attrs {
+		if a.Name.Local == t.local && a.Name.Space == uri && !a.IsNamespaceDecl() {
+			return a.Value, true
+		}
+	}
+	return "", false
 }
 
 func unionNodeSets(a, b NodeSet) NodeSet {
@@ -423,30 +484,35 @@ func (e *filterExpr) eval(c *evalCtx) (object, error) {
 	if !ok {
 		return nil, fmt.Errorf("xpath: predicate applied to %s, not a node-set", typeName(v))
 	}
-	for _, pred := range e.preds {
-		ns, err = filterByPredicate(c, ns, pred)
-		if err != nil {
+	pc := &evalCtx{evaluation: c.evaluation}
+	for i, pred := range e.preds {
+		var out NodeSet // the primary's node-set may be a variable's: not ours to overwrite
+		if i > 0 {
+			out = ns[:0]
+		}
+		if ns, err = filterByPredicate(pc, ns, pred, out); err != nil {
 			return nil, err
 		}
 	}
 	return ns, nil
 }
 
-func filterByPredicate(c *evalCtx, ns NodeSet, pred exprNode) (NodeSet, error) {
-	var out NodeSet
+// filterByPredicate appends to out the nodes of ns that pass pred, each
+// evaluated in pc with its position and size set. out may share ns's
+// array, since it never overtakes the node being read.
+func filterByPredicate(pc *evalCtx, ns NodeSet, pred exprNode, out NodeSet) (NodeSet, error) {
+	pc.size = len(ns)
 	for i, n := range ns {
-		pc := c.with(n, i+1, len(ns))
+		pc.node, pc.pos = n, i+1
 		v, err := pred.eval(pc)
 		if err != nil {
 			return nil, err
 		}
+		keep := toBool(v)
 		if num, isNum := v.(float64); isNum {
-			if float64(i+1) == num {
-				out = append(out, n)
-			}
-			continue
+			keep = float64(i+1) == num
 		}
-		if toBool(v) {
+		if keep {
 			out = append(out, n)
 		}
 	}
@@ -454,7 +520,8 @@ func filterByPredicate(c *evalCtx, ns NodeSet, pred exprNode) (NodeSet, error) {
 }
 
 func (e *pathExpr) eval(c *evalCtx) (object, error) {
-	var current NodeSet
+	var start [1]*xmltree.Node // the context or root node, which no step keeps
+	var input NodeSet
 	switch {
 	case e.start != nil:
 		v, err := e.start.eval(c)
@@ -465,20 +532,30 @@ func (e *pathExpr) eval(c *evalCtx) (object, error) {
 		if !ok {
 			return nil, fmt.Errorf("xpath: path applied to %s, not a node-set", typeName(v))
 		}
-		current = ns
+		input = ns
+	case len(e.steps) == 0: // "/"
+		return NodeSet{documentRoot(c.node)}, nil
 	case e.absolute:
-		current = NodeSet{documentRoot(c.node)}
+		start[0] = documentRoot(c.node)
+		input = start[:]
 	default:
-		current = NodeSet{c.node}
+		start[0] = c.node
+		input = start[:]
 	}
-	for _, s := range e.steps {
-		next, err := evalStep(c, current, s)
-		if err != nil {
+	var out NodeSet
+	for i := range e.steps {
+		s := &e.steps[i]
+		// A start node-set may hold a node twice. Every other step input
+		// is duplicate-free, and from such an input the child, attribute
+		// and self axes cannot reach one node twice.
+		unique := (i > 0 || e.start == nil) && (s.axis == axisChild || s.axis == axisAttribute || s.axis == axisSelf)
+		var err error
+		if out, err = evalStep(c, input, s, !unique); err != nil {
 			return nil, err
 		}
-		current = next
+		input = out
 	}
-	return current, nil
+	return out, nil
 }
 
 func documentRoot(n *xmltree.Node) *xmltree.Node {
@@ -488,135 +565,138 @@ func documentRoot(n *xmltree.Node) *xmltree.Node {
 	return n
 }
 
-func evalStep(c *evalCtx, input NodeSet, s step) (NodeSet, error) {
-	var out NodeSet
-	seen := map[*xmltree.Node]bool{}
-	for _, ctx := range input {
-		candidates := axisNodes(c, ctx, s.axis)
-		var matched NodeSet
-		for _, n := range candidates {
-			if matchTest(c, n, s.axis, s.test) {
-				matched = append(matched, n)
+// evalStep applies a location step to every node of input, in order. With
+// dedup it drops the nodes an earlier context node already yielded.
+func evalStep(c *evalCtx, input NodeSet, s *step, dedup bool) (NodeSet, error) {
+	var out, matched NodeSet
+	var seen map[*xmltree.Node]bool
+	var pc *evalCtx
+	for _, n := range input {
+		matched = c.appendAxis(matched[:0], n, s)
+		if len(matched) > 0 && len(s.preds) > 0 {
+			if pc == nil {
+				pc = &evalCtx{evaluation: c.evaluation}
+			}
+			for _, pred := range s.preds {
+				var err error
+				if matched, err = filterByPredicate(pc, matched, pred, matched[:0]); err != nil {
+					return nil, err
+				}
 			}
 		}
-		for _, pred := range s.preds {
-			var err error
-			matched, err = filterByPredicate(c, matched, pred)
-			if err != nil {
-				return nil, err
+		switch {
+		case len(input) == 1:
+			return matched, nil // one context node yields each node once
+		case !dedup:
+			out = append(out, matched...)
+		default:
+			if seen == nil {
+				seen = make(map[*xmltree.Node]bool, len(input))
 			}
-		}
-		for _, n := range matched {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
+			for _, m := range matched {
+				if !seen[m] {
+					seen[m] = true
+					out = append(out, m)
+				}
 			}
 		}
 	}
 	return out, nil
 }
 
-func axisNodes(c *evalCtx, n *xmltree.Node, a axis) NodeSet {
-	switch a {
+// appendAxis appends to dst the nodes on s's axis from n that pass s's
+// node test, in axis order.
+func (c *evalCtx) appendAxis(dst NodeSet, n *xmltree.Node, s *step) NodeSet {
+	switch s.axis {
 	case axisChild:
-		return NodeSet(n.Children)
-	case axisDescendant, axisDescendantOrSelf:
-		var out NodeSet
-		if a == axisDescendantOrSelf {
-			out = append(out, n)
+		for _, ch := range n.Children {
+			dst = c.appendIf(dst, ch, s)
 		}
-		var walk func(*xmltree.Node)
-		walk = func(x *xmltree.Node) {
-			for _, ch := range x.Children {
-				out = append(out, ch)
-				walk(ch)
-			}
-		}
-		walk(n)
-		return out
+	case axisDescendant:
+		dst = c.appendDescendants(dst, n, s)
+	case axisDescendantOrSelf:
+		dst = c.appendDescendants(c.appendIf(dst, n, s), n, s)
 	case axisSelf:
-		return NodeSet{n}
+		dst = c.appendIf(dst, n, s)
 	case axisParent:
 		if n.Parent != nil {
-			return NodeSet{n.Parent}
+			dst = c.appendIf(dst, n.Parent, s)
 		}
-		return nil
 	case axisAncestor, axisAncestorOrSelf:
-		var out NodeSet
-		if a == axisAncestorOrSelf {
-			out = append(out, n)
+		if s.axis == axisAncestorOrSelf {
+			dst = c.appendIf(dst, n, s)
 		}
 		for p := n.Parent; p != nil; p = p.Parent {
-			out = append(out, p)
+			dst = c.appendIf(dst, p, s)
 		}
-		return out
 	case axisAttribute:
-		return NodeSet(c.attrs(n))
+		for _, a := range c.attrs(n) {
+			dst = c.appendIf(dst, a, s)
+		}
 	case axisFollowingSibling, axisPrecedingSibling:
 		if n.Parent == nil {
-			return nil
+			return dst
 		}
 		sibs := n.Parent.Children
-		idx := -1
-		for i, s := range sibs {
-			if s == n {
-				idx = i
-				break
-			}
-		}
+		idx := indexOf(sibs, n)
 		if idx < 0 {
-			return nil
+			return dst
 		}
-		var out NodeSet
-		if a == axisFollowingSibling {
-			out = append(out, sibs[idx+1:]...)
+		if s.axis == axisFollowingSibling {
+			for _, sib := range sibs[idx+1:] {
+				dst = c.appendIf(dst, sib, s)
+			}
 		} else {
 			for i := idx - 1; i >= 0; i-- {
-				out = append(out, sibs[i])
+				dst = c.appendIf(dst, sibs[i], s)
 			}
 		}
-		return out
 	case axisFollowing:
 		// All nodes after n in document order, excluding descendants:
 		// for each ancestor-or-self, the subtrees of its following
 		// siblings.
-		var out NodeSet
 		for cur := n; cur != nil && cur.Parent != nil; cur = cur.Parent {
 			sibs := cur.Parent.Children
-			idx := -1
-			for i, s := range sibs {
-				if s == cur {
-					idx = i
-					break
-				}
-			}
-			for _, sib := range sibs[idx+1:] {
-				out = append(out, sib)
-				out = append(out, axisNodes(c, sib, axisDescendant)...)
+			for _, sib := range sibs[indexOf(sibs, cur)+1:] {
+				dst = c.appendDescendants(c.appendIf(dst, sib, s), sib, s)
 			}
 		}
-		return out
 	case axisPreceding:
 		// All nodes before n in document order, excluding ancestors.
-		var out NodeSet
 		for cur := n; cur != nil && cur.Parent != nil; cur = cur.Parent {
 			sibs := cur.Parent.Children
-			idx := -1
-			for i, s := range sibs {
-				if s == cur {
-					idx = i
-					break
-				}
-			}
-			for i := idx - 1; i >= 0; i-- {
-				out = append(out, sibs[i])
-				out = append(out, axisNodes(c, sibs[i], axisDescendant)...)
+			for i := indexOf(sibs, cur) - 1; i >= 0; i-- {
+				dst = c.appendDescendants(c.appendIf(dst, sibs[i], s), sibs[i], s)
 			}
 		}
-		return out
-	default:
-		return nil
 	}
+	return dst
+}
+
+// appendIf appends n to dst when it passes s's node test.
+func (c *evalCtx) appendIf(dst NodeSet, n *xmltree.Node, s *step) NodeSet {
+	if matchTest(c, n, s.axis, s.test) {
+		dst = append(dst, n)
+	}
+	return dst
+}
+
+// appendDescendants appends n's descendants that pass s's node test, in
+// document order.
+func (c *evalCtx) appendDescendants(dst NodeSet, n *xmltree.Node, s *step) NodeSet {
+	for _, ch := range n.Children {
+		dst = c.appendDescendants(c.appendIf(dst, ch, s), ch, s)
+	}
+	return dst
+}
+
+func indexOf(sibs []*xmltree.Node, n *xmltree.Node) int {
+	for i, s := range sibs {
+		if s == n {
+			return i
+		}
+	}
+	return -1
 }
 
 func matchTest(c *evalCtx, n *xmltree.Node, a axis, t nodeTest) bool {
@@ -667,19 +747,6 @@ func matchTest(c *evalCtx, n *xmltree.Node, a axis, t nodeTest) bool {
 }
 
 func (e *funcExpr) eval(c *evalCtx) (object, error) {
-	if c.env.Functions != nil {
-		if custom, ok := c.env.Functions[e.name]; ok {
-			args := make([]object, len(e.args))
-			for i, a := range e.args {
-				v, err := a.eval(c)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			return custom(c.env, args)
-		}
-	}
 	fn, ok := coreFunctions[e.name]
 	if !ok {
 		return nil, fmt.Errorf("xpath: unknown function %s()", e.name)
@@ -687,13 +754,16 @@ func (e *funcExpr) eval(c *evalCtx) (object, error) {
 	if fn.minArgs > len(e.args) || (fn.maxArgs >= 0 && len(e.args) > fn.maxArgs) {
 		return nil, fmt.Errorf("xpath: %s() called with %d arguments", e.name, len(e.args))
 	}
-	args := make([]object, len(e.args))
-	for i, a := range e.args {
+	base := len(c.args)
+	for _, a := range e.args {
 		v, err := a.eval(c)
 		if err != nil {
+			c.args = c.args[:base]
 			return nil, err
 		}
-		args[i] = v
+		c.args = append(c.args, v)
 	}
-	return fn.impl(c, args)
+	v, err := fn.impl(c, c.args[base:])
+	c.args = c.args[:base]
+	return v, err
 }

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -100,19 +101,32 @@ func TestBareSlashSelectsRoot(t *testing.T) {
 	}
 }
 
-func TestCustomFunctions(t *testing.T) {
+func TestDocFunction(t *testing.T) {
+	doc := xmltree.MustParse(`<d><e>1</e><e>2</e></d>`)
 	ctx := ctxFor(`<a/>`)
-	ctx.Functions = map[string]func(*Context, []Object) (Object, error){
-		"double": func(_ *Context, args []Object) (Object, error) {
-			return toNumber(args[0]) * 2, nil
-		},
+	ctx.Docs = func(uri string) (*xmltree.Node, error) {
+		if uri != "d.xml" {
+			return nil, errors.New("no such document")
+		}
+		return doc, nil
 	}
-	if got := evalNum(t, ctx, `double(21)`); got != 42 {
-		t.Errorf("custom fn = %v", got)
+	if got := evalNum(t, ctx, `count(doc('d.xml')//e)`); got != 2 {
+		t.Errorf("count(doc('d.xml')//e) = %v", got)
 	}
-	// Custom functions shadow nothing else; unknown still errors.
-	if _, err := MustCompile(`nosuch()`).Eval(ctx); err == nil {
-		t.Error("unknown fn should fail")
+	for _, c := range []struct {
+		docs func(string) (*xmltree.Node, error)
+		src  string
+		want string
+	}{
+		{nil, `doc('d.xml')`, `xq: doc("d.xml"): no document resolver configured`},
+		{ctx.Docs, `doc('x.xml')/e`, `xq: doc("x.xml"): no such document`},
+		{ctx.Docs, `doc('d.xml', 'x.xml')`, `xpath: doc() called with 2 arguments`},
+		{ctx.Docs, `nosuch()`, `xpath: unknown function nosuch()`},
+	} {
+		_, err := MustCompile(c.src).Eval(&Context{Node: ctx.Node, Docs: c.docs})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.src, err, c.want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ type function struct {
 
 // coreFunctions is the XPath 1.0 core function library (minus the id() and
 // lang() functions, which need DTD/xml:lang infrastructure the framework
-// does not use).
+// does not use), plus XQuery's doc() over Context.Docs.
 var coreFunctions map[string]function
 
 func init() {
@@ -181,6 +181,20 @@ func init() {
 		}},
 		"false": {0, 0, func(_ *evalCtx, _ []object) (object, error) {
 			return false, nil
+		}},
+		// Document functions.
+		"doc": {1, 1, func(c *evalCtx, args []object) (object, error) {
+			uri := toString(args[0])
+			// The messages are those of the XQuery-lite layer, whose
+			// documents doc() addresses.
+			if c.env.Docs == nil {
+				return nil, fmt.Errorf("xq: doc(%q): no document resolver configured", uri)
+			}
+			doc, err := c.env.Docs(uri)
+			if err != nil {
+				return nil, fmt.Errorf("xq: doc(%q): %w", uri, err)
+			}
+			return NodeSet{doc}, nil
 		}},
 		// Number functions.
 		"number": {0, 1, func(c *evalCtx, args []object) (object, error) {

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -65,7 +66,23 @@ func Compile(src string) (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Expr{root: root, src: src}, nil
+	return &Expr{root: root, src: src, vars: distinct(p.vars)}, nil
+}
+
+// distinct drops the repeats from names, keeping the first of each.
+func distinct(names []string) []string {
+	if len(names) < 2 {
+		return names
+	}
+	seen := make(map[string]bool, len(names))
+	out := names[:0]
+	for _, n := range names {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // MustCompile is Compile panicking on error, for static expressions.
@@ -85,7 +102,8 @@ type parser struct {
 	n      int
 	lexErr error // the lexer's error, after which it yields tokEOF
 	src    string
-	depth  int // nesting levels open; see nested
+	depth  int      // nesting levels open; see nested
+	vars   []string // every variable reference so far, for Expr.Vars
 }
 
 // fill lexes until the window holds k tokens.
@@ -214,7 +232,31 @@ func (p *parser) chain(operand func() (exprNode, error), op func() (string, bool
 	if c == nil {
 		return first, nil
 	}
+	if ac := attrComparison(c); ac != nil {
+		return ac, nil
+	}
 	return c, nil
+}
+
+// attrComparison returns c as an attrCompare when it is one comparison
+// between @name and another operand, else nil.
+func attrComparison(c *chainExpr) exprNode {
+	if len(c.ops) != 1 {
+		return nil
+	}
+	switch c.ops[0] {
+	case "=", "!=", "<", "<=", ">", ">=":
+	default:
+		return nil
+	}
+	for i, operand := range c.operands {
+		if p, ok := operand.(*pathExpr); ok && !p.absolute && p.start == nil && len(p.steps) == 1 {
+			if s := p.steps[0]; s.axis == axisAttribute && s.test.kind == testName && len(s.preds) == 0 {
+				return &attrCompare{attr: s.test, op: c.ops[0], other: c.operands[1-i], attrLeft: i == 0}
+			}
+		}
+	}
+	return nil
 }
 
 // acceptSymbol consumes an operator token of one of the kinds in ops,
@@ -363,6 +405,10 @@ func (p *parser) parseRelativePath(pe *pathExpr) error {
 		if err != nil {
 			return err
 		}
+		if last := len(pe.steps) - 1; last >= 0 && canFuse(pe.steps[last], s) {
+			s.axis = axisDescendant
+			pe.steps = pe.steps[:last]
+		}
 		pe.steps = append(pe.steps, s)
 		if p.accept(tokSlashSlash) {
 			pe.steps = append(pe.steps, step{axis: axisDescendantOrSelf, test: nodeTest{kind: testNodeType, nodeType: "node"}})
@@ -373,6 +419,66 @@ func (p *parser) parseRelativePath(pe *pathExpr) error {
 		}
 		return nil
 	}
+}
+
+// canFuse reports whether descendant-or-self::node()/child::X[p] (what
+// //X[p] abbreviates) may be evaluated as descendant::X[p], one walk of
+// the subtree instead of a list of all its nodes. Both select the same
+// nodes when every predicate is a boolean that does not read the context
+// position or size; a positional //x[1] selects the first x of each
+// parent, not the first x below.
+func canFuse(prev, s step) bool {
+	if prev.axis != axisDescendantOrSelf || prev.test.kind != testNodeType || prev.test.nodeType != "node" ||
+		len(prev.preds) > 0 || s.axis != axisChild {
+		return false
+	}
+	for _, pred := range s.preds {
+		if !isBoolean(pred) || readsPosition(pred) {
+			return false
+		}
+	}
+	return true
+}
+
+// isBoolean reports whether e always evaluates to a boolean: a comparison,
+// and, or, or a boolean function.
+func isBoolean(e exprNode) bool {
+	switch e := e.(type) {
+	case *chainExpr:
+		switch e.ops[0] {
+		case "and", "or", "=", "!=", "<", "<=", ">", ">=":
+			return true
+		}
+	case *attrCompare:
+		return true
+	case *funcExpr:
+		switch e.name {
+		case "not", "true", "false", "boolean", "contains", "starts-with", "ends-with":
+			return true
+		}
+	}
+	return false
+}
+
+// readsPosition reports whether e calls position() or last() in its own
+// context, outside the predicates of a nested step or filter, which have
+// contexts of their own.
+func readsPosition(e exprNode) bool {
+	switch e := e.(type) {
+	case *chainExpr:
+		return slices.ContainsFunc(e.operands, readsPosition)
+	case *negExpr:
+		return readsPosition(e.operand)
+	case *attrCompare:
+		return readsPosition(e.other)
+	case *funcExpr:
+		return e.name == "position" || e.name == "last" || slices.ContainsFunc(e.args, readsPosition)
+	case *filterExpr:
+		return readsPosition(e.primary)
+	case *pathExpr:
+		return e.start != nil && readsPosition(e.start)
+	}
+	return false
 }
 
 func (p *parser) parseStep() (step, error) {
@@ -458,7 +564,9 @@ func (p *parser) parsePredicate() (exprNode, error) {
 func (p *parser) parsePrimary() (exprNode, error) {
 	switch p.peek().kind {
 	case tokVariable:
-		return &varExpr{p.advance().text}, nil
+		name := p.advance().text
+		p.vars = append(p.vars, name)
+		return &varExpr{name}, nil
 	case tokString:
 		return &literalExpr{p.advance().text}, nil
 	case tokNumber:
@@ -467,7 +575,7 @@ func (p *parser) parsePrimary() (exprNode, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", excerpt(t.text, 0))
 		}
-		return &numberExpr{f}, nil
+		return &literalExpr{f}, nil
 	case tokLParen:
 		p.advance()
 		e, err := p.parseExpr()

@@ -505,3 +505,64 @@ func TestNestingBound(t *testing.T) {
 		})
 	}
 }
+
+// TestStepSemantics pins what the allocation-lean step evaluation must
+// keep: deduplication of a start node-set that holds a node twice, the
+// per-parent meaning of a positional //x[1] next to the fused walk of
+// //x[boolean], and attribute identity across two steps.
+func TestStepSemantics(t *testing.T) {
+	doc := xmltree.MustParse(`<r><p n="1" m="1"><x>1</x><x>2</x></p><p n="2"><x>3</x><q><x>4</x></q></p></r>`)
+	ps := doc.Root().ChildElements()
+	ctx := &Context{Node: doc, Vars: map[string]Object{
+		"x":   NodeSet{ps[0], ps[0], ps[1]},
+		"rev": NodeSet{ps[1], ps[0], ps[1]},
+	}}
+	for _, c := range []struct {
+		expr string
+		want string // text of the result nodes, "|"-separated
+	}{
+		{`$x/x`, "1|2|3"},
+		{`$x/@n`, "1|2"},
+		{`$rev/x`, "3|1|2"},
+		{`$x//x`, "1|2|3|4"},
+		{`//x[1]`, "1|3|4"},
+		{`(//x)[1]`, "1"},
+		{`//x[last()]`, "2|3|4"},
+		{`//x[position()=1]`, "1|3|4"},
+		{`//x[. > 1]`, "2|3|4"},
+		{`//x[. > 1][1]`, "2|3|4"},
+		{`//p[@n=2]//x`, "3|4"},
+		{`//p[@n=2]/x`, "3"},
+		{`//p[2=@n]/@n`, "2"},
+		{`//p[@m=true()]/@n`, "1"},
+		{`//p[@m!=true()]/@n`, "2"},
+		{`//p[@m!='x']/@n`, "1"},
+		{`//p[@m=//p/@n]/@n`, "1"},
+		{`//p[@n<2]/@n`, "1"},
+		{`//p[2>@n]/@n`, "1"},
+		{`//p[@n>='2']/@n`, "2"},
+		{`//p[@n>=$x/@n]/@n`, "1|2"},
+		{`//p[@zz='']/@n`, ""},
+		{`//p/@n | //p/@n`, "1|2"},
+		{`//p[1]/@n | //p[1]/@*`, "1|1"},
+	} {
+		ns := evalNodes(t, ctx, c.expr)
+		parts := make([]string, len(ns))
+		for i, n := range ns {
+			parts[i] = n.TextContent()
+		}
+		if got := strings.Join(parts, "|"); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
+	}
+	if got := evalNum(t, ctx, `count(//p[1]/@n | //p[1]/@n)`); got != 1 {
+		t.Errorf("count(@n | @n) = %v, want 1", got)
+	}
+	// //x[. > 0] is one walk of the tree, in document order; the
+	// positional //x[1] lists each parent's first x in the order the
+	// descendant-or-self walk reaches the parents, as it always did.
+	nested := ctxFor(`<r><a><x>1</x></a><x>2</x></r>`)
+	if got := evalStr(t, nested, `concat(//x[1], //x[. > 0])`); got != "21" {
+		t.Errorf("first of //x[1] and of //x[. > 0] = %q, want %q", got, "21")
+	}
+}

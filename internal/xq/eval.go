@@ -9,20 +9,61 @@ import (
 	"repro/internal/xpath"
 )
 
-// evaluator carries the dynamic state of one query evaluation.
+// evaluator carries the dynamic state of one query evaluation at one point
+// of the query: the variables in scope and the constructor namespaces.
 type evaluator struct {
-	ctx  *Context
-	vars map[string]Sequence
+	*evaluation
+	vars *scope // the innermost binding; ctx.Vars lie beyond the last
 	// nsScope accumulates xmlns declarations from enclosing constructors.
 	nsScope map[string]string
 }
 
-func (ev *evaluator) child() *evaluator {
-	n := &evaluator{ctx: ev.ctx, vars: make(map[string]Sequence, len(ev.vars)+1), nsScope: ev.nsScope}
-	for k, v := range ev.vars {
-		n.vars[k] = v
+// evaluation is what every evaluator of one Query.Eval shares.
+type evaluation struct {
+	ctx *Context
+	// xctx and xvars are the context of every XPath call the evaluation
+	// makes, reused because an XPath evaluation keeps neither once it
+	// returns. xctx.Node is the empty document made by the first call when
+	// ctx has no ContextNode.
+	xctx  xpath.Context
+	xvars map[string]xpath.Object
+	root  evaluator
+}
+
+// scope is one variable binding, linked to the bindings it shadows.
+type scope struct {
+	name  string
+	val   Sequence
+	obj   xpath.Object // val converted for XPath, once it was needed
+	outer *scope
+}
+
+// bind returns an evaluator that sees name bound to val.
+func (ev *evaluator) bind(name string, val Sequence) *evaluator {
+	return &evaluator{evaluation: ev.evaluation, vars: &scope{name: name, val: val, outer: ev.vars}, nsScope: ev.nsScope}
+}
+
+// xpathVar returns the binding of $name as an XPath value, and false when
+// name is unbound.
+func (ev *evaluator) xpathVar(name string) (xpath.Object, bool, error) {
+	for s := ev.vars; s != nil; s = s.outer {
+		if s.name == name {
+			if s.obj == nil {
+				o, err := seqToXPath(s.val)
+				if err != nil {
+					return nil, true, err
+				}
+				s.obj = o
+			}
+			return s.obj, true, nil
+		}
 	}
-	return n
+	v, ok := ev.ctx.Vars[name]
+	if !ok {
+		return nil, false, nil
+	}
+	o, err := seqToXPath(v)
+	return o, true, err
 }
 
 // lookupNS resolves a constructor-name prefix: constructor-local xmlns
@@ -124,66 +165,32 @@ func (e *ifExpr) eval(ev *evaluator) (Sequence, error) {
 }
 
 func (e *xpathExpr) eval(ev *evaluator) (Sequence, error) {
-	vars := make(map[string]xpath.Object, len(ev.vars))
-	for k, v := range ev.vars {
-		o, err := seqToXPath(v)
-		if err != nil {
-			return nil, fmt.Errorf("xq: variable $%s: %w", k, err)
+	x := &ev.xctx
+	if x.Node == nil {
+		x.Node = xmltree.NewDocument()
+	}
+	x.Vars = nil
+	if names := e.compiled.Vars(); len(names) > 0 {
+		if ev.xvars == nil {
+			ev.xvars = make(map[string]xpath.Object, len(names))
 		}
-		vars[k] = o
+		clear(ev.xvars)
+		for _, name := range names {
+			o, ok, err := ev.xpathVar(name)
+			if err != nil {
+				return nil, fmt.Errorf("xq: variable $%s: %w", name, err)
+			}
+			if ok {
+				ev.xvars[name] = o
+			}
+		}
+		x.Vars = ev.xvars
 	}
-	node := ev.ctx.ContextNode
-	if node == nil {
-		node = xmltree.NewDocument()
-	}
-	xctx := &xpath.Context{
-		Node:       node,
-		Vars:       vars,
-		Namespaces: ev.ctx.Namespaces,
-		DefaultNS:  ev.ctx.DefaultNS,
-		Functions: map[string]func(*xpath.Context, []xpath.Object) (xpath.Object, error){
-			"doc": func(_ *xpath.Context, args []xpath.Object) (xpath.Object, error) {
-				if len(args) != 1 {
-					return nil, fmt.Errorf("xq: doc() takes exactly one argument")
-				}
-				uri := xpathString(args[0])
-				if ev.ctx.Docs == nil {
-					return nil, fmt.Errorf("xq: doc(%q): no document resolver configured", uri)
-				}
-				doc, err := ev.ctx.Docs(uri)
-				if err != nil {
-					return nil, fmt.Errorf("xq: doc(%q): %w", uri, err)
-				}
-				return xpath.NodeSet{doc}, nil
-			},
-		},
-	}
-	o, err := e.compiled.Eval(xctx)
+	o, err := e.compiled.Eval(x)
 	if err != nil {
 		return nil, err
 	}
 	return xpathToSeq(o), nil
-}
-
-func xpathString(o xpath.Object) string {
-	switch v := o.(type) {
-	case xpath.NodeSet:
-		if len(v) == 0 {
-			return ""
-		}
-		return v[0].TextContent()
-	case string:
-		return v
-	case float64:
-		return xpath.FormatNumber(v)
-	case bool:
-		if v {
-			return "true"
-		}
-		return "false"
-	default:
-		return ""
-	}
 }
 
 // --- FLWOR ----------------------------------------------------------------------
@@ -191,7 +198,8 @@ func xpathString(o xpath.Object) string {
 func (e *flworExpr) eval(ev *evaluator) (Sequence, error) {
 	// The tuple stream is represented as a slice of evaluators, each with
 	// its own variable environment.
-	stream := []*evaluator{ev.child()}
+	root := *ev // a let binds in its tuple's evaluator, which must not be ev
+	stream := []*evaluator{&root}
 	for _, cl := range e.clauses {
 		var err error
 		stream, err = applyClause(stream, cl)
@@ -220,11 +228,10 @@ func applyClause(stream []*evaluator, cl clause) ([]*evaluator, error) {
 				if err != nil {
 					return nil, err
 				}
-				for idx, item := range src {
-					n := tev.child()
-					n.vars[b.name] = Sequence{item}
+				for idx := range src {
+					n := tev.bind(b.name, src[idx:idx+1:idx+1])
 					if b.pos != "" {
-						n.vars[b.pos] = Sequence{float64(idx + 1)}
+						n.vars = &scope{name: b.pos, val: Sequence{float64(idx + 1)}, outer: n.vars}
 					}
 					next = append(next, n)
 				}
@@ -239,7 +246,7 @@ func applyClause(stream []*evaluator, cl clause) ([]*evaluator, error) {
 				if err != nil {
 					return nil, err
 				}
-				tev.vars[b.name] = v
+				tev.vars = &scope{name: b.name, val: v, outer: tev.vars}
 			}
 		}
 		return stream, nil
@@ -456,19 +463,27 @@ func (e *constructorExpr) eval(ev *evaluator) (Sequence, error) {
 
 func (e *constructorExpr) build(ev *evaluator) (*xmltree.Node, error) {
 	// First pass over attributes: xmlns declarations extend the scope used
-	// to resolve this element's own name and its children.
-	scope := map[string]string{}
-	for k, v := range ev.nsScope {
-		scope[k] = v
+	// to resolve this element's own name and its children. Without one,
+	// the children see ev's scope.
+	inner := ev
+	declare := func(prefix, uri string) {
+		if inner == ev {
+			scope := make(map[string]string, len(ev.nsScope)+1)
+			for k, v := range ev.nsScope {
+				scope[k] = v
+			}
+			inner = &evaluator{evaluation: ev.evaluation, vars: ev.vars, nsScope: scope}
+		}
+		inner.nsScope[prefix] = uri
 	}
-	inner := &evaluator{ctx: ev.ctx, vars: ev.vars, nsScope: scope}
 	type resolvedAttr struct {
 		name  xmltree.Name
 		value string
 		isNS  bool
 		nsFor string
 	}
-	var attrs []resolvedAttr
+	var buf [4]resolvedAttr
+	attrs := buf[:0]
 	for _, a := range e.attrs {
 		val, err := evalParts(ev, a.parts)
 		if err != nil {
@@ -476,10 +491,10 @@ func (e *constructorExpr) build(ev *evaluator) (*xmltree.Node, error) {
 		}
 		switch {
 		case a.prefix == "xmlns":
-			scope[a.local] = val
+			declare(a.local, val)
 			attrs = append(attrs, resolvedAttr{name: xmltree.Name{Space: "xmlns", Local: a.local}, value: val, isNS: true})
 		case a.prefix == "" && a.local == "xmlns":
-			scope[""] = val
+			declare("", val)
 			attrs = append(attrs, resolvedAttr{name: xmltree.Name{Local: "xmlns"}, value: val, isNS: true})
 		default:
 			attrs = append(attrs, resolvedAttr{value: val, nsFor: a.prefix, name: xmltree.Name{Local: a.local}})
@@ -492,10 +507,12 @@ func (e *constructorExpr) build(ev *evaluator) (*xmltree.Node, error) {
 			return nil, fmt.Errorf("xq: undeclared namespace prefix %q in constructor", e.prefix)
 		}
 		space = u
-	} else if u, ok := scope[""]; ok {
+	} else if u, ok := inner.nsScope[""]; ok {
 		space = u
 	}
 	el := xmltree.NewElement(space, e.local)
+	el.Attrs = make([]xmltree.Attr, 0, len(attrs))
+	el.Children = make([]*xmltree.Node, 0, len(e.content))
 	for _, a := range attrs {
 		if a.isNS {
 			el.SetAttr(a.name.Space, a.name.Local, a.value)
@@ -527,7 +544,10 @@ func (e *constructorExpr) build(ev *evaluator) (*xmltree.Node, error) {
 			prevAtomic := false
 			for _, it := range seq {
 				if n, ok := it.(*xmltree.Node); ok {
-					el.Append(cloneForOutput(n))
+					if !c.fresh {
+						n = cloneForOutput(n)
+					}
+					el.Append(n)
 					prevAtomic = false
 					continue
 				}

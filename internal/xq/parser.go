@@ -725,7 +725,30 @@ type constructorExpr struct {
 type constructorContent struct {
 	text  string           // literal text (non-boundary)
 	expr  qexpr            // enclosed expression
+	fresh bool             // expr yields only nodes it constructs; see constructs
 	child *constructorExpr // nested element
+}
+
+// constructs reports whether every node e yields is an element that e
+// itself constructs, referenced by no variable and no document. The
+// enclosing element then adopts those nodes instead of copying them.
+func constructs(e qexpr) bool {
+	switch e := e.(type) {
+	case *constructorExpr:
+		return true
+	case *flworExpr:
+		return constructs(e.ret)
+	case *ifExpr:
+		return constructs(e.then) && constructs(e.els)
+	case *seqExpr:
+		for _, it := range e.items {
+			if !constructs(it) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func (p *parser) parseConstructor() (qexpr, error) {
@@ -847,7 +870,7 @@ func (p *parser) parseConstructorInner() (*constructorExpr, error) {
 			if err := p.expectByte('}'); err != nil {
 				return nil, err
 			}
-			ce.content = append(ce.content, constructorContent{expr: e})
+			ce.content = append(ce.content, constructorContent{expr: e, fresh: constructs(e)})
 		default:
 			text.WriteByte(c)
 			p.pos++

@@ -64,7 +64,7 @@ func Compile(src string) (*Query, error) {
 	}
 	p.skipWS()
 	if p.pos < len(p.src) {
-		return nil, fmt.Errorf("xq: %q: trailing input at offset %d", src, p.pos)
+		return nil, fmt.Errorf("xq: trailing input at offset %d: %q", p.pos, snippet(src, p.pos))
 	}
 	return &Query{root: root, src: src}, nil
 }
@@ -80,11 +80,14 @@ func MustCompile(src string) *Query {
 
 // Eval evaluates the query and returns the result sequence.
 func (q *Query) Eval(ctx *Context) (Sequence, error) {
-	ev := &evaluator{ctx: ctx, vars: map[string]Sequence{}}
-	for k, v := range ctx.Vars {
-		ev.vars[k] = v
-	}
-	return q.root.eval(ev)
+	st := &evaluation{ctx: ctx, xctx: xpath.Context{
+		Node:       ctx.ContextNode,
+		Namespaces: ctx.Namespaces,
+		DefaultNS:  ctx.DefaultNS,
+		Docs:       ctx.Docs,
+	}}
+	st.root.evaluation = st
+	return q.root.eval(&st.root)
 }
 
 // EvalString evaluates the query and atomizes the result into one string

@@ -438,3 +438,52 @@ func TestNestingBound(t *testing.T) {
 		})
 	}
 }
+
+// TestVariableScopes pins the variable and doc() semantics of the
+// allocation-lean XPath bridge: a repeated node in a variable's sequence
+// is visited once, an inner binding shadows an outer one and a let sees the
+// tuple it is in, a variable the query does not reference is not converted,
+// and doc() keeps its error texts.
+func TestVariableScopes(t *testing.T) {
+	doc := xmltree.MustParse(carsXML)
+	owners := doc.Root().ChildElements()
+	vars := map[string]Sequence{
+		"O":     {owners[0], owners[0], owners[1]},
+		"Atoms": {"a", "b"}, // usable in no path, so an error only where referenced
+		"S":     {"outer"},
+	}
+	for _, c := range []struct{ src, want string }{
+		{`$O/car/model/text()`, "VW Golf|VW Passat|Twingo"},
+		{`count($O/car)`, "3"},
+		{`for $S in ('inner') return $S`, "inner"},
+		{`(for $S in ('inner') return $S, $S)`, "inner|outer"},
+		{`for $o in $O let $n := string($o/@name) return concat($n, ':', count($o/car))`, "John Doe:2|John Doe:2|Jane Roe:1"},
+		{`for $i in (1, 2) let $j := $i * 10 return $j`, "10|20"},
+		{`string($S)`, "outer"},
+	} {
+		q, err := Compile(c.src)
+		if err != nil {
+			t.Fatalf("compile %q: %v", c.src, err)
+		}
+		seq, err := q.Eval(&Context{Vars: vars})
+		if err != nil {
+			t.Fatalf("eval %q: %v", c.src, err)
+		}
+		if got := strings.Join(strs(seq), "|"); got != c.want {
+			t.Errorf("%s = %q, want %q", c.src, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		ctx       *Context
+		src, want string
+	}{
+		{&Context{Vars: vars}, `$Atoms/x`, "xq: variable $Atoms: xq: a sequence of multiple atomic values cannot be used inside a path expression"},
+		{&Context{}, `doc('cars.xml')//car`, `xq: doc("cars.xml"): no document resolver configured`},
+		{testCtx(nil), `count(doc('nope.xml')//car)`, `xq: doc("nope.xml"): no such document "nope.xml"`},
+	} {
+		_, err := MustCompile(c.src).Eval(c.ctx)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.src, err, c.want)
+		}
+	}
+}

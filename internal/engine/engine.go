@@ -24,6 +24,7 @@ import (
 	"repro/internal/services"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
+	"repro/internal/xq"
 )
 
 // ErrDuplicateRule reports a Register of an id that is already live.
@@ -419,21 +420,6 @@ func (e *Engine) Register(rule *ruleml.Rule) error { return e.Add("", rule) }
 // detection service via the GRH (Fig. 5). Rules without an id are
 // assigned rule-N, numbered per tenant.
 func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
-	analyze := e.analyzer
-	if analyze == nil {
-		analyze = ruleml.DefaultAnalyzer
-	}
-	// Validate analyses each component once, in rule.Components() order —
-	// the event first, then the steps; their Uses are kept for evalStep.
-	var uses [][]string
-	err := ruleml.Validate(rule, func(c ruleml.Component) ruleml.VarAnalysis {
-		a := analyze(c)
-		uses = append(uses, a.Uses)
-		return a
-	})
-	if err != nil {
-		return err
-	}
 	// Compile once: each component's language compiles its expression
 	// here, so a rule that does not compile is rejected (a 400 naming the
 	// component) instead of failing on every matching event, and the
@@ -447,7 +433,7 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		}
 		form, err := compile(c)
 		if err != nil {
-			return fmt.Errorf("engine: rule %q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
+			return fmt.Errorf("engine: rule %.64q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
 		}
 		if form != nil {
 			if compiled == nil {
@@ -455,6 +441,32 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 			}
 			compiled[i] = form
 		}
+	}
+	analyze := e.analyzer
+	if analyze == nil {
+		analyze = ruleml.DefaultAnalyzer
+	}
+	// Validate analyses each component once, in rule.Components() order —
+	// the event first, then the steps; their Uses are kept for evalStep.
+	// A component whose compiled form lists its variables (an xq query, an
+	// XPath test) uses exactly those; opaque text keeps the textual scan,
+	// as its substitution (§4.4) is textual.
+	var uses [][]string
+	err := ruleml.Validate(rule, func(c ruleml.Component) ruleml.VarAnalysis {
+		a := analyze(c)
+		if compiled != nil && !c.Opaque {
+			switch form := compiled[len(uses)].(type) {
+			case *xq.Query:
+				a.Uses = form.Vars()
+			case *xpath.Expr:
+				a.Uses = form.Vars()
+			}
+		}
+		uses = append(uses, a.Uses)
+		return a
+	})
+	if err != nil {
+		return err
 	}
 	e.mu.Lock()
 	if rule.ID == "" {
@@ -472,7 +484,7 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 	k := ruleKey{tenant, rule.ID}
 	if _, dup := e.rules[k]; dup {
 		e.mu.Unlock()
-		return fmt.Errorf("engine: rule %q %w", rule.ID, ErrDuplicateRule)
+		return fmt.Errorf("engine: rule %.64q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
 	e.rules[k] = &RuleState{Rule: rule, Tenant: tenant, Registered: registered,

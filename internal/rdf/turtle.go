@@ -381,7 +381,7 @@ func (p *turtleParser) parsePrefixedName() (Term, error) {
 	local := p.parseName()
 	ns, ok := p.prefixes[prefix]
 	if !ok {
-		return Term{}, p.errf("undeclared prefix %q", prefix)
+		return Term{}, p.errf("undeclared prefix %.64q", prefix)
 	}
 	return NewIRI(ns + local), nil
 }

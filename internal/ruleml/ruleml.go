@@ -120,7 +120,7 @@ func Parse(doc *xmltree.Node) (*Rule, error) {
 			inner := el.ChildElements()
 			if len(inner) != 1 || inner[0].Name.Space != protocol.ECANS ||
 				(inner[0].Name.Local != "query" && inner[0].Name.Local != "event") {
-				return nil, fmt.Errorf("ruleml: eca:variable %q must wrap exactly one eca:query or eca:event", name)
+				return nil, fmt.Errorf("ruleml: eca:variable %.64q must wrap exactly one eca:query or eca:event", name)
 			}
 			if inner[0].Name.Local == "event" {
 				if sawEvent {
@@ -269,7 +269,7 @@ func Validate(r *Rule, analyze Analyzer) error {
 		a := analyze(c)
 		for _, u := range a.Uses {
 			if !bound[u] && !contains(a.Binds, u) {
-				return fmt.Errorf("ruleml: rule %q: variable $%s used in %s before being bound", r.ID, u, c.ID)
+				return fmt.Errorf("ruleml: rule %.64q: variable $%.64s used in %s before being bound", r.ID, u, c.ID)
 			}
 		}
 		for _, b := range a.Binds {

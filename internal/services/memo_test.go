@@ -10,6 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/protocol"
+	"repro/internal/rdf"
+	"repro/internal/ruleml"
+	"repro/internal/snoop"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 	"repro/internal/xq"
@@ -120,8 +124,9 @@ func TestOpaqueMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestCompileErrorsBounded: an error about a 1 MiB query quotes a window of
-// it, in the compilers and in a stand-in's 400 body.
+// TestCompileErrorsBounded: an error about a 1 MiB query, or a 1 MiB name
+// in a rule, quotes a window of it, in the compilers, the rule, SNOOP and
+// Turtle readers, and in a stand-in's 400 body.
 func TestCompileErrorsBounded(t *testing.T) {
 	mib := strings.Repeat("x", 1<<20)
 	_, node := opaqueStandIns()
@@ -138,6 +143,25 @@ func TestCompileErrorsBounded(t *testing.T) {
 			return err
 		}, "bad number"},
 		{"datalog predicate name", func() error { _, err := datalog.ParseQuery("P" + mib + "(a)"); return err }, "upper-case"},
+		{"ruleml variable name", func() error {
+			_, err := ruleml.ParseString(`<eca:rule xmlns:eca="` + protocol.ECANS + `"><eca:event><e/></eca:event>` +
+				`<eca:variable name="` + mib + `"><eca:action/></eca:variable><eca:action><a/></eca:action></eca:rule>`)
+			return err
+		}, "must wrap"},
+		{"ruleml rule id and variable", func() error {
+			r, err := ruleml.ParseString(`<eca:rule xmlns:eca="` + protocol.ECANS + `" id="` + mib + `">` +
+				`<eca:event><e/></eca:event><eca:action><a x="$` + mib + `"/></eca:action></eca:rule>`)
+			if err != nil {
+				return nil
+			}
+			return ruleml.Validate(r, nil)
+		}, "before being bound"},
+		{"snoop m attribute", func() error {
+			_, err := snoop.ParseXML(xmltree.MustParse(`<any xmlns="` + snoop.NS + `" m="` + mib + `"><a/></any>`).Root())
+			return err
+		}, "integer m"},
+		{"snoop parameter context", func() error { _, err := snoop.ParseContext(mib); return err }, "parameter context"},
+		{"turtle undeclared prefix", func() error { _, err := rdf.ParseTurtleString(mib + ":a <b> <c> ."); return err }, "undeclared prefix"},
 		{"opaque xquery 400 body", func() error {
 			code, body := getQuery(node, "1 )"+mib)
 			if code != http.StatusBadRequest {

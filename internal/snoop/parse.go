@@ -54,7 +54,7 @@ func ParseXML(n *xmltree.Node) (Expr, error) {
 		mStr := n.AttrValue("", "m")
 		m, err := strconv.Atoi(mStr)
 		if err != nil {
-			return nil, fmt.Errorf("snoop: <any> needs an integer m attribute, got %q", mStr)
+			return nil, fmt.Errorf("snoop: <any> needs an integer m attribute, got %.64q", mStr)
 		}
 		kids, err := childExprs(n, 1, -1)
 		if err != nil {

@@ -65,7 +65,7 @@ var contextNames = map[string]ParamContext{
 func ParseContext(s string) (ParamContext, error) {
 	c, ok := contextNames[strings.ToLower(s)]
 	if !ok {
-		return 0, fmt.Errorf("snoop: unknown parameter context %q", s)
+		return 0, fmt.Errorf("snoop: unknown parameter context %.64q", s)
 	}
 	return c, nil
 }

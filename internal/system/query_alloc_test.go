@@ -233,3 +233,51 @@ func BenchmarkEvalTest(b *testing.B) {
 		q.evalTest(b)
 	}
 }
+
+// Upper bounds on what one compile of the Fig. 7 and Fig. 10 queries
+// allocates: the counts of the parser that carved XPath spans out of the
+// query text and compiled each apart. Under -distribute the XQuery
+// service compiles the Fig. 7 query on every request.
+const (
+	maxOwnCompileAllocs   = 36
+	maxAvailCompileAllocs = 70
+)
+
+// TestQueryCompileAllocs: compiling the Fig. 7 and Fig. 10 queries costs
+// no more allocations than it did before xq read XPath's token stream.
+func TestQueryCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	q := newTravelQueries(t)
+	for _, row := range []struct {
+		name  string
+		src   string
+		limit int
+	}{
+		{"Fig. 7", q.own.String(), maxOwnCompileAllocs},
+		{"Fig. 10", q.availSrc, maxAvailCompileAllocs},
+	} {
+		got := testing.AllocsPerRun(100, func() { xq.MustCompile(row.src) })
+		t.Logf("%s: %.0f allocations per compile", row.name, got)
+		if got > float64(row.limit) {
+			t.Errorf("%s: %.0f allocations per compile, limit %d", row.name, got, row.limit)
+		}
+	}
+}
+
+func BenchmarkCompileFig7(b *testing.B) {
+	src := newTravelQueries(b).own.String()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xq.MustCompile(src)
+	}
+}
+
+func BenchmarkCompileFig10(b *testing.B) {
+	src := newTravelQueries(b).availSrc
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xq.MustCompile(src)
+	}
+}

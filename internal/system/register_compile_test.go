@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -286,6 +287,62 @@ func TestRuleCompiledOnce(t *testing.T) {
 	for i, c := range seen {
 		if c == nil || c != seen[0] {
 			t.Fatalf("dispatch %d carried a %T compiled form (the first dispatch's: %v), want the same non-nil form on every dispatch", i, c, c == seen[0])
+		}
+	}
+}
+
+// TestRegisterExactVariables: an xq query's and an XPath test's variables
+// come from their compiled forms, not from a textual scan, so a FLWOR
+// variable after a line break or a tab, and a $ in a string literal, are
+// not uses; a truly free variable is still one, and rejected with 422.
+func TestRegisterExactVariables(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(sys.Mux(nil, nil))
+	defer srv.Close()
+	rule := func(id, query, test string) string {
+		return `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `"
+		  xmlns:xq="` + services.XQueryNS + `" id="` + id + `">
+		  <eca:event><t:ping x="$X"/></eca:event>
+		  <eca:variable name="N"><eca:query><xq:query>` + query + `</xq:query></eca:query></eca:variable>
+		  <eca:test>` + test + `</eca:test>
+		  <eca:action><t:pong x="$X" n="$N"/></eca:action>
+		</eca:rule>`
+	}
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(srv.URL+path, "application/xml", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(b)
+	}
+	for i, q := range []string{"for\n$n in (1, 2) return $n", "let\t$a := 1 return $a", "concat('$Price', 'x')"} {
+		if code, body := post("/engine/rules", rule(fmt.Sprintf("exact-%d", i), q, "$X = 7")); code != http.StatusOK {
+			t.Errorf("register %q: %d %s", q, code, body)
+		}
+	}
+	if code, body := post("/events", `<t:ping xmlns:t="`+tNS+`" x="7"/>`); code != http.StatusOK {
+		t.Fatalf("event: %d %s", code, body)
+	}
+	var got []string
+	for _, n := range sys.Notifier.Sent() {
+		got = append(got, n.Message.String())
+	}
+	if len(got) != 4 { // two tuples for the for, one each for the others
+		t.Errorf("sent %d notifications, want 4: %v", len(got), got)
+	}
+	for _, c := range []struct{ query, test string }{
+		{"for $n in (1) return $Undeclared", "$X = 7"},
+		{"1", "$Undeclared = 7"},
+	} {
+		code, body := post("/engine/rules", rule("free", c.query, c.test))
+		if code != http.StatusUnprocessableEntity || !strings.Contains(body, "$Undeclared") {
+			t.Errorf("query %q, test %q: %d %s, want 422 naming $Undeclared", c.query, c.test, code, body)
 		}
 	}
 }

@@ -22,7 +22,7 @@ type exprNode interface {
 	eval(ctx *evalCtx) (object, error)
 }
 
-// axis enumerates the supported XPath axes.
+// axis enumerates the supported XPath axes, the downward ones first.
 type axis int
 
 const (
@@ -88,7 +88,8 @@ type pathExpr struct {
 	steps    []step
 }
 
-// filterExpr is PrimaryExpr Predicate* without a trailing path.
+// filterExpr is PrimaryExpr Predicate+ without a trailing path; a primary
+// without predicates is its own node.
 type filterExpr struct {
 	primary exprNode
 	preds   []exprNode

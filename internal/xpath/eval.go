@@ -3,14 +3,15 @@ package xpath
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/xmltree"
 )
 
-// NodeSet is an XPath node-set result, in the order produced by evaluation
-// (document order for forward axes).
+// NodeSet is an XPath node-set result, in document order, except that a
+// path from a start node-set (a variable, say) keeps the start's order.
 type NodeSet []*xmltree.Node
 
 // Object is an XPath value: one of NodeSet, float64, string or bool.
@@ -54,7 +55,11 @@ type evaluation struct {
 	// args is a stack of evaluated function arguments: a call pushes its
 	// arguments, passes them to the function and pops them.
 	args []object
-	top  evalCtx
+	// order ranks the nodes of the documents sorted so far, and ranked
+	// counts the ranks given; see docOrder.
+	order  map[*xmltree.Node]int
+	ranked int
+	top    evalCtx
 }
 
 // evalCtx is a dynamic context: the context node, position and size.
@@ -268,6 +273,9 @@ func (e *chainExpr) eval(c *evalCtx) (object, error) {
 			return nil, err
 		}
 	}
+	if e.ops[0] == "|" {
+		c.inDocOrder(acc.(NodeSet))
+	}
 	return acc, nil
 }
 
@@ -458,6 +466,8 @@ func attrValue(c *evalCtx, n *xmltree.Node, t nodeTest) (string, bool) {
 	return "", false
 }
 
+// unionNodeSets is a | b, in operand order; chainExpr.eval sorts a union
+// chain's result once.
 func unionNodeSets(a, b NodeSet) NodeSet {
 	seen := make(map[*xmltree.Node]bool, len(a)+len(b))
 	out := make(NodeSet, 0, len(a)+len(b))
@@ -553,9 +563,72 @@ func (e *pathExpr) eval(c *evalCtx) (object, error) {
 		if out, err = evalStep(c, input, s, !unique); err != nil {
 			return nil, err
 		}
+		// Each context node yields its nodes in document order. A path
+		// from the context node or the root has its input in document
+		// order from the second step on; their concatenation is then out
+		// of order only on the reverse and sideways axes, and on the
+		// downward ones (child, descendant, descendant-or-self) when one
+		// context node lies within another. A path from a start node-set
+		// keeps the start's order, as its first step always did.
+		if e.start == nil && i > 0 && len(input) > 1 && s.axis != axisSelf && s.axis != axisAttribute &&
+			(s.axis > axisDescendantOrSelf || nests(input)) {
+			c.inDocOrder(out)
+		}
 		input = out
 	}
 	return out, nil
+}
+
+// nests reports whether a node of ns, which is in document order, lies
+// within the node before it.
+func nests(ns NodeSet) bool {
+	for i := 1; i < len(ns); i++ {
+		for p := ns[i].Parent; p != nil; p = p.Parent {
+			if p == ns[i-1] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inDocOrder sorts ns, which holds no node twice, into document order.
+// The nodes of different documents keep their documents in the order of
+// their first nodes in ns.
+func (c *evalCtx) inDocOrder(ns NodeSet) {
+	for _, n := range ns {
+		c.docOrder(n)
+	}
+	slices.SortFunc(ns, func(a, b *xmltree.Node) int { return c.docOrder(a) - c.docOrder(b) })
+}
+
+// docOrder is n's rank in document order. The first call for a node of a
+// document numbers the whole document: each node, then its attributes,
+// then its children.
+func (c *evalCtx) docOrder(n *xmltree.Node) int {
+	if p := n.Parent; n.Kind == xmltree.AttrNode && p != nil {
+		for i, a := range p.Attrs {
+			if a.Name == n.Name {
+				return c.docOrder(p) + 1 + i
+			}
+		}
+	}
+	if k, ok := c.order[n]; ok {
+		return k
+	}
+	if c.order == nil {
+		c.order = map[*xmltree.Node]int{}
+	}
+	var number func(n *xmltree.Node)
+	number = func(n *xmltree.Node) {
+		c.order[n] = c.ranked
+		c.ranked += 1 + len(n.Attrs)
+		for _, ch := range n.Children {
+			number(ch)
+		}
+	}
+	number(documentRoot(n))
+	return c.order[n]
 }
 
 func documentRoot(n *xmltree.Node) *xmltree.Node {

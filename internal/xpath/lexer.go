@@ -6,6 +6,8 @@
 //
 // It is the path-expression engine used by the XQuery-lite interpreter
 // (internal/xq), the test component evaluator and the atomic event matcher.
+// The XQuery-lite grammar extends this one: it reads the same token stream
+// through a Parser and hands every operand to the grammar here.
 package xpath
 
 import (
@@ -14,49 +16,52 @@ import (
 	"unicode"
 )
 
-// tokenKind enumerates lexical token classes.
-type tokenKind int
+// TokenKind enumerates lexical token classes. The exported kinds are those
+// the XQuery-lite grammar reads itself.
+type TokenKind int
 
 const (
-	tokEOF  tokenKind = iota
-	tokName           // NCName or QName part
+	TokEOF  TokenKind = iota
+	TokName           // NCName or QName part
 	tokNumber
-	tokString
-	tokVariable // $name
-	tokSlash
+	TokString
+	TokVariable // $name
+	TokSlash
 	tokSlashSlash
 	tokLBracket
 	tokRBracket
-	tokLParen
-	tokRParen
+	TokLParen
+	TokRParen
 	tokAt
 	tokDot
 	tokDotDot
-	tokComma
+	TokComma
 	tokStar
 	tokPipe
 	tokPlus
 	tokMinus
-	tokEq
+	TokEq
 	tokNeq
-	tokLt
+	TokLt
 	tokLte
-	tokGt
-	tokGte
+	TokGt
+	TokGte
 	tokColonColon
-	tokColon
+	TokColon
+	TokRBrace // '}', in query mode only
+	TokAssign // ":=", in query mode only
 )
 
-func (k tokenKind) String() string {
-	names := map[tokenKind]string{
-		tokEOF: "end of expression", tokName: "name", tokNumber: "number",
-		tokString: "string", tokVariable: "variable", tokSlash: "/",
+func (k TokenKind) String() string {
+	names := map[TokenKind]string{
+		TokEOF: "end of expression", TokName: "name", tokNumber: "number",
+		TokString: "string", TokVariable: "variable", TokSlash: "/",
 		tokSlashSlash: "//", tokLBracket: "[", tokRBracket: "]",
-		tokLParen: "(", tokRParen: ")", tokAt: "@", tokDot: ".",
-		tokDotDot: "..", tokComma: ",", tokStar: "*", tokPipe: "|",
-		tokPlus: "+", tokMinus: "-", tokEq: "=", tokNeq: "!=",
-		tokLt: "<", tokLte: "<=", tokGt: ">", tokGte: ">=",
-		tokColonColon: "::", tokColon: ":",
+		TokLParen: "(", TokRParen: ")", tokAt: "@", tokDot: ".",
+		tokDotDot: "..", TokComma: ",", tokStar: "*", tokPipe: "|",
+		tokPlus: "+", tokMinus: "-", TokEq: "=", tokNeq: "!=",
+		TokLt: "<", tokLte: "<=", TokGt: ">", TokGte: ">=",
+		tokColonColon: "::", TokColon: ":", TokRBrace: "}", TokAssign: ":=",
 	}
 	if s, ok := names[k]; ok {
 		return s
@@ -64,148 +69,131 @@ func (k tokenKind) String() string {
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-type token struct {
-	kind tokenKind
-	text string
-	pos  int
+// Token is one lexical token: its kind, its text (a name, a variable's
+// name without the '$', a literal's value, a symbol's spelling) and the
+// byte offsets of its first byte and of the byte after it.
+type Token struct {
+	Kind     TokenKind
+	Text     string
+	Pos, End int
 }
 
-// lexer tokenizes an XPath expression one token at a time, on the
-// parser's demand. Disambiguation of '*' (multiply vs wildcard) and of the
-// operator names and/or/div/mod is grammar-directed: the parser interprets
-// them by syntactic position.
+// lexer tokenizes an expression one token at a time, on the parser's
+// demand. Disambiguation of '*' (multiply vs wildcard) and of the operator
+// names and/or/div/mod is grammar-directed: the parser interprets them by
+// syntactic position. In query (XQuery) mode a (: comment :) is space, and
+// '}' and ":=" are tokens.
 type lexer struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	query bool
 }
 
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+func (l *lexer) errAt(pos int, msg string) error {
+	return &SyntaxError{Src: l.src, Pos: pos, Msg: msg, query: l.query}
+}
+
+// skipSpace skips white space and, in query mode, comments.
+func (l *lexer) skipSpace() error {
+	for {
+		for l.pos < len(l.src) && class[l.src[l.pos]]&space != 0 {
+			l.pos++
+		}
+		if !l.query || !strings.HasPrefix(l.src[l.pos:], "(:") {
+			return nil
+		}
+		end := strings.Index(l.src[l.pos+2:], ":)")
+		if end < 0 {
+			return l.errAt(l.pos, "unterminated comment")
+		}
+		l.pos += 2 + end + 2
+	}
+}
+
+// token makes *t the token of kind k from start to the lexer's position.
+func (l *lexer) token(t *Token, k TokenKind, start int) error {
+	*t = Token{k, l.src[start:l.pos], start, l.pos}
+	return nil
+}
+
+// symbol consumes the n-byte symbol token of kind k into *t.
+func (l *lexer) symbol(t *Token, k TokenKind, n int) error {
+	l.pos += n
+	return l.token(t, k, l.pos-n)
+}
+
+// punctuation holds the kinds of the one-byte symbol tokens.
+var punctuation = [128]TokenKind{
+	'/': TokSlash, '[': tokLBracket, ']': tokRBracket, '(': TokLParen, ')': TokRParen,
+	'@': tokAt, '.': tokDot, ',': TokComma, '*': tokStar, '|': tokPipe, '+': tokPlus,
+	'-': tokMinus, '=': TokEq, '<': TokLt, '>': TokGt, ':': TokColon, '}': TokRBrace,
+}
+
+// next lexes the next token into *t.
+func (l *lexer) next(t *Token) error {
+	if err := l.skipSpace(); err != nil {
+		return err
 	}
 	start := l.pos
 	if l.pos >= len(l.src) {
-		return token{tokEOF, "", start}, nil
+		return l.token(t, TokEOF, start)
 	}
-	c := l.src[l.pos]
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch {
-	case two == "//":
-		l.pos += 2
-		return token{tokSlashSlash, "//", start}, nil
-	case two == "..":
-		l.pos += 2
-		return token{tokDotDot, "..", start}, nil
-	case two == "::":
-		l.pos += 2
-		return token{tokColonColon, "::", start}, nil
-	case two == "!=":
-		l.pos += 2
-		return token{tokNeq, "!=", start}, nil
-	case two == "<=":
-		l.pos += 2
-		return token{tokLte, "<=", start}, nil
-	case two == ">=":
-		l.pos += 2
-		return token{tokGte, ">=", start}, nil
-	}
-	switch c {
-	case '/':
-		l.pos++
-		return token{tokSlash, "/", start}, nil
-	case '[':
-		l.pos++
-		return token{tokLBracket, "[", start}, nil
-	case ']':
-		l.pos++
-		return token{tokRBracket, "]", start}, nil
-	case '(':
-		l.pos++
-		return token{tokLParen, "(", start}, nil
-	case ')':
-		l.pos++
-		return token{tokRParen, ")", start}, nil
-	case '@':
-		l.pos++
-		return token{tokAt, "@", start}, nil
-	case ',':
-		l.pos++
-		return token{tokComma, ",", start}, nil
-	case '|':
-		l.pos++
-		return token{tokPipe, "|", start}, nil
-	case '+':
-		l.pos++
-		return token{tokPlus, "+", start}, nil
-	case '-':
-		l.pos++
-		return token{tokMinus, "-", start}, nil
-	case '=':
-		l.pos++
-		return token{tokEq, "=", start}, nil
-	case '<':
-		l.pos++
-		return token{tokLt, "<", start}, nil
-	case '>':
-		l.pos++
-		return token{tokGt, ">", start}, nil
-	case '*':
-		l.pos++
-		return token{tokStar, "*", start}, nil
-	case ':':
-		l.pos++
-		return token{tokColon, ":", start}, nil
-	case '$':
-		l.pos++
-		name := l.ncName()
-		if name == "" {
-			return token{}, &SyntaxError{Src: l.src, Pos: start, Msg: "'$' not followed by a name"}
+	switch l.src[l.pos:min(l.pos+2, len(l.src))] {
+	case "//":
+		return l.symbol(t, tokSlashSlash, 2)
+	case "..":
+		return l.symbol(t, tokDotDot, 2)
+	case "::":
+		return l.symbol(t, tokColonColon, 2)
+	case "!=":
+		return l.symbol(t, tokNeq, 2)
+	case "<=":
+		return l.symbol(t, tokLte, 2)
+	case ">=":
+		return l.symbol(t, TokGte, 2)
+	case ":=":
+		if l.query {
+			return l.symbol(t, TokAssign, 2)
 		}
-		return token{tokVariable, name, start}, nil
-	case '"', '\'':
-		quote := c
+	}
+	switch c := l.src[l.pos]; {
+	case isDigit(c) || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
+			l.pos++
+		}
+		return l.token(t, tokNumber, start)
+	case c < 128 && punctuation[c] != 0 && (c != '}' || l.query):
+		return l.symbol(t, punctuation[c], 1)
+	case c == '$':
 		l.pos++
-		end := strings.IndexByte(l.src[l.pos:], quote)
+		if l.ncName() == "" {
+			return l.errAt(start, "'$' not followed by a name")
+		}
+		*t = Token{TokVariable, l.src[start+1 : l.pos], start, l.pos}
+		return nil
+	case c == '"' || c == '\'':
+		end := strings.IndexByte(l.src[l.pos+1:], c)
 		if end < 0 {
-			return token{}, &SyntaxError{Src: l.src, Pos: start, Msg: "unterminated string literal"}
+			return l.errAt(start, "unterminated string literal")
 		}
-		s := l.src[l.pos : l.pos+end]
-		l.pos += end + 1
-		return token{tokString, s, start}, nil
-	case '.':
-		if l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]) {
-			return l.number(start)
-		}
-		l.pos++
-		return token{tokDot, ".", start}, nil
+		l.pos += end + 2
+		*t = Token{TokString, l.src[start+1 : l.pos-1], start, l.pos}
+		return nil
+	case class[c]&nameStart != 0:
+		l.ncName()
+		return l.token(t, TokName, start)
+	default:
+		return l.errAt(start, fmt.Sprintf("unexpected character %q", string(c)))
 	}
-	if isDigit(c) {
-		return l.number(start)
-	}
-	if isNameStart(rune(c)) {
-		name := l.ncName()
-		return token{tokName, name, start}, nil
-	}
-	return token{}, &SyntaxError{Src: l.src, Pos: start, Msg: fmt.Sprintf("unexpected character %q", string(c))}
-}
-
-func (l *lexer) number(start int) (token, error) {
-	for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
-		l.pos++
-	}
-	return token{tokNumber, l.src[start:l.pos], start}, nil
 }
 
 func (l *lexer) ncName() string {
 	start := l.pos
-	if l.pos >= len(l.src) || !isNameStart(rune(l.src[l.pos])) {
+	if l.pos >= len(l.src) || class[l.src[l.pos]]&nameStart == 0 {
 		return ""
 	}
 	l.pos++
-	for l.pos < len(l.src) && isNameChar(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && class[l.src[l.pos]]&nameChar != 0 {
 		l.pos++
 	}
 	return l.src[start:l.pos]
@@ -213,10 +201,27 @@ func (l *lexer) ncName() string {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isNameStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
+// class holds, for each byte, which of space, nameStart and nameChar it
+// is. The lexer reads a byte as the rune of its value.
+var class [256]uint8
 
-func isNameChar(r rune) bool {
-	return r == '_' || r == '-' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
+const (
+	space = 1 << iota
+	nameStart
+	nameChar
+)
+
+func init() {
+	for b := range class {
+		r := rune(b)
+		if unicode.IsSpace(r) {
+			class[b] |= space
+		}
+		if r == '_' || unicode.IsLetter(r) {
+			class[b] |= nameStart | nameChar
+		}
+		if r == '-' || r == '.' || unicode.IsDigit(r) {
+			class[b] |= nameChar
+		}
+	}
 }

@@ -9,14 +9,13 @@ import (
 	"repro/internal/xmltree"
 )
 
-// SyntaxError is the error Compile returns for malformed expressions. Pos
-// is a byte offset into Src; embedding compilers (internal/xq carves XPath
-// spans out of XQuery-lite source) translate it into their own coordinate
-// space instead of re-parsing the message.
+// SyntaxError is the error Compile, and a Parser, return for malformed
+// source. Pos is a byte offset into Src.
 type SyntaxError struct {
-	Src string // the expression source handed to Compile
-	Pos int    // byte offset into Src where compilation failed
-	Msg string // what went wrong
+	Src   string // the source handed to Compile or NewParser
+	Pos   int    // byte offset into Src where compilation failed
+	Msg   string // what went wrong
+	query bool   // Src is an XQuery-lite query, read by a Parser
 }
 
 // errorContext is how many bytes of the source an error message quotes on
@@ -24,9 +23,11 @@ type SyntaxError struct {
 // expression (and a rejected rule's 400 body) stays small.
 const errorContext = 32
 
-// Error renders the historical message shape, quoting the source around
-// Pos.
+// Error renders the message, quoting the source around Pos.
 func (e *SyntaxError) Error() string {
+	if e.query {
+		return fmt.Sprintf("xq: offset %d: %s, at %q", e.Pos, e.Msg, excerpt(e.Src, e.Pos))
+	}
 	return fmt.Sprintf("xpath: %q: position %d: %s", excerpt(e.Src, e.Pos), e.Pos, e.Msg)
 }
 
@@ -53,10 +54,10 @@ func excerpt(src string, pos int) string {
 
 // Compile parses an XPath expression into an immutable, reusable Expr.
 func Compile(src string) (*Expr, error) {
-	p := &parser{lx: lexer{src: src}, src: src}
+	p := &parser{lx: lexer{src: src}}
 	root, err := p.parseOr()
-	if err == nil && p.peek().kind != tokEOF {
-		err = p.errf("unexpected %s after expression", p.peek().kind)
+	if err == nil && p.peek().Kind != TokEOF {
+		err = p.errf("unexpected %s after expression", p.peek().Kind)
 	}
 	// A malformed token anywhere in the source is the error, as if the
 	// whole source had been tokenized before parsing.
@@ -98,90 +99,93 @@ func MustCompile(src string) *Expr {
 // expression is never held as a slice of tokens.
 type parser struct {
 	lx     lexer
-	window [2]token // the next tokens, window[:n] filled
+	window [2]Token // the next tokens, window[:n] filled
 	n      int
-	lexErr error // the lexer's error, after which it yields tokEOF
-	src    string
+	lexErr error    // the lexer's error, after which it yields TokEOF
+	end    int      // offset after the last token consumed
 	depth  int      // nesting levels open; see nested
 	vars   []string // every variable reference so far, for Expr.Vars
+	// pending is a primary expression parsed by a Parser's caller, which
+	// parsePath takes as the start of the operand; see Parser.Continue.
+	pending exprNode
 }
 
 // fill lexes until the window holds k tokens.
 func (p *parser) fill(k int) {
-	for p.n < k {
-		t := token{kind: tokEOF, pos: len(p.src)}
+	for ; p.n < k; p.n++ {
+		t := &p.window[p.n]
 		if p.lexErr == nil {
-			if next, err := p.lx.next(); err != nil {
-				p.lexErr = err
-			} else {
-				t = next
+			if p.lexErr = p.lx.next(t); p.lexErr == nil {
+				continue
 			}
 		}
-		p.window[p.n] = t
-		p.n++
+		*t = Token{Kind: TokEOF, Pos: len(p.lx.src), End: len(p.lx.src)}
 	}
 }
 
 // drain lexes the rest of the source and returns the lexer's error, if
 // any.
 func (p *parser) drain() error {
+	var t Token
 	for p.lexErr == nil {
-		t, err := p.lx.next()
-		if err != nil {
-			p.lexErr = err
-		} else if t.kind == tokEOF {
+		if p.lexErr = p.lx.next(&t); p.lexErr == nil && t.Kind == TokEOF {
 			return nil
 		}
 	}
 	return p.lexErr
 }
 
-func (p *parser) peek() token {
-	p.fill(1)
+func (p *parser) peek() Token {
+	if p.n == 0 {
+		p.fill(1)
+	}
 	return p.window[0]
 }
 
-func (p *parser) peek2() token {
-	p.fill(2)
+func (p *parser) peek2() Token {
+	if p.n < 2 {
+		p.fill(2)
+	}
 	return p.window[1]
 }
 
-func (p *parser) advance() token {
+func (p *parser) advance() Token {
 	t := p.peek()
-	if t.kind != tokEOF {
+	if t.Kind != TokEOF {
 		p.window[0] = p.window[1]
 		p.n--
+		p.end = t.End
 	}
 	return t
 }
 
-func (p *parser) accept(k tokenKind) bool {
-	if p.peek().kind == k {
+func (p *parser) accept(k TokenKind) bool {
+	if p.peek().Kind == k {
 		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(k tokenKind) (token, error) {
-	if p.peek().kind != k {
-		return token{}, p.errf("expected %s, found %s", k, p.peek().kind)
+func (p *parser) expect(k TokenKind) (Token, error) {
+	if p.peek().Kind != k {
+		return Token{}, p.errf("expected %s, found %s", k, p.peek().Kind)
 	}
 	return p.advance(), nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Src: p.src, Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
+	return p.lx.errAt(p.peek().Pos, fmt.Sprintf(format, args...))
 }
 
-// acceptOpName consumes a tokName with one of the given spellings when it
+// acceptOpName consumes a TokName with one of the given spellings when it
 // appears in operator position, returning the spelling.
 func (p *parser) acceptOpName(names ...string) (string, bool) {
-	if p.peek().kind != tokName {
+	if p.peek().Kind != TokName {
 		return "", false
 	}
 	for _, n := range names {
-		if p.peek().text == n {
+		if p.peek().Text == n {
 			p.advance()
 			return n, true
 		}
@@ -261,8 +265,8 @@ func attrComparison(c *chainExpr) exprNode {
 
 // acceptSymbol consumes an operator token of one of the kinds in ops,
 // returning its spelling.
-func (p *parser) acceptSymbol(ops map[tokenKind]string) (string, bool) {
-	op, ok := ops[p.peek().kind]
+func (p *parser) acceptSymbol(ops map[TokenKind]string) (string, bool) {
+	op, ok := ops[p.peek().Kind]
 	if ok {
 		p.advance()
 	}
@@ -270,10 +274,10 @@ func (p *parser) acceptSymbol(ops map[tokenKind]string) (string, bool) {
 }
 
 var (
-	equalityOps   = map[tokenKind]string{tokEq: "=", tokNeq: "!="}
-	relationalOps = map[tokenKind]string{tokLt: "<", tokLte: "<=", tokGt: ">", tokGte: ">="}
-	additiveOps   = map[tokenKind]string{tokPlus: "+", tokMinus: "-"}
-	unionOps      = map[tokenKind]string{tokPipe: "|"}
+	equalityOps   = map[TokenKind]string{TokEq: "=", tokNeq: "!="}
+	relationalOps = map[TokenKind]string{TokLt: "<", tokLte: "<=", TokGt: ">", TokGte: ">="}
+	additiveOps   = map[TokenKind]string{tokPlus: "+", tokMinus: "-"}
+	unionOps      = map[TokenKind]string{tokPipe: "|"}
 )
 
 func (p *parser) parseOr() (exprNode, error) {
@@ -306,7 +310,7 @@ func (p *parser) parseMultiplicative() (exprNode, error) {
 }
 
 func (p *parser) parseUnary() (exprNode, error) {
-	if p.accept(tokMinus) {
+	if p.pending == nil && p.accept(tokMinus) {
 		operand, err := p.nested(p.parseUnary)
 		if err != nil {
 			return nil, err
@@ -326,12 +330,12 @@ var nodeTypeNames = map[string]bool{"node": true, "text": true, "comment": true,
 // startsFilterExpr decides whether the upcoming tokens begin a FilterExpr
 // (primary expression) rather than a location path.
 func (p *parser) startsFilterExpr() bool {
-	switch p.peek().kind {
-	case tokVariable, tokString, tokNumber, tokLParen:
+	switch p.peek().Kind {
+	case TokVariable, TokString, tokNumber, TokLParen:
 		return true
-	case tokName:
+	case TokName:
 		// FunctionName '(' — but node-type tests and axis names are path syntax.
-		if p.peek2().kind == tokLParen && !nodeTypeNames[p.peek().text] {
+		if p.peek2().Kind == TokLParen && !nodeTypeNames[p.peek().Text] {
 			return true
 		}
 	}
@@ -339,42 +343,49 @@ func (p *parser) startsFilterExpr() bool {
 }
 
 // parsePath := LocationPath | FilterExpr (('/'|'//') RelativeLocationPath)?
+// A pending primary is the start of a FilterExpr.
 func (p *parser) parsePath() (exprNode, error) {
-	if p.startsFilterExpr() {
-		primary, err := p.parsePrimary()
-		if err != nil {
+	if p.pending == nil && !p.startsFilterExpr() {
+		return p.parseLocationPath()
+	}
+	fe := p.pending
+	p.pending = nil
+	if fe == nil {
+		var err error
+		if fe, err = p.parsePrimary(); err != nil {
 			return nil, err
 		}
-		var preds []exprNode
-		for p.peek().kind == tokLBracket {
+	}
+	if p.peek().Kind == tokLBracket {
+		f := &filterExpr{primary: fe}
+		for p.peek().Kind == tokLBracket {
 			pred, err := p.parsePredicate()
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, pred)
+			f.preds = append(f.preds, pred)
 		}
-		fe := exprNode(&filterExpr{primary, preds})
-		if p.peek().kind != tokSlash && p.peek().kind != tokSlashSlash {
-			return fe, nil
-		}
-		pe := &pathExpr{start: fe}
-		if p.accept(tokSlashSlash) {
-			pe.steps = append(pe.steps, step{axis: axisDescendantOrSelf, test: nodeTest{kind: testNodeType, nodeType: "node"}})
-		} else {
-			p.advance() // '/'
-		}
-		if err := p.parseRelativePath(pe); err != nil {
-			return nil, err
-		}
-		return pe, nil
+		fe = f
 	}
-	return p.parseLocationPath()
+	if p.peek().Kind != TokSlash && p.peek().Kind != tokSlashSlash {
+		return fe, nil
+	}
+	pe := &pathExpr{start: fe}
+	if p.accept(tokSlashSlash) {
+		pe.steps = append(pe.steps, step{axis: axisDescendantOrSelf, test: nodeTest{kind: testNodeType, nodeType: "node"}})
+	} else {
+		p.advance() // '/'
+	}
+	if err := p.parseRelativePath(pe); err != nil {
+		return nil, err
+	}
+	return pe, nil
 }
 
 func (p *parser) parseLocationPath() (exprNode, error) {
 	pe := &pathExpr{}
-	switch p.peek().kind {
-	case tokSlash:
+	switch p.peek().Kind {
+	case TokSlash:
 		p.advance()
 		pe.absolute = true
 		if !p.startsStep() {
@@ -392,8 +403,8 @@ func (p *parser) parseLocationPath() (exprNode, error) {
 }
 
 func (p *parser) startsStep() bool {
-	switch p.peek().kind {
-	case tokName, tokStar, tokAt, tokDot, tokDotDot:
+	switch p.peek().Kind {
+	case TokName, tokStar, tokAt, tokDot, tokDotDot:
 		return true
 	}
 	return false
@@ -414,7 +425,7 @@ func (p *parser) parseRelativePath(pe *pathExpr) error {
 			pe.steps = append(pe.steps, step{axis: axisDescendantOrSelf, test: nodeTest{kind: testNodeType, nodeType: "node"}})
 			continue
 		}
-		if p.accept(tokSlash) {
+		if p.accept(TokSlash) {
 			continue
 		}
 		return nil
@@ -482,7 +493,7 @@ func readsPosition(e exprNode) bool {
 }
 
 func (p *parser) parseStep() (step, error) {
-	switch p.peek().kind {
+	switch p.peek().Kind {
 	case tokDot:
 		p.advance()
 		return step{axis: axisSelf, test: nodeTest{kind: testNodeType, nodeType: "node"}}, nil
@@ -493,10 +504,10 @@ func (p *parser) parseStep() (step, error) {
 	s := step{axis: axisChild}
 	if p.accept(tokAt) {
 		s.axis = axisAttribute
-	} else if p.peek().kind == tokName && p.peek2().kind == tokColonColon {
-		ax, ok := axisNames[p.peek().text]
+	} else if p.peek().Kind == TokName && p.peek2().Kind == tokColonColon {
+		ax, ok := axisNames[p.peek().Text]
 		if !ok {
-			return step{}, p.errf("unknown axis %q", excerpt(p.peek().text, 0))
+			return step{}, p.errf("unknown axis %q", excerpt(p.peek().Text, 0))
 		}
 		p.advance()
 		p.advance()
@@ -507,7 +518,7 @@ func (p *parser) parseStep() (step, error) {
 		return step{}, err
 	}
 	s.test = test
-	for p.peek().kind == tokLBracket {
+	for p.peek().Kind == tokLBracket {
 		pred, err := p.parsePredicate()
 		if err != nil {
 			return step{}, err
@@ -518,32 +529,32 @@ func (p *parser) parseStep() (step, error) {
 }
 
 func (p *parser) parseNodeTest() (nodeTest, error) {
-	switch p.peek().kind {
+	switch p.peek().Kind {
 	case tokStar:
 		p.advance()
 		return nodeTest{kind: testAny}, nil
-	case tokName:
-		name := p.advance().text
-		if nodeTypeNames[name] && p.peek().kind == tokLParen {
+	case TokName:
+		name := p.advance().Text
+		if nodeTypeNames[name] && p.peek().Kind == TokLParen {
 			p.advance()
-			if _, err := p.expect(tokRParen); err != nil {
+			if _, err := p.expect(TokRParen); err != nil {
 				return nodeTest{}, err
 			}
 			return nodeTest{kind: testNodeType, nodeType: name}, nil
 		}
-		if p.accept(tokColon) {
+		if p.accept(TokColon) {
 			if p.accept(tokStar) {
 				return nodeTest{kind: testNSWildcard, prefix: name}, nil
 			}
-			local, err := p.expect(tokName)
+			local, err := p.expect(TokName)
 			if err != nil {
 				return nodeTest{}, err
 			}
-			return nodeTest{kind: testName, prefix: name, local: local.text}, nil
+			return nodeTest{kind: testName, prefix: name, local: local.Text}, nil
 		}
 		return nodeTest{kind: testName, local: name}, nil
 	default:
-		return nodeTest{}, p.errf("expected a node test, found %s", p.peek().kind)
+		return nodeTest{}, p.errf("expected a node test, found %s", p.peek().Kind)
 	}
 }
 
@@ -562,60 +573,60 @@ func (p *parser) parsePredicate() (exprNode, error) {
 }
 
 func (p *parser) parsePrimary() (exprNode, error) {
-	switch p.peek().kind {
-	case tokVariable:
-		name := p.advance().text
+	switch p.peek().Kind {
+	case TokVariable:
+		name := p.advance().Text
 		p.vars = append(p.vars, name)
 		return &varExpr{name}, nil
-	case tokString:
-		return &literalExpr{p.advance().text}, nil
+	case TokString:
+		return &literalExpr{p.advance().Text}, nil
 	case tokNumber:
 		t := p.advance()
-		f, err := strconv.ParseFloat(t.text, 64)
+		f, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", excerpt(t.text, 0))
+			return nil, p.errf("bad number %q", excerpt(t.Text, 0))
 		}
 		return &literalExpr{f}, nil
-	case tokLParen:
+	case TokLParen:
 		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
-	case tokName:
-		name := p.advance().text
-		if p.accept(tokColon) {
-			local, err := p.expect(tokName)
+	case TokName:
+		name := p.advance().Text
+		if p.accept(TokColon) {
+			local, err := p.expect(TokName)
 			if err != nil {
 				return nil, err
 			}
-			name = name + ":" + local.text
+			name = name + ":" + local.Text
 		}
-		if _, err := p.expect(tokLParen); err != nil {
+		if _, err := p.expect(TokLParen); err != nil {
 			return nil, err
 		}
 		var args []exprNode
-		if p.peek().kind != tokRParen {
+		if p.peek().Kind != TokRParen {
 			for {
 				a, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if !p.accept(tokComma) {
+				if !p.accept(TokComma) {
 					break
 				}
 			}
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
 		return &funcExpr{name, args}, nil
 	default:
-		return nil, p.errf("expected an expression, found %s", p.peek().kind)
+		return nil, p.errf("expected an expression, found %s", p.peek().Kind)
 	}
 }

@@ -343,6 +343,11 @@ func TestCompileErrors(t *testing.T) {
 		`//car[`,
 		`count(1, 2)`, // arity checked at eval, parse ok → see below
 		`unknownaxis::x`,
+		// XQuery-lite only, for xq's Parser.
+		`1 (: c :)`,
+		`{1}`,
+		`for $x in 1 return $x`,
+		`let $x := 1 return $x`,
 	}
 	for _, src := range bad {
 		e, err := Compile(src)
@@ -558,11 +563,28 @@ func TestStepSemantics(t *testing.T) {
 	if got := evalNum(t, ctx, `count(//p[1]/@n | //p[1]/@n)`); got != 1 {
 		t.Errorf("count(@n | @n) = %v, want 1", got)
 	}
-	// //x[. > 0] is one walk of the tree, in document order; the
-	// positional //x[1] lists each parent's first x in the order the
-	// descendant-or-self walk reaches the parents, as it always did.
+	// //x[. > 0] is one walk of the tree; the positional //x[1] is each
+	// parent's first x. Both, and every other path and union, are in
+	// document order, however the parents nest.
 	nested := ctxFor(`<r><a><x>1</x></a><x>2</x></r>`)
-	if got := evalStr(t, nested, `concat(//x[1], //x[. > 0])`); got != "21" {
-		t.Errorf("first of //x[1] and of //x[. > 0] = %q, want %q", got, "21")
+	if got := evalStr(t, nested, `concat(//x[1], //x[. > 0])`); got != "11" {
+		t.Errorf("first of //x[1] and of //x[. > 0] = %q, want %q", got, "11")
+	}
+	for _, c := range []struct{ expr, want string }{
+		{`//x[1]`, "1|2"},
+		{`//x[last()]`, "1|2"},
+		{`//x/..`, "12|1"},
+		{`//x/ancestor::*`, "12|1"},
+		{`/r/x | //a/x`, "1|2"},
+		{`//x[2=.] | //a | //x[1=.]`, "1|1|2"},
+	} {
+		ns := evalNodes(t, nested, c.expr)
+		parts := make([]string, len(ns))
+		for i, n := range ns {
+			parts[i] = n.TextContent()
+		}
+		if got := strings.Join(parts, "|"); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
 	}
 }

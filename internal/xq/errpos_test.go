@@ -9,9 +9,9 @@ import (
 	"repro/internal/xpath"
 )
 
-// TestNestedXPathErrorPosition pins the offset translation for errors from
-// the nested xpath.Compile of a path span: the reported offset must be
-// relative to the original XQuery-lite source, not to the carved-out span.
+// TestNestedXPathErrorPosition: an error in an XPath operand reports its
+// offset in the XQuery-lite source, which is the one source the lexer
+// reads, and unwraps to *xpath.SyntaxError.
 func TestNestedXPathErrorPosition(t *testing.T) {
 	cases := []struct {
 		src    string
@@ -19,8 +19,7 @@ func TestNestedXPathErrorPosition(t *testing.T) {
 	}{
 		// Error inside the `in` clause path expression.
 		{`for $c in doc('cars.xml')//car[@] return $c`, "]"},
-		// Error in a later clause: the span starts mid-source, so a
-		// span-relative offset would point at the wrong character.
+		// Error in a later clause: the operand starts mid-source.
 		{`for $c in doc('cars.xml')//car where $c/model[@ = 'VW Golf' return $c`, "="},
 	}
 	for _, tc := range cases {
@@ -38,7 +37,7 @@ func TestNestedXPathErrorPosition(t *testing.T) {
 		if !errors.As(err, &se) {
 			t.Fatalf("Compile(%q): error %q does not unwrap to *xpath.SyntaxError", tc.src, err)
 		}
-		// The structured error stays span-relative: Pos indexes se.Src.
+		// Pos indexes se.Src.
 		if se.Pos < 0 || se.Pos > len(se.Src) {
 			t.Errorf("span-relative Pos %d outside span %q", se.Pos, se.Src)
 		}

@@ -1,12 +1,9 @@
 package xq
 
 import (
-	"errors"
-	"fmt"
+	"slices"
 	"strings"
-	"unicode"
 
-	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -15,233 +12,155 @@ type qexpr interface {
 	eval(ev *evaluator) (Sequence, error)
 }
 
-// parser is a character-level recursive-descent parser. Path and operator
-// expressions are carved out as maximal XPath spans and compiled with the
-// xpath package.
+// parser reads XQuery-lite from the XPath token stream: the productions
+// here are xq's own, and every operand is parsed by the XPath grammar,
+// which alone decides where it ends. Only the content and attribute values
+// of a direct constructor are read as characters.
 type parser struct {
-	src   string
-	pos   int
-	depth int // nesting levels open; see enter
-	// closes memoizes closeAfter: bracket offset → offset past its close.
-	closes map[int]int
+	*xpath.Parser
+	src string
+	// bound holds the variables in scope, innermost last; free the ones
+	// read out of any binding's scope, for Query.Vars.
+	bound, free names
 }
 
-// enter opens one nesting level: an expression, or an element constructor
-// directly inside another. A query nested deeper than xmltree.MaxDepth
-// levels is refused, which bounds the parser's recursion and every
-// recursive walk of the tree it builds. Each successful enter is paired
-// with p.depth--.
-func (p *parser) enter() error {
-	if p.depth == xmltree.MaxDepth {
-		return p.errf("expression nested deeper than %d levels", xmltree.MaxDepth)
-	}
-	p.depth++
-	return nil
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("xq: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) skipWS() {
-	for p.pos < len(p.src) {
-		if strings.HasPrefix(p.src[p.pos:], "(:") {
-			// XQuery comment (: … :), non-nested.
-			end := strings.Index(p.src[p.pos+2:], ":)")
-			if end < 0 {
-				p.pos = len(p.src)
-				return
-			}
-			p.pos += 2 + end + 2
-			continue
-		}
-		if unicode.IsSpace(rune(p.src[p.pos])) {
-			p.pos++
-			continue
-		}
-		return
-	}
-}
-
-// peekKeyword reports whether the next token is the given word (followed by
-// a non-name character).
-func (p *parser) peekKeyword(w string) bool {
-	if !strings.HasPrefix(p.src[p.pos:], w) {
-		return false
-	}
-	after := p.pos + len(w)
-	if after >= len(p.src) {
-		return true
-	}
-	r := rune(p.src[after])
-	return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '-'
-}
-
-func (p *parser) acceptKeyword(w string) bool {
-	p.skipWS()
-	if p.peekKeyword(w) {
-		p.pos += len(w)
+// accept consumes the next token when it is the name word.
+func (p *parser) accept(word string) bool {
+	if t := p.Peek(); t.Kind == xpath.TokName && t.Text == word {
+		p.Next()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectKeyword(w string) error {
-	if !p.acceptKeyword(w) {
-		return p.errf("expected %q, found %q", w, snippet(p.src, p.pos))
+// acceptKind consumes the next token when it is of kind k.
+func (p *parser) acceptKind(k xpath.TokenKind) bool {
+	if p.Peek().Kind == k {
+		p.Next()
+		return true
+	}
+	return false
+}
+
+func (p *parser) expect(word string) error {
+	if !p.accept(word) {
+		return p.unexpected("%q", word)
 	}
 	return nil
 }
 
-func (p *parser) expectByte(c byte) error {
-	p.skipWS()
-	if p.pos >= len(p.src) || p.src[p.pos] != c {
-		return p.errf("expected %q, found %q", string(c), snippet(p.src, p.pos))
+func (p *parser) expectKind(k xpath.TokenKind) error {
+	if !p.acceptKind(k) {
+		return p.unexpected("%s", k)
 	}
-	p.pos++
 	return nil
 }
 
-func snippet(s string, pos int) string {
-	if pos >= len(s) {
-		return "end of input"
-	}
-	end := pos + 16
-	if end > len(s) {
-		end = len(s)
-	}
-	return s[pos:end]
+// unexpected is the error for a next token that is not the one described.
+func (p *parser) unexpected(format string, args ...any) error {
+	t := p.Peek()
+	return p.Errorf(t.Pos, "expected "+format+", found %s", append(args, t.Kind)...)
 }
 
-// parseExpr := ExprSingle (',' ExprSingle)*
-func (p *parser) parseExpr() (qexpr, error) {
-	first, err := p.parseExprSingle()
-	if err != nil {
+// nest parses one nesting level; see xpath.Parser.Enter.
+func (p *parser) nest(parse func() (qexpr, error)) (qexpr, error) {
+	if err := p.Enter(); err != nil {
 		return nil, err
 	}
-	items := []qexpr{first}
-	for {
-		p.skipWS()
-		if p.pos < len(p.src) && p.src[p.pos] == ',' {
-			p.pos++
-			e, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, e)
-			continue
-		}
-		break
+	defer p.Leave()
+	return parse()
+}
+
+// expr := ExprSingle (',' ExprSingle)*
+func (p *parser) expr() (qexpr, error) {
+	first, err := p.exprSingle()
+	if err != nil || p.Peek().Kind != xpath.TokComma {
+		return first, err
 	}
-	if len(items) == 1 {
-		return items[0], nil
+	items := []qexpr{first}
+	for p.acceptKind(xpath.TokComma) {
+		e, err := p.exprSingle()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, e)
 	}
 	return &seqExpr{items}, nil
 }
 
-func (p *parser) parseExprSingle() (qexpr, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer func() { p.depth-- }()
-	p.skipWS()
-	if p.pos >= len(p.src) {
-		return nil, p.errf("expected an expression")
-	}
+// exprSingle is a FLWOR, an if, a direct constructor, a parenthesized
+// expression, an xq-level function call or an XPath operand. As in
+// XQuery, for and let start a FLWOR only before a $variable, and if only
+// before '(': elsewhere each is a path step.
+func (p *parser) exprSingle() (qexpr, error) {
+	t, next := p.Peek(), p.Peek2()
 	switch {
-	case p.peekKeyword("for") || p.peekKeyword("let"):
-		return p.parseFLWOR()
-	case p.peekKeyword("if") && p.nextAfterKeywordIs("if", '('):
-		return p.parseIf()
-	case p.src[p.pos] == '<' && p.pos+1 < len(p.src) && isNameStart(rune(p.src[p.pos+1])):
-		return p.parseConstructor()
-	case p.src[p.pos] == '(' && p.parenIsSequence():
-		return p.parseParenSequence()
-	default:
-		if name, ok := p.peekXQFunction(); ok {
-			return p.parseXQFunction(name)
-		}
-		return p.parseXPathSpan()
-	}
-}
-
-func (p *parser) nextAfterKeywordIs(w string, c byte) bool {
-	i := p.pos + len(w)
-	for i < len(p.src) && unicode.IsSpace(rune(p.src[i])) {
-		i++
-	}
-	return i < len(p.src) && p.src[i] == c
-}
-
-// parenIsSequence decides whether a leading '(' opens an xq sequence —
-// it is empty, contains a top-level comma, or immediately opens a
-// constructor or FLWOR — rather than an XPath group like (1+2)*3.
-func (p *parser) parenIsSequence() bool {
-	// Check the first significant content after '('.
-	j := p.pos + 1
-	for j < len(p.src) && unicode.IsSpace(rune(p.src[j])) {
-		j++
-	}
-	if j < len(p.src) {
-		if p.src[j] == ')' {
-			return true // empty sequence
-		}
-		if p.src[j] == '<' && j+1 < len(p.src) && isNameStart(rune(p.src[j+1])) {
-			return true // constructor inside parens
-		}
-		rest := p.src[j:]
-		for _, w := range []string{"for", "let", "if"} {
-			if strings.HasPrefix(rest, w) {
-				after := j + len(w)
-				if after >= len(p.src) || !isNameChar(rune(p.src[after])) {
-					return true
-				}
+	case t.Kind == xpath.TokName && (t.Text == "for" || t.Text == "let") && next.Kind == xpath.TokVariable:
+		return p.nest(p.flwor)
+	case t.Kind == xpath.TokName && t.Text == "if" && next.Kind == xpath.TokLParen:
+		return p.nest(p.conditional)
+	case t.Kind == xpath.TokLt && next.Kind == xpath.TokName && next.Pos == t.End:
+		return p.nest(func() (qexpr, error) {
+			ce, end, err := p.element()
+			if err != nil {
+				return nil, err
 			}
-		}
+			p.Resume(end)
+			return ce, nil
+		})
+	case t.Kind == xpath.TokLParen:
+		return p.nest(p.parenthesized)
+	case t.Kind == xpath.TokName && xqFunctions[t.Text] && next.Kind == xpath.TokLParen:
+		return p.nest(p.call)
 	}
-	depth := 0
-	i := p.pos
-	for i < len(p.src) {
-		c := p.src[i]
-		switch c {
-		case '\'', '"':
-			k := strings.IndexByte(p.src[i+1:], c)
-			if k < 0 {
-				return false
-			}
-			i += k + 1
-		case '(', '[':
-			depth++
-		case ')', ']':
-			depth--
-			if depth == 0 {
-				return false
-			}
-		case ',':
-			if depth == 1 {
-				return true
-			}
-		}
-		i++
-	}
-	return false
-}
-
-func (p *parser) parseParenSequence() (qexpr, error) {
-	if err := p.expectByte('('); err != nil {
-		return nil, err
-	}
-	p.skipWS()
-	if p.pos < len(p.src) && p.src[p.pos] == ')' {
-		p.pos++
-		return &seqExpr{}, nil
-	}
-	e, err := p.parseExpr()
+	x, err := p.Operand()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectByte(')'); err != nil {
+	return p.operand(x), nil
+}
+
+// asXPath is e as an XPath expression, when it is one: an operand, or an
+// xq-level call whose arguments all are.
+func asXPath(e qexpr) (*xpath.Expr, bool) {
+	switch e := e.(type) {
+	case *xpathExpr:
+		return e.compiled, true
+	case *xqFuncExpr:
+		args := make([]*xpath.Expr, len(e.args))
+		for i, a := range e.args {
+			x, ok := asXPath(a)
+			if !ok {
+				return nil, false
+			}
+			args[i] = x
+		}
+		return xpath.Call(e.name, args), true
+	}
+	return nil, false
+}
+
+// parenthesized reads '(' Expr? ')': the empty sequence, a sequence, or a
+// parenthesized XPath expression, which the XPath grammar continues, as in
+// (1 + 2) * 3 or (//car)[1].
+func (p *parser) parenthesized() (qexpr, error) {
+	open := p.Next()
+	if p.acceptKind(xpath.TokRParen) {
+		return &seqExpr{}, nil
+	}
+	e, err := p.expr()
+	if err != nil {
 		return nil, err
+	}
+	if err := p.expectKind(xpath.TokRParen); err != nil {
+		return nil, err
+	}
+	if x, ok := asXPath(e); ok {
+		x, err := p.Continue(open.Pos, x)
+		if err != nil {
+			return nil, err
+		}
+		return p.operand(x), nil
 	}
 	return e, nil
 }
@@ -276,172 +195,134 @@ func (letClause) isClause()   {}
 func (whereClause) isClause() {}
 func (orderClause) isClause() {}
 
-func (p *parser) parseFLWOR() (qexpr, error) {
+// flwor reads a FLWOR expression. Its variables are in scope from their
+// binding to the end of its return clause.
+func (p *parser) flwor() (qexpr, error) {
 	f := &flworExpr{}
+	defer p.bound.truncate(len(p.bound.list))
 	for {
-		switch {
-		case p.acceptKeyword("for"):
-			c := forClause{}
+		t := p.Next()
+		kw := ""
+		if t.Kind == xpath.TokName {
+			kw = t.Text
+		}
+		switch kw {
+		case "for", "let":
+			var bs []forBinding
 			for {
-				b, err := p.parseBinding("in")
+				b, err := p.binding(kw == "for")
 				if err != nil {
 					return nil, err
 				}
-				c.bindings = append(c.bindings, b)
-				p.skipWS()
-				if p.pos < len(p.src) && p.src[p.pos] == ',' {
-					p.pos++
-					continue
+				bs = append(bs, b)
+				if !p.acceptKind(xpath.TokComma) {
+					break
 				}
-				break
 			}
-			f.clauses = append(f.clauses, c)
-			continue
-		case p.acceptKeyword("let"):
-			c := letClause{}
-			for {
-				b, err := p.parseBinding(":=")
-				if err != nil {
-					return nil, err
-				}
-				c.bindings = append(c.bindings, b)
-				p.skipWS()
-				if p.pos < len(p.src) && p.src[p.pos] == ',' {
-					p.pos++
-					continue
-				}
-				break
+			if kw == "for" {
+				f.clauses = append(f.clauses, forClause{bs})
+			} else {
+				f.clauses = append(f.clauses, letClause{bs})
 			}
-			f.clauses = append(f.clauses, c)
-			continue
-		case p.acceptKeyword("where"):
-			cond, err := p.parseExprSingle()
+		case "where":
+			cond, err := p.exprSingle()
 			if err != nil {
 				return nil, err
 			}
 			f.clauses = append(f.clauses, whereClause{cond})
-			continue
-		case p.acceptKeyword("order"):
-			if err := p.expectKeyword("by"); err != nil {
+		case "order":
+			if err := p.expect("by"); err != nil {
 				return nil, err
 			}
 			oc := orderClause{}
 			for {
-				key, err := p.parseExprSingle()
+				key, err := p.exprSingle()
 				if err != nil {
 					return nil, err
 				}
-				k := orderKey{key: key}
-				if p.acceptKeyword("descending") {
-					k.desc = true
-				} else {
-					p.acceptKeyword("ascending")
+				k := orderKey{key: key, desc: p.accept("descending")}
+				if !k.desc {
+					p.accept("ascending")
 				}
 				oc.keys = append(oc.keys, k)
-				p.skipWS()
-				if p.pos < len(p.src) && p.src[p.pos] == ',' {
-					p.pos++
-					continue
+				if !p.acceptKind(xpath.TokComma) {
+					break
 				}
-				break
 			}
 			f.clauses = append(f.clauses, oc)
-			continue
-		case p.acceptKeyword("return"):
-			ret, err := p.parseExprSingle()
+		case "return":
+			ret, err := p.exprSingle()
 			if err != nil {
 				return nil, err
 			}
 			f.ret = ret
 			return f, nil
 		default:
-			return nil, p.errf("expected for/let/where/order by/return, found %q", snippet(p.src, p.pos))
+			return nil, p.Errorf(t.Pos, "expected for, let, where, order by or return, found %s", t.Kind)
 		}
 	}
 }
 
-func (p *parser) parseBinding(sep string) (forBinding, error) {
-	p.skipWS()
-	if p.pos >= len(p.src) || p.src[p.pos] != '$' {
-		return forBinding{}, p.errf("expected $variable, found %q", snippet(p.src, p.pos))
+// binding reads $name, then "at $pos in" or "in" in a for clause and ":="
+// in a let clause, then the bound expression.
+func (p *parser) binding(isFor bool) (forBinding, error) {
+	v := p.Next()
+	if v.Kind != xpath.TokVariable {
+		return forBinding{}, p.Errorf(v.Pos, "expected $variable, found %s", v.Kind)
 	}
-	p.pos++
-	name := p.parseName()
-	if name == "" {
-		return forBinding{}, p.errf("expected a variable name")
+	b := forBinding{name: v.Text}
+	var err error
+	switch {
+	case !isFor:
+		err = p.expectKind(xpath.TokAssign)
+	case p.accept("at"):
+		pos := p.Next()
+		if pos.Kind != xpath.TokVariable {
+			return forBinding{}, p.Errorf(pos.Pos, "expected $variable after at, found %s", pos.Kind)
+		}
+		b.pos = pos.Text
+		fallthrough
+	default:
+		err = p.expect("in")
 	}
-	p.skipWS()
-	pos := ""
-	if sep == ":=" {
-		if !strings.HasPrefix(p.src[p.pos:], ":=") {
-			return forBinding{}, p.errf("expected := after $%s", name)
-		}
-		p.pos += 2
-	} else {
-		if p.acceptKeyword("at") {
-			p.skipWS()
-			if p.pos >= len(p.src) || p.src[p.pos] != '$' {
-				return forBinding{}, p.errf("expected $variable after 'at'")
-			}
-			p.pos++
-			pos = p.parseName()
-			if pos == "" {
-				return forBinding{}, p.errf("expected a positional variable name")
-			}
-		}
-		if err := p.expectKeyword(sep); err != nil {
-			return forBinding{}, err
-		}
-	}
-	src, err := p.parseExprSingle()
 	if err != nil {
 		return forBinding{}, err
 	}
-	return forBinding{name: name, pos: pos, src: src}, nil
-}
-
-func (p *parser) parseName() string {
-	start := p.pos
-	for p.pos < len(p.src) {
-		r := rune(p.src[p.pos])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-			p.pos++
-			continue
-		}
-		break
+	if b.src, err = p.exprSingle(); err != nil {
+		return forBinding{}, err
 	}
-	return p.src[start:p.pos]
+	p.bound.add(b.name)
+	if b.pos != "" {
+		p.bound.add(b.pos)
+	}
+	return b, nil
 }
 
 // --- if/then/else ---------------------------------------------------------------
 
 type ifExpr struct{ cond, then, els qexpr }
 
-func (p *parser) parseIf() (qexpr, error) {
-	if err := p.expectKeyword("if"); err != nil {
-		return nil, err
-	}
-	if err := p.expectByte('('); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+func (p *parser) conditional() (qexpr, error) {
+	p.Next() // if
+	p.Next() // (
+	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectByte(')'); err != nil {
+	if err := p.expectKind(xpath.TokRParen); err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("then"); err != nil {
+	if err := p.expect("then"); err != nil {
 		return nil, err
 	}
-	then, err := p.parseExprSingle()
+	then, err := p.exprSingle()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("else"); err != nil {
+	if err := p.expect("else"); err != nil {
 		return nil, err
 	}
-	els, err := p.parseExprSingle()
+	els, err := p.exprSingle()
 	if err != nil {
 		return nil, err
 	}
@@ -474,234 +355,46 @@ type xqFuncExpr struct {
 	args []qexpr
 }
 
-// peekXQFunction reports whether an xq-level function call starts here AND
-// the call is the whole operand — not followed by an operator or path
-// continuation. In the latter case the span goes to XPath, whose core
-// library handles count()/sum() inside larger expressions; the xq-level
-// versions exist for sequence-typed arguments (nested FLWOR, constructors).
-func (p *parser) peekXQFunction() (string, bool) {
-	i := p.pos
-	start := i
-	for i < len(p.src) {
-		r := rune(p.src[i])
-		if unicode.IsLetter(r) || r == '-' {
-			i++
-			continue
-		}
-		break
-	}
-	name := p.src[start:i]
-	if !xqFunctions[name] {
-		return "", false
-	}
-	for i < len(p.src) && unicode.IsSpace(rune(p.src[i])) {
-		i++
-	}
-	if i >= len(p.src) || p.src[i] != '(' {
-		return "", false
-	}
-	// Find the matching close paren (skipping strings), then check the
-	// follow set.
-	if i = p.closeAfter(i); i < 0 {
-		return "", false
-	}
-	for i < len(p.src) && unicode.IsSpace(rune(p.src[i])) {
-		i++
-	}
-	if i >= len(p.src) {
-		return name, true
-	}
-	switch p.src[i] {
-	case ',', ')', '}', ']':
-		return name, true
-	}
-	// Stop keywords may follow (return/where/order/…); operators and path
-	// continuations must not.
-	rest := p.src[i:]
-	for _, w := range stopWords {
-		if strings.HasPrefix(rest, w) {
-			after := i + len(w)
-			if after >= len(p.src) || !isNameChar(rune(p.src[after])) {
-				return name, true
+// call reads an xq-level function call at the head of an expression. When
+// a predicate, a path or an operator follows it, it is an XPath function
+// call, XPath's core library serves count() and sum() there, and the XPath
+// grammar continues the operand.
+func (p *parser) call() (qexpr, error) {
+	name := p.Next()
+	p.Next() // (
+	f := &xqFuncExpr{name: name.Text}
+	if !p.acceptKind(xpath.TokRParen) {
+		for {
+			a, err := p.exprSingle()
+			if err != nil {
+				return nil, err
+			}
+			f.args = append(f.args, a)
+			if !p.acceptKind(xpath.TokComma) {
+				break
 			}
 		}
-	}
-	return "", false
-}
-
-// closeAfter returns the offset just past the bracket that closes the one
-// at open, or -1 if none does. Parentheses and square brackets nest alike
-// and quoted strings are skipped. A scan reaches every bracket inside open
-// in the state a scan from that bracket starts in, so it records their
-// closes too: nested calls then cost one scan in all, not one each.
-func (p *parser) closeAfter(open int) int {
-	if end, ok := p.closes[open]; ok {
-		return end
-	}
-	if p.closes == nil {
-		p.closes = map[int]int{}
-	}
-	var opens []int
-scan:
-	for i := open; i < len(p.src); i++ {
-		switch c := p.src[i]; c {
-		case '\'', '"':
-			j := strings.IndexByte(p.src[i+1:], c)
-			if j < 0 {
-				break scan
-			}
-			i += j + 1
-		case '(', '[':
-			opens = append(opens, i)
-		case ')', ']':
-			p.closes[opens[len(opens)-1]] = i + 1
-			if opens = opens[:len(opens)-1]; len(opens) == 0 {
-				return i + 1
-			}
-		}
-	}
-	for _, o := range opens {
-		p.closes[o] = -1
-	}
-	return -1
-}
-
-func (p *parser) parseXQFunction(name string) (qexpr, error) {
-	p.pos += len(name)
-	if err := p.expectByte('('); err != nil {
-		return nil, err
-	}
-	var args []qexpr
-	p.skipWS()
-	if p.pos < len(p.src) && p.src[p.pos] == ')' {
-		p.pos++
-		return &xqFuncExpr{name, nil}, nil
-	}
-	for {
-		a, err := p.parseExprSingle()
-		if err != nil {
+		if err := p.expectKind(xpath.TokRParen); err != nil {
 			return nil, err
 		}
-		args = append(args, a)
-		p.skipWS()
-		if p.pos < len(p.src) && p.src[p.pos] == ',' {
-			p.pos++
-			continue
-		}
-		break
 	}
-	if err := p.expectByte(')'); err != nil {
+	if !p.Continues() {
+		return f, nil
+	}
+	x, ok := asXPath(f)
+	if !ok {
+		return nil, p.Errorf(p.Peek().Pos, "an argument of %s() is not an XPath expression, so the call cannot be an XPath operand", f.name)
+	}
+	x, err := p.Continue(name.Pos, x)
+	if err != nil {
 		return nil, err
 	}
-	return &xqFuncExpr{name, args}, nil
+	return p.operand(x), nil
 }
 
-// --- XPath spans ---------------------------------------------------------------
+// --- XPath operands ----------------------------------------------------------------
 
 type xpathExpr struct{ compiled *xpath.Expr }
-
-// stopWords terminate an XPath span when they appear as standalone words at
-// nesting depth 0 immediately after the end of an operand.
-var stopWords = []string{
-	"return", "where", "order", "for", "let", "in", "then", "else",
-	"ascending", "descending", "satisfies",
-}
-
-// endsOperand reports whether the text ends (ignoring trailing spaces) with
-// a character that completes an operand, so that a following keyword is a
-// clause keyword rather than an element name in a path step.
-func endsOperand(s string) bool {
-	i := len(s) - 1
-	for i >= 0 && unicode.IsSpace(rune(s[i])) {
-		i--
-	}
-	if i < 0 {
-		return false
-	}
-	switch s[i] {
-	case '/', '@', ':', '$', '(', '[', ',', '|', '+', '-', '*', '=', '<', '>', '!':
-		return false
-	}
-	return true
-}
-
-func (p *parser) parseXPathSpan() (qexpr, error) {
-	start := p.pos
-	depth := 0
-	i := p.pos
-scan:
-	for i < len(p.src) {
-		c := p.src[i]
-		switch c {
-		case '\'', '"':
-			j := strings.IndexByte(p.src[i+1:], c)
-			if j < 0 {
-				return nil, p.errf("unterminated string literal")
-			}
-			i += j + 2
-			continue
-		case '(', '[':
-			depth++
-		case ')', ']':
-			if depth == 0 {
-				break scan
-			}
-			depth--
-		case '{', '}':
-			if depth == 0 {
-				break scan
-			}
-		case ',':
-			if depth == 0 {
-				break scan
-			}
-		default:
-			if depth == 0 && (unicode.IsLetter(rune(c))) && endsOperand(p.src[start:i]) {
-				rest := p.src[i:]
-				for _, w := range stopWords {
-					if strings.HasPrefix(rest, w) {
-						after := i + len(w)
-						if after >= len(p.src) || !isNameChar(rune(p.src[after])) {
-							break scan
-						}
-					}
-				}
-				// Skip the whole word so we do not stop inside it.
-				for i < len(p.src) && isNameChar(rune(p.src[i])) {
-					i++
-				}
-				continue
-			}
-		}
-		i++
-	}
-	span := strings.TrimSpace(p.src[start:i])
-	if span == "" {
-		return nil, p.errf("expected an expression, found %q", snippet(p.src, p.pos))
-	}
-	compiled, err := xpath.Compile(span)
-	if err != nil {
-		// The inner compiler reports positions relative to the span; translate
-		// them into offsets in the original XQuery-lite source, accounting for
-		// the leading whitespace TrimSpace removed.
-		var se *xpath.SyntaxError
-		if errors.As(err, &se) {
-			lead := strings.Index(p.src[start:i], span)
-			if lead < 0 {
-				lead = 0
-			}
-			return nil, fmt.Errorf("xq: offset %d: in path expression: %w", start+lead+se.Pos, err)
-		}
-		return nil, fmt.Errorf("xq: in path expression: %w", err)
-	}
-	p.pos = i
-	return &xpathExpr{compiled}, nil
-}
-
-func isNameStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-func isNameChar(r rune) bool {
-	return r == '_' || r == '-' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
 
 // --- direct element constructors --------------------------------------------------
 
@@ -751,136 +444,142 @@ func constructs(e qexpr) bool {
 	return false
 }
 
-func (p *parser) parseConstructor() (qexpr, error) {
-	ce, err := p.parseConstructorInner()
-	if err != nil {
-		return nil, err
+// element reads a direct element constructor from its '<' and returns the
+// offset after its end. The tags are tokens; the content is read as
+// characters.
+func (p *parser) element() (*constructorExpr, int, error) {
+	lt, name := p.Next(), p.Next()
+	if name.Pos != lt.End {
+		return nil, 0, p.Errorf(name.Pos, "expected a name after '<'")
 	}
-	return ce, nil
-}
-
-func (p *parser) parseConstructorInner() (*constructorExpr, error) {
-	if err := p.expectByte('<'); err != nil {
-		return nil, err
-	}
-	prefix, local, err := p.parseQName()
+	prefix, local, err := p.qname(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ce := &constructorExpr{prefix: prefix, local: local}
-	// Attributes.
 	for {
-		p.skipWS()
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated constructor <%s", local)
-		}
-		if strings.HasPrefix(p.src[p.pos:], "/>") {
-			p.pos += 2
-			return ce, nil
-		}
-		if p.src[p.pos] == '>' {
-			p.pos++
-			break
-		}
-		ap, al, err := p.parseQName()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectByte('='); err != nil {
-			return nil, err
-		}
-		p.skipWS()
-		if p.pos >= len(p.src) || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
-			return nil, p.errf("expected a quoted attribute value")
-		}
-		quote := p.src[p.pos]
-		p.pos++
-		parts, err := p.parseTemplateParts(string(quote))
-		if err != nil {
-			return nil, err
-		}
-		p.pos++ // closing quote
-		ce.attrs = append(ce.attrs, attrTemplate{ap, al, parts})
-	}
-	// Content.
-	var text strings.Builder
-	flushText := func(boundaryStrip bool) {
-		s := text.String()
-		text.Reset()
-		if s == "" {
-			return
-		}
-		if boundaryStrip && strings.TrimSpace(s) == "" {
-			return
-		}
-		ce.content = append(ce.content, constructorContent{text: s})
-	}
-	for {
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated content of <%s>", local)
-		}
-		c := p.src[p.pos]
-		switch {
-		case strings.HasPrefix(p.src[p.pos:], "</"):
-			flushText(true)
-			p.pos += 2
-			cp, cl, err := p.parseQName()
-			if err != nil {
-				return nil, err
+		t := p.Next()
+		switch t.Kind {
+		case xpath.TokSlash:
+			if gt := p.Peek(); (gt.Kind == xpath.TokGt || gt.Kind == xpath.TokGte) && gt.Pos == t.End {
+				return ce, gt.Pos + 1, nil
 			}
-			if cp != prefix || cl != local {
-				return nil, p.errf("mismatched end tag </%s:%s> for <%s:%s>", cp, cl, prefix, local)
+			return nil, 0, p.unexpected("'>' after '/'")
+		case xpath.TokGt, xpath.TokGte: // '>', perhaps before content starting with '='
+			end, err := p.content(ce, t.Pos+1)
+			return ce, end, err
+		case xpath.TokName:
+			var a attrTemplate
+			if a.prefix, a.local, err = p.qname(t); err != nil {
+				return nil, 0, err
 			}
-			if err := p.expectByte('>'); err != nil {
-				return nil, err
+			if err := p.expectKind(xpath.TokEq); err != nil {
+				return nil, 0, err
 			}
-			return ce, nil
-		case c == '<':
-			if strings.HasPrefix(p.src[p.pos:], "<!--") {
-				end := strings.Index(p.src[p.pos:], "-->")
-				if end < 0 {
-					return nil, p.errf("unterminated comment")
-				}
-				p.pos += end + 3
-				continue
+			v := p.Peek()
+			if v.Kind != xpath.TokString {
+				return nil, 0, p.unexpected("a quoted attribute value")
 			}
-			flushText(true)
-			if err := p.enter(); err != nil {
-				return nil, err
+			var quote int
+			if a.parts, quote, err = p.template(v.Pos+1, p.src[v.Pos]); err != nil {
+				return nil, 0, err
 			}
-			child, err := p.parseConstructorInner()
-			p.depth--
-			if err != nil {
-				return nil, err
-			}
-			ce.content = append(ce.content, constructorContent{child: child})
-		case strings.HasPrefix(p.src[p.pos:], "{{"):
-			text.WriteByte('{')
-			p.pos += 2
-		case strings.HasPrefix(p.src[p.pos:], "}}"):
-			text.WriteByte('}')
-			p.pos += 2
-		case c == '{':
-			flushText(true)
-			p.pos++
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectByte('}'); err != nil {
-				return nil, err
-			}
-			ce.content = append(ce.content, constructorContent{expr: e, fresh: constructs(e)})
+			p.Resume(quote + 1)
+			ce.attrs = append(ce.attrs, a)
 		default:
-			text.WriteByte(c)
-			p.pos++
+			return nil, 0, p.Errorf(t.Pos, "expected an attribute, '>' or '/>' in <%s>, found %s", local, t.Kind)
 		}
 	}
 }
 
-// parseTemplateParts reads attribute value content up to (not consuming)
-// the terminating quote, splitting literal text and {expr} parts.
-func (p *parser) parseTemplateParts(quote string) ([]part, error) {
+// qname reads the QName whose first name is t: prefixed when ':' and the
+// local name follow it without space.
+func (p *parser) qname(t xpath.Token) (prefix, local string, err error) {
+	if t.Kind != xpath.TokName {
+		return "", "", p.Errorf(t.Pos, "expected a name, found %s", t.Kind)
+	}
+	if c := p.Peek(); c.Kind != xpath.TokColon || c.Pos != t.End {
+		return "", t.Text, nil
+	}
+	p.Next()
+	l := p.Next()
+	if l.Kind != xpath.TokName || l.Pos != t.End+1 {
+		return "", "", p.Errorf(l.Pos, "expected a local name after %s:, found %s", t.Text, l.Kind)
+	}
+	return t.Text, l.Text, nil
+}
+
+// content reads element content from offset i, as characters, through the
+// end tag, and returns the offset after it. Text that is only white space
+// between tags and enclosed expressions (boundary space) is dropped.
+func (p *parser) content(ce *constructorExpr, i int) (int, error) {
+	var text strings.Builder
+	flush := func() {
+		if s := text.String(); strings.TrimSpace(s) != "" {
+			ce.content = append(ce.content, constructorContent{text: s})
+		}
+		text.Reset()
+	}
+	for {
+		rest := p.src[i:]
+		switch {
+		case rest == "":
+			return 0, p.Errorf(i, "unterminated content of <%s>", ce.local)
+		case strings.HasPrefix(rest, "</"):
+			flush()
+			p.Resume(i + 2)
+			t := p.Next()
+			if t.Pos != i+2 {
+				return 0, p.Errorf(t.Pos, "expected a name after '</'")
+			}
+			prefix, local, err := p.qname(t)
+			if err != nil {
+				return 0, err
+			}
+			if prefix != ce.prefix || local != ce.local {
+				return 0, p.Errorf(t.Pos, "mismatched end tag </%s:%s> for <%s:%s>", prefix, local, ce.prefix, ce.local)
+			}
+			if gt := p.Peek(); gt.Kind == xpath.TokGt || gt.Kind == xpath.TokGte {
+				return gt.Pos + 1, nil
+			}
+			return 0, p.unexpected("'>'")
+		case strings.HasPrefix(rest, "<!--"):
+			end := strings.Index(rest, "-->")
+			if end < 0 {
+				return 0, p.Errorf(i, "unterminated comment")
+			}
+			i += end + 3
+		case rest[0] == '<':
+			flush()
+			if err := p.Enter(); err != nil {
+				return 0, err
+			}
+			p.Resume(i)
+			child, end, err := p.element()
+			p.Leave()
+			if err != nil {
+				return 0, err
+			}
+			ce.content = append(ce.content, constructorContent{child: child})
+			i = end
+		case rest[0] == '{' && !strings.HasPrefix(rest, "{{"):
+			flush()
+			e, end, err := p.enclosed(i + 1)
+			if err != nil {
+				return 0, err
+			}
+			ce.content = append(ce.content, constructorContent{expr: e, fresh: constructs(e)})
+			i = end
+		default:
+			i += literal(&text, rest)
+		}
+	}
+}
+
+// template reads an attribute value from offset i up to its closing quote,
+// splitting literal text from enclosed expressions, and returns the offset
+// of the quote.
+func (p *parser) template(i int, quote byte) ([]part, int, error) {
 	var parts []part
 	var text strings.Builder
 	flush := func() {
@@ -890,47 +589,98 @@ func (p *parser) parseTemplateParts(quote string) ([]part, error) {
 		}
 	}
 	for {
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated attribute value")
-		}
-		if strings.HasPrefix(p.src[p.pos:], quote) {
-			flush()
-			return parts, nil
-		}
+		rest := p.src[i:]
 		switch {
-		case strings.HasPrefix(p.src[p.pos:], "{{"):
-			text.WriteByte('{')
-			p.pos += 2
-		case strings.HasPrefix(p.src[p.pos:], "}}"):
-			text.WriteByte('}')
-			p.pos += 2
-		case p.src[p.pos] == '{':
+		case rest == "":
+			return nil, 0, p.Errorf(i, "unterminated attribute value")
+		case rest[0] == quote:
 			flush()
-			p.pos++
-			e, err := p.parseExpr()
+			return parts, i, nil
+		case rest[0] == '{' && !strings.HasPrefix(rest, "{{"):
+			flush()
+			e, end, err := p.enclosed(i + 1)
 			if err != nil {
-				return nil, err
-			}
-			if err := p.expectByte('}'); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			parts = append(parts, part{expr: e})
+			i = end
 		default:
-			text.WriteByte(p.src[p.pos])
-			p.pos++
+			i += literal(&text, rest)
 		}
 	}
 }
 
-func (p *parser) parseQName() (prefix, local string, err error) {
-	n1 := p.parseName()
-	if n1 == "" {
-		return "", "", p.errf("expected a name, found %q", snippet(p.src, p.pos))
+// literal writes the character rest starts with to text, or one brace for
+// an escaped {{ or }}, and returns the bytes it read.
+func literal(text *strings.Builder, rest string) int {
+	text.WriteByte(rest[0])
+	if strings.HasPrefix(rest, "{{") || strings.HasPrefix(rest, "}}") {
+		return 2
 	}
-	if p.pos < len(p.src) && p.src[p.pos] == ':' && p.pos+1 < len(p.src) && isNameStart(rune(p.src[p.pos+1])) {
-		p.pos++
-		n2 := p.parseName()
-		return n1, n2, nil
+	return 1
+}
+
+// enclosed reads the expression of an enclosed {…} from offset i and
+// returns the offset after its '}'.
+func (p *parser) enclosed(i int) (qexpr, int, error) {
+	p.Resume(i)
+	e, err := p.expr()
+	if err != nil {
+		return nil, 0, err
 	}
-	return "", n1, nil
+	t := p.Peek()
+	if t.Kind != xpath.TokRBrace {
+		return nil, 0, p.unexpected("'}'")
+	}
+	return e, t.End, nil
+}
+
+// --- free variables ---------------------------------------------------------------
+
+// names is a list of names that a map indexes once the list is long, so
+// that the lookups of a large query stay linear.
+type names struct {
+	list  []string
+	index map[string]int // how often list holds each name; nil while short
+}
+
+func (n *names) has(name string) bool {
+	if n.index != nil {
+		return n.index[name] > 0
+	}
+	return slices.Contains(n.list, name)
+}
+
+func (n *names) add(name string) {
+	n.list = append(n.list, name)
+	switch {
+	case n.index != nil:
+		n.index[name]++
+	case len(n.list) > 8:
+		n.index = make(map[string]int, len(n.list))
+		for _, m := range n.list {
+			n.index[m]++
+		}
+	}
+}
+
+// truncate drops the names after the first k.
+func (n *names) truncate(k int) {
+	if n.index != nil {
+		for _, m := range n.list[k:] {
+			n.index[m]--
+		}
+	}
+	n.list = n.list[:k]
+}
+
+// operand is x as a query expression. The variables x reads that no
+// enclosing for, let or at binds are free in the query.
+func (p *parser) operand(x *xpath.Expr) qexpr {
+	for _, name := range x.Vars() {
+		if !p.bound.has(name) && !p.free.has(name) {
+			p.free.add(name)
+		}
+	}
+	return &xpathExpr{x}
 }

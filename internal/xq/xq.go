@@ -2,15 +2,23 @@
 // (for/let/where/order by/return), direct element constructors with enclosed
 // expressions, if/then/else, parenthesized sequences, and full XPath-subset
 // path and operator expressions (delegated to internal/xpath), plus doc()
-// for addressing named documents.
+// for addressing named documents. The grammar extends XPath's: the parser
+// reads the xpath lexer's token stream and hands each operand to the XPath
+// grammar, so one set of token rules and byte offsets serves both.
 //
 // In the reproduction it stands in for the Saxon XQuery processor the paper
 // wraps as a framework-aware query service (Section 4.3): the engine-visible
 // contract — "expression + input variable bindings → answers" — is identical.
 // Coverage is the pragmatic core of XQuery 1.0; known deviations:
 //   - only direct (not computed) constructors;
-//   - xq-level functions (distinct-values, string-join, exists, empty) are
-//     recognized at expression head position, not deep inside path steps;
+//   - comments (: … :) do not nest; one may stand at any token boundary;
+//   - the sequence functions (distinct-values, string-join, exists, empty,
+//     reverse, min, max, avg, count, sum) are xq's own at the head of an
+//     expression, unless the grammar continues the call as an operand
+//     (count($x) > 2): there, and deeper in an operand, the XPath core
+//     library serves the call;
+//   - an xq production (FLWOR, if, sequence, constructor) cannot be an
+//     operand of an XPath operator or step;
 //   - boundary whitespace in constructors is always stripped.
 package xq
 
@@ -50,23 +58,35 @@ type Context struct {
 type Query struct {
 	root qexpr
 	src  string
+	vars []string
 }
 
 // String returns the source text of the query.
 func (q *Query) String() string { return q.src }
 
-// Compile parses an XQuery-lite expression.
+// Vars lists the variables the query references that no enclosing for,
+// let or at binds, each once, in order of first reference: the ones its
+// evaluation reads from Context.Vars. The slice is shared: callers must
+// not modify it.
+func (q *Query) Vars() []string { return q.vars }
+
+// Compile parses an XQuery-lite expression. Its errors are
+// *xpath.SyntaxError, positioned in src.
 func Compile(src string) (*Query, error) {
-	p := &parser{src: src}
-	root, err := p.parseExpr()
+	p := &parser{Parser: xpath.NewParser(src), src: src}
+	root, err := p.expr()
+	if t := p.Peek(); err == nil && t.Kind != xpath.TokEOF {
+		err = p.Errorf(t.Pos, "trailing input")
+	}
+	// A malformed token is the error, rather than what the parser made
+	// of the end of input that the lexer reported after it.
+	if lexErr := p.Err(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	p.skipWS()
-	if p.pos < len(p.src) {
-		return nil, fmt.Errorf("xq: trailing input at offset %d: %q", p.pos, snippet(src, p.pos))
-	}
-	return &Query{root: root, src: src}, nil
+	return &Query{root: root, src: src, vars: p.free.list}, nil
 }
 
 // MustCompile is Compile panicking on error, for static queries.

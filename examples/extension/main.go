@@ -6,10 +6,11 @@
 //  1. give the language a namespace URI,
 //  2. host it as a service that accepts registration requests and posts
 //     log:answers detection messages — the language supplies only its
-//     compile step (winlang.Language), services.DetectorHost does the rest,
-//  3. register the service in the GRH under the URI, with the language's
+//     compile and build steps (winlang.Language), services.DetectorHost
+//     does the rest,
+//  3. register the service in the GRH under the URI, with the host's
 //     Compile, so a malformed expression is rejected when its rule is
-//     registered.
+//     registered and the detector is built from that one compile.
 //
 // That is one Register call. No engine, GRH or rule-markup changes — a
 // rule simply writes its event component in the new namespace:
@@ -56,8 +57,8 @@ func main() {
 		fmt.Printf("ACTION  %s\n", n.Message)
 	})
 
-	// Step 2+3: host the new language's compile step and register the
-	// service with it. This is ALL it takes — the engine and GRH stay
+	// Step 2+3: host the new language's compile and build steps and
+	// register the service with it. This is ALL it takes — the engine and GRH stay
 	// untouched.
 	winService := services.NewDetectorHost(sys.Stream, &services.Deliverer{Local: sys.Engine.OnDetection}, winlang.Language)
 	defer winService.Close()
@@ -67,9 +68,7 @@ func main() {
 		Kinds:          []ruleml.ComponentKind{ruleml.EventComponent},
 		FrameworkAware: true,
 		Local:          winService,
-		Compile: func(c ruleml.Component) (any, error) {
-			return winlang.Parse(c.Expression)
-		},
+		Compile:        winService.Compile,
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestIngestEndToEnd(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("/metrics = %d", code)
 		}
-		if err := obs.LintExposition(strings.NewReader(body)); err != nil {
+		if _, err := obs.ParseExposition(strings.NewReader(body)); err != nil {
 			t.Fatalf("/metrics fails exposition lint: %v", err)
 		}
 		exp, err := obs.ParseExposition(strings.NewReader(body))

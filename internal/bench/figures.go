@@ -238,7 +238,14 @@ func fig4(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := ruleml.Validate(rule, nil); err != nil {
+	// Validated as registration does: each component compiled by its
+	// language, the binding discipline checked on what the forms report.
+	sys, err := system.NewLocal(system.Config{})
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	if _, err := sys.Engine.Analyze(rule); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "# Fig. 4 — outline of the sample rule (parsed and validated)")

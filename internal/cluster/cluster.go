@@ -85,9 +85,10 @@ type Options struct {
 // recovery callbacks System.Recover uses for crash recovery, reused here
 // for partition takeover.
 type Hooks struct {
-	// LocalRules returns the rules currently registered on this node, for
-	// vocabulary advertisement and ownership listings.
-	LocalRules func() []*ruleml.Rule
+	// Local is the rule set registered on this node, for ownership
+	// listings, vocabulary advertisement and local event matching; nil
+	// routes conservatively (every event also stays local).
+	Local Local
 	// RegisterRecovered registers one rule taken over from a dead peer
 	// through the engine's regular validation path, restoring its id and
 	// registration time into the tenant's space it was journaled under
@@ -97,6 +98,19 @@ type Hooks struct {
 	// dead peer, never dispatched) on the local stream, into its tenant's
 	// space.
 	PublishRecovered func(tenant string, doc *xmltree.Node) error
+}
+
+// Local is what the cluster reads of the rules registered on this node: the
+// engine, whose rule plans list the event names each rule listens to.
+type Local interface {
+	// Rules returns the registered rule ids.
+	Rules() []string
+	// Listens reports whether a registered rule listens to the event name
+	// (or to every name).
+	Listens(name xmltree.Name) bool
+	// Vocabulary returns the event names the registered rules listen to,
+	// in Clark notation and sorted, and whether one listens to every name.
+	Vocabulary() (names []string, wildcard bool)
 }
 
 // peerState is this node's view of one remote peer.
@@ -313,13 +327,14 @@ var ErrPeerDown = errors.New("cluster: peer down")
 // relays the owner's status code and response body. tenant is the rule
 // space the registration targets (wire form; "" = default), carried on
 // the hop's X-ECA-Tenant header so the owner registers into the same
-// space. On success the rule's event vocabulary is learned into the
-// routing table immediately, without waiting for the next probe of the
-// owner. The caller must have stamped rule.Doc with the rule's id.
+// space. names are the event names the rule listens to, from its plan
+// (nil: every name). On success they are learned into the routing table
+// immediately, without waiting for the next probe of the owner. The
+// caller must have stamped rule.Doc with the rule's id.
 // Returns ErrPeerDown (wrapped) when the owner is currently declared
 // dead — the caller then falls back to registering locally so the
 // cluster stays writable during failover.
-func (n *Node) ForwardRule(tenant string, rule *ruleml.Rule, owner string) (int, string, error) {
+func (n *Node) ForwardRule(tenant string, rule *ruleml.Rule, names []xmltree.Name, owner string) (int, string, error) {
 	n.mu.Lock()
 	ps, ok := n.peers[owner]
 	up := ok && ps.up
@@ -342,11 +357,11 @@ func (n *Node) ForwardRule(tenant string, rule *ruleml.Rule, owner string) (int,
 	tr.Finish("completed")
 	if status >= 200 && status < 300 {
 		n.mu.Lock()
-		for _, term := range EventVocabulary(rule) {
-			ps.learned[term] = true
+		for _, name := range names {
+			ps.learned[name.String()] = true
 		}
-		if len(EventVocabulary(rule)) == 0 {
-			ps.wildcard = true // opaque event pattern: owner must see everything
+		if names == nil {
+			ps.wildcard = true // the rule listens to every name
 		}
 		n.mu.Unlock()
 		n.log.Info("cluster: rule forwarded to owner", "rule", rule.ID, "owner", owner)
@@ -380,7 +395,7 @@ type RouteResult struct {
 // recorded as cluster-mode trace spans.
 func (n *Node) RouteEvent(tenant string, doc *xmltree.Node) RouteResult {
 	term := EventTerm(doc)
-	selfMatch := n.localMatches(term)
+	selfMatch := n.localMatches(doc)
 	n.mu.Lock()
 	var targets []*peerState
 	for _, ps := range n.peers {
@@ -549,24 +564,36 @@ func (n *Node) post(url, body, traceID, tenant string) (int, string, error) {
 	return resp.StatusCode, string(data), nil
 }
 
-// localMatches reports whether any locally registered rule's event
-// vocabulary matches the term (or is a wildcard).
-func (n *Node) localMatches(term string) bool {
-	if n.hooks.LocalRules == nil {
+// Event routing matches an incoming event's root element against the event
+// vocabulary of the cluster's rules: the names each rule's event component
+// listens to, as its compiled form reported them when the rule registered
+// (the root names of its leaf patterns). A rule whose form reports no names,
+// such as an opaque event component, is a wildcard: its owner must see
+// every event. A node advertises its local vocabulary on /cluster/status,
+// so peers learn where each term lives and forward events only to the
+// replicas that can match them.
+
+// EventTerm returns the vocabulary term of an event payload: its root
+// element's name in Clark notation.
+func EventTerm(doc *xmltree.Node) string {
+	root := doc.Root()
+	if root == nil {
+		return ""
+	}
+	return root.Name.String()
+}
+
+// localMatches reports whether a locally registered rule listens to the
+// event's root element name (or to every name).
+func (n *Node) localMatches(doc *xmltree.Node) bool {
+	if n.hooks.Local == nil {
 		return true
 	}
-	for _, r := range n.hooks.LocalRules() {
-		vocab := EventVocabulary(r)
-		if len(vocab) == 0 {
-			return true
-		}
-		for _, t := range vocab {
-			if t == term {
-				return true
-			}
-		}
+	var name xmltree.Name
+	if root := doc.Root(); root != nil {
+		name = root.Name
 	}
-	return false
+	return n.hooks.Local.Listens(name)
 }
 
 func errString(err error) string {

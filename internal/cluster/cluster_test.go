@@ -12,9 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/events"
+	"repro/internal/grh"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/ruleml"
+	"repro/internal/services"
 	"repro/internal/store"
 	"repro/internal/xmltree"
 )
@@ -25,6 +29,9 @@ const (
 	testNS  = "http://t/"
 )
 
+// pingNames are the names pingRule listens to.
+var pingNames = []xmltree.Name{{Space: testNS, Local: "ping"}}
+
 func pingRule(id string) *ruleml.Rule {
 	return ruleml.MustParse(`<eca:rule xmlns:eca="` + ecaNS + `" xmlns:t="` + testNS + `" id="` + id + `">` +
 		`<eca:event><t:ping x="$X"/></eca:event>` +
@@ -33,7 +40,7 @@ func pingRule(id string) *ruleml.Rule {
 
 func snoopRule(id string) *ruleml.Rule {
 	return ruleml.MustParse(`<eca:rule xmlns:eca="` + ecaNS + `" xmlns:snoop="` + snoopNS + `" xmlns:t="` + testNS + `" id="` + id + `">` +
-		`<eca:event><snoop:or><t:alarm/><t:warning/></snoop:or></eca:event>` +
+		`<eca:event><snoop:or><snoop:event><t:alarm/></snoop:event><snoop:event><t:warning/></snoop:event></snoop:or></eca:event>` +
 		`<eca:action><t:pong/></eca:action></eca:rule>`)
 }
 
@@ -43,24 +50,73 @@ func opaqueEventRule(id string) *ruleml.Rule {
 		`<eca:action><t:pong/></eca:action></eca:rule>`)
 }
 
+// ruleEngine is an engine with the atomic matcher, SNOOP and an opaque
+// event language "x" that compiles nothing, as a node's Local.
+func ruleEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	g := grh.New()
+	stream := events.NewStream()
+	deliver := &services.Deliverer{Local: func(*protocol.Answer) {}}
+	accept := grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+		return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
+	})
+	matcher, sn := services.NewEventMatcher(stream, deliver), services.NewSnoopService(stream, deliver)
+	for _, d := range []grh.Descriptor{
+		{Language: services.MatcherNS, FrameworkAware: true, Local: matcher, Compile: matcher.Compile},
+		{Language: snoopNS, FrameworkAware: true, Local: sn, Compile: sn.Compile},
+		{Language: "x", FrameworkAware: true, Local: accept},
+	} {
+		if err := g.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.SetDefault(ruleml.EventComponent, services.MatcherNS)
+	return engine.New(g)
+}
+
+// TestEventVocabulary: a node advertises the names its rules' plans list
+// and routes by them: a plain pattern gives its one name, SNOOP the names
+// of its leaf patterns, and an opaque event, whose form reports none, is a
+// wildcard.
 func TestEventVocabulary(t *testing.T) {
-	got := EventVocabulary(pingRule("r"))
-	if len(got) != 1 || got[0] != "{"+testNS+"}ping" {
-		t.Errorf("plain pattern vocabulary = %v", got)
+	e := ruleEngine(t)
+	n, err := New(Options{NodeID: "a", Peers: []Peer{{ID: "a", URL: "http://a"}}}, Hooks{Local: e}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Snoop operators are structure, not vocabulary: only the domain
-	// elements underneath count.
-	got = EventVocabulary(snoopRule("r"))
-	want := []string{"{" + testNS + "}alarm", "{" + testNS + "}warning"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("snoop pattern vocabulary = %v, want %v", got, want)
+	term := func(local string) string { return "{" + testNS + "}" + local }
+	event := func(local string) *xmltree.Node { return xmltree.NewElement(testNS, local) }
+	for _, row := range []struct {
+		rule     *ruleml.Rule
+		vocab    []string
+		wildcard bool
+	}{
+		{pingRule("p"), []string{term("ping")}, false},
+		{snoopRule("s"), []string{term("alarm"), term("ping"), term("warning")}, false},
+		{opaqueEventRule("o"), []string{term("alarm"), term("ping"), term("warning")}, true},
+	} {
+		if err := e.Register(row.rule); err != nil {
+			t.Fatal(err)
+		}
+		st := n.Status()
+		if strings.Join(st.Vocab, " ") != strings.Join(row.vocab, " ") || st.Wildcard != row.wildcard {
+			t.Errorf("after %s: vocab %v wildcard %v, want %v %v", row.rule.ID, st.Vocab, st.Wildcard, row.vocab, row.wildcard)
+		}
+		if !n.localMatches(event("alarm")) == (row.rule.ID != "p") {
+			t.Errorf("after %s: local match of alarm = %v", row.rule.ID, !(row.rule.ID != "p"))
+		}
+		if n.localMatches(event("pong")) != row.wildcard {
+			t.Errorf("after %s: pong matched locally = %v, want %v", row.rule.ID, !row.wildcard, row.wildcard)
+		}
 	}
-	// Opaque event components cannot be introspected: nil means wildcard.
-	if got = EventVocabulary(opaqueEventRule("r")); got != nil {
-		t.Errorf("opaque pattern vocabulary = %v, want nil", got)
+	if got := strings.Join(n.Status().Rules, " "); got != "o p s" {
+		t.Errorf("rules = %q", got)
 	}
-	if got = EventVocabulary(nil); got != nil {
-		t.Errorf("nil rule vocabulary = %v, want nil", got)
+	if err := e.Unregister("", "o"); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.Status(); st.Wildcard || n.localMatches(event("pong")) {
+		t.Errorf("wildcard outlives its rule: %+v", st)
 	}
 }
 
@@ -196,7 +252,7 @@ func TestRouteEventByVocabulary(t *testing.T) {
 	defer b.srv.Close()
 	c := newRecordingPeer(http.StatusAccepted)
 	defer c.srv.Close()
-	n := threeNode(t, b, c, Hooks{LocalRules: func() []*ruleml.Rule { return nil }})
+	n := threeNode(t, b, c, Hooks{Local: engine.New(grh.New())})
 
 	n.mu.Lock()
 	n.peers["b"].vocabKnown = true
@@ -245,7 +301,7 @@ func TestRouteEventConservativeBeforeFirstProbe(t *testing.T) {
 	if len(res.Forwarded) != 2 {
 		t.Errorf("Forwarded = %v, want both peers", res.Forwarded)
 	}
-	// No LocalRules hook means local matching cannot be ruled out.
+	// No Local hook means local matching cannot be ruled out.
 	if !res.Local {
 		t.Error("hook-less node must keep events local too")
 	}
@@ -257,7 +313,7 @@ func TestRouteEventShedAfterRetry(t *testing.T) {
 	b.header.Set("Retry-After", "0") // keep the test fast: bounded to 100ms
 	c := newRecordingPeer(http.StatusAccepted)
 	defer c.srv.Close()
-	n := threeNode(t, b, c, Hooks{LocalRules: func() []*ruleml.Rule { return nil }})
+	n := threeNode(t, b, c, Hooks{Local: engine.New(grh.New())})
 	n.mu.Lock()
 	n.peers["b"].vocabKnown, n.peers["b"].vocab = true, map[string]bool{"{" + testNS + "}ping": true}
 	n.peers["c"].vocabKnown = true
@@ -285,10 +341,10 @@ func TestForwardRulePeerDown(t *testing.T) {
 	n.peers["b"].up = false
 	n.mu.Unlock()
 
-	if _, _, err := n.ForwardRule("", pingRule("r1"), "b"); !errors.Is(err, ErrPeerDown) {
+	if _, _, err := n.ForwardRule("", pingRule("r1"), pingNames, "b"); !errors.Is(err, ErrPeerDown) {
 		t.Errorf("forward to down peer: err = %v, want ErrPeerDown", err)
 	}
-	if _, _, err := n.ForwardRule("", pingRule("r1"), "ghost"); err == nil {
+	if _, _, err := n.ForwardRule("", pingRule("r1"), pingNames, "ghost"); err == nil {
 		t.Error("forward to unknown owner accepted")
 	}
 }
@@ -298,13 +354,13 @@ func TestForwardRuleLearnsVocabulary(t *testing.T) {
 	defer b.srv.Close()
 	c := newRecordingPeer(http.StatusAccepted)
 	defer c.srv.Close()
-	n := threeNode(t, b, c, Hooks{LocalRules: func() []*ruleml.Rule { return nil }})
+	n := threeNode(t, b, c, Hooks{Local: engine.New(grh.New())})
 	n.mu.Lock()
 	n.peers["b"].vocabKnown = true // empty vocabulary as of the last probe
 	n.peers["c"].vocabKnown = true
 	n.mu.Unlock()
 
-	status, _, err := n.ForwardRule("", pingRule("r1"), "b")
+	status, _, err := n.ForwardRule("", pingRule("r1"), pingNames, "b")
 	if err != nil || status != http.StatusCreated {
 		t.Fatalf("ForwardRule = %d, %v", status, err)
 	}
@@ -483,7 +539,7 @@ func TestShipAndTakeover(t *testing.T) {
 	primary.Start()
 	defer primary.Close()
 	st.RuleRegistered("", "r2", snoopRule("r2").Doc, time.Now())
-	if _, err := st.AppendEvent(xmltree.MustParse(`<orphan/>`)); err != nil {
+	if _, err := st.AppendEventBatchTenant("", []*xmltree.Node{xmltree.MustParse(`<orphan/>`)}); err != nil {
 		t.Fatal(err)
 	}
 

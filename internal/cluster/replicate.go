@@ -358,24 +358,10 @@ type Status struct {
 // Status snapshots this node's cluster view.
 func (n *Node) Status() Status {
 	st := Status{Node: n.id, ReplicateTo: n.Follower()}
-	if n.hooks.LocalRules != nil {
-		vocab := map[string]bool{}
-		for _, r := range n.hooks.LocalRules() {
-			st.Rules = append(st.Rules, r.ID)
-			terms := EventVocabulary(r)
-			if len(terms) == 0 {
-				st.Wildcard = true
-				continue
-			}
-			for _, t := range terms {
-				vocab[t] = true
-			}
-		}
+	if n.hooks.Local != nil {
+		st.Rules = n.hooks.Local.Rules()
 		sort.Strings(st.Rules)
-		for t := range vocab {
-			st.Vocab = append(st.Vocab, t)
-		}
-		sort.Strings(st.Vocab)
+		st.Vocab, st.Wildcard = n.hooks.Local.Vocabulary()
 	}
 	n.mu.Lock()
 	st.Takeovers = n.takeovers

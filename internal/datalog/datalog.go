@@ -11,6 +11,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,6 +93,22 @@ func (a Atom) String() string {
 	}
 	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
 }
+
+// Binds returns the atom's variables, each once, in argument order: as a
+// query goal, every answer binds each of them.
+func (a Atom) Binds() []string {
+	var vars []string
+	for _, t := range a.Args {
+		if t.IsVar() && !slices.Contains(vars, t.Var) {
+			vars = append(vars, t.Var)
+		}
+	}
+	return vars
+}
+
+// Uses returns the atom's variables too: as a query goal, an input binding
+// of one is substituted into the goal before matching.
+func (a Atom) Uses() []string { return a.Binds() }
 
 // key identifies a predicate by name and arity.
 func (a Atom) key() predKey { return predKey{a.Pred, len(a.Args)} }

@@ -72,7 +72,12 @@ func TestRuleXMLParsesAndValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ruleml.Validate(rule, nil); err != nil {
+	sys, err := system.NewLocal(system.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Engine.Analyze(rule); err != nil {
 		t.Fatal(err)
 	}
 	if rule.ID != "car-rental" || len(rule.Steps) != 3 || len(rule.Actions) != 1 {

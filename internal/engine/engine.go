@@ -24,7 +24,6 @@ import (
 	"repro/internal/services"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
-	"repro/internal/xq"
 )
 
 // ErrDuplicateRule reports a Register of an id that is already live.
@@ -88,21 +87,25 @@ type Stats struct {
 // and every dispatch, raised event, trace and per-tenant metric a rule
 // produces carries its tenant.
 type Engine struct {
-	grh      *grh.GRH
-	analyzer ruleml.Analyzer
-	replyTo  string
-	log      Logger
-	slog     *obs.Logger
-	hub      *obs.Hub
-	tr       *obs.Recorder
-	met      metrics
-	journal  Journal
+	grh     *grh.GRH
+	replyTo string
+	log     Logger
+	slog    *obs.Logger
+	hub     *obs.Hub
+	tr      *obs.Recorder
+	met     metrics
+	journal Journal
 
 	mu      sync.Mutex
 	rules   map[ruleKey]*RuleState
 	tenants map[string]*tenantRules // tenants that own or owned a rule
 	stats   Stats
 	closed  bool
+	// listen counts, per event name, the registered rules whose plan lists
+	// it; wildcards counts the rules whose plan lists none, which listen to
+	// every name.
+	listen    map[xmltree.Name]int
+	wildcards int
 
 	inFlight sync.WaitGroup // instances admitted and not yet finished; Close drains it
 }
@@ -179,24 +182,32 @@ type RuleState struct {
 	Firings int
 	// Died counts instances whose relation became empty.
 	Died int
-
-	// stepUses holds, per step, the variables its expression references
-	// (ruleml.VarAnalysis.Uses), analysed once at registration.
-	stepUses [][]string
-	// compiled holds, in rule.Components() order, the compiled form of
-	// each component made at registration, which every dispatch of the
-	// component carries; nil when no component's language compiles
-	// anything.
-	compiled []any
+	// Plan is what registration's one analysis of the rule found. It is
+	// shared: callers must not modify it.
+	Plan Plan
 }
 
-// compiledForm is the compiled form of the rule's i-th component in
-// rule.Components() order (0 is the event), nil when it has none.
-func (rs *RuleState) compiledForm(i int) any {
-	if rs.compiled == nil {
-		return nil
+// Plan is the one analysis of a rule, made from its compiled forms when it
+// registers (Engine.Analyze) and kept with it: validation, the projection
+// of each step's input, every dispatch's compiled form and event routing
+// read it, and nothing works these facts out again.
+type Plan struct {
+	// Forms holds each component's compiled form, in rule.Components()
+	// order (0 is the event); nil where its language compiles nothing.
+	Forms []any
+	// Vars holds, in the same order, the variables each component binds
+	// and uses, as its form reports them (ruleml.Analyze).
+	Vars []ruleml.VarAnalysis
+}
+
+// Names returns the event names the rule listens to, as its event form
+// reports them (ruleml.Listener). Nil when the form reports none, as for
+// opaque text: the rule then listens to every name.
+func (p *Plan) Names() []xmltree.Name {
+	if l, ok := p.Forms[0].(ruleml.Listener); ok {
+		return l.Names()
 	}
-	return rs.compiled[i]
+	return nil
 }
 
 // RuleInfo is a race-free snapshot of one rule's bookkeeping, as served
@@ -217,9 +228,6 @@ type RuleInfo struct {
 
 // Option configures the engine.
 type Option func(*Engine)
-
-// WithAnalyzer overrides the variable analyzer used for rule validation.
-func WithAnalyzer(a ruleml.Analyzer) Option { return func(e *Engine) { e.analyzer = a } }
 
 // WithReplyTo sets the detection callback URL passed to remote event
 // services on registration.
@@ -245,7 +253,7 @@ func WithJournal(j Journal) Option { return func(e *Engine) { e.journal = j } }
 
 // New builds an engine over a Generic Request Handler.
 func New(g *grh.GRH, opts ...Option) *Engine {
-	e := &Engine{grh: g, rules: map[ruleKey]*RuleState{}, tenants: map[string]*tenantRules{}}
+	e := &Engine{grh: g, rules: map[ruleKey]*RuleState{}, tenants: map[string]*tenantRules{}, listen: map[xmltree.Name]int{}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -366,6 +374,10 @@ func (e *Engine) Find(id string) (tenant string, ok bool) {
 	return tenant, ok
 }
 
+// form is the compiled form of the rule's i-th component in
+// rule.Components() order (0 is the event), nil when it has none.
+func (rs *RuleState) form(i int) any { return rs.Plan.Forms[i] }
+
 func (rs *RuleState) infoLocked() RuleInfo {
 	return RuleInfo{ID: rs.Rule.ID, Registered: rs.Registered, Firings: rs.Firings, Died: rs.Died, Tenant: rs.Tenant}
 }
@@ -383,23 +395,42 @@ func (e *Engine) RuleInfos() []RuleInfo {
 	return out
 }
 
-// RegisteredRules returns every tenant's parsed rules in listing order —
-// the cluster layer reads them to advertise this node's event vocabulary.
-// The *ruleml.Rule values are shared, not copied: callers must treat them
-// as read-only.
-func (e *Engine) RegisteredRules() []*ruleml.Rule {
+// Listens reports whether a registered rule, of any tenant, listens to
+// the event name: one whose plan lists it, or one that listens to every
+// name.
+func (e *Engine) Listens(name xmltree.Name) bool {
 	e.mu.Lock()
-	states := make([]*RuleState, 0, len(e.rules))
-	for _, rs := range e.rules {
-		states = append(states, rs)
+	defer e.mu.Unlock()
+	return e.wildcards > 0 || e.listen[name] > 0
+}
+
+// Vocabulary returns the event names the registered rules listen to, in
+// Clark notation and sorted, and whether a rule listens to every name.
+func (e *Engine) Vocabulary() (names []string, wildcard bool) {
+	e.mu.Lock()
+	names = make([]string, 0, len(e.listen))
+	for n := range e.listen {
+		names = append(names, n.String())
 	}
+	wildcard = e.wildcards > 0
 	e.mu.Unlock()
-	slices.SortFunc(states, func(a, b *RuleState) int { return listingOrder(a.Tenant, a.Rule.ID, b.Tenant, b.Rule.ID) })
-	out := make([]*ruleml.Rule, len(states))
-	for i, rs := range states {
-		out[i] = rs.Rule
+	slices.Sort(names)
+	return names, wildcard
+}
+
+// countNamesLocked adds delta to the listener counts of a plan's names.
+// Callers hold e.mu.
+func (e *Engine) countNamesLocked(p *Plan, delta int) {
+	names := p.Names()
+	if names == nil {
+		e.wildcards += delta
+		return
 	}
-	return out
+	for _, n := range names {
+		if e.listen[n] += delta; e.listen[n] == 0 {
+			delete(e.listen, n)
+		}
+	}
 }
 
 // SetRegistered back-dates a rule's registration time; crash recovery uses
@@ -415,17 +446,16 @@ func (e *Engine) SetRegistered(tenant, id string, at time.Time) {
 // Register registers a rule in the default tenant; see Add.
 func (e *Engine) Register(rule *ruleml.Rule) error { return e.Add("", rule) }
 
-// Add validates the rule and registers it in tenant (wire form, "" = the
-// default tenant), submitting its event component to the appropriate
-// detection service via the GRH (Fig. 5). Rules without an id are
-// assigned rule-N, numbered per tenant.
-func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
-	// Compile once: each component's language compiles its expression
-	// here, so a rule that does not compile is rejected (a 400 naming the
-	// component) instead of failing on every matching event, and the
-	// compiled forms stay with the rule.
+// Analyze makes the rule's plan: each component's language compiles its
+// expression once, and the compiled forms report the variables each
+// component binds and uses and the names the event listens to (a form that
+// reports nothing is scanned, ruleml.Analyze). A rule that does not
+// compile is an error wrapping ErrBadExpression naming the component; one
+// that uses a variable before binding it (ruleml.Validate) is an error
+// too. Analyze registers nothing.
+func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, error) {
 	comps := rule.Components()
-	var compiled []any
+	p := Plan{Forms: make([]any, len(comps)), Vars: make([]ruleml.VarAnalysis, len(comps))}
 	for i, c := range comps {
 		compile := e.grh.Compile
 		if isLocalTest(c) {
@@ -433,38 +463,25 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		}
 		form, err := compile(c)
 		if err != nil {
-			return fmt.Errorf("engine: rule %.64q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
+			return Plan{}, fmt.Errorf("engine: rule %.64q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
 		}
-		if form != nil {
-			if compiled == nil {
-				compiled = make([]any, len(comps))
-			}
-			compiled[i] = form
-		}
+		p.Forms[i], p.Vars[i] = form, ruleml.Analyze(c, form)
 	}
-	analyze := e.analyzer
-	if analyze == nil {
-		analyze = ruleml.DefaultAnalyzer
+	if err := ruleml.Validate(rule, p.Vars); err != nil {
+		return Plan{}, err
 	}
-	// Validate analyses each component once, in rule.Components() order —
-	// the event first, then the steps; their Uses are kept for evalStep.
-	// A component whose compiled form lists its variables (an xq query, an
-	// XPath test) uses exactly those; opaque text keeps the textual scan,
-	// as its substitution (§4.4) is textual.
-	var uses [][]string
-	err := ruleml.Validate(rule, func(c ruleml.Component) ruleml.VarAnalysis {
-		a := analyze(c)
-		if compiled != nil && !c.Opaque {
-			switch form := compiled[len(uses)].(type) {
-			case *xq.Query:
-				a.Uses = form.Vars()
-			case *xpath.Expr:
-				a.Uses = form.Vars()
-			}
-		}
-		uses = append(uses, a.Uses)
-		return a
-	})
+	return p, nil
+}
+
+// Add validates the rule and registers it in tenant (wire form, "" = the
+// default tenant), submitting its event component to the appropriate
+// detection service via the GRH (Fig. 5). Rules without an id are
+// assigned rule-N, numbered per tenant. The rule is analysed once
+// (Analyze), so a rule that does not compile is rejected (a 400 naming the
+// component) instead of failing on every matching event, and its plan
+// stays with it.
+func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
+	plan, err := e.Analyze(rule)
 	if err != nil {
 		return err
 	}
@@ -487,10 +504,11 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		return fmt.Errorf("engine: rule %.64q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
-	e.rules[k] = &RuleState{Rule: rule, Tenant: tenant, Registered: registered,
-		stepUses: uses[1 : 1+len(rule.Steps)], compiled: compiled}
+	rs := &RuleState{Rule: rule, Tenant: tenant, Registered: registered, Plan: plan}
+	e.rules[k] = rs
 	e.stats.RulesRegistered++
 	e.countLocked(tenant, 1)
+	e.countNamesLocked(&rs.Plan, 1)
 	e.mu.Unlock()
 
 	e.logf("register rule %s: submitting event component %s (language %s) to GRH",
@@ -500,6 +518,7 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 	_, err = e.grh.Dispatch(protocol.RegisterEvent, grh.Component{
 		Rule:     rule.ID,
 		Comp:     rule.Event,
+		Compiled: rs.form(0),
 		Bindings: bindings.NewRelation(),
 		ReplyTo:  e.replyTo,
 		Tenant:   tenant,
@@ -509,6 +528,7 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		delete(e.rules, k)
 		e.stats.RulesRegistered--
 		e.countLocked(tenant, -1)
+		e.countNamesLocked(&rs.Plan, -1)
 		e.mu.Unlock()
 		e.slog.Error("rule registration failed", obs.FieldRule, rule.ID, "error", err.Error())
 		return fmt.Errorf("engine: registering event component of %s: %w", rule.ID, err)
@@ -528,6 +548,7 @@ func (e *Engine) Unregister(tenant, id string) error {
 	if ok {
 		delete(e.rules, k)
 		e.countLocked(tenant, -1)
+		e.countNamesLocked(&rs.Plan, -1)
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -708,7 +729,7 @@ func (e *Engine) runInstance(rs *RuleState, rel *bindings.Relation, tr *obs.Inst
 		answer, err := e.grh.Dispatch(protocol.Action, grh.Component{
 			Rule:     rule.ID,
 			Comp:     action,
-			Compiled: rs.compiledForm(1 + len(rule.Steps) + i),
+			Compiled: rs.form(1 + len(rule.Steps) + i),
 			Bindings: rel,
 			Trace:    tr,
 			Tenant:   rs.Tenant,
@@ -845,11 +866,11 @@ func (e *Engine) evalStep(rs *RuleState, i int, rel *bindings.Relation, tr *obs.
 	step := rs.Rule.Steps[i]
 	if isLocalTest(step) {
 		// Section 4.5: the test component is in general evaluated locally.
-		return services.EvalTest(rs.compiledForm(1+i).(*xpath.Expr), rel)
+		return services.EvalTest(rs.form(1+i).(*xpath.Expr), rel)
 	}
 	// Only the relevant bindings travel to the service (Section 4.4): the
 	// variables the component's expression references.
-	input := rel.Project(rs.stepUses[i]...)
+	input := rel.Project(rs.Plan.Vars[1+i].Uses...)
 	kind := protocol.Query
 	if step.Kind == ruleml.TestComponent {
 		kind = protocol.Test
@@ -857,7 +878,7 @@ func (e *Engine) evalStep(rs *RuleState, i int, rel *bindings.Relation, tr *obs.
 	answer, err := e.grh.Dispatch(kind, grh.Component{
 		Rule:     rs.Rule.ID,
 		Comp:     step,
-		Compiled: rs.compiledForm(1 + i),
+		Compiled: rs.form(1 + i),
 		Bindings: input,
 		Trace:    tr,
 		Tenant:   rs.Tenant,

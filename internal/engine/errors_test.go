@@ -202,55 +202,80 @@ func TestAutoAssignedRuleIDs(t *testing.T) {
 	}
 }
 
-// TestCustomEngineAnalyzer: WithAnalyzer feeds both validation and
-// projection.
+// TestCustomEngineAnalyzer: a language's compiled form is the analysis of
+// its components: a variable it reports it binds may be used later, and
+// only the variables it reports it uses travel to it.
 func TestCustomEngineAnalyzer(t *testing.T) {
 	sys, err := system.NewLocal(system.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzer := func(c ruleml.Component) ruleml.VarAnalysis {
-		a := ruleml.DefaultAnalyzer(c)
-		if c.Kind == ruleml.QueryComponent {
-			a.Binds = append(a.Binds, "Anything")
-		}
-		return a
+	var sent []bindings.Tuple
+	if err := sys.GRH.Register(grh.Descriptor{Language: "http://lp/", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true,
+		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+			a := &protocol.Answer{RuleID: req.RuleID, Component: req.Component}
+			for _, tu := range req.Bindings.Tuples() {
+				sent = append(sent, tu)
+				a.Rows = append(a.Rows, protocol.AnswerRow{Tuple: tu.Merge(bindings.Tuple{"Anything": bindings.Str("a")})})
+			}
+			return a, nil
+		}),
+		Compile: func(ruleml.Component) (any, error) { return lpForm{}, nil },
+	}); err != nil {
+		t.Fatal(err)
 	}
-	e := engine.New(sys.GRH, engine.WithAnalyzer(analyzer))
 	r := ruleml.MustParse(`<eca:rule xmlns:eca="` + protocol.ECANS + `"
-	    xmlns:t="http://t/" xmlns:xq="` + services.XQueryNS + `" id="c">
-	  <eca:event><t:e/></eca:event>
-	  <eca:query><xq:query>()</xq:query></eca:query>
+	    xmlns:t="http://t/" xmlns:lp="http://lp/" id="c">
+	  <eca:event><t:e x="$X" y="$Y"/></eca:event>
+	  <eca:query><lp:q/></eca:query>
 	  <eca:action><t:a x="$Anything"/></eca:action>
 	</eca:rule>`)
-	if err := e.Register(r); err != nil {
-		t.Fatalf("custom analyzer should allow $Anything: %v", err)
+	if err := sys.Engine.Register(r); err != nil {
+		t.Fatalf("the form binds $Anything: %v", err)
+	}
+	sys.Engine.OnDetection(&protocol.Answer{RuleID: "c", Component: "event[1]", Rows: []protocol.AnswerRow{
+		{Tuple: bindings.Tuple{"X": bindings.Str("x"), "Y": bindings.Str("y")}},
+	}})
+	if st := sys.Engine.Stats(); st.InstancesCompleted != 1 {
+		t.Fatalf("stats = %+v, want 1 completed instance", st)
+	}
+	if len(sent) != 1 || len(sent[0]) != 1 || sent[0]["X"].AsString() != "x" {
+		t.Errorf("query received %v, want the projection on X", sent)
 	}
 }
 
-// TestAnalyzerRunsOnceAtRegistration: the analyzer sees each component
-// once, when the rule registers; rule instances project their step inputs
-// from what it returned then and do not call it again.
+// lpForm is a compiled form that binds Anything and uses X.
+type lpForm struct{}
+
+func (lpForm) Binds() []string { return []string{"Anything"} }
+func (lpForm) Uses() []string  { return []string{"X"} }
+
+// TestAnalyzerRunsOnceAtRegistration: each component is compiled and
+// analysed once, when the rule registers; rule instances carry the form and
+// project their step inputs from the plan made then. A form that reports
+// no variables is scanned, so the query's $X is what travels.
 func TestAnalyzerRunsOnceAtRegistration(t *testing.T) {
 	sys, err := system.NewLocal(system.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	analyzer := func(c ruleml.Component) ruleml.VarAnalysis {
-		calls++
-		return ruleml.DefaultAnalyzer(c)
-	}
 	var sent []bindings.Tuple
+	var forms []any
 	g := sys.GRH
 	if err := g.Register(grh.Descriptor{Language: "http://q/", Kinds: []ruleml.ComponentKind{ruleml.QueryComponent}, FrameworkAware: true,
 		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
 			sent = append(sent, req.Bindings.Tuples()...)
+			forms = append(forms, req.Compiled)
 			return protocol.NewAnswer(req.RuleID, req.Component, req.Bindings), nil
-		})}); err != nil {
+		}),
+		Compile: func(c ruleml.Component) (any, error) {
+			calls++
+			return c.Expression.TextContent(), nil
+		}}); err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(g, engine.WithAnalyzer(analyzer))
+	e := engine.New(g)
 	r := ruleml.MustParse(`<eca:rule xmlns:eca="` + protocol.ECANS + `"
 	    xmlns:t="http://t/" xmlns:q="http://q/" id="once">
 	  <eca:event><t:e x="$X" y="$Y"/></eca:event>
@@ -260,16 +285,21 @@ func TestAnalyzerRunsOnceAtRegistration(t *testing.T) {
 	if err := e.Register(r); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("analyzer called %d times registering 3 components, want 3", calls)
+	if calls != 1 {
+		t.Fatalf("query compiled %d times registering, want 1", calls)
 	}
 	for i := 0; i < 3; i++ {
 		e.OnDetection(&protocol.Answer{RuleID: "once", Component: "event[1]", Rows: []protocol.AnswerRow{
 			{Tuple: bindings.Tuple{"X": bindings.Str(fmt.Sprint(i)), "Y": bindings.Str("y")}},
 		}})
 	}
-	if calls != 3 {
-		t.Errorf("analyzer called %d more times for 3 events, want 0", calls-3)
+	if calls != 1 {
+		t.Errorf("query compiled %d more times for 3 events, want 0", calls-1)
+	}
+	for _, f := range forms {
+		if f != "$X" {
+			t.Errorf("query dispatched with form %v, want the registered one", f)
+		}
 	}
 	if st := e.Stats(); st.InstancesCompleted != 3 {
 		t.Fatalf("stats = %+v, want 3 completed instances", st)

@@ -54,7 +54,7 @@ func TestFig6PatternMatch(t *testing.T) {
 	if ts[0]["Person"].AsString() != "John Doe" || ts[0]["Dest"].AsString() != "Paris" {
 		t.Errorf("tuple = %v", ts[0])
 	}
-	if got := p.Vars(); len(got) != 2 || got[0] != "Dest" || got[1] != "Person" {
+	if got := p.Binds(); len(got) != 2 || got[0] != "Dest" || got[1] != "Person" {
 		t.Errorf("vars = %v", got)
 	}
 }

@@ -10,10 +10,14 @@ import (
 )
 
 // A Language is what an event component language supplies to the detection
-// host: compile one event component expression into a Detector whose
-// detections go to emit. Everything else — subscription, registry,
+// host: a compile step, which turns one event component expression into its
+// form F once, and a build step, which makes a Detector of a compiled form
+// whose detections go to emit. Everything else — subscription, registry,
 // partitioning, tenant scoping, answers and their delivery — is the host's.
-type Language func(expr *xmltree.Node, emit Emit) (Detector, error)
+type Language[F any] struct {
+	Compile func(expr *xmltree.Node) (F, error)
+	Build   func(form F, emit Emit) (Detector, error)
+}
 
 // Emit reports one detection: one result row per tuple, each row carrying
 // the payloads of the constituent events.
@@ -93,7 +97,7 @@ func NewMatcher() *Matcher {
 // Register adds a pattern under a default-tenant key (replacing any previous
 // registration with that key); sink is called for each matching event.
 func (m *Matcher) Register(key string, p *Pattern, sink func(Detection)) {
-	m.Add("", key, Detector{Names: []xmltree.Name{p.Name()}, Feed: func(ev Event) {
+	m.Add("", key, Detector{Names: p.Names(), Feed: func(ev Event) {
 		if ts := p.Match(ev); len(ts) > 0 {
 			sink(Detection{Key: key, Bindings: ts, Event: ev})
 		}

@@ -156,7 +156,7 @@ func TestCompiledPatternEquivalentToReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := p.Vars(), refVars(tmpl); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := p.Binds(), refVars(tmpl); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("Vars() = %v, reference %v\npattern %s", got, want, tmpl)
 		}
 		if p.Name() != tmpl.Name {

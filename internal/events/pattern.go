@@ -29,8 +29,9 @@ import (
 // A Pattern is compiled once from its template by NewPattern and is
 // immutable afterwards, so one Pattern may be matched from many goroutines.
 type Pattern struct {
-	root *elemPattern
-	vars []string
+	root  *elemPattern
+	vars  []string
+	names [1]xmltree.Name // the root's name, the one event name the pattern matches
 }
 
 // elemPattern is one template element, compiled: namespace declarations are
@@ -60,7 +61,7 @@ func NewPattern(template *xmltree.Node) (*Pattern, error) {
 		return nil, fmt.Errorf("events: pattern has no root element")
 	}
 	set := map[string]bool{}
-	p := &Pattern{root: compileElem(r, set)}
+	p := &Pattern{root: compileElem(r, set), names: [1]xmltree.Name{r.Name}}
 	p.vars = make([]string, 0, len(set))
 	for v := range set {
 		p.vars = append(p.vars, v)
@@ -112,9 +113,14 @@ func MustPattern(src string) *Pattern {
 // Name returns the event name the pattern matches.
 func (p *Pattern) Name() xmltree.Name { return p.root.name }
 
-// Vars returns the variable names the pattern binds, sorted. The slice is
+// Names returns the one event name the pattern matches, as the names an
+// event detector listens to. The slice is shared; callers must not modify
+// it.
+func (p *Pattern) Names() []xmltree.Name { return p.names[:] }
+
+// Binds returns the variable names the pattern binds, sorted. The slice is
 // computed once and shared; callers must not modify it.
-func (p *Pattern) Vars() []string { return p.vars }
+func (p *Pattern) Binds() []string { return p.vars }
 
 // varName reports whether s is a variable reference "$Name".
 func varName(s string) (string, bool) {

@@ -288,24 +288,18 @@ func (g *GRH) resolve(kind ruleml.ComponentKind, language string) (*Descriptor, 
 	return nil, fmt.Errorf("grh: no processor for language %s", language)
 }
 
-// Compile compiles a component with the language Dispatch would send it
-// to, for the caller to keep and pass back on Component.Compiled. It
-// compiles nothing (nil, nil) for a component pinned to a service URI, in
-// a language no processor is registered for, or whose processor has no
-// Compile or does not accept its kind: those expressions are left to the
-// service, which reads their text.
+// Compile compiles a component with the processor Dispatch would send it
+// to (its language's, else its kind's default), for the caller to keep and
+// pass back on Component.Compiled. It compiles nothing (nil, nil) for a
+// component pinned to a service URI, one no processor is registered for,
+// or one whose processor has no Compile or does not accept its kind: those
+// expressions are left to the service, which reads their text.
 func (g *GRH) Compile(c ruleml.Component) (any, error) {
 	if c.Service != "" {
 		return nil, nil
 	}
-	g.mu.RLock()
-	lang := c.Language
-	if lang == "" {
-		lang = g.defaults[c.Kind]
-	}
-	d, ok := g.byLang[lang]
-	g.mu.RUnlock()
-	if !ok || d.Compile == nil || !kindAllowed(d, c.Kind) {
+	d, err := g.resolve(c.Kind, c.Language)
+	if err != nil || d.Compile == nil || !kindAllowed(d, c.Kind) {
 		return nil, nil
 	}
 	return d.Compile(c)

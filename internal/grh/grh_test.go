@@ -499,7 +499,7 @@ func TestCompile(t *testing.T) {
 		{"language", query("http://c/", "", "q"), "compiled q"},
 		{"kind default", query("", "", "q"), "compiled q"},
 		{"pinned service", query("http://c/", "http://example.org/raw", "q"), nil},
-		{"unregistered language", query("http://nobody/", "", "q"), nil},
+		{"unregistered language: the kind default, as Dispatch", query("http://nobody/", "", "q"), "compiled q"},
 		{"no Compile", query("http://plain/", "", "q"), nil},
 		{"kind not accepted", ruleml.Component{Kind: ruleml.TestComponent, Language: "http://c/", Opaque: true, Text: "q"}, nil},
 	} {

@@ -13,9 +13,9 @@ import (
 // This file is the read side of the exposition format: a parser and
 // sample model for Prometheus text scrapes (format 0.0.4). The cluster
 // layer uses it to build /cluster/metrics — each peer's /metrics is
-// parsed, tagged with a node label and merged into one lint-clean
-// exposition (naive concatenation would duplicate TYPE comments, which
-// LintExposition rejects) — and `ecactl cluster top` uses it to delta
+// parsed, tagged with a node label and merged into one exposition that
+// parses again (naive concatenation would duplicate TYPE comments, which
+// ParseExposition rejects) — and `ecactl cluster top` uses it to delta
 // histograms and compute quantiles from scrapes without a Prometheus
 // client dependency.
 
@@ -72,10 +72,13 @@ type Exposition struct {
 	byName map[string]*MetricFamily
 }
 
-// ParseExposition parses a Prometheus text exposition. It is as strict
-// as LintExposition about names, quoting and escapes, so anything it
-// accepts round-trips lint-clean through WritePrometheus. Optional
-// sample timestamps are parsed and dropped.
+// ParseExposition parses a Prometheus text exposition: well-formed
+// HELP/TYPE comments, valid metric and label names, properly quoted and
+// escaped label values, parseable sample values. It is strict about
+// names, quoting and escapes, so anything it accepts prints through
+// WritePrometheus as an exposition it accepts again; the tests use it to
+// prove /metrics stays machine-parseable even with hostile label values.
+// Optional sample timestamps are parsed and dropped.
 func ParseExposition(r io.Reader) (*Exposition, error) {
 	e := &Exposition{byName: map[string]*MetricFamily{}}
 	typed := map[string]string{}
@@ -186,7 +189,8 @@ func (e *Exposition) parseSample(line string, typed map[string]string) error {
 }
 
 // parseLabels consumes a {name="value",...} section, returning the
-// decoded pairs and the rest of the line. Same grammar as lintLabels.
+// decoded pairs and the rest of the line, enforcing quoting, escape
+// sequences and unique label names.
 func parseLabels(s string) (pairs []LabelPair, rest string, err error) {
 	s = s[1:] // consume '{'
 	seen := map[string]bool{}
@@ -295,7 +299,7 @@ func (e *Exposition) AddLabel(name, value string) {
 // MergeExpositions combines scrapes into one exposition, unioning
 // samples family-by-family. The first part to declare a family's
 // HELP/TYPE wins; later conflicting declarations are dropped rather
-// than duplicated, keeping the merge lint-clean. Callers are expected
+// than duplicated, keeping the merge parseable. Callers are expected
 // to have disambiguated same-name series first (e.g. via AddLabel).
 func MergeExpositions(parts ...*Exposition) *Exposition {
 	out := &Exposition{byName: map[string]*MetricFamily{}}
@@ -560,4 +564,111 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// scanQuoted consumes a double-quoted section honoring backslash escapes;
+// it returns the raw (still-escaped) content and the remainder.
+func scanQuoted(s string) (val, rest string, ok bool) {
+	for i := 1; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++ // skip escaped char (validity checked by checkEscapes)
+		case '"':
+			return s[1:i], s[i+1:], true
+		case '\n':
+			return "", "", false
+		}
+	}
+	return "", "", false
+}
+
+// checkEscapes verifies that raw escaped text uses only the escape
+// sequences the format allows (\\ and \n everywhere, plus \" in label
+// values) and contains no raw newline or — for label values — raw quote.
+func checkEscapes(s string, labelValue bool) error {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\n':
+			return fmt.Errorf("raw newline in %q", s)
+		case '"':
+			if labelValue {
+				return fmt.Errorf("unescaped quote in %q", s)
+			}
+		case '\\':
+			if i+1 >= len(s) {
+				return fmt.Errorf("trailing backslash in %q", s)
+			}
+			i++
+			switch s[i] {
+			case '\\', 'n':
+			case '"':
+				if !labelValue {
+					return fmt.Errorf(`\" escape outside a label value in %q`, s)
+				}
+			default:
+				return fmt.Errorf("invalid escape \\%c in %q", s[i], s)
+			}
+		}
+	}
+	return nil
+}
+
+// splitName splits a sample line at the end of the metric name.
+func splitName(line string) (name, rest string) {
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if c == '{' || c == ' ' {
+			return line[:i], line[i:]
+		}
+	}
+	return line, ""
+}
+
+// baseFamily resolves a sample name to its declared family, stripping the
+// histogram/summary suffixes.
+func baseFamily(name string, typed map[string]string) (string, bool) {
+	if _, ok := typed[name]; ok {
+		return name, true
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		base := strings.TrimSuffix(name, suffix)
+		if base != name {
+			if _, ok := typed[base]; ok {
+				return base, true
+			}
+		}
+	}
+	return "", false
+}
+
+func validMetricName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		ok := c == '_' || c == ':' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func validLabelName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		ok := c == '_' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -23,7 +23,7 @@ func TestRuntimeSamplerPopulatesGauges(t *testing.T) {
 	if g := r.Gauge("go_goroutines", ""); g.Value() < 1 {
 		t.Errorf("go_goroutines = %v, want ≥ 1", g.Value())
 	}
-	if err := LintExposition(strings.NewReader(out)); err != nil {
+	if _, err := ParseExposition(strings.NewReader(out)); err != nil {
 		t.Errorf("runtime gauges break exposition lint: %v", err)
 	}
 

@@ -79,7 +79,7 @@ func TestAnalyzerScansNestedExpression(t *testing.T) {
 	  <eca:action><t:act a="$A" b="$B" c="$C"/></eca:action>
 	</eca:rule>`
 	r := MustParse(src)
-	a := DefaultAnalyzer(r.Event)
+	a := scan(r.Event)
 	if got := strings.Join(a.Binds, ","); got != "A,B,C" {
 		t.Errorf("event binds = %q", got)
 	}

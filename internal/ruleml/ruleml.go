@@ -9,6 +9,7 @@ package ruleml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,9 +54,10 @@ type Component struct {
 	// for plain components.
 	Variable string
 	// Declares lists variables the component declares it binds (the
-	// binds="A B" attribute) — needed for components in languages the
-	// engine cannot introspect, e.g. an opaque query generating
-	// log:answers with fresh variables (Fig. 10).
+	// binds="A B" attribute) — needed for components whose compiled form
+	// does not report what it binds, e.g. an opaque query generating
+	// log:answers with fresh variables for a framework-unaware service
+	// (Fig. 10).
 	Declares []string
 }
 
@@ -251,24 +253,59 @@ type VarAnalysis struct {
 	Uses  []string
 }
 
-// Analyzer computes the variable analysis for a component. The engine
-// supplies per-language analyzers; DefaultAnalyzer covers the languages in
-// this repository.
-type Analyzer func(c Component) VarAnalysis
+// A compiled component form reports its own facts through the optional
+// methods of Binder, User and Listener: what its language compiled is
+// exact where a textual scan guesses. A form may implement any of them.
+type (
+	// Binder reports the variables every answer of the form binds.
+	Binder interface{ Binds() []string }
+	// User reports the variables the form reads from its input bindings.
+	User interface{ Uses() []string }
+	// Listener reports the event names an event form listens to.
+	Listener interface{ Names() []xmltree.Name }
+)
+
+// Analyze returns a component's variables as its compiled form reports
+// them (Binder, User). A form that reports neither, or no form, leaves the
+// component to the textual scan (scan). The binds="…" declarations are
+// added either way.
+func Analyze(c Component, form any) VarAnalysis {
+	b, isBinder := form.(Binder)
+	u, isUser := form.(User)
+	if !isBinder && !isUser {
+		return scan(c)
+	}
+	var a VarAnalysis
+	if isBinder {
+		a.Binds = b.Binds()
+	}
+	if isUser {
+		a.Uses = u.Uses()
+	}
+	for _, d := range c.Declares {
+		if !slices.Contains(a.Binds, d) {
+			a.Binds = append(a.Binds[:len(a.Binds):len(a.Binds)], d)
+		}
+	}
+	return a
+}
 
 // Validate checks the rule's variable binding discipline per Section 3 of
 // the paper: a variable must be bound in an earlier (Event < Query < Test <
 // Action) or the same component as where it is used. Join use is legal in
-// Event/Query/Test; free variables in actions are errors.
-func Validate(r *Rule, analyze Analyzer) error {
-	if analyze == nil {
-		analyze = DefaultAnalyzer
-	}
+// Event/Query/Test; free variables in actions are errors. vars holds each
+// component's analysis in Components() order; nil scans every component.
+func Validate(r *Rule, vars []VarAnalysis) error {
 	bound := map[string]bool{}
-	check := func(c Component) error {
-		a := analyze(c)
+	for i, c := range r.Components() {
+		var a VarAnalysis
+		if vars == nil {
+			a = scan(c)
+		} else {
+			a = vars[i]
+		}
 		for _, u := range a.Uses {
-			if !bound[u] && !contains(a.Binds, u) {
+			if !bound[u] && !slices.Contains(a.Binds, u) {
 				return fmt.Errorf("ruleml: rule %.64q: variable $%.64s used in %s before being bound", r.ID, u, c.ID)
 			}
 		}
@@ -278,33 +315,18 @@ func Validate(r *Rule, analyze Analyzer) error {
 		if c.Variable != "" {
 			bound[c.Variable] = true
 		}
-		return nil
-	}
-	for _, c := range r.Components() {
-		if err := check(c); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-func contains(s []string, x string) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// DefaultAnalyzer extracts variables syntactically:
+// scan extracts variables textually, for a component whose form reports
+// nothing — opaque text for a framework-unaware service, whose variables
+// are substituted as text, or a language with no compile step:
 //   - event components bind every $Var occurring in the pattern;
-//   - query components with marked-up LP-style expressions (Datalog) bind
-//     their upper-case variables;
-//   - functional queries (XQuery-lite, opaque) use their free $Vars
-//     (variables introduced by for/let are internal);
-//   - test and action components use their $Vars.
-func DefaultAnalyzer(c Component) VarAnalysis {
+//   - other components use their free $Vars (variables introduced by an
+//     XQuery for/let are internal);
+//   - binds="…" declarations are bound.
+func scan(c Component) VarAnalysis {
 	var a VarAnalysis
 	switch c.Kind {
 	case EventComponent:

@@ -167,6 +167,9 @@ func TestComponentsOrder(t *testing.T) {
 	}
 }
 
+// TestCustomAnalyzer: Validate checks the analyses it is given, so a
+// language that knows what its component binds (here a compiled form of an
+// "lp" query) admits a use the textual scan rejects.
 func TestCustomAnalyzer(t *testing.T) {
 	src := `<eca:rule xmlns:eca="` + protocol.ECANS + `" id="c">
 	  <eca:event><e/></eca:event>
@@ -175,16 +178,22 @@ func TestCustomAnalyzer(t *testing.T) {
 	</eca:rule>`
 	r := MustParse(src)
 	if err := Validate(r, nil); err == nil {
-		t.Fatal("default analyzer should reject $FromLP")
+		t.Fatal("the scan should reject $FromLP")
 	}
-	custom := func(c Component) VarAnalysis {
-		a := DefaultAnalyzer(c)
+	var vars []VarAnalysis
+	for _, c := range r.Components() {
+		var form any
 		if c.Kind == QueryComponent && c.Language == "lp" {
-			a.Binds = append(a.Binds, "FromLP")
+			form = lpForm{}
 		}
-		return a
+		vars = append(vars, Analyze(c, form))
 	}
-	if err := Validate(r, custom); err != nil {
-		t.Fatalf("custom analyzer: %v", err)
+	if err := Validate(r, vars); err != nil {
+		t.Fatalf("custom analysis: %v", err)
 	}
 }
+
+// lpForm is a compiled form that binds FromLP and uses nothing.
+type lpForm struct{}
+
+func (lpForm) Binds() []string { return []string{"FromLP"} }

@@ -17,12 +17,18 @@ import (
 )
 
 // DetectorHost is the event detection service of Section 4.2 for every event
-// component language: a language supplies only its compile step (an
-// events.Language); the host subscribes to the stream, keeps the registry
-// by tenant and rule/component key, builds the log:answers reply of every
-// detection, stamped with the registration's tenant, and delivers it. One
-// host serves every tenant: each event reaches only the detectors its own
-// tenant registered for its name (events.Matcher).
+// component language: a language supplies only its compile and build steps
+// (an events.Language); the host subscribes to the stream, keeps the
+// registry by tenant and rule/component key, builds the log:answers reply
+// of every detection, stamped with the registration's tenant, and delivers
+// it. One host serves every tenant: each event reaches only the detectors
+// its own tenant registered for its name (events.Matcher).
+//
+// An event component is compiled once. In process the engine compiled it
+// at registration with the host's Compile and the register-event request
+// carries the form; the host builds its detector from that form, and
+// compiles the expression itself only for a request that carries none (one
+// off the wire).
 //
 // Concurrency contract: a detector is not safe for concurrent use and may be
 // order-sensitive, so event feeds and Advance ticks run one at a time under
@@ -33,7 +39,8 @@ import (
 // order, and what it leaves to run goes to the publishing goroutine
 // (events.Origin.Later).
 type DetectorHost struct {
-	compile events.Language
+	compile func(*xmltree.Node) (any, error)
+	build   func(req *protocol.Request, emit events.Emit) (events.Detector, error)
 	deliver *Deliverer
 	index   *events.Matcher
 	cancel  func()
@@ -51,8 +58,19 @@ type delivery struct {
 
 // NewDetectorHost creates a host for one event language and subscribes it
 // to the stream.
-func NewDetectorHost(stream *events.Stream, deliver *Deliverer, compile events.Language) *DetectorHost {
-	h := &DetectorHost{compile: compile, deliver: deliver, index: events.NewMatcher()}
+func NewDetectorHost[F any](stream *events.Stream, deliver *Deliverer, lang events.Language[F]) *DetectorHost {
+	h := &DetectorHost{deliver: deliver, index: events.NewMatcher()}
+	h.compile = func(expr *xmltree.Node) (any, error) { return lang.Compile(expr) }
+	h.build = func(req *protocol.Request, emit events.Emit) (events.Detector, error) {
+		form, ok := req.Compiled.(F)
+		if !ok {
+			var err error
+			if form, err = lang.Compile(req.Expression); err != nil {
+				return events.Detector{}, err
+			}
+		}
+		return lang.Build(form, emit)
+	}
 	h.cancel = stream.SubscribeOrigin(h.onEvent)
 	return h
 }
@@ -69,72 +87,83 @@ func NewSnoopService(stream *events.Stream, deliver *Deliverer) *DetectorHost {
 	return NewDetectorHost(stream, deliver, snoopEvents(deliver.Obs))
 }
 
+// Compile compiles an event component in the host's language, once, at
+// registration: the Compile of the host's grh.Descriptor. An opaque
+// component has no expression element to compile here; its text reaches
+// the host wrapped, and the host compiles it on registration.
+func (h *DetectorHost) Compile(c ruleml.Component) (any, error) {
+	if c.Expression == nil {
+		return nil, nil
+	}
+	return h.compile(c.Expression)
+}
+
 // atomicEvents compiles a bare domain event pattern; its detector listens
 // to the pattern's root name.
-func atomicEvents(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
-	p, err := events.NewPattern(expr)
-	if err != nil {
-		return events.Detector{}, err
-	}
-	return events.Detector{Names: []xmltree.Name{p.Name()}, Feed: func(ev events.Event) {
-		if ts := p.Match(ev); len(ts) > 0 {
-			emit(ts, []events.Event{ev})
-		}
-	}}, nil
+var atomicEvents = events.Language[*events.Pattern]{
+	Compile: events.NewPattern,
+	Build: func(p *events.Pattern, emit events.Emit) (events.Detector, error) {
+		return events.Detector{Names: p.Names(), Feed: func(ev events.Event) {
+			if ts := p.Match(ev); len(ts) > 0 {
+				emit(ts, []events.Event{ev})
+			}
+		}}, nil
+	},
 }
+
+// snoopForm is a compiled SNOOP event component: the expression and the
+// parameter context its detector runs in.
+type snoopForm struct {
+	expr snoop.Expr
+	ctx  snoop.ParamContext
+}
+
+// Names returns the root names of the expression's leaf patterns.
+func (f *snoopForm) Names() []xmltree.Name { return snoop.Names(f.expr) }
+
+// Binds returns the variables every occurrence of the expression binds.
+func (f *snoopForm) Binds() []string { return snoop.Bound(f.expr) }
 
 // compileSnoop parses and validates a SNOOP expression and its parameter
 // context, taken from the expression's context attribute (default
 // chronicle, the common choice for workflow-style rules).
-func compileSnoop(expr *xmltree.Node) (snoop.Expr, snoop.ParamContext, error) {
+func compileSnoop(expr *xmltree.Node) (*snoopForm, error) {
 	e, err := snoop.ParseXML(expr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	ctx := snoop.Chronicle
 	if cs := expr.AttrValue("", "context"); cs != "" {
 		if ctx, err = snoop.ParseContext(cs); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	return e, ctx, snoop.Validate(e)
-}
-
-// CompileSnoop checks a SNOOP event component at registration (the SNOOP
-// service's grh.Descriptor.Compile), so a malformed expression is a bad
-// rule; the detector itself is built when the event is registered.
-func CompileSnoop(c ruleml.Component) (any, error) {
-	if c.Expression == nil {
-		return nil, nil
-	}
-	e, _, err := compileSnoop(c.Expression)
-	if err != nil {
+	if err := snoop.Validate(e); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return &snoopForm{e, ctx}, nil
 }
 
 // snoopEvents compiles SNOOP expressions (compileSnoop). A detector listens
 // to the names of its leaf patterns; one with a periodic operator also has
 // an Advance, so its timers move on every event of its tenant.
-func snoopEvents(hub *obs.Hub) events.Language {
-	return func(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
-		e, ctx, err := compileSnoop(expr)
-		if err != nil {
-			return events.Detector{}, err
-		}
-		d, err := snoop.NewDetector(e, ctx, func(o snoop.Occurrence) {
-			emit([]bindings.Tuple{o.Bindings}, o.Constituents)
-		})
-		if err != nil {
-			return events.Detector{}, err
-		}
-		d.SetObs(hub)
-		det := events.Detector{Names: d.Names(), Feed: d.Feed}
-		if d.Periodic() {
-			det.Advance = d.Advance
-		}
-		return det, nil
+func snoopEvents(hub *obs.Hub) events.Language[*snoopForm] {
+	return events.Language[*snoopForm]{
+		Compile: compileSnoop,
+		Build: func(f *snoopForm, emit events.Emit) (events.Detector, error) {
+			d, err := snoop.NewDetector(f.expr, f.ctx, func(o snoop.Occurrence) {
+				emit([]bindings.Tuple{o.Bindings}, o.Constituents)
+			})
+			if err != nil {
+				return events.Detector{}, err
+			}
+			d.SetObs(hub)
+			det := events.Detector{Names: f.Names(), Feed: d.Feed}
+			if d.Periodic() {
+				det.Advance = d.Advance
+			}
+			return det, nil
+		},
 	}
 }
 
@@ -186,7 +215,7 @@ func (h *DetectorHost) Handle(req *protocol.Request) (*protocol.Answer, error) {
 			return nil, fmt.Errorf("eventd: register-event %s without an expression", key)
 		}
 		tenant, ruleID, component, replyTo := req.Tenant, req.RuleID, req.Component, req.ReplyTo
-		det, err := h.compile(req.Expression, func(tuples []bindings.Tuple, constituents []events.Event) {
+		det, err := h.build(req, func(tuples []bindings.Tuple, constituents []events.Event) {
 			// Buffered, not delivered: the running step delivers pend once
 			// it has released the host's mutex.
 			h.pend = append(h.pend, delivery{detectionAnswer(tenant, ruleID, component, tuples, constituents), replyTo})

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bindings"
 	"repro/internal/events"
 	"repro/internal/protocol"
+	"repro/internal/ruleml"
 	"repro/internal/snoop"
 	"repro/internal/winlang"
 	"repro/internal/xmltree"
@@ -20,8 +21,8 @@ import (
 // hostedLanguage is one event language as the detection host runs it, with
 // the expressions its conformance rows register.
 type hostedLanguage struct {
-	name    string
-	compile events.Language
+	name string
+	eventLanguage
 	// single detects every event named name, binding $P to its p attribute.
 	single func(name string) string
 	// composite detects once on stream (event name, p value pairs),
@@ -36,17 +37,17 @@ type hostedLanguage struct {
 
 var hostedLanguages = []hostedLanguage{
 	{
-		name:         "atomic",
-		compile:      atomicEvents,
-		single:       func(name string) string { return `<` + name + ` p="$P"/>` },
-		composite:    `<b p="$P"/>`,
-		stream:       [][2]string{{"a", "x"}, {"b", "x"}},
-		constituents: []string{"b"},
-		bad:          []*xmltree.Node{xmltree.NewDocument()}, // no root element
+		name:          "atomic",
+		eventLanguage: erase(atomicEvents),
+		single:        func(name string) string { return `<` + name + ` p="$P"/>` },
+		composite:     `<b p="$P"/>`,
+		stream:        [][2]string{{"a", "x"}, {"b", "x"}},
+		constituents:  []string{"b"},
+		bad:           []*xmltree.Node{xmltree.NewDocument()}, // no root element
 	},
 	{
-		name:    "snoop",
-		compile: snoopEvents(nil),
+		name:          "snoop",
+		eventLanguage: erase(snoopEvents(nil)),
 		single: func(name string) string {
 			return `<snoop:event xmlns:snoop="` + snoop.NS + `"><` + name + ` p="$P"/></snoop:event>`
 		},
@@ -64,8 +65,8 @@ var hostedLanguages = []hostedLanguage{
 		},
 	},
 	{
-		name:    "winlang",
-		compile: winlang.Language,
+		name:          "winlang",
+		eventLanguage: erase(winlang.Language),
 		single: func(name string) string {
 			return `<win:atleast xmlns:win="` + winlang.NS + `" n="1" within="1h"><` + name + ` p="$P"/></win:atleast>`
 		},
@@ -77,6 +78,30 @@ var hostedLanguages = []hostedLanguage{
 			xmltree.MustParse(`<a/>`).Root(),
 		},
 	},
+}
+
+// eventLanguage is an events.Language with its form type erased, so one
+// table holds every language.
+type eventLanguage struct {
+	// host hosts the language on stream.
+	host func(stream *events.Stream, deliver *Deliverer) *DetectorHost
+	// detector compiles an expression and builds its detector.
+	detector func(expr *xmltree.Node, emit events.Emit) (events.Detector, error)
+}
+
+func erase[F any](lang events.Language[F]) eventLanguage {
+	return eventLanguage{
+		host: func(stream *events.Stream, deliver *Deliverer) *DetectorHost {
+			return NewDetectorHost(stream, deliver, lang)
+		},
+		detector: func(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
+			form, err := lang.Compile(expr)
+			if err != nil {
+				return events.Detector{}, err
+			}
+			return lang.Build(form, emit)
+		},
+	}
 }
 
 // answers collects a host's local deliveries; safe for concurrent publishers.
@@ -141,6 +166,7 @@ func TestDetectorHostConformance(t *testing.T) {
 		run  func(t *testing.T, lang hostedLanguage)
 	}{
 		{"lifecycle", conformLifecycle},
+		{"compiled form", conformCompiledForm},
 		{"errors", conformErrors},
 		{"answer", conformAnswer},
 		{"registration order", conformOrder},
@@ -156,11 +182,39 @@ func TestDetectorHostConformance(t *testing.T) {
 	}
 }
 
+// conformCompiledForm: a registration that carries the form the host's
+// Compile made detects like one that carries only the expression, and a
+// form of another type is not taken for the host's own.
+func conformCompiledForm(t *testing.T, lang hostedLanguage) {
+	stream := events.NewStream()
+	var c answers
+	h := lang.host(stream, c.deliverer())
+	defer h.Close()
+	for _, id := range []string{"r1", "r2"} {
+		expr := xmltree.MustParse(lang.single("a")).Root()
+		var form any = "not a form"
+		if id == "r1" {
+			var err error
+			if form, err = h.Compile(ruleml.Component{Kind: ruleml.EventComponent, Expression: expr}); err != nil || form == nil {
+				t.Fatalf("Compile = %v, %v", form, err)
+			}
+		}
+		if _, err := h.Handle(&protocol.Request{Kind: protocol.RegisterEvent, RuleID: id, Component: "event[1]",
+			Expression: expr, Compiled: form}); err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
+	}
+	stream.Publish(event("a", "x"))
+	if got := c.take(); len(got) != 2 || got[0].Rows[0].Tuple["P"].AsString() != "x" {
+		t.Fatalf("detections = %+v", got)
+	}
+}
+
 // conformLifecycle: register, re-register, unregister and Registrations.
 func conformLifecycle(t *testing.T, lang hostedLanguage) {
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	h := lang.host(stream, c.deliverer())
 	defer h.Close()
 	register(t, h, "r1", lang.single("a"), "")
 	if h.Registrations() != 1 {
@@ -202,7 +256,7 @@ func conformLifecycle(t *testing.T, lang hostedLanguage) {
 // conformErrors: an unsupported kind, a bad expression and a registration
 // without an expression are each an error, and none registers anything.
 func conformErrors(t *testing.T, lang hostedLanguage) {
-	h := NewDetectorHost(events.NewStream(), &Deliverer{}, lang.compile)
+	h := lang.host(events.NewStream(), &Deliverer{})
 	defer h.Close()
 	if _, err := h.Handle(&protocol.Request{Kind: protocol.Query, RuleID: "r", Component: "event[1]"}); err == nil {
 		t.Error("query request accepted")
@@ -226,7 +280,7 @@ func conformErrors(t *testing.T, lang hostedLanguage) {
 func conformAnswer(t *testing.T, lang hostedLanguage) {
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	h := lang.host(stream, c.deliverer())
 	defer h.Close()
 	register(t, h, "r", lang.composite, "")
 	base, admitted := time.Unix(1000, 0), time.Unix(2000, 0)
@@ -265,7 +319,7 @@ func conformOrder(t *testing.T, lang hostedLanguage) {
 	for run := 0; run < 20; run++ {
 		stream := events.NewStream()
 		var c answers
-		h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+		h := lang.host(stream, c.deliverer())
 		var want []string
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("rule-%02d", (i*7)%n) // registration order ≠ id order
@@ -308,7 +362,7 @@ func conformRemote(t *testing.T, lang hostedLanguage) {
 	defer cb.Close()
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	h := lang.host(stream, c.deliverer())
 	defer h.Close()
 	register(t, h, "remote", lang.single("a"), cb.URL)
 	register(t, h, "dead", lang.single("a"), "http://127.0.0.1:1/none")
@@ -346,7 +400,7 @@ func eventIn(tenant, name, p string) events.Event {
 func conformTenantKey(t *testing.T, lang hostedLanguage) {
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	h := lang.host(stream, c.deliverer())
 	defer h.Close()
 	for _, tenant := range []string{"", "acme"} {
 		registerIn(t, h, tenant, "r", lang.single("a"))
@@ -381,7 +435,7 @@ func conformTenantKey(t *testing.T, lang hostedLanguage) {
 func conformTenantComposite(t *testing.T, lang hostedLanguage) {
 	stream := events.NewStream()
 	var c answers
-	h := NewDetectorHost(stream, c.deliverer(), lang.compile)
+	h := lang.host(stream, c.deliverer())
 	defer h.Close()
 	registerIn(t, h, "acme", "r", lang.composite)
 	last := len(lang.stream) - 1
@@ -401,8 +455,11 @@ func conformTenantComposite(t *testing.T, lang hostedLanguage) {
 // TestDetectorHostRejectsNamelessDetector: a detector must listen to at
 // least one event name; one that names none is refused at registration.
 func TestDetectorHostRejectsNamelessDetector(t *testing.T) {
-	nameless := func(*xmltree.Node, events.Emit) (events.Detector, error) {
-		return events.Detector{Feed: func(events.Event) {}}, nil
+	nameless := events.Language[struct{}]{
+		Compile: func(*xmltree.Node) (struct{}, error) { return struct{}{}, nil },
+		Build: func(struct{}, events.Emit) (events.Detector, error) {
+			return events.Detector{Feed: func(events.Event) {}}, nil
+		},
 	}
 	h := NewDetectorHost(events.NewStream(), &Deliverer{}, nameless)
 	defer h.Close()
@@ -426,11 +483,11 @@ func conformOrderedFeed(t *testing.T, lang hostedLanguage) {
 		streamOrder = append(streamOrder, ev.Payload.AttrValue("", "p"))
 		mu.Unlock()
 	})
-	h := NewDetectorHost(stream, &Deliverer{Local: func(a *protocol.Answer) {
+	h := lang.host(stream, &Deliverer{Local: func(a *protocol.Answer) {
 		mu.Lock()
 		got[a.RuleID] = append(got[a.RuleID], a.Rows[0].Tuple["P"].AsString())
 		mu.Unlock()
-	}}, lang.compile)
+	}})
 	defer h.Close()
 	for _, id := range rules {
 		register(t, h, id, lang.single("a"), "")
@@ -503,7 +560,7 @@ func FuzzCompileEventExpression(f *testing.F) {
 		}
 		walk(doc.Root())
 		for _, lang := range hostedLanguages {
-			det, err := lang.compile(doc.Root(), func([]bindings.Tuple, []events.Event) {})
+			det, err := lang.detector(doc.Root(), func([]bindings.Tuple, []events.Event) {})
 			if err != nil {
 				continue
 			}

@@ -45,7 +45,7 @@ func (s *XQueryService) Handle(req *protocol.Request) (*protocol.Answer, error) 
 	for _, t := range req.Bindings.Tuples() {
 		ctx := &xq.Context{
 			Docs:       s.docs,
-			Vars:       tupleToXQVars(t),
+			Vars:       tupleToXQVars(t, q.Uses()),
 			Namespaces: s.namespaces,
 		}
 		seq, err := q.Eval(ctx)
@@ -128,9 +128,16 @@ func queryText(expr *xmltree.Node) (string, error) {
 	return s, nil
 }
 
-func tupleToXQVars(t bindings.Tuple) map[string]xq.Sequence {
-	vars := make(map[string]xq.Sequence, len(t))
-	for name, v := range t {
+// tupleToXQVars converts what the tuple binds of names, the variables a
+// query reads, into XQuery values; the tuple's other variables are left
+// alone.
+func tupleToXQVars(t bindings.Tuple, names []string) map[string]xq.Sequence {
+	vars := make(map[string]xq.Sequence, len(names))
+	for _, name := range names {
+		v, ok := t[name]
+		if !ok {
+			continue
+		}
 		switch v.Kind() {
 		case bindings.XML:
 			vars[name] = xq.Sequence{v.Node()}
@@ -259,7 +266,7 @@ func (TestEvaluator) Handle(req *protocol.Request) (*protocol.Answer, error) {
 // condition references.
 func EvalTest(expr *xpath.Expr, rel *bindings.Relation) (*bindings.Relation, error) {
 	ctx := &xpath.Context{Node: xmltree.NewDocument()}
-	names := expr.Vars()
+	names := expr.Uses()
 	if len(names) > 0 {
 		ctx.Vars = make(map[string]xpath.Object, len(names))
 	}

@@ -119,11 +119,10 @@ func merge(a, b Occurrence) Occurrence {
 
 // Expr is a composite event expression.
 type Expr interface {
-	// node builds the detector node for this expression and returns it
-	// with the expression's always-bound variables, sorted: the variables
-	// every occurrence the node emits binds. Operators key their stores by
-	// the always-bound variables their operands share.
-	node(d *Detector) (node, []string)
+	// node builds the detector node for this expression. Operators key
+	// their stores by the variables their operands both always bind
+	// (Bound).
+	node(d *Detector) node
 	// String renders the expression in algebra syntax.
 	String() string
 }
@@ -209,42 +208,20 @@ func Validate(e Expr) error {
 		if x.Pattern == nil {
 			return fmt.Errorf("snoop: atomic expression without pattern")
 		}
-		return nil
-	case *Or:
-		return firstErr(Validate(x.L), Validate(x.R))
-	case *And:
-		return firstErr(Validate(x.L), Validate(x.R))
-	case *Seq:
-		return firstErr(Validate(x.L), Validate(x.R))
 	case *Any:
 		if x.M < 1 || x.M > len(x.Children) {
 			return fmt.Errorf("snoop: ANY(%d) over %d children", x.M, len(x.Children))
 		}
-		for _, c := range x.Children {
-			if err := Validate(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Not:
-		return firstErr(Validate(x.Begin), Validate(x.Guarded), Validate(x.End))
-	case *Aperiodic:
-		return firstErr(Validate(x.Begin), Validate(x.Mid), Validate(x.End))
-	case *AperiodicStar:
-		return firstErr(Validate(x.Begin), Validate(x.Mid), Validate(x.End))
 	case *Periodic:
 		if x.Interval < minPeriodicInterval {
 			return fmt.Errorf("snoop: periodic interval %v is below the %v floor", x.Interval, minPeriodicInterval)
 		}
-		return firstErr(Validate(x.Begin), Validate(x.End))
+	case *Or, *And, *Seq, *Not, *Aperiodic, *AperiodicStar:
 	default:
 		return fmt.Errorf("snoop: unknown expression %T", e)
 	}
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
+	for _, c := range operands(e) {
+		if err := Validate(c); err != nil {
 			return err
 		}
 	}
@@ -275,7 +252,7 @@ func NewDetector(e Expr, ctx ParamContext, sink func(Occurrence)) (*Detector, er
 		return nil, err
 	}
 	d := &Detector{ctx: ctx, sink: sink}
-	d.root, _ = e.node(d)
+	d.root = e.node(d)
 	d.root.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			d.fired.Inc()
@@ -309,16 +286,6 @@ func (d *Detector) Feed(ev events.Event) {
 	}
 }
 
-// Names returns the root names of the leaf patterns, in leaf order: the
-// only events Feed can detect anything from.
-func (d *Detector) Names() []xmltree.Name {
-	names := make([]xmltree.Name, len(d.leaves))
-	for i, leaf := range d.leaves {
-		names[i] = leaf.pattern.Name()
-	}
-	return names
-}
-
 // Periodic reports whether the expression has a periodic operator, whose
 // occurrences Advance fires.
 func (d *Detector) Periodic() bool { return len(d.periodics) > 0 }
@@ -347,10 +314,10 @@ type atomicNode struct {
 	emit    func([]Occurrence)
 }
 
-func (e *Atomic) node(d *Detector) (node, []string) {
+func (e *Atomic) node(d *Detector) node {
 	n := &atomicNode{pattern: e.Pattern}
 	d.leaves = append(d.leaves, n)
-	return n, e.Pattern.Vars()
+	return n
 }
 
 func (n *atomicNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -376,19 +343,97 @@ func (n *atomicNode) feed(ev events.Event) {
 
 type orNode struct{ emit func([]Occurrence) }
 
-func (e *Or) node(d *Detector) (node, []string) {
+func (e *Or) node(d *Detector) node {
 	n := &orNode{}
-	l, lv := e.L.node(d)
-	r, rv := e.R.node(d)
+	l := e.L.node(d)
+	r := e.R.node(d)
 	pass := func(occs []Occurrence) { n.emit(occs) }
 	l.setParent(pass)
 	r.setParent(pass)
-	return n, intersect(lv, rv)
+	return n
 }
 
 func (n *orNode) setParent(emit func([]Occurrence)) { n.emit = emit }
 
-// --- always-bound variables ----------------------------------------------------
+// --- what an expression listens to and binds ------------------------------------
+
+// Names returns the root names of e's leaf patterns, in leaf order: the
+// only events a detector of e can detect anything from.
+func Names(e Expr) []xmltree.Name {
+	var names []xmltree.Name
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		if a, ok := e.(*Atomic); ok {
+			names = append(names, a.Pattern.Name())
+			return
+		}
+		for _, c := range operands(e) {
+			walk(c)
+		}
+	}
+	walk(e)
+	return names
+}
+
+// Bound returns e's always-bound variables, sorted: the variables every
+// occurrence of e binds. A variable bound in one branch of an Or, or in
+// fewer than all children of an Any, is not among them; a Not's guarded
+// events and an A*'s middles contribute none.
+func Bound(e Expr) []string {
+	switch x := e.(type) {
+	case *Atomic:
+		return x.Pattern.Binds()
+	case *Or:
+		return intersect(Bound(x.L), Bound(x.R))
+	case *And:
+		return union(Bound(x.L), Bound(x.R))
+	case *Seq:
+		return union(Bound(x.L), Bound(x.R))
+	case *Any:
+		var bound []string
+		for i, c := range x.Children {
+			if i == 0 {
+				bound = Bound(c)
+			} else {
+				bound = intersect(bound, Bound(c))
+			}
+		}
+		return bound
+	case *Not:
+		return union(Bound(x.Begin), Bound(x.End))
+	case *Aperiodic:
+		return union(Bound(x.Begin), Bound(x.Mid))
+	case *AperiodicStar:
+		return union(Bound(x.Begin), Bound(x.End))
+	case *Periodic:
+		return Bound(x.Begin)
+	}
+	return nil
+}
+
+// operands returns an operator's operand expressions, in detector leaf
+// order; none for an Atomic.
+func operands(e Expr) []Expr {
+	switch x := e.(type) {
+	case *Or:
+		return []Expr{x.L, x.R}
+	case *And:
+		return []Expr{x.L, x.R}
+	case *Seq:
+		return []Expr{x.L, x.R}
+	case *Any:
+		return x.Children
+	case *Not:
+		return []Expr{x.Begin, x.Guarded, x.End}
+	case *Aperiodic:
+		return []Expr{x.Begin, x.Mid, x.End}
+	case *AperiodicStar:
+		return []Expr{x.Begin, x.Mid, x.End}
+	case *Periodic:
+		return []Expr{x.Begin, x.End}
+	}
+	return nil
+}
 
 // union and intersect combine sorted variable sets into new sorted sets.
 func union(a, b []string) []string {
@@ -552,10 +597,10 @@ type seqNode struct {
 	store *store
 }
 
-func (e *Seq) node(d *Detector) (node, []string) {
-	l, lv := e.L.node(d)
-	r, rv := e.R.node(d)
-	n := &seqNode{store: newStore(d.ctx, intersect(lv, rv))}
+func (e *Seq) node(d *Detector) node {
+	l := e.L.node(d)
+	r := e.R.node(d)
+	n := &seqNode{store: newStore(d.ctx, intersect(Bound(e.L), Bound(e.R)))}
 	l.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.store.add(o)
@@ -572,7 +617,7 @@ func (e *Seq) node(d *Detector) (node, []string) {
 			n.emit(out)
 		}
 	})
-	return n, union(lv, rv)
+	return n
 }
 
 func (n *seqNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -582,10 +627,10 @@ type andNode struct {
 	l, r *store
 }
 
-func (e *And) node(d *Detector) (node, []string) {
-	l, lv := e.L.node(d)
-	r, rv := e.R.node(d)
-	shared := intersect(lv, rv)
+func (e *And) node(d *Detector) node {
+	l := e.L.node(d)
+	r := e.R.node(d)
+	shared := intersect(Bound(e.L), Bound(e.R))
 	n := &andNode{l: newStore(d.ctx, shared), r: newStore(d.ctx, shared)}
 	// An occurrence of either side pairs with the other side's stored ones
 	// and is then stored as an initiator itself.
@@ -605,7 +650,7 @@ func (e *And) node(d *Detector) (node, []string) {
 	}
 	l.setParent(side(n.l, n.r))
 	r.setParent(side(n.r, n.l))
-	return n, union(lv, rv)
+	return n
 }
 
 func (n *andNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -618,19 +663,13 @@ type anyNode struct {
 	stores []*store
 }
 
-func (e *Any) node(d *Detector) (node, []string) {
+func (e *Any) node(d *Detector) node {
 	n := &anyNode{m: e.M}
 	kids := make([]node, len(e.Children))
-	var bound []string
 	for i, c := range e.Children {
-		var vars []string
-		kids[i], vars = c.node(d)
-		if i == 0 {
-			bound = vars
-		} else {
-			bound = intersect(bound, vars)
-		}
+		kids[i] = c.node(d)
 	}
+	bound := Bound(e)
 	for i, cn := range kids {
 		idx := i
 		n.stores = append(n.stores, newStore(d.ctx, bound))
@@ -645,7 +684,7 @@ func (e *Any) node(d *Detector) (node, []string) {
 			}
 		})
 	}
-	return n, bound
+	return n
 }
 
 func (n *anyNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -697,11 +736,11 @@ type notNode struct {
 	guarded []Occurrence
 }
 
-func (e *Not) node(d *Detector) (node, []string) {
-	b, bv := e.Begin.node(d)
-	g, _ := e.Guarded.node(d)
-	t, tv := e.End.node(d)
-	n := &notNode{inits: newStore(d.ctx, intersect(bv, tv))}
+func (e *Not) node(d *Detector) node {
+	b := e.Begin.node(d)
+	g := e.Guarded.node(d)
+	t := e.End.node(d)
+	n := &notNode{inits: newStore(d.ctx, intersect(Bound(e.Begin), Bound(e.End)))}
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.inits.add(o)
@@ -730,7 +769,7 @@ func (e *Not) node(d *Detector) (node, []string) {
 			n.emit(out)
 		}
 	})
-	return n, union(bv, tv)
+	return n
 }
 
 func (n *notNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -742,12 +781,12 @@ type aperiodicNode struct {
 	open *store
 }
 
-func (e *Aperiodic) node(d *Detector) (node, []string) {
-	b, bv := e.Begin.node(d)
-	m, mv := e.Mid.node(d)
-	t, tv := e.End.node(d)
+func (e *Aperiodic) node(d *Detector) node {
+	b := e.Begin.node(d)
+	m := e.Mid.node(d)
+	t := e.End.node(d)
 	// Mids and terminators both probe the open windows.
-	n := &aperiodicNode{open: newStore(d.ctx, intersect(intersect(bv, mv), tv))}
+	n := &aperiodicNode{open: newStore(d.ctx, intersect(intersect(Bound(e.Begin), Bound(e.Mid)), Bound(e.End)))}
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.open.add(o)
@@ -781,7 +820,7 @@ func (e *Aperiodic) node(d *Detector) (node, []string) {
 			}
 		}
 	})
-	return n, union(bv, mv)
+	return n
 }
 
 func (n *aperiodicNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -799,11 +838,11 @@ type starWindow struct {
 	mids []Occurrence
 }
 
-func (e *AperiodicStar) node(d *Detector) (node, []string) {
+func (e *AperiodicStar) node(d *Detector) node {
 	n := &aperiodicStarNode{ctx: d.ctx}
-	b, bv := e.Begin.node(d)
-	m, _ := e.Mid.node(d)
-	t, tv := e.End.node(d)
+	b := e.Begin.node(d)
+	m := e.Mid.node(d)
+	t := e.End.node(d)
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			if n.ctx == Recent {
@@ -849,7 +888,7 @@ func (e *AperiodicStar) node(d *Detector) (node, []string) {
 			n.emit(out)
 		}
 	})
-	return n, union(bv, tv)
+	return n
 }
 
 func (n *aperiodicStarNode) setParent(emit func([]Occurrence)) { n.emit = emit }
@@ -869,11 +908,11 @@ type periodicWindow struct {
 	due  time.Time
 }
 
-func (e *Periodic) node(d *Detector) (node, []string) {
+func (e *Periodic) node(d *Detector) node {
 	n := &periodicNode{interval: e.Interval}
 	d.periodics = append(d.periodics, n)
-	b, bv := e.Begin.node(d)
-	t, _ := e.End.node(d)
+	b := e.Begin.node(d)
+	t := e.End.node(d)
 	b.setParent(func(occs []Occurrence) {
 		for _, o := range occs {
 			n.windows = append(n.windows, periodicWindow{init: o, due: o.EndTime.Add(n.interval)})
@@ -890,7 +929,7 @@ func (e *Periodic) node(d *Detector) (node, []string) {
 			n.windows = rest
 		}
 	})
-	return n, bv
+	return n
 }
 
 func (n *periodicNode) setParent(emit func([]Occurrence)) { n.emit = emit }

@@ -32,11 +32,11 @@ func FuzzReadFrame(f *testing.F) {
 	s.RuleRegistered("", "r1", rule, time.Unix(1700000000, 0))
 	s.RuleRegistered("", "r2", rule, time.Unix(1700000001, 0))
 	s.RuleUnregistered("", "r2")
-	id, err := s.AppendEvent(ev)
+	id, err := appendEvent(s, ev)
 	if err != nil {
 		f.Fatal(err)
 	}
-	s.AckEvent(id)
+	s.AckEvents([]uint64{id})
 	ids, err := s.AppendEventBatchTenant("acme", []*xmltree.Node{ev, ev})
 	if err != nil {
 		f.Fatal(err)

@@ -237,21 +237,6 @@ func (r *Replica) applyLocked(rec record) {
 	}
 }
 
-// Recover replays the mirror through tenant-blind callbacks, dropping the
-// tenant each record was journaled under; see RecoverTenants for the
-// tenant-aware takeover path the cluster layer uses.
-func (r *Replica) Recover(
-	register func(id string, doc *xmltree.Node, registered time.Time) error,
-	publish func(doc *xmltree.Node) error,
-) (RecoveryStats, error) {
-	return r.RecoverTenants(
-		func(_, id string, doc *xmltree.Node, registered time.Time) error {
-			return register(id, doc, registered)
-		},
-		func(_ string, doc *xmltree.Node) error { return publish(doc) },
-	)
-}
-
 // RecoverTenants replays the mirror through the caller's registration and
 // publication paths — the same two-phase shape as Store.RecoverTenants:
 // rules in registration order first, then orphaned events, each with the

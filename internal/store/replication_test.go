@@ -42,11 +42,11 @@ func TestReplicationSinkSeesEveryAppend(t *testing.T) {
 
 	doc := xmltree.MustParse(`<e/>`)
 	s.RuleRegistered("", "r1", xmltree.MustParse(ruleRec(t, "r1").Doc), time.Now())
-	id, err := s.AppendEvent(doc)
+	id, err := appendEvent(s, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AckEvent(id)
+	s.AckEvents([]uint64{id})
 	s.RuleUnregistered("", "r1")
 
 	if len(got) != 4 {
@@ -139,7 +139,7 @@ func TestReplicaRestartResumesFromBase(t *testing.T) {
 	s.RuleRegistered("", "keep", xmltree.MustParse(ruleRec(t, "keep").Doc), time.Now())
 	s.RuleRegistered("", "drop", xmltree.MustParse(ruleRec(t, "drop").Doc), time.Now())
 	s.RuleUnregistered("", "drop")
-	if _, err := s.AppendEvent(xmltree.MustParse(`<orphan/>`)); err != nil {
+	if _, err := appendEvent(s, xmltree.MustParse(`<orphan/>`)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,9 +208,12 @@ func TestReplicaDuplicateFramesIdempotent(t *testing.T) {
 	}
 	// A duplicate register must not duplicate the rule in recovery order.
 	var recovered []string
-	_, err := rep.Recover(
-		func(id string, doc *xmltree.Node, at time.Time) error { recovered = append(recovered, id); return nil },
-		func(doc *xmltree.Node) error { return nil },
+	_, err := rep.RecoverTenants(
+		func(_, id string, doc *xmltree.Node, at time.Time) error {
+			recovered = append(recovered, id)
+			return nil
+		},
+		func(_ string, doc *xmltree.Node) error { return nil },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -236,15 +239,15 @@ func TestReplicaRecoverTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	stats, err := rep.Recover(
-		func(id string, doc *xmltree.Node, at time.Time) error {
+	stats, err := rep.RecoverTenants(
+		func(_, id string, doc *xmltree.Node, at time.Time) error {
 			if id == "r2" {
 				return errors.New("refused")
 			}
 			order = append(order, "rule:"+id)
 			return nil
 		},
-		func(doc *xmltree.Node) error {
+		func(_ string, doc *xmltree.Node) error {
 			order = append(order, "event:"+doc.Root().AttrValue("", "n"))
 			return nil
 		},

@@ -409,27 +409,6 @@ func (s *Store) RuleUnregistered(tenant, id string) {
 	s.appendLocked(record{Kind: KindUnregister, Time: time.Now(), Rule: id, Tenant: tenant})
 }
 
-// AppendEvent journals an accepted atomic event of the default tenant
-// before it is dispatched into the engine, returning the store-local event
-// id to acknowledge with AckEvent once dispatch completes. Events accepted
-// but never acked are re-enqueued by crash recovery.
-func (s *Store) AppendEvent(doc *xmltree.Node) (uint64, error) {
-	if s == nil || doc == nil {
-		return 0, nil
-	}
-	ids, err := s.AppendEventTexts("", []string{doc.String()})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// AppendEventBatch journals a batch of accepted atomic events of the
-// default tenant; see AppendEventBatchTenant.
-func (s *Store) AppendEventBatch(docs []*xmltree.Node) ([]uint64, error) {
-	return s.AppendEventBatchTenant("", docs)
-}
-
 // AppendEventBatchTenant journals a batch of accepted atomic events for
 // one tenant, serialized with String; see AppendEventTexts. A nil doc gets
 // id 0 and is not journaled.
@@ -493,13 +472,6 @@ func (s *Store) AppendEventTexts(tenant string, texts []string) ([]uint64, error
 	}
 	s.maybeSnapshotLocked()
 	return ids, nil
-}
-
-// AckEvent journals that the event with the given id has been dispatched
-// into the engine and no longer needs replay. Id 0 (from a nil store) is
-// ignored.
-func (s *Store) AckEvent(id uint64) {
-	s.AckEvents([]uint64{id})
 }
 
 // AckEvents journals the dispatch acknowledgement for a whole admitted
@@ -789,26 +761,6 @@ func (s *Store) PendingEvents() []string {
 		out = append(out, s.events[id].Doc)
 	}
 	return out
-}
-
-// Recover replays the reconstructed state into a running system through
-// tenant-blind callbacks: every record replays as if it belonged to the
-// default tenant. Single-tenant deployments (and tests) use it; systems
-// with named tenants recover through RecoverTenants so each rule and
-// event lands in its own space.
-func (s *Store) Recover(
-	register func(id string, doc *xmltree.Node, registered time.Time) error,
-	publish func(doc *xmltree.Node) error,
-) (RecoveryStats, error) {
-	if s == nil {
-		return RecoveryStats{}, nil
-	}
-	return s.RecoverTenants(
-		func(_, id string, doc *xmltree.Node, registered time.Time) error {
-			return register(id, doc, registered)
-		},
-		func(_ string, doc *xmltree.Node) error { return publish(doc) },
-	)
 }
 
 // RecoverTenants replays the reconstructed state into a running system:

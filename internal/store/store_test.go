@@ -48,18 +48,18 @@ func TestJournalRoundTrip(t *testing.T) {
 	s.RuleRegistered("", "r1", ruleDoc(t, "one"), time.Now())
 	s.RuleRegistered("", "r2", ruleDoc(t, "two"), time.Now())
 	s.RuleUnregistered("", "r2")
-	id1, err := s.AppendEvent(doc(t, `<t:ev xmlns:t="http://t/" n="1"/>`))
+	id1, err := appendEvent(s, doc(t, `<t:ev xmlns:t="http://t/" n="1"/>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := s.AppendEvent(doc(t, `<t:ev xmlns:t="http://t/" n="2"/>`))
+	id2, err := appendEvent(s, doc(t, `<t:ev xmlns:t="http://t/" n="2"/>`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 == 0 || id2 == 0 || id1 == id2 {
 		t.Fatalf("event ids = %d, %d", id1, id2)
 	}
-	s.AckEvent(id1)
+	s.AckEvents([]uint64{id1})
 	// No Close: simulate a crash (appends are already on disk).
 
 	r := open(t, dir, Options{})
@@ -159,9 +159,9 @@ func TestTruncatedSnapshotSkipped(t *testing.T) {
 	if h := r.Health(); h.RecoveredSkipped == 0 {
 		// Health freezes the counters only after Recover; openSkipped is
 		// surfaced through RecoveryStats.
-		stats, err := r.Recover(
-			func(string, *xmltree.Node, time.Time) error { return nil },
-			func(*xmltree.Node) error { return nil },
+		stats, err := r.RecoverTenants(
+			func(_, _ string, _ *xmltree.Node, _ time.Time) error { return nil },
+			func(string, *xmltree.Node) error { return nil },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +198,7 @@ func TestRecoverSkipsBadRecordsAndCompacts(t *testing.T) {
 	s := open(t, dir, Options{})
 	s.RuleRegistered("", "good", ruleDoc(t, "ok"), time.Now())
 	s.RuleRegistered("", "rejected", ruleDoc(t, "rej"), time.Now())
-	if _, err := s.AppendEvent(doc(t, `<t:ev xmlns:t="http://t/"/>`)); err != nil {
+	if _, err := appendEvent(s, doc(t, `<t:ev xmlns:t="http://t/"/>`)); err != nil {
 		t.Fatal(err)
 	}
 	// Inject a register record whose document is not well-formed XML, as
@@ -218,15 +218,15 @@ func TestRecoverSkipsBadRecordsAndCompacts(t *testing.T) {
 
 	r := open(t, dir, Options{})
 	var registered, published []string
-	stats, err := r.Recover(
-		func(id string, _ *xmltree.Node, _ time.Time) error {
+	stats, err := r.RecoverTenants(
+		func(_, id string, _ *xmltree.Node, _ time.Time) error {
 			if id == "rejected" {
 				return errors.New("analyzer said no")
 			}
 			registered = append(registered, id)
 			return nil
 		},
-		func(d *xmltree.Node) error {
+		func(_ string, d *xmltree.Node) error {
 			published = append(published, d.Root().Name.Local)
 			return nil
 		},
@@ -247,9 +247,9 @@ func TestRecoverSkipsBadRecordsAndCompacts(t *testing.T) {
 	// Second boot: the replayed event must not come back, the skipped
 	// rules are gone for good, the good rule is still live.
 	r2 := open(t, dir, Options{})
-	stats2, err := r2.Recover(
-		func(string, *xmltree.Node, time.Time) error { return nil },
-		func(*xmltree.Node) error { t.Error("event replayed twice"); return nil },
+	stats2, err := r2.RecoverTenants(
+		func(_, _ string, _ *xmltree.Node, _ time.Time) error { return nil },
+		func(string, *xmltree.Node) error { t.Error("event replayed twice"); return nil },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestCloseCompactsAndPersistsPending(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
 	s.RuleRegistered("", "r", ruleDoc(t, "z"), time.Now())
-	if _, err := s.AppendEvent(doc(t, `<t:orphan xmlns:t="http://t/"/>`)); err != nil {
+	if _, err := appendEvent(s, doc(t, `<t:orphan xmlns:t="http://t/"/>`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -320,12 +320,12 @@ func TestCloseCompactsAndPersistsPending(t *testing.T) {
 func TestEventSeqMonotonicAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	id1, _ := s.AppendEvent(doc(t, `<e/>`))
-	s.AckEvent(id1)
+	id1, _ := appendEvent(s, doc(t, `<e/>`))
+	s.AckEvents([]uint64{id1})
 	s.Close()
 	r := open(t, dir, Options{})
 	defer r.Close()
-	id2, _ := r.AppendEvent(doc(t, `<e/>`))
+	id2, _ := appendEvent(r, doc(t, `<e/>`))
 	if id2 <= id1 {
 		t.Errorf("event ids not monotonic: %d then %d", id1, id2)
 	}
@@ -339,8 +339,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 	s := open(t, dir, Options{Obs: hub, Fsync: FsyncAlways})
 	defer s.Close()
 	s.RuleRegistered("", "r", ruleDoc(t, "m"), time.Now())
-	id, _ := s.AppendEvent(doc(t, `<e/>`))
-	s.AckEvent(id)
+	id, _ := appendEvent(s, doc(t, `<e/>`))
+	s.AckEvents([]uint64{id})
 	var exp strings.Builder
 	hub.Metrics().WritePrometheus(&exp)
 	out := exp.String()
@@ -354,7 +354,7 @@ func TestStoreMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if err := obs.LintExposition(strings.NewReader(out)); err != nil {
+	if _, err := obs.ParseExposition(strings.NewReader(out)); err != nil {
 		t.Errorf("exposition lint: %v", err)
 	}
 }
@@ -364,10 +364,10 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	var s *Store
 	s.RuleRegistered("", "r", nil, time.Now())
 	s.RuleUnregistered("", "r")
-	if id, err := s.AppendEvent(nil); id != 0 || err != nil {
-		t.Fatalf("AppendEvent on nil = %d, %v", id, err)
+	if id, err := appendEvent(s, nil); id != 0 || err != nil {
+		t.Fatalf("append on nil = %d, %v", id, err)
 	}
-	s.AckEvent(0)
+	s.AckEvents([]uint64{0})
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if h := s.Health(); h.Rules != 0 {
 		t.Fatal("nil health")
 	}
-	if _, err := s.Recover(nil, nil); err != nil {
+	if _, err := s.RecoverTenants(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,8 +415,8 @@ func TestSnapshotFormat(t *testing.T) {
 	}
 }
 
-// AppendEventBatch journals N events in one lock acquisition with ids
-// indistinguishable from N sequential AppendEvent calls; AckEvents clears
+// AppendEventBatchTenant journals N events in one lock acquisition with ids
+// indistinguishable from N sequential one-event appends; AckEvents clears
 // the acked subset and recovery re-enqueues only the orphans.
 func TestAppendEventBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -426,7 +426,7 @@ func TestAppendEventBatchRoundTrip(t *testing.T) {
 		doc(t, `<t:ev xmlns:t="http://t/" n="2"/>`),
 		doc(t, `<t:ev xmlns:t="http://t/" n="3"/>`),
 	}
-	ids, err := s.AppendEventBatch(docs)
+	ids, err := s.AppendEventBatchTenant("", docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestAppendEventBatchSingleFsync(t *testing.T) {
 	}
 	var before strings.Builder
 	hub.Metrics().WritePrometheus(&before)
-	if _, err := s.AppendEventBatch(docs); err != nil {
+	if _, err := s.AppendEventBatchTenant("", docs); err != nil {
 		t.Fatal(err)
 	}
 	var after strings.Builder
@@ -488,12 +488,21 @@ func fsyncCount(t *testing.T, exposition string) int {
 	return 0
 }
 
-// Nil stores and empty batches are safe no-ops, like AppendEvent/AckEvent.
+// Nil stores and empty batches are safe no-ops.
 func TestAppendEventBatchNilStore(t *testing.T) {
 	var s *Store
-	ids, err := s.AppendEventBatch([]*xmltree.Node{doc(t, `<e/>`)})
+	ids, err := s.AppendEventBatchTenant("", []*xmltree.Node{doc(t, `<e/>`)})
 	if err != nil || len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("nil store: ids=%v err=%v", ids, err)
 	}
 	s.AckEvents(ids)
+}
+
+// appendEvent journals one default-tenant event and returns its id.
+func appendEvent(s *Store, d *xmltree.Node) (uint64, error) {
+	ids, err := s.AppendEventBatchTenant("", []*xmltree.Node{d})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }

@@ -2,7 +2,7 @@ package system_test
 
 // The query evaluations of the travel scenario, one at a time, the way the
 // services run them: the framework-aware XQuery of Fig. 7 with its tuple's
-// variables bound, the class XPath a Fig. 9 GET hands the opaque store, the
+// variables bound, directly and at the XQuery service, the class XPath a Fig. 9 GET hands the opaque store, the
 // log:answers-generating XQuery of Fig. 10, one GET of that query at the
 // opaque XQuery node, and the durable_batch test through EvalTest.
 //
@@ -39,6 +39,10 @@ type travelQueries struct {
 	node     http.Handler // the opaque XQuery node serving availSrc
 	test     *xpath.Expr  // the durable_batch test
 	testRel  *bindings.Relation
+	// ownReq asks the XQuery service for the Fig. 7 query with a tuple
+	// that also binds the booking event, which the query does not read.
+	ownReq *protocol.Request
+	xquery *services.XQueryService
 }
 
 // newTravelQueries reads the three query components out of the Fig. 4
@@ -74,6 +78,12 @@ func newTravelQueries(tb testing.TB) *travelQueries {
 		test:     xpath.MustCompile(`$Dest != 'Nowhere'`),
 	}
 	q.avail = xq.MustCompile(q.availSrc)
+	q.xquery = services.NewXQueryService(store, ns)
+	q.ownReq = &protocol.Request{Kind: protocol.Query, RuleID: "car-rental", Component: "query[1]", Compiled: q.own,
+		Bindings: bindings.NewRelation(bindings.Tuple{
+			"Person": bindings.Str("John Doe"), "Dest": bindings.Str("Paris"),
+			"Booking": bindings.Fragment(travel.Booking("John Doe", "Munich", "Paris")),
+		})}
 	q.testRel = bindings.NewRelation(bindings.Tuple{
 		"Person": bindings.Str("John Doe"), "Dest": bindings.Str("Paris"), "Ref": bindings.Str("17"),
 	})
@@ -86,6 +96,14 @@ func (q *travelQueries) evalOwn(tb testing.TB) xq.Sequence {
 		tb.Fatal(err)
 	}
 	return seq
+}
+
+func (q *travelQueries) serveOwn(tb testing.TB) *protocol.Answer {
+	a, err := q.xquery.Handle(q.ownReq)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
 }
 
 func (q *travelQueries) evalClass(tb testing.TB) xpath.NodeSet {
@@ -123,15 +141,17 @@ func (q *travelQueries) serve(tb testing.TB) *httptest.ResponseRecorder {
 }
 
 // Upper bounds on what one evaluation allocates. The evaluations make 38,
-// 11, 93 and 8; each saving of the allocation-lean evaluation path fails
-// at least one row when it returns: a map per location step costs 19, 6
-// and 25, a function map and doc() closure per XPath call 9 and 15, and
-// converting every bound variable of a test 2.
+// 47, 11, 93 and 8; each saving of the allocation-lean evaluation path
+// fails at least one row when it returns: a map per location step costs
+// 19, 6 and 25, a function map and doc() closure per XPath call 9 and 15,
+// converting every bound variable of a test 2, and converting every
+// variable of the XQuery service's tuple, not just the one Fig. 7 reads, 3.
 const (
-	maxOwnAllocs   = 43
-	maxClassAllocs = 14
-	maxAvailAllocs = 100
-	maxTestAllocs  = 9
+	maxOwnAllocs        = 43
+	maxOwnServiceAllocs = 48
+	maxClassAllocs      = 14
+	maxAvailAllocs      = 100
+	maxTestAllocs       = 9
 )
 
 // TestQueryEvalAllocs pins what the travel queries and the durable_batch
@@ -157,6 +177,9 @@ func TestQueryEvalAllocs(t *testing.T) {
 	if got := q.serve(t).Body.String(); got != want {
 		t.Errorf("GET Fig. 10 = %s, want %s", got, want)
 	}
+	if a := q.serveOwn(t); len(a.Rows) != 1 || len(a.Rows[0].Results) != 2 {
+		t.Errorf("Fig. 7 at the XQuery service = %+v", a)
+	}
 	if n := q.evalTest(t).Size(); n != 1 {
 		t.Errorf("test kept %d of 1 tuples", n)
 	}
@@ -166,6 +189,7 @@ func TestQueryEvalAllocs(t *testing.T) {
 		eval  func()
 	}{
 		{"Fig. 7", maxOwnAllocs, func() { q.evalOwn(t) }},
+		{"Fig. 7 at the XQuery service", maxOwnServiceAllocs, func() { q.serveOwn(t) }},
 		{"Fig. 9", maxClassAllocs, func() { q.evalClass(t) }},
 		{"Fig. 10", maxAvailAllocs, func() { q.evalAvail(t) }},
 		{"durable_batch test", maxTestAllocs, func() { q.evalTest(t) }},

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/events"
 	"repro/internal/grh"
@@ -291,12 +292,15 @@ func TestRuleCompiledOnce(t *testing.T) {
 	}
 }
 
-// TestRegisterExactVariables: an xq query's and an XPath test's variables
-// come from their compiled forms, not from a textual scan, so a FLWOR
-// variable after a line break or a tab, and a $ in a string literal, are
-// not uses; a truly free variable is still one, and rejected with 422.
+// TestRegisterExactVariables: a component's variables come from its
+// compiled form, not from a textual scan. An xq query's and an XPath
+// test's: a FLWOR variable after a line break or a tab, and a $ in a string
+// literal, are not uses; a truly free variable is still one, and rejected
+// with 422. A Datalog query binds its variables, with no binds=. A
+// snoop:or binds only what both branches bind. An event whose form reports
+// nothing is scanned.
 func TestRegisterExactVariables(t *testing.T) {
-	sys, err := NewLocal(Config{})
+	sys, err := NewLocal(Config{Datalog: datalog.MustParse(`owns(alice, car1). owns(bob, car2).`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +348,59 @@ func TestRegisterExactVariables(t *testing.T) {
 		if code != http.StatusUnprocessableEntity || !strings.Contains(body, "$Undeclared") {
 			t.Errorf("query %q, test %q: %d %s, want 422 naming $Undeclared", c.query, c.test, code, body)
 		}
+	}
+
+	// Datalog: owns(X, Y) binds Y for the action.
+	if code, body := post("/engine/rules", `<eca:rule xmlns:eca="`+protocol.ECANS+`" xmlns:t="`+tNS+`"
+	  xmlns:dl="`+services.DatalogNS+`" id="owns">
+	  <eca:event><t:buy x="$X"/></eca:event>
+	  <eca:query><dl:query>owns(X, Y)</dl:query></eca:query>
+	  <eca:action><t:ship x="$X" y="$Y"/></eca:action>
+	</eca:rule>`); code != http.StatusOK {
+		t.Fatalf("Datalog rule: %d %s", code, body)
+	}
+	sys.Notifier.Reset()
+	if code, body := post("/events", `<t:buy xmlns:t="`+tNS+`" x="alice"/>`); code != http.StatusOK {
+		t.Fatalf("event: %d %s", code, body)
+	}
+	if sent := sys.Notifier.Sent(); len(sent) != 1 || sent[0].Message.AttrValue("", "y") != "car1" {
+		t.Errorf("Datalog rule sent %v, want one ship of car1", sent)
+	}
+
+	// snoop:or: $X is bound in one branch only, so the action may not use it.
+	code, body := post("/engine/rules", `<eca:rule xmlns:eca="`+protocol.ECANS+`" xmlns:t="`+tNS+`"
+	  xmlns:snoop="`+snoop.NS+`" id="one-branch">
+	  <eca:event><snoop:or>
+	    <snoop:event><t:a x="$X"/></snoop:event>
+	    <snoop:event><t:b/></snoop:event>
+	  </snoop:or></eca:event>
+	  <eca:action><t:p x="$X"/></eca:action>
+	</eca:rule>`)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "$X") || !strings.Contains(body, "action[1]") {
+		t.Errorf("one-branch snoop:or: %d %s, want 422 naming $X and action[1]", code, body)
+	}
+
+	// An event language with no compile step: its form reports nothing, so
+	// the event is scanned, and the rule listens to every name.
+	if err := sys.GRH.Register(grh.Descriptor{Language: "http://u/", FrameworkAware: true,
+		Local: grh.ServiceFunc(func(req *protocol.Request) (*protocol.Answer, error) {
+			return &protocol.Answer{RuleID: req.RuleID, Component: req.Component}, nil
+		})}); err != nil {
+		t.Fatal(err)
+	}
+	unaware := func(id, use string) string {
+		return `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" xmlns:u="http://u/" id="` + id + `">
+		  <eca:event><u:watch x="$X"><u:y>$Y</u:y></u:watch></eca:event>
+		  <eca:action><t:p v="$` + use + `"/></eca:action>
+		</eca:rule>`
+	}
+	if code, body := post("/engine/rules", unaware("scanned", "Y")); code != http.StatusOK {
+		t.Errorf("scanned event: %d %s", code, body)
+	}
+	if rs, ok := sys.Engine.RuleState("", "scanned"); !ok || rs.Plan.Names() != nil || strings.Join(rs.Plan.Vars[0].Binds, " ") != "X Y" {
+		t.Errorf("scanned event plan: %+v", rs.Plan)
+	}
+	if code, body := post("/engine/rules", unaware("scanned-free", "Z")); code != http.StatusUnprocessableEntity || !strings.Contains(body, "$Z") {
+		t.Errorf("scanned event, free $Z: %d %s, want 422", code, body)
 	}
 }

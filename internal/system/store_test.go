@@ -87,12 +87,12 @@ func TestSystemReplaysOrphanedEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Accept an event into the journal without dispatching it — the state
-	// a crash between AppendEvent and Publish leaves behind.
+	// a crash between the journal append and Publish leaves behind.
 	ev, err := xmltree.ParseString(`<t:ping xmlns:t="` + tNS + `" x="42"/>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys1.Durable.AppendEvent(ev); err != nil {
+	if _, err := sys1.Durable.AppendEventBatchTenant("", []*xmltree.Node{ev}); err != nil {
 		t.Fatal(err)
 	}
 	// Crash.

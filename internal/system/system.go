@@ -291,7 +291,7 @@ func NewLocal(cfg Config) (*System, error) {
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	if cfg.Cluster != nil {
 		node, err := cluster.New(*cfg.Cluster, cluster.Hooks{
-			LocalRules:        func() []*ruleml.Rule { return s.Engine.RegisteredRules() },
+			Local:             s.Engine,
 			RegisterRecovered: s.registerRecovered,
 			PublishRecovered:  s.publishRecovered,
 		}, cfg.Store)
@@ -437,7 +437,15 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 					}
 				}
 				if owner := s.Cluster.Owner(rule.ID); owner != s.Cluster.ID() {
-					status, body, err := s.Cluster.ForwardRule(wire, rule, owner)
+					// The owner registers the rule; this node analyses it
+					// once too, to reject it here as the owner would and
+					// to learn the names it listens to.
+					plan, err := s.Engine.Analyze(rule)
+					if err != nil {
+						http.Error(w, err.Error(), registerStatus(err))
+						return
+					}
+					status, body, err := s.Cluster.ForwardRule(wire, rule, plan.Names(), owner)
 					switch {
 					case err == nil:
 						w.WriteHeader(status)
@@ -460,14 +468,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 			}
 			if err := s.Engine.Add(wire, rule); err != nil {
 				ten.ReleaseRule()
-				// A rule whose component expression does not compile is a
-				// malformed request (400); other failures (duplicate ids,
-				// unroutable components) stay 422.
-				status := http.StatusUnprocessableEntity
-				if errors.Is(err, engine.ErrBadExpression) {
-					status = http.StatusBadRequest
-				}
-				http.Error(w, err.Error(), status)
+				http.Error(w, err.Error(), registerStatus(err))
 				return
 			}
 			fmt.Fprintln(w, rule.ID)
@@ -866,7 +867,7 @@ func (s *System) Close() {
 
 // Recover replays the durable store's reconstructed state into this
 // system: every recovered rule document is re-parsed and re-registered
-// through the regular ruleml.Analyzer validation path (restoring its
+// through the engine's regular compile and validation path (restoring its
 // original id, registration time and tenant space), and every orphaned
 // event — accepted before the crash but never dispatched — is
 // re-published on the stream under its journaled tenant. Records that
@@ -895,6 +896,17 @@ func (s *System) Distribute(baseURL string) error {
 	return nil
 }
 
+// registerStatus is the HTTP status of a rule the engine refused: a rule
+// whose component expression does not compile is a malformed request
+// (400); other failures (unbound variables, duplicate ids, unroutable
+// components) are 422.
+func registerStatus(err error) int {
+	if errors.Is(err, engine.ErrBadExpression) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
+}
+
 // language is one built-in component language: its namespace, the kind
 // of component it serves, the path Mux mounts its service under, the
 // service, and how it compiles a component at registration (nil: it has
@@ -910,8 +922,8 @@ type language struct {
 // Distribute and Mux take them from.
 func (s *System) languages() []language {
 	return []language{
-		{services.MatcherNS, "atomic event matcher", "/services/matcher", ruleml.EventComponent, s.Matcher, nil},
-		{snoop.NS, "SNOOP detection service", "/services/snoop", ruleml.EventComponent, s.Snoop, services.CompileSnoop},
+		{services.MatcherNS, "atomic event matcher", "/services/matcher", ruleml.EventComponent, s.Matcher, s.Matcher.Compile},
+		{snoop.NS, "SNOOP detection service", "/services/snoop", ruleml.EventComponent, s.Snoop, s.Snoop.Compile},
 		{services.XQueryNS, "XQuery service", "/services/xquery", ruleml.QueryComponent, s.XQuery, services.CompileXQuery},
 		{services.DatalogNS, "Datalog service", "/services/datalog", ruleml.QueryComponent, s.Datalog, services.CompileDatalog},
 		{services.TestNS, "test evaluator", "/services/test", ruleml.TestComponent, services.TestEvaluator{}, services.CompileTest},

@@ -246,7 +246,7 @@ func TestTenantQuotaRejections(t *testing.T) {
 	// Prometheus exposition contract.
 	var exp strings.Builder
 	reg.WritePrometheus(&exp)
-	if err := obs.LintExposition(strings.NewReader(exp.String())); err != nil {
+	if _, err := obs.ParseExposition(strings.NewReader(exp.String())); err != nil {
 		t.Errorf("exposition lint: %v\n%s", err, exp.String())
 	}
 	for _, want := range []string{`reason="quota"`, `reason="overload"`, `tenant="acme"`} {

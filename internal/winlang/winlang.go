@@ -1,9 +1,9 @@
 // Package winlang is a sliding-window counting event language — an event
 // component language that is NOT part of the paper, implemented to
 // demonstrate the framework's central claim: a new language plugs into the
-// engine with a namespace URI and a compile step (Language) run by the one
-// detection host (services.DetectorHost) registered in the GRH under that
-// URI, with no engine or GRH changes.
+// engine with a namespace URI and a compile and a build step (Language) run
+// by the one detection host (services.DetectorHost) registered in the GRH
+// under that URI, with no engine or GRH changes.
 //
 // An expression
 //
@@ -89,16 +89,22 @@ type match struct {
 	event events.Event
 }
 
-// Language compiles a win:atleast expression for the detection host: the
-// detector listens to its pattern's event name.
-func Language(expr *xmltree.Node, emit events.Emit) (events.Detector, error) {
-	e, err := Parse(expr)
-	if err != nil {
-		return events.Detector{}, err
-	}
-	d := NewDetector(e, func(x Detection) { emit([]bindings.Tuple{x.Bindings}, x.Constituents) })
-	return events.Detector{Names: []xmltree.Name{e.Pattern.Name()}, Feed: d.Feed}, nil
+// Language is the window language as the detection host runs it: Parse
+// compiles a win:atleast expression, and its detector listens to the
+// pattern's event name.
+var Language = events.Language[*Expr]{
+	Compile: Parse,
+	Build: func(e *Expr, emit events.Emit) (events.Detector, error) {
+		d := NewDetector(e, func(x Detection) { emit([]bindings.Tuple{x.Bindings}, x.Constituents) })
+		return events.Detector{Names: e.Names(), Feed: d.Feed}, nil
+	},
 }
+
+// Names returns the event name the expression listens to: its pattern's.
+func (e *Expr) Names() []xmltree.Name { return e.Pattern.Names() }
+
+// Binds returns the variables every detection binds: its pattern's.
+func (e *Expr) Binds() []string { return e.Pattern.Binds() }
 
 // NewDetector builds a detector delivering to sink.
 func NewDetector(e *Expr, sink func(Detection)) *Detector {

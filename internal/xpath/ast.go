@@ -12,10 +12,10 @@ type Expr struct {
 // String returns the source text the expression was compiled from.
 func (e *Expr) String() string { return e.src }
 
-// Vars lists the variables the expression references, each once, in order
+// Uses lists the variables the expression references, each once, in order
 // of first reference. Evaluation reads no other Context.Vars entry. The
 // slice is shared: callers must not modify it.
-func (e *Expr) Vars() []string { return e.vars }
+func (e *Expr) Uses() []string { return e.vars }
 
 // exprNode is a node of the expression AST.
 type exprNode interface {

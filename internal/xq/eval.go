@@ -170,7 +170,7 @@ func (e *xpathExpr) eval(ev *evaluator) (Sequence, error) {
 		x.Node = xmltree.NewDocument()
 	}
 	x.Vars = nil
-	if names := e.compiled.Vars(); len(names) > 0 {
+	if names := e.compiled.Uses(); len(names) > 0 {
 		if ev.xvars == nil {
 			ev.xvars = make(map[string]xpath.Object, len(names))
 		}

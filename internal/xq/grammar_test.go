@@ -61,7 +61,7 @@ func TestQueryVars(t *testing.T) {
 		{`count($A) > $B`, "A|B"},
 		{`$Undeclared`, "Undeclared"},
 	} {
-		if got := strings.Join(MustCompile(c.src).Vars(), "|"); got != c.want {
+		if got := strings.Join(MustCompile(c.src).Uses(), "|"); got != c.want {
 			t.Errorf("Vars(%q) = %q, want %q", c.src, got, c.want)
 		}
 	}

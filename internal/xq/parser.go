@@ -677,7 +677,7 @@ func (n *names) truncate(k int) {
 // operand is x as a query expression. The variables x reads that no
 // enclosing for, let or at binds are free in the query.
 func (p *parser) operand(x *xpath.Expr) qexpr {
-	for _, name := range x.Vars() {
+	for _, name := range x.Uses() {
 		if !p.bound.has(name) && !p.free.has(name) {
 			p.free.add(name)
 		}

@@ -64,11 +64,11 @@ type Query struct {
 // String returns the source text of the query.
 func (q *Query) String() string { return q.src }
 
-// Vars lists the variables the query references that no enclosing for,
+// Uses lists the variables the query references that no enclosing for,
 // let or at binds, each once, in order of first reference: the ones its
 // evaluation reads from Context.Vars. The slice is shared: callers must
 // not modify it.
-func (q *Query) Vars() []string { return q.vars }
+func (q *Query) Uses() []string { return q.vars }
 
 // Compile parses an XQuery-lite expression. Its errors are
 // *xpath.SyntaxError, positioned in src.

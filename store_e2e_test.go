@@ -76,7 +76,7 @@ func TestDurableStoreKillAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendEvent(ev); err != nil {
+	if _, err := st.AppendEventBatchTenant("", []*xmltree.Node{ev}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

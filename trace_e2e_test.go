@@ -37,7 +37,7 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if err := obs.LintExposition(strings.NewReader(metrics)); err != nil {
+	if _, err := obs.ParseExposition(strings.NewReader(metrics)); err != nil {
 		t.Fatalf("/metrics fails exposition lint: %v", err)
 	}
 	for _, want := range []string{"go_goroutines", "go_heap_inuse_bytes", "service_phase_seconds_bucket"} {

@@ -74,14 +74,6 @@ func Booking(person, from, to string) *xmltree.Node {
 	return e
 }
 
-// Cancellation builds a travel:cancellation event element.
-func Cancellation(person string) *xmltree.Node {
-	e := xmltree.NewElement(NS, "cancellation")
-	e.SetAttr("xmlns", "travel", NS)
-	e.SetAttr("", "person", person)
-	return e
-}
-
 // RuleXML renders the complete Fig. 4 car-rental rule. opaqueStoreURL is
 // the endpoint of the framework-unaware class store (Fig. 9) and
 // opaqueXQueryURL the raw XQuery node generating log:answers (Fig. 10);

@@ -171,6 +171,8 @@ func newMetrics(h *obs.Hub) metrics {
 
 // RuleState is the engine's bookkeeping for one registered rule.
 type RuleState struct {
+	// Rule is the engine's own copy of the rule (keep): its id and
+	// components, and nothing that reaches the parsed document.
 	Rule *ruleml.Rule
 	// Tenant is the wire form of the tenant the rule belongs to ("" =
 	// default).
@@ -479,12 +481,14 @@ func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, error) {
 // assigned rule-N, numbered per tenant. The rule is analysed once
 // (Analyze), so a rule that does not compile is rejected (a 400 naming the
 // component) instead of failing on every matching event, and its plan
-// stays with it.
+// stays with it. The engine keeps its own copy of the rule (keep), not
+// rule: Add only sets rule.ID when it assigns one.
 func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 	plan, err := e.Analyze(rule)
 	if err != nil {
 		return err
 	}
+	rs := &RuleState{Rule: keep(rule, plan.Forms[0] != nil), Tenant: tenant, Plan: plan}
 	e.mu.Lock()
 	if rule.ID == "" {
 		// Skip ids already taken — a recovered rule set may occupy
@@ -504,7 +508,7 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		return fmt.Errorf("engine: rule %.64q %w", rule.ID, ErrDuplicateRule)
 	}
 	registered := time.Now()
-	rs := &RuleState{Rule: rule, Tenant: tenant, Registered: registered, Plan: plan}
+	rs.Rule.ID, rs.Registered = rule.ID, registered
 	e.rules[k] = rs
 	e.stats.RulesRegistered++
 	e.countLocked(tenant, 1)
@@ -537,6 +541,28 @@ func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
 		e.journal.RuleRegistered(tenant, rule.ID, rule.Doc, registered)
 	}
 	return nil
+}
+
+// keep is the engine's copy of a registered rule: the caller's rule less
+// its document (Doc), so a rule's registration outlives its parsed tree.
+// Each step's and action's expression is a detached clone, a root whose
+// Parent is nil; the event's expression is dropped when the event compiled,
+// since its detector was built from that form and unregistering it names
+// only the rule and component.
+func keep(rule *ruleml.Rule, eventCompiled bool) *ruleml.Rule {
+	k := &ruleml.Rule{ID: rule.ID, Event: rule.Event}
+	if eventCompiled {
+		k.Event.Expression = nil
+	} else {
+		k.Event.Expression = rule.Event.Expression.Clone()
+	}
+	comps := make([]ruleml.Component, 0, len(rule.Steps)+len(rule.Actions))
+	comps = append(append(comps, rule.Steps...), rule.Actions...)
+	for i := range comps {
+		comps[i].Expression = comps[i].Expression.Clone()
+	}
+	k.Steps, k.Actions = comps[:len(rule.Steps):len(rule.Steps)], comps[len(rule.Steps):]
+	return k
 }
 
 // Unregister withdraws a tenant's rule and its event registration. An

@@ -137,9 +137,6 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithClient replaces the HTTP client used for remote services.
-func WithClient(c *http.Client) Option { return func(g *GRH) { g.client = c } }
-
 // WithObs installs the observability hub the GRH reports metrics to.
 func WithObs(h *obs.Hub) Option { return func(g *GRH) { g.met = newMetrics(h) } }
 
@@ -267,25 +264,30 @@ func (g *GRH) Lookup(language string) (*Descriptor, bool) {
 	return d, ok
 }
 
-// resolve finds the processor for a request: explicit language, else the
-// kind default.
-func (g *GRH) resolve(kind ruleml.ComponentKind, language string) (*Descriptor, error) {
+// resolve finds the processor for a component: its language's, else its
+// kind's default. An opaque event component gets no default: it names its
+// language, and the event default, the atomic matcher, would take the
+// <eca:opaque> wrapper for a pattern that never fires.
+func (g *GRH) resolve(c ruleml.Component) (*Descriptor, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if language != "" {
-		if d, ok := g.byLang[language]; ok {
+	if c.Language != "" {
+		if d, ok := g.byLang[c.Language]; ok {
 			return d, nil
 		}
+		if c.Opaque && c.Kind == ruleml.EventComponent {
+			return nil, fmt.Errorf("grh: no processor for opaque event language %.64s", c.Language)
+		}
 	}
-	if def, ok := g.defaults[kind]; ok {
+	if def, ok := g.defaults[c.Kind]; ok {
 		if d, ok := g.byLang[def]; ok {
 			return d, nil
 		}
 	}
-	if language == "" {
-		return nil, fmt.Errorf("grh: no default %s processor registered", kind)
+	if c.Language == "" {
+		return nil, fmt.Errorf("grh: no default %s processor registered", c.Kind)
 	}
-	return nil, fmt.Errorf("grh: no processor for language %s", language)
+	return nil, fmt.Errorf("grh: no processor for language %s", c.Language)
 }
 
 // Compile compiles a component with the processor Dispatch would send it
@@ -293,12 +295,17 @@ func (g *GRH) resolve(kind ruleml.ComponentKind, language string) (*Descriptor, 
 // pass back on Component.Compiled. It compiles nothing (nil, nil) for a
 // component pinned to a service URI, one no processor is registered for,
 // or one whose processor has no Compile or does not accept its kind: those
-// expressions are left to the service, which reads their text.
+// expressions are left to the service, which reads their text. An opaque
+// event component in a language no processor is registered for is an
+// error: no service could detect it (resolve).
 func (g *GRH) Compile(c ruleml.Component) (any, error) {
 	if c.Service != "" {
 		return nil, nil
 	}
-	d, err := g.resolve(c.Kind, c.Language)
+	d, err := g.resolve(c)
+	if err != nil && c.Opaque && c.Kind == ruleml.EventComponent {
+		return nil, err
+	}
 	if err != nil || d.Compile == nil || !kindAllowed(d, c.Kind) {
 		return nil, nil
 	}
@@ -372,7 +379,7 @@ func (g *GRH) Dispatch(kind protocol.RequestKind, c Component) (*protocol.Answer
 	} else {
 		req.Expression = c.Comp.Expression
 	}
-	d, err := g.resolve(c.Comp.Kind, c.Comp.Language)
+	d, err := g.resolve(c.Comp)
 	if err != nil {
 		g.met.errors.With("resolve").Inc()
 		g.log.Error("grh dispatch failed", "reason", "resolve",

@@ -75,14 +75,6 @@ func NewLogger(w io.Writer, format string, level slog.Level) *Logger {
 	return newLogger(slog.New(h))
 }
 
-// FromSlog wraps an existing slog logger; nil yields the discard logger.
-func FromSlog(s *slog.Logger) *Logger {
-	if s == nil {
-		return nil
-	}
-	return newLogger(s)
-}
-
 // Slog returns the underlying slog logger, With's attributes included (nil
 // for the discard logger).
 func (l *Logger) Slog() *slog.Logger {

@@ -26,7 +26,7 @@ func wiredGraph(t *testing.T) (*rdf.Graph, *system.System) {
 
 // TestFig2Hierarchy checks the language-family hierarchy.
 func TestFig2Hierarchy(t *testing.T) {
-	g, _ := wiredGraph(t)
+	g, sys := wiredGraph(t)
 	// All four families are subclasses of ComponentLanguage.
 	closure := g.SubClassClosure(ClassComponentLanguage)
 	for _, fam := range []rdf.Term{ClassEventLanguage, ClassQueryLanguage, ClassTestLanguage, ClassActionLanguage} {
@@ -34,20 +34,34 @@ func TestFig2Hierarchy(t *testing.T) {
 			t.Errorf("%v not in ComponentLanguage closure", fam)
 		}
 	}
-	// SNOOP and the matcher are event languages; XQuery and Datalog are
-	// query languages.
-	evs := LanguagesInFamily(g, ClassEventLanguage)
-	if !containsIRI(evs, snoop.NS) || !containsIRI(evs, services.MatcherNS) {
-		t.Errorf("event languages = %v", evs)
+	// The description lists exactly the languages NewLocal registers, each
+	// in the family of its kind: SNOOP and the matcher are event
+	// languages, XQuery and Datalog query languages.
+	want := map[string]rdf.Term{
+		services.MatcherNS: ClassEventLanguage,
+		snoop.NS:           ClassEventLanguage,
+		services.XQueryNS:  ClassQueryLanguage,
+		services.DatalogNS: ClassQueryLanguage,
+		services.TestNS:    ClassTestLanguage,
+		services.ActionNS:  ClassActionLanguage,
 	}
-	qs := LanguagesInFamily(g, ClassQueryLanguage)
-	if !containsIRI(qs, services.XQueryNS) || !containsIRI(qs, services.DatalogNS) {
-		t.Errorf("query languages = %v", qs)
+	if got := sys.GRH.Languages(); len(got) != len(want) {
+		t.Errorf("NewLocal registers %v, want the %d languages of its table", got, len(want))
 	}
-	// Walking from the top of Fig. 2 finds every component language.
+	for _, lang := range sys.GRH.Languages() {
+		if _, ok := want[lang]; !ok {
+			t.Errorf("NewLocal registers %s, which is not in its table", lang)
+		}
+	}
 	all := LanguagesInFamily(g, ClassLanguage)
-	if len(all) < 6 {
-		t.Errorf("all languages = %d: %v", len(all), all)
+	if len(all) != len(want) {
+		t.Errorf("described languages = %v, want exactly %d", all, len(want))
+	}
+	for _, l := range all {
+		fam, ok := want[l.Value]
+		if !ok || !containsIRI(LanguagesInFamily(g, fam), l.Value) {
+			t.Errorf("described language %v is not registered, or not in the family of its kind", l)
+		}
 	}
 }
 

@@ -31,15 +31,6 @@ func ParseTurtleString(s string) ([]Triple, error) {
 	return ParseTurtle(strings.NewReader(s))
 }
 
-// MustParseTurtle parses static Turtle data, panicking on error.
-func MustParseTurtle(s string) []Triple {
-	ts, err := ParseTurtleString(s)
-	if err != nil {
-		panic(err)
-	}
-	return ts
-}
-
 type turtleParser struct {
 	src      string
 	pos      int

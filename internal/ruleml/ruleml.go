@@ -94,7 +94,9 @@ func Parse(doc *xmltree.Node) (*Rule, error) {
 	r := &Rule{ID: root.AttrValue("", "id"), Doc: doc}
 	counts := map[ComponentKind]int{}
 	mkID := func(k ComponentKind) string {
-		counts[k]++
+		if counts[k]++; counts[k] == 1 {
+			return firstIDs[k]
+		}
 		return fmt.Sprintf("%s[%d]", k, counts[k])
 	}
 	sawEvent := false
@@ -194,6 +196,13 @@ func MustParse(src string) *Rule {
 		panic(err)
 	}
 	return r
+}
+
+// firstIDs are the ids of the first component of each kind, which most
+// rules have. Every rule shares these strings instead of formatting its
+// own, since a registered rule keeps its component ids.
+var firstIDs = map[ComponentKind]string{
+	EventComponent: "event[1]", QueryComponent: "query[1]", TestComponent: "test[1]", ActionComponent: "action[1]",
 }
 
 func parseComponent(kind ComponentKind, el *xmltree.Node, variable string) (Component, error) {

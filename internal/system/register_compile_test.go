@@ -157,6 +157,42 @@ func TestRegisterSkipsOpaquePinnedComponents(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsUnknownOpaqueEvent: an opaque event component in a
+// language no processor is registered for, and pinned to no service, is a
+// 400 naming the component and the language. It used to fall to the event
+// default, the atomic matcher, which registered the <eca:opaque> wrapper as
+// a pattern that never fires.
+func TestRegisterRejectsUnknownOpaqueEvent(t *testing.T) {
+	sys, err := NewLocal(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const lang = "http://nobody/"
+	doc := `<eca:rule xmlns:eca="` + protocol.ECANS + `" xmlns:t="` + tNS + `" id="nobody">
+	  <eca:event><eca:opaque language="` + lang + `">e($X)</eca:opaque></eca:event>
+	  <eca:action><t:pong x="$X"/></eca:action>
+	</eca:rule>`
+	rule, err := ruleml.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Engine.Register(rule); !errors.Is(err, engine.ErrBadExpression) {
+		t.Errorf("Register = %v, want an error wrapping engine.ErrBadExpression", err)
+	}
+	rec := httptest.NewRecorder()
+	sys.Mux(nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/engine/rules", strings.NewReader(doc)))
+	if body := rec.Body.String(); rec.Code != http.StatusBadRequest || !strings.Contains(body, "event[1]") || !strings.Contains(body, lang) {
+		t.Errorf("POST /engine/rules = %d %q, want 400 naming event[1] and %s", rec.Code, body, lang)
+	}
+	if n := sys.Matcher.Registrations(); n != 0 {
+		t.Errorf("%d matcher registrations, want 0", n)
+	}
+	if ids := sys.Engine.Rules(); len(ids) != 0 {
+		t.Errorf("rules %v registered, want none", ids)
+	}
+}
+
 // TestEngineErrBadExpression pins the sentinel so HTTP layers can map it.
 func TestEngineErrBadExpression(t *testing.T) {
 	sys, err := NewLocal(Config{})

@@ -12,7 +12,6 @@
 package tenant
 
 import (
-	"errors"
 	"fmt"
 	"regexp"
 	"sort"
@@ -85,13 +84,6 @@ type QuotaError struct {
 
 func (e *QuotaError) Error() string {
 	return fmt.Sprintf("tenant %q over quota: %s (limit %s)", e.Tenant, e.Reason, e.Limit)
-}
-
-// IsQuota reports whether err is a quota rejection, unwrapping as
-// needed.
-func IsQuota(err error) bool {
-	var qe *QuotaError
-	return errors.As(err, &qe)
 }
 
 // Tenant is one namespace's quota state. All methods are safe for
@@ -234,12 +226,6 @@ type Registry struct {
 
 // Option configures a Registry.
 type Option func(*Registry)
-
-// WithClock injects the time source used by rate buckets — tests use
-// it for deterministic refill.
-func WithClock(now func() time.Time) Option {
-	return func(r *Registry) { r.now = now }
-}
 
 // NewRegistry builds a registry whose default tenant is defaultID
 // (Default when empty). The default tenant exists from the start.

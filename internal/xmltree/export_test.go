@@ -5,3 +5,6 @@ var (
 	ReferenceParseString = refParseString
 	ReferenceString      = refString
 )
+
+// NewComment returns a comment node.
+func NewComment(s string) *Node { return &Node{Kind: CommentNode, Text: s} }

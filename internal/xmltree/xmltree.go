@@ -116,9 +116,6 @@ func NewElement(space, local string, children ...*Node) *Node {
 // NewText returns a text node with the given character data.
 func NewText(s string) *Node { return &Node{Kind: TextNode, Text: s} }
 
-// NewComment returns a comment node.
-func NewComment(s string) *Node { return &Node{Kind: CommentNode, Text: s} }
-
 // Append adds c as the last child of n and sets its parent pointer.
 // It returns n to allow chaining during tree construction.
 func (n *Node) Append(c *Node) *Node {

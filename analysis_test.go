@@ -94,13 +94,13 @@ func TestRulePlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		plan, err := sys.Engine.Analyze(rule)
+		plan, vars, err := sys.Engine.Analyze(rule)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		got := []string{"names " + names(plan.Names())}
 		for i, c := range rule.Components() {
-			a := plan.Vars[i]
+			a := vars[i]
 			got = append(got, fmt.Sprintf("%s %s / %s", c.Kind, list(a.Binds), list(a.Uses)))
 		}
 		if strings.Join(got, "\n") != strings.Join(want[id], "\n") {

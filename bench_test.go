@@ -104,7 +104,7 @@ func BenchmarkFig4RuleParsing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.Engine.Analyze(rule); err != nil {
+		if _, _, err := sys.Engine.Analyze(rule); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,8 +318,8 @@ func BenchmarkSnoopSeq(b *testing.B) {
 	for _, ctx := range []snoop.ParamContext{snoop.Recent, snoop.Chronicle, snoop.Continuous, snoop.Cumulative} {
 		b.Run(ctx.String(), func(b *testing.B) {
 			e := &snoop.Seq{
-				L: &snoop.Atomic{Pattern: events.MustPattern(`<a k="$K"/>`)},
-				R: &snoop.Atomic{Pattern: events.MustPattern(`<b k="$K"/>`)},
+				L: &snoop.Atomic{Pattern: mustPattern(`<a k="$K"/>`)},
+				R: &snoop.Atomic{Pattern: mustPattern(`<b k="$K"/>`)},
 			}
 			det, err := snoop.NewDetector(e, ctx, func(snoop.Occurrence) {})
 			if err != nil {
@@ -401,9 +401,19 @@ func BenchmarkRDFQuery(b *testing.B) {
 	}
 }
 
+// mustPattern compiles an event pattern from XML source, panicking on
+// error.
+func mustPattern(src string) *events.Pattern {
+	p, err := events.NewPattern(xmltree.MustParse(src))
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // BenchmarkEventPatternMatch: single pattern match against one event.
 func BenchmarkEventPatternMatch(b *testing.B) {
-	p := events.MustPattern(`<t:booking xmlns:t="` + travel.NS + `" person="$Person" to="$Dest"/>`)
+	p := mustPattern(`<t:booking xmlns:t="` + travel.NS + `" person="$Person" to="$Dest"/>`)
 	ev := events.New(travel.Booking("John Doe", "Munich", "Paris"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

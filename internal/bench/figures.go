@@ -245,7 +245,7 @@ func fig4(w io.Writer) error {
 		return err
 	}
 	defer sys.Close()
-	if _, err := sys.Engine.Analyze(rule); err != nil {
+	if _, _, err := sys.Engine.Analyze(rule); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "# Fig. 4 — outline of the sample rule (parsed and validated)")

@@ -77,7 +77,7 @@ func TestRuleXMLParsesAndValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if _, err := sys.Engine.Analyze(rule); err != nil {
+	if _, _, err := sys.Engine.Analyze(rule); err != nil {
 		t.Fatal(err)
 	}
 	if rule.ID != "car-rental" || len(rule.Steps) != 3 || len(rule.Actions) != 1 {

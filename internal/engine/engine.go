@@ -184,22 +184,24 @@ type RuleState struct {
 	Firings int
 	// Died counts instances whose relation became empty.
 	Died int
-	// Plan is what registration's one analysis of the rule found. It is
+	// Plan is what the rule keeps of registration's one analysis. It is
 	// shared: callers must not modify it.
 	Plan Plan
 }
 
-// Plan is the one analysis of a rule, made from its compiled forms when it
-// registers (Engine.Analyze) and kept with it: validation, the projection
-// of each step's input, every dispatch's compiled form and event routing
-// read it, and nothing works these facts out again.
+// Plan is what a rule keeps of its one analysis, made from its compiled
+// forms when it registers (Engine.Analyze): every dispatch's compiled form,
+// the projection of each step's input and event routing read it, and
+// nothing works these facts out again. The variables each component binds,
+// which only validation reads, are not kept.
 type Plan struct {
 	// Forms holds each component's compiled form, in rule.Components()
 	// order (0 is the event); nil where its language compiles nothing.
 	Forms []any
-	// Vars holds, in the same order, the variables each component binds
-	// and uses, as its form reports them (ruleml.Analyze).
-	Vars []ruleml.VarAnalysis
+	// Uses holds, for each query or test step in rule.Steps order, the
+	// variables its form reads: its input's projection. Nil for a rule
+	// without steps.
+	Uses [][]string
 }
 
 // Names returns the event names the rule listens to, as its event form
@@ -451,13 +453,15 @@ func (e *Engine) Register(rule *ruleml.Rule) error { return e.Add("", rule) }
 // Analyze makes the rule's plan: each component's language compiles its
 // expression once, and the compiled forms report the variables each
 // component binds and uses and the names the event listens to (a form that
-// reports nothing is scanned, ruleml.Analyze). A rule that does not
-// compile is an error wrapping ErrBadExpression naming the component; one
-// that uses a variable before binding it (ruleml.Validate) is an error
-// too. Analyze registers nothing.
-func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, error) {
+// reports nothing is scanned, ruleml.Analyze). It returns the plan and that
+// analysis, in rule.Components() order. A rule that does not compile is an
+// error wrapping ErrBadExpression naming the component; one that uses a
+// variable before binding it (ruleml.Validate) is an error too. Analyze
+// registers nothing.
+func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, []ruleml.VarAnalysis, error) {
 	comps := rule.Components()
-	p := Plan{Forms: make([]any, len(comps)), Vars: make([]ruleml.VarAnalysis, len(comps))}
+	p := Plan{Forms: make([]any, len(comps))}
+	vars := make([]ruleml.VarAnalysis, len(comps))
 	for i, c := range comps {
 		compile := e.grh.Compile
 		if isLocalTest(c) {
@@ -465,14 +469,20 @@ func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, error) {
 		}
 		form, err := compile(c)
 		if err != nil {
-			return Plan{}, fmt.Errorf("engine: rule %.64q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
+			return Plan{}, nil, fmt.Errorf("engine: rule %.64q: %w: component %s: %w", rule.ID, ErrBadExpression, c.ID, err)
 		}
-		p.Forms[i], p.Vars[i] = form, ruleml.Analyze(c, form)
+		p.Forms[i], vars[i] = form, ruleml.Analyze(c, form)
 	}
-	if err := ruleml.Validate(rule, p.Vars); err != nil {
-		return Plan{}, err
+	if err := ruleml.Validate(rule, vars); err != nil {
+		return Plan{}, nil, err
 	}
-	return p, nil
+	if len(rule.Steps) > 0 {
+		p.Uses = make([][]string, len(rule.Steps))
+		for i := range p.Uses {
+			p.Uses[i] = vars[1+i].Uses
+		}
+	}
+	return p, vars, nil
 }
 
 // Add validates the rule and registers it in tenant (wire form, "" = the
@@ -484,7 +494,7 @@ func (e *Engine) Analyze(rule *ruleml.Rule) (Plan, error) {
 // stays with it. The engine keeps its own copy of the rule (keep), not
 // rule: Add only sets rule.ID when it assigns one.
 func (e *Engine) Add(tenant string, rule *ruleml.Rule) error {
-	plan, err := e.Analyze(rule)
+	plan, _, err := e.Analyze(rule)
 	if err != nil {
 		return err
 	}
@@ -896,7 +906,7 @@ func (e *Engine) evalStep(rs *RuleState, i int, rel *bindings.Relation, tr *obs.
 	}
 	// Only the relevant bindings travel to the service (Section 4.4): the
 	// variables the component's expression references.
-	input := rel.Project(rs.Plan.Vars[1+i].Uses...)
+	input := rel.Project(rs.Plan.Uses[i]...)
 	kind := protocol.Query
 	if step.Kind == ruleml.TestComponent {
 		kind = protocol.Test

@@ -19,6 +19,15 @@ func booking(person, from, to string) Event {
 	return New(e)
 }
 
+// mustPattern compiles a pattern from XML source, panicking on error.
+func mustPattern(src string) *Pattern {
+	p, err := NewPattern(xmltree.MustParse(src))
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestStreamPublishSubscribe(t *testing.T) {
 	s := NewStream()
 	var got []uint64
@@ -46,7 +55,7 @@ func TestStreamSubscriberOrder(t *testing.T) {
 // TestFig6PatternMatch reproduces the paper's event component: a booking by
 // any person binds Person and Dest.
 func TestFig6PatternMatch(t *testing.T) {
-	p := MustPattern(`<travel:booking xmlns:travel="http://example.org/travel" person="$Person" to="$Dest"/>`)
+	p := mustPattern(`<travel:booking xmlns:travel="http://example.org/travel" person="$Person" to="$Dest"/>`)
 	ts := p.Match(booking("John Doe", "Munich", "Paris"))
 	if len(ts) != 1 {
 		t.Fatalf("match = %v", ts)
@@ -60,7 +69,7 @@ func TestFig6PatternMatch(t *testing.T) {
 }
 
 func TestPatternLiteralMismatch(t *testing.T) {
-	p := MustPattern(`<travel:booking xmlns:travel="http://example.org/travel" to="Paris"/>`)
+	p := mustPattern(`<travel:booking xmlns:travel="http://example.org/travel" to="Paris"/>`)
 	if got := p.Match(booking("X", "Y", "Rome")); len(got) != 0 {
 		t.Errorf("should not match Rome booking: %v", got)
 	}
@@ -70,11 +79,11 @@ func TestPatternLiteralMismatch(t *testing.T) {
 }
 
 func TestPatternWrongNameOrMissingAttr(t *testing.T) {
-	p := MustPattern(`<travel:cancellation xmlns:travel="http://example.org/travel" person="$P"/>`)
+	p := mustPattern(`<travel:cancellation xmlns:travel="http://example.org/travel" person="$P"/>`)
 	if got := p.Match(booking("X", "Y", "Z")); len(got) != 0 {
 		t.Error("wrong element name must not match")
 	}
-	p2 := MustPattern(`<travel:booking xmlns:travel="http://example.org/travel" seat="$S"/>`)
+	p2 := mustPattern(`<travel:booking xmlns:travel="http://example.org/travel" seat="$S"/>`)
 	if got := p2.Match(booking("X", "Y", "Z")); len(got) != 0 {
 		t.Error("missing attribute must not match")
 	}
@@ -82,7 +91,7 @@ func TestPatternWrongNameOrMissingAttr(t *testing.T) {
 
 func TestPatternJoinVariable(t *testing.T) {
 	// $P occurs twice: only events where both attributes agree match.
-	p := MustPattern(`<m from="$P" signedby="$P"/>`)
+	p := mustPattern(`<m from="$P" signedby="$P"/>`)
 	ok := xmltree.NewElement("", "m")
 	ok.SetAttr("", "from", "alice").SetAttr("", "signedby", "alice")
 	bad := xmltree.NewElement("", "m")
@@ -96,7 +105,7 @@ func TestPatternJoinVariable(t *testing.T) {
 }
 
 func TestPatternChildElementsAndText(t *testing.T) {
-	p := MustPattern(`<order><item sku="$Sku">$Qty</item></order>`)
+	p := mustPattern(`<order><item sku="$Sku">$Qty</item></order>`)
 	ev := xmltree.MustParse(`<order><item sku="A1">3</item><item sku="B2">5</item></order>`)
 	ts := p.Match(New(ev))
 	if len(ts) != 2 {
@@ -113,7 +122,7 @@ func TestPatternChildElementsAndText(t *testing.T) {
 
 func TestPatternChildrenDistinct(t *testing.T) {
 	// Two pattern children must match two *different* event children.
-	p := MustPattern(`<pair><v>$A</v><v>$B</v></pair>`)
+	p := mustPattern(`<pair><v>$A</v><v>$B</v></pair>`)
 	ev := xmltree.MustParse(`<pair><v>1</v></pair>`)
 	if ts := p.Match(New(ev)); len(ts) != 0 {
 		t.Errorf("single child cannot satisfy two pattern children: %v", ts)
@@ -125,7 +134,7 @@ func TestPatternChildrenDistinct(t *testing.T) {
 }
 
 func TestPatternFixedText(t *testing.T) {
-	p := MustPattern(`<status>ready</status>`)
+	p := mustPattern(`<status>ready</status>`)
 	if ts := p.Match(New(xmltree.MustParse(`<status>ready</status>`))); len(ts) != 1 {
 		t.Error("equal text should match")
 	}
@@ -139,7 +148,7 @@ func TestMatcherRegisterDetect(t *testing.T) {
 	s := NewStream()
 	s.Subscribe(m.OnEvent)
 	var detected []Detection
-	p := MustPattern(`<travel:booking xmlns:travel="http://example.org/travel" person="$Person" to="$Dest"/>`)
+	p := mustPattern(`<travel:booking xmlns:travel="http://example.org/travel" person="$Person" to="$Dest"/>`)
 	m.Register("rule-1:event", p, func(d Detection) { detected = append(detected, d) })
 	s.Publish(booking("John Doe", "Munich", "Paris"))
 	s.Publish(New(xmltree.NewElement("other", "noise")))
@@ -168,7 +177,7 @@ func TestMatcherConcurrent(t *testing.T) {
 	s := NewStream()
 	s.Subscribe(m.OnEvent)
 	var count atomic.Int64
-	p := MustPattern(`<e n="$N"/>`)
+	p := mustPattern(`<e n="$N"/>`)
 	m.Register("k", p, func(Detection) { count.Add(1) })
 	done := make(chan bool)
 	for g := 0; g < 4; g++ {
@@ -191,7 +200,7 @@ func TestMatcherConcurrent(t *testing.T) {
 
 func TestBindingsAreIndependent(t *testing.T) {
 	// Tuples returned by Match must not share storage.
-	p := MustPattern(`<e a="$A"/>`)
+	p := mustPattern(`<e a="$A"/>`)
 	e := xmltree.NewElement("", "e")
 	e.SetAttr("", "a", "v")
 	ts := p.Match(New(e))

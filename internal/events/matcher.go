@@ -58,9 +58,9 @@ type Matcher struct {
 	// without the removed one, and an emptied bucket's entry is deleted.
 	// OnEvent and Advance may therefore iterate a slice read under the read
 	// lock after releasing it.
-	byName map[nameKey][]registration
-	timed  map[string][]registration // tenant → registrations with an Advance
-	byKey  map[regKey]Detector       // (tenant, key) → its registration's detector
+	byName map[nameKey][]*registration
+	timed  map[string][]*registration // tenant → registrations with an Advance
+	byKey  map[regKey]*registration   // (tenant, key) → its registration
 }
 
 type nameKey struct {
@@ -70,8 +70,11 @@ type nameKey struct {
 
 type regKey struct{ tenant, key string }
 
+// registration is one added detector, the one record byKey, its name
+// buckets and timed all point at. Removal finds it by identity, so it
+// needs no copy of its key.
 type registration struct {
-	key     string
+	names   []xmltree.Name
 	feed    func(Event)
 	advance func(time.Time, uint64)
 }
@@ -88,9 +91,9 @@ type Detection struct {
 // NewMatcher returns an empty matcher.
 func NewMatcher() *Matcher {
 	return &Matcher{
-		byName: map[nameKey][]registration{},
-		timed:  map[string][]registration{},
-		byKey:  map[regKey]Detector{},
+		byName: map[nameKey][]*registration{},
+		timed:  map[string][]*registration{},
+		byKey:  map[regKey]*registration{},
 	}
 }
 
@@ -113,11 +116,11 @@ func (m *Matcher) Add(tenant, key string, d Detector) {
 	if old, ok := m.byKey[rk]; ok {
 		m.removeLocked(rk, old)
 	}
-	r := registration{key, d.Feed, d.Advance}
-	m.byKey[rk] = d
+	r := &registration{d.Names, d.Feed, d.Advance}
+	m.byKey[rk] = r
 	for _, name := range d.Names {
 		nk := nameKey{tenant, name}
-		if b := m.byName[nk]; len(b) == 0 || b[len(b)-1].key != key { // a name listed twice
+		if b := m.byName[nk]; len(b) == 0 || b[len(b)-1] != r { // a name listed twice
 			m.byName[nk] = append(b, r)
 		}
 	}
@@ -132,27 +135,27 @@ func (m *Matcher) Unregister(tenant, key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rk := regKey{tenant, key}
-	d, ok := m.byKey[rk]
+	r, ok := m.byKey[rk]
 	if ok {
-		m.removeLocked(rk, d)
+		m.removeLocked(rk, r)
 	}
 	return ok
 }
 
-// removeLocked drops rk's registration of d from every slice holding it.
+// removeLocked drops rk's registration r from every slice holding it.
 // Caller holds m.mu.
-func (m *Matcher) removeLocked(rk regKey, d Detector) {
+func (m *Matcher) removeLocked(rk regKey, r *registration) {
 	delete(m.byKey, rk)
-	for _, name := range d.Names {
+	for _, name := range r.names {
 		nk := nameKey{rk.tenant, name}
-		if b := without(m.byName[nk], rk.key); b != nil {
+		if b := without(m.byName[nk], r); b != nil {
 			m.byName[nk] = b
 		} else {
 			delete(m.byName, nk)
 		}
 	}
-	if d.Advance != nil {
-		if t := without(m.timed[rk.tenant], rk.key); t != nil {
+	if r.advance != nil {
+		if t := without(m.timed[rk.tenant], r); t != nil {
 			m.timed[rk.tenant] = t
 		} else {
 			delete(m.timed, rk.tenant)
@@ -160,17 +163,17 @@ func (m *Matcher) removeLocked(rk regKey, d Detector) {
 	}
 }
 
-// without returns regs without key's registration: regs itself when key is
-// absent, nil when nothing is left, else a copy.
-func without(regs []registration, key string) []registration {
-	i := slices.IndexFunc(regs, func(r registration) bool { return r.key == key })
+// without returns regs without r: regs itself when r is absent, nil when
+// nothing is left, else a copy.
+func without(regs []*registration, r *registration) []*registration {
+	i := slices.Index(regs, r)
 	switch {
 	case i < 0:
 		return regs
 	case len(regs) == 1:
 		return nil
 	}
-	rest := make([]registration, 0, len(regs)-1)
+	rest := make([]*registration, 0, len(regs)-1)
 	return append(append(rest, regs[:i]...), regs[i+1:]...)
 }
 
@@ -189,7 +192,7 @@ func (m *Matcher) Len() int {
 func (m *Matcher) OnEvent(ev Event) {
 	m.mu.RLock()
 	timed := m.timed[ev.Tenant]
-	var bucket []registration
+	var bucket []*registration
 	if ev.Payload != nil {
 		bucket = m.byName[nameKey{ev.Tenant, ev.Payload.Name}]
 	}
@@ -206,7 +209,7 @@ func (m *Matcher) OnEvent(ev Event) {
 // tenant, in registration order within a tenant.
 func (m *Matcher) Advance(now time.Time, seq uint64) {
 	m.mu.RLock()
-	var timed []registration
+	var timed []*registration
 	for _, regs := range m.timed {
 		timed = append(timed, regs...)
 	}

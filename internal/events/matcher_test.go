@@ -31,9 +31,10 @@ var (
 )
 
 // genTemplate builds a random pattern template element named name: up to
-// three attributes, namespace declarations (one of them with a value that
-// looks like a variable), own text that may be split into two text nodes
-// around the children, and up to two levels of repeated children.
+// three attributes, some in the urn:gen namespace, namespace declarations
+// (one of them with a value that looks like a variable), own text that may
+// be split into two text nodes around the children, and up to two levels
+// of repeated children.
 func genTemplate(r *rand.Rand, space, name string, depth int) *xmltree.Node {
 	n := xmltree.NewElement(space, name)
 	if r.Intn(3) == 0 {
@@ -47,7 +48,11 @@ func genTemplate(r *rand.Rand, space, name string, depth int) *xmltree.Node {
 	}
 	for _, a := range genAttrs {
 		if r.Intn(2) == 0 {
-			n.SetAttr("", a, genPatVals[r.Intn(len(genPatVals))])
+			space := ""
+			if r.Intn(4) == 0 {
+				space = genNS
+			}
+			n.SetAttr(space, a, genPatVals[r.Intn(len(genPatVals))])
 		}
 	}
 	txt := genPatTexts[r.Intn(len(genPatTexts))]
@@ -72,7 +77,8 @@ func genTemplate(r *rand.Rand, space, name string, depth int) *xmltree.Node {
 // genEventFor instantiates a template as an event that is likely, not
 // certain, to match it: variables become values (each occurrence drawn on
 // its own, so a variable bound twice sometimes disagrees), an attribute is
-// now and then dropped or changed, and children are added and shuffled.
+// now and then dropped, changed or moved to the other namespace, and
+// children are added and shuffled.
 func genEventFor(r *rand.Rand, tmpl *xmltree.Node) *xmltree.Node {
 	// val instantiates one template value: a variable becomes an event
 	// value, a literal now and then changes into one.
@@ -87,7 +93,15 @@ func genEventFor(r *rand.Rand, tmpl *xmltree.Node) *xmltree.Node {
 		if a.IsNamespaceDecl() || r.Intn(12) == 0 {
 			continue
 		}
-		ev.SetAttr("", a.Name.Local, val(a.Value))
+		space := a.Name.Space
+		if r.Intn(24) == 0 { // same local name, other namespace
+			if space == "" {
+				space = genNS
+			} else {
+				space = ""
+			}
+		}
+		ev.SetAttr(space, a.Name.Local, val(a.Value))
 	}
 	if r.Intn(3) == 0 {
 		ev.SetAttr("", "extra", "1")
@@ -208,7 +222,7 @@ func TestCompiledPatternNamedCases(t *testing.T) {
 	for _, c := range cases {
 		tmpl := xmltree.MustParse(c.pattern).Root()
 		ev := New(xmltree.MustParse(c.event))
-		got, want := MustPattern(c.pattern).Match(ev), refMatch(tmpl, ev)
+		got, want := mustPattern(c.pattern).Match(ev), refMatch(tmpl, ev)
 		if !sameTuples(got, want) {
 			t.Errorf("%s: Match = %v, reference %v", c.name, got, want)
 		}
@@ -374,7 +388,7 @@ func TestMatcherDetectionOrderIsRegistrationOrder(t *testing.T) {
 			if i%3 == 0 {
 				src = `<t:booking xmlns:t="` + travelNS + `" to="Paris"/>`
 			}
-			m.Register(key, MustPattern(src), sink)
+			m.Register(key, mustPattern(src), sink)
 			want = append(want, key)
 		}
 		m.OnEvent(ev)
@@ -382,7 +396,7 @@ func TestMatcherDetectionOrderIsRegistrationOrder(t *testing.T) {
 			t.Fatalf("run %d: sink order %v, registration order %v", run, order, want)
 		}
 		// Registering a key again moves it to the end.
-		m.Register(want[0], MustPattern(`<t:booking xmlns:t="`+travelNS+`" from="$F"/>`), sink)
+		m.Register(want[0], mustPattern(`<t:booking xmlns:t="`+travelNS+`" from="$F"/>`), sink)
 		want = append(want[1:], want[0])
 		order = nil
 		m.OnEvent(ev)
@@ -397,9 +411,9 @@ func TestMatcherDetectionOrderIsRegistrationOrder(t *testing.T) {
 func TestMatcherDropsEmptiedBucket(t *testing.T) {
 	m := NewMatcher()
 	sink := func(Detection) {}
-	m.Register("a1", MustPattern(`<a/>`), sink)
-	m.Register("a2", MustPattern(`<a k="$K"/>`), sink)
-	m.Register("b1", MustPattern(`<b/>`), sink)
+	m.Register("a1", mustPattern(`<a/>`), sink)
+	m.Register("a2", mustPattern(`<a k="$K"/>`), sink)
+	m.Register("b1", mustPattern(`<b/>`), sink)
 	if len(m.byName) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(m.byName))
 	}
@@ -412,7 +426,7 @@ func TestMatcherDropsEmptiedBucket(t *testing.T) {
 		t.Fatalf("the last pattern of a name left its bucket behind: %d buckets", len(m.byName))
 	}
 	// Replacing a key under another root name empties its old bucket too.
-	m.Register("b1", MustPattern(`<c/>`), sink)
+	m.Register("b1", mustPattern(`<c/>`), sink)
 	if _, ok := m.byName[nameKey{name: xmltree.Name{Local: "b"}}]; ok || len(m.byName) != 1 || m.Len() != 1 {
 		t.Fatalf("replace under a different name: buckets %d, Len %d", len(m.byName), m.Len())
 	}
@@ -430,8 +444,8 @@ func TestMatcherConcurrentRegisterUnregisterOnEvent(t *testing.T) {
 	const writers, readers, loops = 4, 4, 400
 	m := NewMatcher()
 	var stable, churned atomic.Int64
-	m.Register("stable", MustPattern(`<e n="$N"/>`), func(Detection) { stable.Add(1) })
-	pats := []*Pattern{MustPattern(`<e n="1"/>`), MustPattern(`<f/>`), MustPattern(`<e><x/></e>`)}
+	m.Register("stable", mustPattern(`<e n="$N"/>`), func(Detection) { stable.Add(1) })
+	pats := []*Pattern{mustPattern(`<e n="1"/>`), mustPattern(`<f/>`), mustPattern(`<e><x/></e>`)}
 	ev := xmltree.NewElement("", "e")
 	ev.SetAttr("", "n", "1")
 	var wg sync.WaitGroup
@@ -466,31 +480,47 @@ func TestMatcherConcurrentRegisterUnregisterOnEvent(t *testing.T) {
 
 // --- scale: cost follows the bucket, not the registrations ---------------------------------
 
-// scaleMatcher registers regs patterns shaped like the benchmark's
+const scaleNS = "urn:bench"
+
+// scaleTemplates returns regs templates shaped like the benchmark's
 // rulescale_match rules — ten per element name, told apart by a literal —
-// and returns an event exactly one of them matches and an event whose name
-// nobody registered.
-func scaleMatcher(regs int) (m *Matcher, hit, miss Event) {
-	const ns, perName = "urn:bench", 10
-	m = NewMatcher()
-	names := regs / perName
-	for n := 0; n < names; n++ {
+// and a key for each.
+func scaleTemplates(regs int) (tmpls []*xmltree.Node, keys []string) {
+	const perName = 10
+	for n := 0; n < regs/perName; n++ {
 		for v := 0; v < perName; v++ {
-			tmpl := xmltree.NewElement(ns, fmt.Sprintf("e%05d", n))
-			tmpl.SetAttr("xmlns", "b", ns)
+			tmpl := xmltree.NewElement(scaleNS, fmt.Sprintf("e%05d", n))
+			tmpl.SetAttr("xmlns", "b", scaleNS)
 			tmpl.SetAttr("", "kind", fmt.Sprintf("v%d", v))
 			tmpl.SetAttr("", "seq", "$Seq")
-			p, err := NewPattern(tmpl)
-			if err != nil {
-				panic(err)
-			}
-			m.Register(fmt.Sprintf("m%05d-%d", n, v), p, func(Detection) {})
+			tmpls = append(tmpls, tmpl)
+			keys = append(keys, fmt.Sprintf("m%05d-%d", n, v))
 		}
 	}
-	h := xmltree.NewElement(ns, fmt.Sprintf("e%05d", names/2))
-	h.SetAttr("xmlns", "b", ns).SetAttr("", "kind", "v7").SetAttr("", "seq", "42")
-	x := xmltree.NewElement(ns, "unregistered")
-	x.SetAttr("xmlns", "b", ns).SetAttr("", "kind", "v7").SetAttr("", "seq", "42")
+	return tmpls, keys
+}
+
+// registerAll compiles each template and registers it under its key.
+func registerAll(m *Matcher, tmpls []*xmltree.Node, keys []string) {
+	for i, tmpl := range tmpls {
+		p, err := NewPattern(tmpl)
+		if err != nil {
+			panic(err)
+		}
+		m.Register(keys[i], p, func(Detection) {})
+	}
+}
+
+// scaleMatcher registers regs scaleTemplates and returns an event exactly
+// one of them matches and an event whose name nobody registered.
+func scaleMatcher(regs int) (m *Matcher, hit, miss Event) {
+	m = NewMatcher()
+	tmpls, keys := scaleTemplates(regs)
+	registerAll(m, tmpls, keys)
+	h := xmltree.NewElement(scaleNS, fmt.Sprintf("e%05d", regs/20))
+	h.SetAttr("xmlns", "b", scaleNS).SetAttr("", "kind", "v7").SetAttr("", "seq", "42")
+	x := xmltree.NewElement(scaleNS, "unregistered")
+	x.SetAttr("xmlns", "b", scaleNS).SetAttr("", "kind", "v7").SetAttr("", "seq", "42")
 	return m, New(h), New(x)
 }
 
@@ -510,6 +540,44 @@ func TestMatcherOnEventAllocationsIgnoreRegistrations(t *testing.T) {
 	atLarge := testing.AllocsPerRun(200, func() { large.OnEvent(hitLarge) })
 	if atSmall != atLarge || atLarge == 0 {
 		t.Errorf("matching event: %v allocs/event at 10000 registrations, %v at 10; want equal and non-zero", atLarge, atSmall)
+	}
+}
+
+// maxRegistrationHeap bounds the live heap one rulescale_match-shaped
+// pattern and its matcher registration keep, in bytes: about 395 with
+// Go 1.24. A pattern of separately allocated elements with a literal and a
+// bind slice each, registered beside a copy of its Detector, kept about
+// 565.
+const maxRegistrationHeap = 450
+
+// TestMatcherRetainedHeap compiles and registers 10⁴ rulescale_match-shaped
+// patterns and bounds the live heap each pattern and registration keep:
+// the event layer's share of a registered rule's memory.
+func TestMatcherRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds shadow memory to every allocation")
+	}
+	const regs = 10000
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	tmpls, keys := scaleTemplates(regs)
+	m := NewMatcher()
+	before := live()
+	registerAll(m, tmpls, keys)
+	perReg := float64(live()-before) / regs
+	if m.Len() != regs {
+		t.Fatalf("Len() = %d, want %d", m.Len(), regs)
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(tmpls)
+	t.Logf("%.0f B of live heap per pattern and registration", perReg)
+	if perReg > maxRegistrationHeap {
+		t.Fatalf("%.0f B of live heap per pattern and registration, limit %d", perReg, maxRegistrationHeap)
 	}
 }
 

@@ -1,0 +1,5 @@
+//go:build !race
+
+package events
+
+const raceEnabled = false

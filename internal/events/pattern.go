@@ -29,26 +29,40 @@ import (
 // A Pattern is compiled once from its template by NewPattern and is
 // immutable afterwards, so one Pattern may be matched from many goroutines.
 type Pattern struct {
-	root  *elemPattern
-	vars  []string
 	names [1]xmltree.Name // the root's name, the one event name the pattern matches
+	root  elemPattern     // the root element, inline; its name is names[0]
+	vars  []string        // the variables bound, sorted
 }
 
-// elemPattern is one template element, compiled: namespace declarations are
-// gone, every attribute and the own text are classified as a literal test
-// or a variable bind, and the literal tests come first, so an event that
-// fails one is rejected before any tuple is allocated.
+// elemPattern is one template element less its name, compiled: namespace
+// declarations are gone, and every attribute and the own text are
+// classified as a literal test or a variable bind. The literal tests come
+// first, so an event that fails one is rejected before any tuple is
+// allocated. A flat element — no own text and no children, the common
+// event pattern — keeps nothing beyond its attribute tests.
 type elemPattern struct {
-	name    xmltree.Name
-	lits    []xmltree.Attr // attributes the event must carry with exactly this value
-	binds   []attrBind     // attributes whose value binds a variable
-	text    string         // trimmed own text the event must equal; "" = no test
-	textVar string         // variable bound to the event's trimmed own text; "" = none
-	kids    []*elemPattern // children whose subtree binds a variable
-	ground  []*elemPattern // children that bind none: only their fit is checked
+	tests []attrTest // tests[:lits] are literals the event must carry; the rest bind variables
+	lits  int
+	more  *elemMore // nil for a flat element
 }
 
-type attrBind struct {
+// elemMore is what an element that is not flat adds.
+type elemMore struct {
+	text    string          // trimmed own text the event must equal; "" = no test
+	textVar string          // variable bound to the event's trimmed own text; "" = none
+	kids    []*childPattern // children whose subtree binds a variable
+	ground  []*childPattern // children that bind none: only their fit is checked
+}
+
+// childPattern is a template child element: its name and its compiled body.
+type childPattern struct {
+	name xmltree.Name
+	elem elemPattern
+}
+
+// attrTest is one attribute test: a literal value the event must carry, or
+// the variable the event's value binds.
+type attrTest struct {
 	name xmltree.Name
 	v    string
 }
@@ -61,7 +75,8 @@ func NewPattern(template *xmltree.Node) (*Pattern, error) {
 		return nil, fmt.Errorf("events: pattern has no root element")
 	}
 	set := map[string]bool{}
-	p := &Pattern{root: compileElem(r, set), names: [1]xmltree.Name{r.Name}}
+	p := &Pattern{names: [1]xmltree.Name{r.Name}}
+	compileElem(&p.root, r, set)
 	p.vars = make([]string, 0, len(set))
 	for v := range set {
 		p.vars = append(p.vars, v)
@@ -70,48 +85,57 @@ func NewPattern(template *xmltree.Node) (*Pattern, error) {
 	return p, nil
 }
 
-func compileElem(n *xmltree.Node, vars map[string]bool) *elemPattern {
-	e := &elemPattern{name: n.Name}
+// compileElem compiles n's attributes, own text and children into e.
+func compileElem(e *elemPattern, n *xmltree.Node, vars map[string]bool) {
+	attrs := 0
 	for _, a := range n.Attrs {
-		if a.IsNamespaceDecl() {
-			continue
-		}
-		if v, ok := varName(a.Value); ok {
-			vars[v] = true
-			e.binds = append(e.binds, attrBind{a.Name, v})
-		} else {
-			e.lits = append(e.lits, a)
+		if !a.IsNamespaceDecl() {
+			attrs++
 		}
 	}
+	e.tests = make([]attrTest, 0, attrs)
+	for _, a := range n.Attrs {
+		if _, ok := varName(a.Value); !ok && !a.IsNamespaceDecl() {
+			e.tests = append(e.tests, attrTest{a.Name, a.Value})
+		}
+	}
+	e.lits = len(e.tests)
+	for _, a := range n.Attrs {
+		if v, ok := varName(a.Value); ok && !a.IsNamespaceDecl() {
+			vars[v] = true
+			e.tests = append(e.tests, attrTest{a.Name, v})
+		}
+	}
+	var more elemMore
 	if txt := strings.TrimSpace(ownText(n)); txt != "" {
 		if v, ok := varName(txt); ok {
 			vars[v] = true
-			e.textVar = v
+			more.textVar = v
 		} else {
-			e.text = txt
+			more.text = txt
 		}
 	}
 	for _, c := range n.ChildElements() {
-		if k := compileElem(c, vars); len(k.binds) == 0 && k.textVar == "" && len(k.kids) == 0 {
-			e.ground = append(e.ground, k)
+		k := &childPattern{name: c.Name}
+		if compileElem(&k.elem, c, vars); k.elem.binds() {
+			more.kids = append(more.kids, k)
 		} else {
-			e.kids = append(e.kids, k)
+			more.ground = append(more.ground, k)
 		}
 	}
-	return e
+	if more.text != "" || more.textVar != "" || more.kids != nil || more.ground != nil {
+		e.more = new(elemMore)
+		*e.more = more
+	}
 }
 
-// MustPattern parses a pattern from XML source, panicking on error.
-func MustPattern(src string) *Pattern {
-	p, err := NewPattern(xmltree.MustParse(src))
-	if err != nil {
-		panic(err)
-	}
-	return p
+// binds reports whether the element or a descendant binds a variable.
+func (e *elemPattern) binds() bool {
+	return len(e.tests) > e.lits || e.more != nil && (e.more.textVar != "" || len(e.more.kids) > 0)
 }
 
 // Name returns the event name the pattern matches.
-func (p *Pattern) Name() xmltree.Name { return p.root.name }
+func (p *Pattern) Name() xmltree.Name { return p.names[0] }
 
 // Names returns the one event name the pattern matches, as the names an
 // event detector listens to. The slice is shared; callers must not modify
@@ -161,52 +185,62 @@ func ownText(n *xmltree.Node) string {
 // repeated pattern children match different event children. The tuples
 // share no storage with each other or with later matches.
 func (p *Pattern) Match(ev Event) []bindings.Tuple {
-	if ev.Payload == nil {
+	if ev.Payload == nil || ev.Payload.Name != p.names[0] {
 		return nil
 	}
 	return p.root.match(ev.Payload, nil)
 }
 
-// match returns the distinct extensions of t under which ev fits e. t
-// itself is never modified.
-func (e *elemPattern) match(ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple {
-	if e.name != ev.Name {
+// match returns the distinct extensions of t under which ev fits the
+// child, name included. t itself is never modified.
+func (c *childPattern) match(ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple {
+	if c.name != ev.Name {
 		return nil
 	}
-	for _, a := range e.lits {
-		if got, ok := ev.Attr(a.Name.Space, a.Name.Local); !ok || got != a.Value {
+	return c.elem.match(ev, t)
+}
+
+// match returns the distinct extensions of t under which ev, whose name
+// the caller checked, fits e. t itself is never modified.
+func (e *elemPattern) match(ev *xmltree.Node, t bindings.Tuple) []bindings.Tuple {
+	for _, a := range e.tests[:e.lits] {
+		if got, ok := ev.Attr(a.name.Space, a.name.Local); !ok || got != a.v {
 			return nil
 		}
 	}
+	m := e.more
 	var evText string
-	if e.text != "" || e.textVar != "" {
+	if m != nil && (m.text != "" || m.textVar != "") {
 		evText = strings.TrimSpace(ownText(ev))
-		if e.text != "" && evText != e.text {
+		if m.text != "" && evText != m.text {
 			return nil
 		}
 	}
 	// Every literal of this element holds; only now pay for a tuple.
 	cur := t.Clone()
-	for _, b := range e.binds {
+	for _, b := range e.tests[e.lits:] {
 		got, ok := ev.Attr(b.name.Space, b.name.Local)
 		if !ok || !bindVar(cur, b.v, bindings.Str(got)) {
 			return nil
 		}
 	}
-	if e.textVar != "" && !bindVar(cur, e.textVar, bindings.Str(evText)) {
-		return nil
-	}
-	if len(e.kids) == 0 && len(e.ground) == 0 {
+	if m == nil {
 		return []bindings.Tuple{cur}
 	}
-	return matchKids(e.kids, e.ground, ev.Children, make([]bool, len(ev.Children)), cur, nil)
+	if m.textVar != "" && !bindVar(cur, m.textVar, bindings.Str(evText)) {
+		return nil
+	}
+	if len(m.kids) == 0 && len(m.ground) == 0 {
+		return []bindings.Tuple{cur}
+	}
+	return matchKids(m.kids, m.ground, ev.Children, make([]bool, len(ev.Children)), cur, nil)
 }
 
 // matchKids assigns each pattern child in kids to a distinct, still unused
 // element of evKids, pattern child by pattern child, event children in
 // document order, and adds each consistent combination of bindings under
 // which the ground children fit the elements left to the set out.
-func matchKids(kids, ground []*elemPattern, evKids []*xmltree.Node, used []bool, t bindings.Tuple, out []bindings.Tuple) []bindings.Tuple {
+func matchKids(kids, ground []*childPattern, evKids []*xmltree.Node, used []bool, t bindings.Tuple, out []bindings.Tuple) []bindings.Tuple {
 	if len(kids) == 0 {
 		if slices.ContainsFunc(out, t.Equal) || len(ground) > 0 && !fitAll(ground, evKids, used) {
 			return out
@@ -229,7 +263,7 @@ func matchKids(kids, ground []*elemPattern, evKids []*xmltree.Node, used []bool,
 // fitAll reports whether every pattern in ground fits its own unused
 // element of evKids: a bipartite matching grown along augmenting paths, so
 // n repeated children cost a polynomial, not their n! assignments.
-func fitAll(ground []*elemPattern, evKids []*xmltree.Node, used []bool) bool {
+func fitAll(ground []*childPattern, evKids []*xmltree.Node, used []bool) bool {
 	holder := make([]int, len(evKids)) // evKids index → 1 + the pattern holding it; 0 = free
 	var seen []bool
 	var augment func(g int) bool

@@ -40,8 +40,8 @@ func feedAll(t *testing.T, e Expr, ctx ParamContext, stream []events.Event) []Oc
 // internally consistent (the join variable agrees across constituents).
 func TestPropertySeqOrderingInvariant(t *testing.T) {
 	e := &Seq{
-		L: &Atomic{Pattern: events.MustPattern(`<a k="$K"/>`)},
-		R: &Atomic{Pattern: events.MustPattern(`<b k="$K"/>`)},
+		L: atomic(`<a k="$K"/>`),
+		R: atomic(`<b k="$K"/>`),
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		for _, ctx := range []ParamContext{Unrestricted, Recent, Chronicle, Continuous, Cumulative} {
@@ -67,8 +67,8 @@ func TestPropertySeqOrderingInvariant(t *testing.T) {
 // Chronicle never more than Unrestricted (contexts restrict pairing).
 func TestPropertyContextsRestrict(t *testing.T) {
 	e := &Seq{
-		L: &Atomic{Pattern: events.MustPattern(`<a k="$K"/>`)},
-		R: &Atomic{Pattern: events.MustPattern(`<b k="$K"/>`)},
+		L: atomic(`<a k="$K"/>`),
+		R: atomic(`<b k="$K"/>`),
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		stream := randomStream(seed, 150)
@@ -84,8 +84,8 @@ func TestPropertyContextsRestrict(t *testing.T) {
 // Property: Or(A, B) occurrence count equals count(A) + count(B) for
 // atomic children (no state, no context interaction).
 func TestPropertyOrIsUnion(t *testing.T) {
-	a := &Atomic{Pattern: events.MustPattern(`<a/>`)}
-	b := &Atomic{Pattern: events.MustPattern(`<b/>`)}
+	a := atomic(`<a/>`)
+	b := atomic(`<b/>`)
 	or := &Or{a, b}
 	for seed := int64(0); seed < 20; seed++ {
 		stream := randomStream(seed, 100)
@@ -102,8 +102,8 @@ func TestPropertyOrIsUnion(t *testing.T) {
 // most once — the number of Seq occurrences is at most min(#a, #b).
 func TestPropertyChronicleConsumption(t *testing.T) {
 	e := &Seq{
-		L: &Atomic{Pattern: events.MustPattern(`<a/>`)},
-		R: &Atomic{Pattern: events.MustPattern(`<b/>`)},
+		L: atomic(`<a/>`),
+		R: atomic(`<b/>`),
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		stream := randomStream(seed, 100)
@@ -130,9 +130,9 @@ func TestPropertyChronicleConsumption(t *testing.T) {
 // initiator and terminator.
 func TestPropertyNotSuppression(t *testing.T) {
 	e := &Not{
-		Begin:   &Atomic{Pattern: events.MustPattern(`<a/>`)},
-		Guarded: &Atomic{Pattern: events.MustPattern(`<g/>`)},
-		End:     &Atomic{Pattern: events.MustPattern(`<b/>`)},
+		Begin:   atomic(`<a/>`),
+		Guarded: atomic(`<g/>`),
+		End:     atomic(`<b/>`),
 	}
 	// Stream: a g b a g b … — guard always present.
 	var stream []events.Event

@@ -19,8 +19,14 @@ func mkEvent(name string, seq uint64, attrs ...string) events.Event {
 	return events.Event{Payload: e, Seq: seq, Time: time.Unix(int64(seq), 0)}
 }
 
+// atomic compiles an atomic expression from pattern source, panicking on
+// error.
 func atomic(src string) *Atomic {
-	return &Atomic{Pattern: events.MustPattern(src)}
+	p, err := events.NewPattern(xmltree.MustParse(src))
+	if err != nil {
+		panic(err)
+	}
+	return &Atomic{Pattern: p}
 }
 
 // collect builds a detector whose occurrences are appended to the returned

@@ -54,11 +54,15 @@ func liveHeap() uint64 {
 }
 
 // maxRuleHeap bounds the live heap one registered rule of the
-// rulescale_match shape keeps, in bytes. A rule keeps its plan and
-// detached step and action expressions, about 1.6 KB with Go 1.24; one that
-// kept its parsed document, through Rule.Doc or through an expression still
+// rulescale_match shape keeps, in bytes. A rule keeps its plan, its
+// detached step and action expressions, one compact event pattern and one
+// matcher record: about 1.34 KB with Go 1.24. The bound leaves over 300 B
+// for another Go release's map layout; Go 1.22's was not measured. A rule
+// whose pattern kept one allocation per element, literal and bind list,
+// beside a matcher copy of its Detector, kept about 1.64 KB; one that kept
+// its parsed document, through Rule.Doc or through an expression still
 // attached to it, kept about 2.5 KB.
-const maxRuleHeap = 2000
+const maxRuleHeap = 1700
 
 // TestRuleRetainedHeap registers rulescale_match-shaped rules through
 // POST /engine/rules and bounds the live heap each one keeps.

@@ -440,7 +440,7 @@ func (s *System) Mux(opaqueDoc *xmltree.Node, namespaces map[string]string) *htt
 					// The owner registers the rule; this node analyses it
 					// once too, to reject it here as the owner would and
 					// to learn the names it listens to.
-					plan, err := s.Engine.Analyze(rule)
+					plan, _, err := s.Engine.Analyze(rule)
 					if err != nil {
 						http.Error(w, err.Error(), registerStatus(err))
 						return

@@ -514,6 +514,16 @@ func urlQueryEscape(s string) string {
 	return b.String()
 }
 
+// mustPattern compiles an event pattern from XML source, panicking on
+// error.
+func mustPattern(src string) *events.Pattern {
+	p, err := events.NewPattern(xmltree.MustParse(src))
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // TestRepeatedPatternChildrenFireOnce: a pattern whose n identical children
 // bind nothing matches an event with n such children in one way, not in
 // its n! assignments: one tuple and one action, in bounded time.
@@ -536,7 +546,7 @@ func TestRepeatedPatternChildrenFireOnce(t *testing.T) {
 			ev := events.New(xmltree.MustParse(`<t:a xmlns:t="` + tNS + `" k="1">` + kids + `</t:a>`))
 			done := make(chan []bindings.Tuple)
 			go func() {
-				tuples := events.MustPattern(`<t:a xmlns:t="` + tNS + `" k="$K">` + kids + `</t:a>`).Match(ev)
+				tuples := mustPattern(`<t:a xmlns:t="` + tNS + `" k="$K">` + kids + `</t:a>`).Match(ev)
 				sys.Stream.Publish(ev)
 				done <- tuples
 			}()
